@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import (ComponentBudgetError, ConfigError,
@@ -28,8 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        required=verb in ("run", "emit-plot"))
         p.add_argument("--seed", type=int, default=None,
                        help="64-bit seed for randomized suites")
-        p.add_argument("--parallel", type=int, default=1, metavar="K",
-                       help="fan out independent fixture runs")
         p.add_argument("--out", type=pathlib.Path, default=None,
                        help="output directory")
         p.add_argument("--format", choices=("csv", "structured"),
@@ -65,9 +62,9 @@ def _write_trace(trace, args, stem: str) -> None:
     print(f"wrote {path}")
 
 
-def _selftest(args) -> int:
+def _selftest() -> int:
     """Quick internal battery: shipped splinter fixtures plus the
-    Kakutani demo, fanned out when --parallel > 1."""
+    Kakutani demo, run one after another."""
     from . import fixtures
     from .splinter import CONVERGED, STALLED, splinter
 
@@ -83,23 +80,14 @@ def _selftest(args) -> int:
          CONVERGED, 1),
     ]
 
-    def one(job):
-        name, kw, want_status, want_depth = job
+    failed = False
+    for name, kw, want_status, want_depth in jobs:
         d = splinter(**kw)
         ok = d.status == want_status
         if want_depth is not None:
             ok &= d.depth == want_depth
-        return name, ok, d.status, d.depth
-
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
-
-    failed = False
-    for name, ok, status, depth in results:
-        print(f"[{'pass' if ok else 'FAIL'}] {name}: {status} at depth {depth}")
+        print(f"[{'pass' if ok else 'FAIL'}] {name}: {d.status} at depth "
+              f"{d.depth}")
         failed |= not ok
     trace, code = demo_kakutani()
     print(f"[{'pass' if code == 0 else 'FAIL'}] demo-kakutani")
@@ -120,7 +108,7 @@ def main(argv=None) -> int:
             _write_trace(trace, args, "demo-kakutani")
             return code
         if args.verb == "selftest":
-            return _selftest(args)
+            return _selftest()
         if args.verb == "emit-plot":
             config = _load_config(args.config, args.seed)
             trace, code = run(config)

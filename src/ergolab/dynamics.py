@@ -80,8 +80,8 @@ def odometer_image(S: IntervalSet) -> IntervalSet:
     if any(t.anchor == AT_ZERO for t in S.tails):
         raise RepresentationOverflowError(
             "image of an at-zero tail accumulates at 1/2")
-    depths = _depths_for([S], {AT_ONE})
-    ivs, fl = _expand(S, depths)
+    depths = _depths_for([(S.intervals, S.tails)], {AT_ONE})
+    ivs, fl = _expand(S.intervals, S.tails, depths)
     out = []
     for iv in ivs:
         for n, piece in _split_blocks_one(iv):
@@ -89,7 +89,7 @@ def odometer_image(S: IntervalSet) -> IntervalSet:
             out.append(Interval(piece.lo + t, piece.hi + t))
     m = depths[AT_ONE]
     flags = {(AT_ZERO, p): fl[(AT_ONE, p)] for p in (0, 1)}
-    return _collapse(_sweep(out), flags, {AT_ZERO: m})
+    return _collapse(out, flags, {AT_ZERO: m})
 
 
 def odometer_preimage(S: IntervalSet) -> IntervalSet:
@@ -97,8 +97,8 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
     if any(t.anchor == AT_ONE for t in S.tails):
         raise RepresentationOverflowError(
             "preimage of an at-one tail accumulates at 1/2")
-    depths = _depths_for([S], {AT_ZERO})
-    ivs, fl = _expand(S, depths)
+    depths = _depths_for([(S.intervals, S.tails)], {AT_ZERO})
+    ivs, fl = _expand(S.intervals, S.tails, depths)
     out = []
     for iv in ivs:
         for n, piece in _split_blocks_zero(iv):
@@ -106,7 +106,7 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
             out.append(Interval(piece.lo - t, piece.hi - t))
     m = depths[AT_ZERO]
     flags = {(AT_ONE, p): fl[(AT_ZERO, p)] for p in (0, 1)}
-    return _collapse(_sweep(out), flags, {AT_ONE: m})
+    return _collapse(out, flags, {AT_ONE: m})
 
 
 # ---------------------------------------------------------------------
@@ -385,10 +385,6 @@ def verify_measure_preserving(T: Transformation, S: SetLike) -> PreservationRepo
     m_p = pre.measure()
     return PreservationReport(T.descriptor(), S.to_text(), m_s, m_p,
                               m_s == m_p)
-
-
-def rotation_preimage(angle: Scalar, S: IntervalSet) -> IntervalSet:
-    return Rotation(angle).preimage(S)
 
 
 def make_system(descriptor: str) -> Transformation:

@@ -106,15 +106,11 @@ class ExperimentConfig:
                 text = val.to_text() if isinstance(val, Scalar) else str(val)
                 lines.append(f"{key} = {text}")
         for name in sorted(self.sets):
-            lines.append(f"set.{name} = {_set_to_text(self.sets[name])}")
+            lines.append(f"set.{name} = {self.sets[name].to_text()}")
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
-
-
-def _set_to_text(S: SetLike) -> str:
-    return S.to_text()
 
 
 def _set_from_text(text: str, tag) -> SetLike:

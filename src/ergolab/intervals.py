@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
@@ -140,52 +140,42 @@ def _sweep(intervals: Iterable[Interval]) -> list[Interval]:
     return out
 
 
-def _finite_intersect(a: Sequence[Interval], b: Sequence[Interval]) -> list[Interval]:
+#: truth tables of the boolean operations, indexed by 2 * (x in a) + (x in b)
+_UNION = (False, True, True, True)
+_INTERSECT = (False, False, False, True)
+_SUBTRACT = (False, False, True, False)
+
+
+def _merge(a: Sequence[Interval], b: Sequence[Interval],
+           keep: tuple[bool, ...]) -> list[Interval]:
+    """Combine two normalized interval lists point by point.
+
+    Walks the boundary points of both lists in order, one comparison per
+    boundary event, and keeps the points where ``keep[2 * in_a + in_b]``
+    holds.  Membership is judged once per distinct point, so touching pieces
+    merge and no empty piece is emitted: the result is normalized.
+    """
     out: list[Interval] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = a[i].lo if a[i].lo > b[j].lo else b[j].lo
-        hi = a[i].hi if a[i].hi < b[j].hi else b[j].hi
-        if lo < hi:
-            out.append(Interval(lo, hi))
-        if a[i].hi < b[j].hi:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _finite_subtract(a: Sequence[Interval], b: Sequence[Interval]) -> list[Interval]:
-    out: list[Interval] = []
-    j = 0
-    for iv in a:
-        lo = iv.lo
-        while j < len(b) and b[j].hi <= lo:
-            j += 1
-        k = j
-        while k < len(b) and b[k].lo < iv.hi:
-            if b[k].lo > lo:
-                out.append(Interval(lo, b[k].lo))
-            if b[k].hi > lo:
-                lo = b[k].hi
-            if lo >= iv.hi:
-                break
-            k += 1
-        if lo < iv.hi:
-            out.append(Interval(lo, iv.hi))
-    return out
-
-
-def _finite_complement(a: Sequence[Interval], lo: Scalar, hi: Scalar) -> list[Interval]:
-    out: list[Interval] = []
-    cur = lo
-    for iv in a:
-        if iv.lo > cur:
-            out.append(Interval(cur, iv.lo))
-        if iv.hi > cur:
-            cur = iv.hi
-    if cur < hi:
-        out.append(Interval(cur, hi))
+    i = j = state = 0
+    start = None
+    while i < len(a) or j < len(b):
+        ea = (a[i].hi if state & 2 else a[i].lo) if i < len(a) else None
+        eb = (b[j].hi if state & 1 else b[j].lo) if j < len(b) else None
+        c = -1 if eb is None else 1 if ea is None else ea.cmp(eb)
+        if c <= 0:
+            x = ea
+            i += state >> 1
+            state ^= 2
+        if c >= 0:
+            x = eb
+            j += state & 1
+            state ^= 1
+        if keep[state]:
+            if start is None:
+                start = x
+        elif start is not None:
+            out.append(Interval(start, x))
+            start = None
     return out
 
 
@@ -212,15 +202,17 @@ def _depth_for_gap(gap: Scalar) -> int:
     return max(2, m)
 
 
-def _depths_for(sets: Sequence["IntervalSet"], anchors: set[str]) -> dict[str, int]:
+def _depths_for(sets: Sequence[tuple[Sequence[Interval], Collection[ParityTail]]],
+                anchors: set[str]) -> dict[str, int]:
+    """Expansion depth per anchor for (intervals, tails) pairs."""
     depths: dict[str, int] = {}
     for anchor in anchors:
         m = 2
-        for s in sets:
-            for t in s.tails:
+        for intervals, tails in sets:
+            for t in tails:
                 if t.anchor == anchor:
                     m = max(m, t.start)
-            for iv in s.intervals:
+            for iv in intervals:
                 if anchor == AT_ONE:
                     for e in (iv.lo, iv.hi):
                         if e < ONE:
@@ -233,20 +225,21 @@ def _depths_for(sets: Sequence["IntervalSet"], anchors: set[str]) -> dict[str, i
     return depths
 
 
-def _expand(s: "IntervalSet", depths: dict[str, int]):
-    """Split s into finite intervals inside the core region plus residual
-    flags; flag (anchor, parity) means "all blocks n >= depth with that
-    parity are present"."""
+def _expand(intervals: Iterable[Interval], tails: Iterable[ParityTail],
+            depths: dict[str, int]):
+    """Split a set into finite intervals inside the core region plus
+    residual flags; flag (anchor, parity) means "all blocks n >= depth with
+    that parity are present".  The intervals need not be normalized."""
     flags = {(a, p): False for a in depths for p in (EVEN, ODD)}
     raw: list[Interval] = []
-    for t in s.tails:
+    for t in tails:
         M = depths[t.anchor]
         n = t.start
         while n < M:
             raw.append(_block(t.anchor, n))
             n += 2
         flags[(t.anchor, t.parity)] = True
-    raw.extend(s.intervals)
+    raw.extend(intervals)
     ivs: list[Interval] = []
     for iv in raw:
         # a component reaching an anchor covers that anchor's whole
@@ -333,7 +326,7 @@ class IntervalSet:
     def __init__(self, intervals: tuple[Interval, ...] = (),
                  tails: frozenset[ParityTail] = frozenset()):
         anchors = [t.anchor for t in tails]
-        if len(anchors) != len(set(anchors)) or len(anchors) > 4:
+        if len(anchors) != len(set(anchors)):
             raise RepresentationOverflowError(
                 "more than one parity tail per anchor in normal form")
         self.intervals = tuple(intervals)
@@ -353,11 +346,8 @@ class IntervalSet:
         tails = list(tails)
         if not tails:
             return cls(tuple(_sweep(ivs)))
-        anchors = {t.anchor for t in tails}
-        probe = _TailProbe(tuple(ivs), tuple(tails))
-        depths = _depths_for([probe], anchors)  # type: ignore[list-item]
-        eiv, efl = _expand(probe, depths)       # type: ignore[arg-type]
-        return _collapse(eiv, efl, depths)
+        depths = _depths_for([(ivs, tails)], {t.anchor for t in tails})
+        return _collapse(*_expand(ivs, tails, depths), depths)
 
     def _anchors(self) -> set[str]:
         return {t.anchor for t in self.tails}
@@ -399,50 +389,32 @@ class IntervalSet:
 
     # -- boolean algebra ---------------------------------------------------
 
-    def _combine(self, other: "IntervalSet", op: str) -> "IntervalSet":
-        anchors = self._anchors() | other._anchors()
-        if not anchors:
-            if op == "union":
-                return IntervalSet(tuple(_sweep(self.intervals + other.intervals)))
-            if op == "intersect":
-                return IntervalSet(tuple(_finite_intersect(self.intervals,
-                                                           other.intervals)))
-            return IntervalSet(tuple(_finite_subtract(self.intervals,
-                                                      other.intervals)))
-        depths = _depths_for([self, other], anchors)
-        ia, fa = _expand(self, depths)
-        ib, fb = _expand(other, depths)
-        if op == "union":
-            ivs = _sweep(ia + ib)
-            fl = {k: fa[k] or fb[k] for k in fa}
-        elif op == "intersect":
-            ivs = _finite_intersect(ia, ib)
-            fl = {k: fa[k] and fb[k] for k in fa}
-        else:
-            ivs = _finite_subtract(ia, ib)
-            fl = {k: fa[k] and not fb[k] for k in fa}
-        return _collapse(ivs, fl, depths)
+    def _combine(self, other: "IntervalSet",
+                 keep: tuple[bool, ...]) -> "IntervalSet":
+        if not (self.tails or other.tails):
+            return IntervalSet(tuple(_merge(self.intervals, other.intervals,
+                                            keep)))
+        depths = _depths_for([(self.intervals, self.tails),
+                              (other.intervals, other.tails)],
+                             self._anchors() | other._anchors())
+        ia, fa = _expand(self.intervals, self.tails, depths)
+        ib, fb = _expand(other.intervals, other.tails, depths)
+        fl = {k: keep[2 * fa[k] + fb[k]] for k in fa}
+        return _collapse(_merge(ia, ib, keep), fl, depths)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return self._combine(other, "union")
+        return self._combine(other, _UNION)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return self._combine(other, "intersect")
+        return self._combine(other, _INTERSECT)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        return self._combine(other, "subtract")
+        return self._combine(other, _SUBTRACT)
 
     def complement(self) -> "IntervalSet":
-        if not self.tails:
-            return IntervalSet(tuple(_finite_complement(self.intervals, ZERO, ONE)))
-        anchors = self._anchors()
-        depths = _depths_for([self], anchors)
-        ivs, fl = _expand(self, depths)
-        core_lo = _half(depths[AT_ZERO]) if AT_ZERO in depths else ZERO
-        core_hi = ONE - _half(depths[AT_ONE]) if AT_ONE in depths else ONE
-        ivc = _finite_complement(ivs, core_lo, core_hi)
-        flc = {k: not v for k, v in fl.items()}
-        return _collapse(ivc, flc, depths)
+        # [0, 1) expands to the core region with every residual flag set,
+        # so this is the merge of the core against self
+        return FULL._combine(self, _SUBTRACT)
 
     # -- geometry -----------------------------------------------------------
 
@@ -474,17 +446,6 @@ class IntervalSet:
 
     def __repr__(self):
         return f"IntervalSet({self.to_text()!r})"
-
-
-class _TailProbe:
-    """Duck-typed stand-in carrying unnormalized intervals and tails through
-    the expansion machinery during ``IntervalSet.build``."""
-
-    __slots__ = ("intervals", "tails")
-
-    def __init__(self, intervals, tails):
-        self.intervals = intervals
-        self.tails = tails
 
 
 EMPTY = IntervalSet()
@@ -542,37 +503,3 @@ def truncate_tails(s: IntervalSet, blocks: int) -> tuple[IntervalSet, Scalar]:
             n += 2
         dropped = dropped + Scalar(Fraction(2, 3 * (1 << n)))
     return IntervalSet.build(ivs), dropped
-
-
-# -- operation-style wrappers ------------------------------------------
-
-def set_union(s: IntervalSet, t: IntervalSet) -> IntervalSet:
-    return s.union(t)
-
-
-def set_intersect(s: IntervalSet, t: IntervalSet) -> IntervalSet:
-    return s.intersect(t)
-
-
-def set_subtract(s: IntervalSet, t: IntervalSet) -> IntervalSet:
-    return s.subtract(t)
-
-
-def set_complement(s: IntervalSet) -> IntervalSet:
-    return s.complement()
-
-
-def set_measure(s: IntervalSet) -> Scalar:
-    return s.measure()
-
-
-def set_translate_mod1(s: IntervalSet, t: Scalar) -> IntervalSet:
-    return s.translate_mod1(t)
-
-
-def set_equals(s: IntervalSet, t: IntervalSet) -> bool:
-    return s.equals(t)
-
-
-def set_is_empty(s: IntervalSet) -> bool:
-    return s.is_empty()

@@ -188,7 +188,8 @@ class Scalar:
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.p == other.p and self.q == other.q
+        return (self.p == other.p and self.q == other.q
+                and self.tag is other.tag)
 
     def __ne__(self, other) -> bool:
         eq = self.__eq__(other)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .dynamics import SetLike, Transformation
-from .errors import ComponentBudgetError
 from .scalars import Scalar, render
 
 DEFAULT_COMPONENT_BUDGET = 1 << 16
@@ -78,12 +77,6 @@ class CheckReport:
         if self.note:
             out += f" ({self.note})"
         return out
-
-
-def _check_components(S: SetLike, budget: int) -> None:
-    if S.component_count() > budget:
-        raise ComponentBudgetError(
-            f"set grew to {S.component_count()} components (budget {budget})")
 
 
 def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,

@@ -196,8 +196,8 @@ class TestCliProcess:
         assert proc.returncode == 0
         assert "5/3" in proc.stdout
 
-    def test_selftest_parallel(self):
-        proc = self._run("selftest", "--parallel", "4")
+    def test_selftest(self):
+        proc = self._run("selftest")
         assert proc.returncode == 0
         assert "[pass]" in proc.stdout
 

@@ -11,6 +11,7 @@ from ergolab.errors import (RepresentationOverflowError,
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, IntervalSet,
                                ParityTail, block_one, block_zero, from_text,
                                make_set, truncate_tails)
+from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
 
 F = Fraction
@@ -111,6 +112,63 @@ class TestBooleanLaws:
     def test_partition_of_unity(self, a):
         assert a.union(a.complement()).equals(FULL)
         assert a.intersect(a.complement()).is_empty()
+
+
+def _block(anchor, n):
+    return block_one(n) if anchor == AT_ONE else block_zero(n)
+
+
+def _contains(S, x):
+    """Pointwise membership oracle, independent of the set kernel."""
+    if any(iv.lo <= x < iv.hi for iv in S.intervals):
+        return True
+    for t in S.tails:
+        n = 0
+        while not _block(t.anchor, n).lo <= x < _block(t.anchor, n).hi:
+            n += 1
+        if n >= t.start and n % 2 == t.parity:
+            return True
+    return False
+
+
+def _sample_points(*sets, tail_blocks=30):
+    """Midpoints between consecutive breakpoints of the operands, and points
+    inside the first blocks of every tail anchor they use."""
+    cuts = {Scalar(0), Scalar(1)}
+    anchors = set()
+    for S in sets:
+        for iv in S.intervals:
+            cuts |= {iv.lo, iv.hi}
+        anchors |= {t.anchor for t in S.tails}
+    for anchor in anchors:
+        for n in range(tail_blocks):
+            cuts |= {_block(anchor, n).lo, _block(anchor, n).hi}
+    cuts = sorted(cuts)
+    return [(lo + hi) / Scalar(2) for lo, hi in zip(cuts, cuts[1:])]
+
+
+class TestPointwise:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_operations_match_membership_oracle(self, seed):
+        alpha = Scalar(0, 1, GOLDEN)
+        pairs = [
+            (random_interval_set(2 * seed), random_interval_set(2 * seed + 1)),
+            (random_offset_set(2 * seed, alpha),
+             random_offset_set(2 * seed + 1, alpha)),
+            (random_offset_set(seed, alpha), random_interval_set(seed + 99)),
+        ]
+        for a, b in pairs:
+            ops = {"union": (a.union(b), lambda x, y: x or y),
+                   "intersect": (a.intersect(b), lambda x, y: x and y),
+                   "subtract": (a.subtract(b), lambda x, y: x and not y),
+                   "complement": (a.complement(), lambda x, y: not x)}
+            points = _sample_points(a, b)
+            for name, (result, truth) in ops.items():
+                for x in points:
+                    want = truth(_contains(a, x), _contains(b, x))
+                    assert _contains(result, x) == want, (
+                        f"{name} of {a.to_text()} and {b.to_text()} at "
+                        f"{x.to_text()}")
 
 
 class TestMeasure:

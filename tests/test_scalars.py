@@ -37,6 +37,11 @@ class TestArithmetic:
         with pytest.raises(IncompatibleBasisError):
             Scalar(0, 1, GOLDEN) + Scalar(0, 1, SQRT2M1)
 
+    def test_equality_respects_tag(self):
+        a, b = Scalar(0, 1, GOLDEN), Scalar(0, 1, SQRT2M1)
+        assert a != b
+        assert len({a, b}) == 2
+
     def test_canonical_zero_coefficient(self):
         a = gold(1, 1) - gold(0, 1)
         assert a.q == 0 and a.tag is None
