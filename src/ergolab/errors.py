@@ -10,7 +10,11 @@ class IncompatibleBasisError(ErgolabError):
 
 
 class RefinementBudgetError(ErgolabError):
-    """A comparison could not be decided within the refinement budget."""
+    """A comparison could not be decided within the refinement budget.
+
+    Comparisons are closed-form now and nothing raises this; it is kept
+    because it is public API.
+    """
 
 
 class RepresentationOverflowError(ErgolabError):

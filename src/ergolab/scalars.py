@@ -1,22 +1,20 @@
 """Exact scalar arithmetic: rationals extended by one formal irrational.
 
 A scalar is a value p + q*alpha with p, q rational and alpha a fixed
-irrational known through a refinable interval oracle.  Comparison of two
-distinct scalars always terminates because p + q*alpha = p' + q'*alpha can
-only happen componentwise, so the difference of unequal scalars is bounded
-away from zero and refining the oracle eventually separates it from 0.
+quadratic irrational, the root in (0, 1) of x**2 + a*x - 1 = 0.  Signs and
+comparisons are decided in closed form by comparing two integers (see
+``_sign``).  A refinable rational bracket of alpha serves only rounding and
+rendering: ``floor``/``mod1``, ``rational_bracket``, ``to_decimal`` and
+``approx``.
 """
 
 from __future__ import annotations
 
-import threading
+import re
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
-from .errors import IncompatibleBasisError, RefinementBudgetError
-
-#: default number of refinement rounds allowed when deciding a comparison
-DEFAULT_REFINEMENT_BUDGET = 256
+from .errors import IncompatibleBasisError
 
 RationalLike = Union[int, Fraction]
 
@@ -24,10 +22,13 @@ RationalLike = Union[int, Fraction]
 class IrrationalTag:
     """A certified irrational, given by its continued-fraction expansion.
 
-    ``bounds(k)`` yields a rational interval [l, u] containing alpha with
-    u - l <= 2**-k.  Bounds are nested in k (l non-decreasing, u
-    non-increasing) because they are read off consecutive continued-fraction
-    convergents, which bracket the value ever more tightly.
+    The expansion is [0; a, a, a, ...], so alpha is the positive root of
+    x**2 + a*x - 1 = 0 and ``Scalar.cmp`` decides order from ``_a`` alone.
+    ``bounds(k)`` serves only rounding and rendering: it yields a rational
+    interval [l, u] containing alpha with u - l <= 2**-k.  Bounds are nested
+    in k (l non-decreasing, u non-increasing) because they are read off
+    consecutive continued-fraction convergents, which bracket the value ever
+    more tightly.
     """
 
     def __init__(self, name: str, partial_quotient: int):
@@ -37,7 +38,6 @@ class IrrationalTag:
             raise ValueError("partial quotient must be >= 1")
         self.name = name
         self._a = partial_quotient
-        self._lock = threading.Lock()
         # convergents p/q; start with p_{-1}/q_{-1} = 1/0 and p_0/q_0 = 0/1
         self._ps = [1, 0]
         self._qs = [0, 1]
@@ -49,20 +49,19 @@ class IrrationalTag:
 
     def bounds(self, k: int) -> tuple[Fraction, Fraction]:
         """Rational bracket [l, u] containing alpha with u - l <= 2**-k."""
-        with self._lock:
-            i = 2
-            while True:
-                while len(self._ps) < i + 2:
-                    self._extend()
-                # consecutive convergents bracket the value; width is
-                # 1/(q_i * q_{i+1})
-                if self._qs[i] * self._qs[i + 1] >= 1 << max(k, 0):
-                    lo = Fraction(self._ps[i], self._qs[i])
-                    hi = Fraction(self._ps[i + 1], self._qs[i + 1])
-                    if lo > hi:
-                        lo, hi = hi, lo
-                    return lo, hi
-                i += 1
+        i = 2
+        while True:
+            while len(self._ps) < i + 2:
+                self._extend()
+            # consecutive convergents bracket the value; width is
+            # 1/(q_i * q_{i+1})
+            if self._qs[i] * self._qs[i + 1] >= 1 << max(k, 0):
+                lo = Fraction(self._ps[i], self._qs[i])
+                hi = Fraction(self._ps[i + 1], self._qs[i + 1])
+                if lo > hi:
+                    lo, hi = hi, lo
+                return lo, hi
+            i += 1
 
     def __repr__(self) -> str:
         return f"IrrationalTag({self.name!r})"
@@ -91,6 +90,21 @@ def _merge_tags(a: Optional[IrrationalTag], b: Optional[IrrationalTag]):
     if b is None or a is b:
         return a
     raise IncompatibleBasisError(f"mixed irrational tags {a.name!r} and {b.name!r}")
+
+
+def _sign(u: int, v: int, a: int) -> int:
+    """Sign of u + v*alpha, alpha the positive root of x**2 + a*x - 1.
+
+    alpha = (sqrt(a*a + 4) - a) / 2, so 2*(u + v*alpha) = w + v*sqrt(a*a + 4)
+    with w = 2*u - a*v.  When w and v disagree in sign the larger of w**2 and
+    v**2 * (a*a + 4) wins; they never tie, since a*a + 4 is not a square.
+    """
+    w = 2 * u - a * v
+    if v > 0:
+        return 1 if w >= 0 or v * v * (a * a + 4) > w * w else -1
+    if v < 0:
+        return -1 if w <= 0 or v * v * (a * a + 4) > w * w else 1
+    return (w > 0) - (w < 0)
 
 
 class Scalar:
@@ -152,36 +166,27 @@ class Scalar:
 
     # -- comparisons --------------------------------------------------
 
-    def sign(self, budget: int = DEFAULT_REFINEMENT_BUDGET) -> int:
-        """Exact sign (-1, 0, 1), refining the oracle as needed."""
-        if self.q == 0:
-            p = self.p
-            return (p > 0) - (p < 0)
-        k = 4
-        for _ in range(budget):
-            lo, hi = self.tag.bounds(k)
-            if self.q > 0:
-                vlo, vhi = self.p + self.q * lo, self.p + self.q * hi
-            else:
-                vlo, vhi = self.p + self.q * hi, self.p + self.q * lo
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            k *= 2
-        raise RefinementBudgetError(
-            f"sign of {self} undecided after {budget} refinements")
+    def sign(self) -> int:
+        """Exact sign: -1, 0 or 1."""
+        return self.cmp(ZERO)
 
     def cmp(self, other) -> int:
-        other = _coerce(other)
-        if self.q == other.q and (self.q == 0 or self.tag is other.tag):
-            # common case: same irrational part cancels exactly
-            return (self.p > other.p) - (self.p < other.p)
-        if self.p == other.p and self.q == other.q:
-            if self.q != 0:
-                _merge_tags(self.tag, other.tag)
-            return 0
-        return (self - other).sign()
+        """-1, 0 or 1 as self <, ==, > other, in integer arithmetic only."""
+        if isinstance(other, Scalar):
+            op, oq, otag = other.p, other.q, other.tag
+        elif isinstance(other, (int, Fraction)):
+            op, oq, otag = other, 0, None
+        else:
+            raise TypeError(f"cannot interpret {other!r} as a scalar")
+        p, q = self.p, self.q
+        pd, opd = p.denominator, op.denominator
+        u = p.numerator * opd - op.numerator * pd
+        if self.tag is None and otag is None:
+            return (u > 0) - (u < 0)
+        a = _merge_tags(self.tag, otag)._a
+        qd, oqd = q.denominator, oq.denominator
+        return _sign(u * qd * oqd, (q.numerator * oqd - oq.numerator * qd)
+                     * pd * opd, a)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -307,28 +312,27 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
+#: p + q*alpha with either part optional and q defaulting to 1: "alpha",
+#: "-alpha", "1-alpha", "2*alpha", "1/2+alpha", "1/2-3/4*alpha"
+_LINEAR = re.compile(r"(?:(?P<p>[+-]?\d[\d./]*)\s*(?=[+-]))?"
+                     r"(?P<sign>[+-]?)\s*(?:(?P<q>\d[\d./]*)\s*\*\s*)?alpha")
+
+
 def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:
-    """Parse the canonical text form produced by ``Scalar.to_text``."""
+    """Parse a rational, or a linear form in alpha such as ``1/2-alpha``.
+
+    The canonical text form produced by ``Scalar.to_text`` round-trips.
+    """
     s = text.strip()
-    if "alpha" in s:
-        if tag is None:
-            raise ValueError(f"scalar {text!r} uses alpha but no tag was given")
-        body = s[: s.rindex("*")] if s.endswith("*alpha") else None
-        if body is None:
-            raise ValueError(f"malformed scalar {text!r}")
-        # split body into p and q at the last +/- that is not inside a fraction
-        split = None
-        for i in range(len(body) - 1, 0, -1):
-            if body[i] in "+-" and body[i - 1] not in "+-/":
-                split = i
-                break
-        if split is None:
-            p_part, q_part = "0", body
-        else:
-            p_part, q_part = body[:split], body[split:]
-        q = Fraction(q_part.replace("+", "", 1)) if q_part[0] == "+" else Fraction(q_part)
-        return Scalar(Fraction(p_part), q, tag)
-    return Scalar(Fraction(s))
+    if "alpha" not in s:
+        return Scalar(Fraction(s))
+    if tag is None:
+        raise ValueError(f"scalar {text!r} uses alpha but no tag was given")
+    m = _LINEAR.fullmatch(s)
+    if m is None:
+        raise ValueError(f"malformed scalar {text!r}")
+    q = Fraction(m["q"] or 1)
+    return Scalar(Fraction(m["p"] or 0), -q if m["sign"] == "-" else q, tag)
 
 
 # -- operation-style wrappers (value semantics) ------------------------

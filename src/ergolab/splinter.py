@@ -94,25 +94,25 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
 
     d = SplinterDecomposition(T, J1, J2, epsilon, n_max)
     covered = J2.subtract(J2)  # empty of the right kind
+    avail = J2                 # J2 minus the splinters so far
     B = J1
     flat = 0  # consecutive steps with empty A and unchanged mu(B)
     prev_mb: Optional[Scalar] = None
     for n in range(1, n_max + 1):
         pre = T.preimage(B)
-        avail = J2.subtract(covered)
         A_n = pre.intersect(avail)
         B = pre.subtract(A_n)
         covered = covered.union(A_n)
-        ma, mb = A_n.measure(), B.measure()
+        avail = J2.subtract(covered)
+        ma, mb, mc = A_n.measure(), B.measure(), covered.measure()
         d.splinters.append(A_n)
         d.residuals.append(B)
         d.covered = covered
-        d.trace.append(StepRecord(n, ma, mb,
-                                  B.component_count(), covered.measure()))
+        d.trace.append(StepRecord(n, ma, mb, B.component_count(), mc))
         # exact invariants of the construction, asserted at every step
-        if mb != J2.subtract(covered).measure():
+        if mb != avail.measure():
             raise AssertionError(f"residual identity violated at step {n}")
-        if covered.measure() + mb != mu1:
+        if mc + mb != mu1:
             raise AssertionError(f"mass conservation violated at step {n}")
         if not A_n.subtract(J2).is_empty():
             raise AssertionError(f"splinter escaped J2 at step {n}")

@@ -82,6 +82,13 @@ class TestConfigFormat:
         config = parse_config(text)
         assert config.sets["S"].measure() == F(1, 4)
 
+    def test_readme_alpha_endpoint_parses(self):
+        text = "command = verify\nsystem = rotation:golden\nset.S = alpha..1\n"
+        config = parse_config(text)
+        assert config.sets["S"].to_text() == "0+1*alpha..1"
+        assert config.sets["S"].measure().to_text() == "1-1*alpha"
+        assert parse_config(config.to_text()).to_text() == config.to_text()
+
 
 class TestRunDispatch:
     def test_splinter_converges_exit_zero(self):

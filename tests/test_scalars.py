@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.errors import IncompatibleBasisError, RefinementBudgetError
-from ergolab.scalars import (GOLDEN, ONE, SQRT2M1, ZERO, Scalar, get_tag,
-                             parse_scalar, render, scalar_cmp,
+from ergolab.errors import IncompatibleBasisError
+from ergolab.scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
+                             get_tag, parse_scalar, render, scalar_cmp,
                              scalar_to_decimal)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=64)
@@ -18,6 +18,28 @@ goldens = st.builds(lambda p, q: Scalar(p, q, GOLDEN), fractions, fractions)
 
 def gold(p, q):
     return Scalar(Fraction(p), Fraction(q), GOLDEN)
+
+
+def bracket_sign(x):
+    """Sign of x from IrrationalTag.bounds alone, refined until it decides."""
+    if x.q == 0:
+        return (x.p > 0) - (x.p < 0)
+    k = 4
+    while True:
+        ends = [x.p + x.q * b for b in x.tag.bounds(k)]
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        k *= 2
+
+
+def check_against_oracle(x, y):
+    expected = bracket_sign(x - y)
+    assert x.cmp(y) == expected
+    assert y.cmp(x) == -expected
+    assert (x - y).sign() == expected
+    return expected
 
 
 class TestArithmetic:
@@ -66,14 +88,17 @@ class TestOrdering:
         assert Scalar(Fraction(41, 100)) < beta < Scalar(Fraction(42, 100))
 
     def test_tight_comparison_refines(self):
-        # 1 - alpha = alpha^2, so 2*alpha + ... needs several refinements:
-        # compare alpha against the convergent 987/1597
+        # alpha lies between its consecutive convergents 987/1597 and 610/987
         assert gold(0, 1) > Scalar(Fraction(987, 1597))
         assert gold(0, 1) < Scalar(Fraction(610, 987))
 
-    def test_sign_budget_exhaustion(self):
-        with pytest.raises(RefinementBudgetError):
-            gold(0, 1).sign(budget=0)
+    def test_compare_never_consults_bracket(self, monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("bounds called")
+        monkeypatch.setattr(IrrationalTag, "bounds", refuse)
+        assert gold(0, 1).cmp(Scalar(Fraction(987, 1597))) == 1
+        assert gold(1, -1).sign() == 1
+        assert gold(Fraction(1, 2), Fraction(-1, 2)).cmp(gold(1, -1)) == -1
 
     def test_scalar_cmp_wrapper(self):
         assert scalar_cmp(gold(1, -1), gold(Fraction(1, 2), Fraction(-1, 2))) == 1
@@ -88,6 +113,48 @@ class TestOrdering:
     def test_translation_preserves_order(self, a, b, c):
         if a < b:
             assert a + c < b + c
+
+
+@pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
+class TestClosedFormAgainstBracket:
+    """cmp/sign against a bracket oracle built from IrrationalTag.bounds."""
+
+    @given(fractions, fractions, fractions, fractions)
+    @settings(max_examples=40)
+    def test_pairs(self, tag, p1, q1, p2, q2):
+        x = Scalar(p1, q1, tag)
+        check_against_oracle(x, Scalar(p2, q2, tag))
+        assert check_against_oracle(x, Scalar(p1, q1, tag)) == 0
+        check_against_oracle(x, Scalar(p2, q1, tag))   # equal q parts
+        check_against_oracle(Scalar(p1), Scalar(p2))   # rational only
+        check_against_oracle(Scalar(p1), Scalar(p2, q2, tag))
+        assert x.cmp(p2) == x.cmp(Scalar(p2))          # bare rational
+        assert x.cmp(p1.numerator) == x.cmp(Scalar(p1.numerator))
+
+    @pytest.mark.parametrize("k", [110, 400])
+    def test_differences_within_1e_30(self, tag, k):
+        # lo < alpha < hi are consecutive convergents 2**-k apart, so
+        # x - y = q*(c - alpha) below is nonzero and within 1e-30 of zero
+        lo, hi = tag.bounds(k)
+        for c, side in ((lo, -1), (hi, 1)):
+            for q in (Fraction(1), Fraction(-3), Fraction(7, 5)):
+                assert abs(q) * (hi - lo) < Fraction(1, 10**30)
+                expected = side if q > 0 else -side
+                for r in (Fraction(0), Fraction(1, 3), Fraction(-2)):
+                    # one rational side
+                    x, y = Scalar(r + q * c), Scalar(r, q, tag)
+                    assert check_against_oracle(x, y) == expected
+                    # both sides irrational, p ~ -q*alpha in the difference
+                    x, y = Scalar(r + q * c, 1, tag), Scalar(r, q + 1, tag)
+                    assert check_against_oracle(x, y) == expected
+
+
+def test_compare_mixed_tags_rejected():
+    with pytest.raises(IncompatibleBasisError):
+        Scalar(0, 1, GOLDEN).cmp(Scalar(0, 1, SQRT2M1))
+    with pytest.raises(IncompatibleBasisError):
+        Scalar(1, 1, GOLDEN) < Scalar(0, 2, SQRT2M1)
+    assert Scalar(1).cmp(Scalar(0, 1, SQRT2M1)) == 1
 
 
 class TestMod1:
@@ -125,6 +192,26 @@ class TestRendering:
     def test_text_round_trip(self):
         for text in ("3/4", "1/2+1*alpha", "1/2-2/3*alpha", "0", "-1/4"):
             assert parse_scalar(text, GOLDEN).to_text() == text
+
+    @pytest.mark.parametrize("text, p, q", [
+        ("alpha", 0, 1), ("-alpha", 0, -1), ("1-alpha", 1, -1),
+        ("2*alpha", 0, 2), ("1/2+alpha", Fraction(1, 2), 1),
+        ("1/2-3/4*alpha", Fraction(1, 2), Fraction(-3, 4)),
+    ])
+    def test_linear_forms(self, text, p, q):
+        a = parse_scalar(text, GOLDEN)
+        assert a == gold(p, q)
+        assert parse_scalar(a.to_text(), GOLDEN).to_text() == a.to_text()
+
+    @pytest.mark.parametrize("text", ["1-2-alpha", "alpha+1", "2alpha",
+                                      "1-*alpha", "*alpha", "alphax"])
+    def test_malformed_linear_forms_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_scalar(text, GOLDEN)
+
+    def test_alpha_without_tag_rejected(self):
+        with pytest.raises(ValueError):
+            parse_scalar("alpha")
 
     @given(goldens)
     @settings(max_examples=60)
