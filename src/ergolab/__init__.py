@@ -3,22 +3,20 @@ of the unit interval: interval-set algebra, splinter decompositions,
 Caratheodory-style density/gap probes, and a batch experiment harness.
 """
 
-from .errors import (ErgolabError, IncompatibleBasisError,
-                     RefinementBudgetError, RepresentationOverflowError,
+from .errors import (ErgolabError, IncompatibleBasisError, InvalidInputError,
+                     RepresentationOverflowError,
                      UnsupportedRepresentationError, ComponentBudgetError,
                      InvalidTowerSetError, ConfigError)
 from .scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
-                      get_tag, parse_scalar, render, scalar_add, scalar_cmp,
-                      scalar_mod1, scalar_to_decimal)
+                      get_tag, parse_scalar, render)
 from .intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval, IntervalSet,
                         ParityTail, block_one, block_zero, from_text,
                         make_set, truncate_tails)
 from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                        PreservationReport, Rotation, SetLike, TOWER_EMPTY,
-                       TOWER_FULL, TowerSet, Transformation,
-                       discontinuity_set, doubling_image, doubling_preimage,
-                       make_system, odometer_image, odometer_preimage,
-                       tower_image, tower_measure, tower_preimage,
+                       TOWER_FULL, TowerSet, Transformation, doubling_image,
+                       doubling_preimage, make_system, odometer_image,
+                       odometer_preimage, tower_image, tower_preimage,
                        verify_measure_preserving)
 from .splinter import (BUDGET_EXHAUSTED, CONVERGED, CheckReport,
                        DEFAULT_COMPONENT_BUDGET, STALLED,

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Verbs: run, demo-kakutani, selftest, emit-plot.  Exit codes: 0 all
-assertions pass, 1 assertion failure, 2 budget exhaustion, 3 config error.
+assertions pass, 1 assertion failure, 2 budget exhaustion, 3 config or
+input error, 4 the computation left the representation class (see
+``errors.EXIT_CODES``).  An error prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -9,10 +11,8 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from fractions import Fraction
 
-from .errors import (ComponentBudgetError, ConfigError,
-                     RefinementBudgetError)
+from .errors import ConfigError, EXIT_CODES, exit_status
 from .harness import (demo_kakutani, emit_plot_data, parse_config, run)
 
 
@@ -25,8 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("--config", type=pathlib.Path,
                        required=verb in ("run", "emit-plot"))
-        p.add_argument("--seed", type=int, default=None,
-                       help="64-bit seed for randomized suites")
         p.add_argument("--out", type=pathlib.Path, default=None,
                        help="output directory")
         p.add_argument("--format", choices=("csv", "structured"),
@@ -34,31 +32,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: pathlib.Path, seed):
+def _load_config(path: pathlib.Path):
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    config = parse_config(text)
-    if seed is not None:
-        config.parameters["seed"] = seed
-    return config
+    return parse_config(text)
+
+
+def _complain(status: str, message) -> None:
+    print(f"{status.replace('-', ' ')}: {message}", file=sys.stderr)
 
 
 def _write_trace(trace, args, stem: str) -> None:
+    structured = args.format == "structured"
+    body = trace.to_structured() if structured else trace.to_columnar()
     if args.out is None:
-        body = (trace.to_structured() if args.format == "structured"
-                else trace.to_columnar())
         sys.stdout.write(body)
         return
     args.out.mkdir(parents=True, exist_ok=True)
-    suffix = ".json" if args.format == "structured" else ".txt"
-    path = args.out / f"{stem}{suffix}"
-    body = (trace.to_structured() if args.format == "structured"
-            else trace.to_columnar())
-    stamp = (f"# artifact_version={trace.header.get('artifact_version')} "
-             f"config_hash={trace.header.get('config_hash', 'none')}\n")
-    path.write_text(stamp + body)
+    path = args.out / f"{stem}{'.json' if structured else '.txt'}"
+    path.write_text(f"# {trace.stamp()}\n{body}")
     print(f"wrote {path}")
 
 
@@ -98,36 +92,29 @@ def _selftest() -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "run":
-            config = _load_config(args.config, args.seed)
-            trace, code = run(config)
-            _write_trace(trace, args, f"run-{config.digest()}")
-            return code
+        if args.verb == "selftest":
+            return _selftest()
         if args.verb == "demo-kakutani":
             trace, code = demo_kakutani()
             _write_trace(trace, args, "demo-kakutani")
             return code
-        if args.verb == "selftest":
-            return _selftest()
-        if args.verb == "emit-plot":
-            config = _load_config(args.config, args.seed)
-            trace, code = run(config)
-            out_dir = args.out or pathlib.Path(".")
-            suffix = ".json" if args.format == "structured" else ".csv"
-            out = out_dir / f"plot-{config.digest()}{suffix}"
-            for path in emit_plot_data(trace, args.format, out):
-                print(f"wrote {path}")
+        config = _load_config(args.config)
+        trace, code = run(config)
+        if "error" in trace.summary:
+            _complain(trace.summary["status"], trace.summary["error"])
+        if args.verb == "run":
+            _write_trace(trace, args, f"run-{config.digest()}")
             return code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except (ComponentBudgetError, RefinementBudgetError) as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        out_dir = args.out or pathlib.Path(".")
+        suffix = ".json" if args.format == "structured" else ".csv"
+        out = out_dir / f"plot-{config.digest()}{suffix}"
+        for path in emit_plot_data(trace, args.format, out):
+            print(f"wrote {path}")
+        return code
+    except tuple(EXIT_CODES) as exc:
+        code, status = exit_status(exc)
+        _complain(status, exc)
+        return code
 
 
 if __name__ == "__main__":

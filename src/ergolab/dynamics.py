@@ -14,10 +14,10 @@ from typing import Optional, Union
 
 from .errors import (InvalidTowerSetError, RepresentationOverflowError,
                      UnsupportedRepresentationError)
-from .intervals import (AT_ONE, AT_ZERO, EVEN, FULL, Interval, IntervalSet,
-                        ParityTail, _block, _collapse, _depths_for, _expand,
-                        _half, _sweep)
-from .scalars import GOLDEN, ONE, SQRT2M1, ZERO, Scalar, get_tag
+from .intervals import (AT_ONE, AT_ZERO, FULL, Interval, IntervalSet,
+                        ParityTail, _collapse, _depths_for, _expand, _half,
+                        _sweep)
+from .scalars import ONE, Scalar, get_tag
 
 
 def _raw_scalar(p: Fraction, q: Fraction, tag) -> Scalar:
@@ -218,10 +218,6 @@ TOWER_FULL = TowerSet(FULL, A_SET)
 TOWER_EMPTY = TowerSet(IntervalSet(), IntervalSet())
 
 
-def tower_measure(S: TowerSet) -> Scalar:
-    return S.measure()
-
-
 def tower_preimage(S: TowerSet) -> TowerSet:
     pre_base = odometer_preimage(S.base)
     return TowerSet(pre_base.intersect(A_COMPLEMENT).union(S.top),
@@ -246,7 +242,6 @@ class Transformation:
 
     kind = "abstract"
     ergodic = False
-    invertible = False
 
     def preimage(self, S: SetLike) -> SetLike:
         raise NotImplementedError
@@ -277,7 +272,6 @@ class Rotation(Transformation):
     """x -> x + angle mod 1; ergodic iff the angle is irrational."""
 
     kind = "rotation"
-    invertible = True
 
     def __init__(self, angle: Scalar, label: Optional[str] = None):
         self.angle = angle.mod1()
@@ -306,7 +300,6 @@ class Doubling(Transformation):
 
     kind = "doubling"
     ergodic = True
-    invertible = False
 
     def preimage(self, S: IntervalSet) -> IntervalSet:
         return doubling_preimage(S)
@@ -323,7 +316,6 @@ class Odometer(Transformation):
 
     kind = "odometer"
     ergodic = True
-    invertible = True
 
     def preimage(self, S: IntervalSet) -> IntervalSet:
         return odometer_preimage(S)
@@ -340,7 +332,6 @@ class KakutaniTower(Transformation):
 
     kind = "kakutani"
     ergodic = True
-    invertible = True
 
     def preimage(self, S: TowerSet) -> TowerSet:
         return tower_preimage(S)
@@ -353,15 +344,6 @@ class KakutaniTower(Transformation):
 
     def full_set(self) -> TowerSet:
         return TOWER_FULL
-
-
-def discontinuity_set(kind: str, depth: int = 0) -> list[Scalar]:
-    """Breakpoints of the named map, truncated at the requested depth."""
-    if kind == "odometer":
-        return Odometer().discontinuities(depth)
-    if kind in ("doubling", "rotation"):
-        return []
-    raise ValueError(f"unknown transformation kind {kind!r}")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the exit code of each."""
 
 
 class ErgolabError(Exception):
@@ -9,12 +9,8 @@ class IncompatibleBasisError(ErgolabError):
     """Two scalars with different irrational tags were combined."""
 
 
-class RefinementBudgetError(ErgolabError):
-    """A comparison could not be decided within the refinement budget.
-
-    Comparisons are closed-form now and nothing raises this; it is kept
-    because it is public API.
-    """
+class InvalidInputError(ErgolabError, ValueError):
+    """Arguments that violate a precondition, e.g. unequal window measures."""
 
 
 class RepresentationOverflowError(ErgolabError):
@@ -35,3 +31,20 @@ class InvalidTowerSetError(ErgolabError):
 
 class ConfigError(ErgolabError):
     """An experiment config failed to parse or validate."""
+
+
+#: exit code and run status of each error class that ends a run; read by
+#: ``harness.run`` and the CLI through ``exit_status``
+EXIT_CODES = {
+    AssertionError: (1, "fail"),
+    ComponentBudgetError: (2, "budget-exhausted"),
+    ConfigError: (3, "config-error"),
+    InvalidInputError: (3, "invalid-input"),
+    RepresentationOverflowError: (4, "left-representation-class"),
+    UnsupportedRepresentationError: (4, "left-representation-class"),
+}
+
+
+def exit_status(exc: BaseException) -> tuple[int, str]:
+    """(exit code, run status) of an instance of an ``EXIT_CODES`` class."""
+    return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer, Rotation,
-                       TowerSet, make_system)
+                       TowerSet)
 from .intervals import EMPTY, make_set
 from .scalars import GOLDEN, Scalar
 
@@ -108,7 +108,3 @@ def tower_column_splinter_inputs():
 
 
 SYSTEM_DESCRIPTORS = ["rotation:golden", "doubling", "odometer", "kakutani"]
-
-
-def all_systems():
-    return [make_system(d) for d in SYSTEM_DESCRIPTORS]

@@ -13,20 +13,19 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import fixtures
 from .caratheodory import (RESTRICTION_NOTICE, dyadic_basis, arcs_basis,
                            gap_theta, density_search, mixing_trace,
-                           correlation_average, reduction_check,
-                           invariance_check)
+                           correlation_average, reduction_check)
 from .dynamics import (SetLike, TowerSet, Transformation, make_system,
-                       tower_measure, verify_measure_preserving)
-from .errors import ComponentBudgetError, ConfigError, RefinementBudgetError
-from .intervals import EMPTY, IntervalSet, from_text as set_from_text
+                       verify_measure_preserving)
+from .errors import ConfigError, EXIT_CODES, exit_status
+from .intervals import EMPTY, from_text as set_from_text
 from .scalars import Scalar, parse_scalar, render
 from .splinter import (BUDGET_EXHAUSTED, CONVERGED, DEFAULT_COMPONENT_BUDGET,
-                       STALLED, splinter, verify_orbit_decomposition)
+                       splinter)
 
 try:  # single source of truth for the version stamp in file headers
     from importlib.metadata import version as _pkg_version
@@ -35,15 +34,14 @@ except Exception:  # pragma: no cover - not installed
     ARTIFACT_VERSION = "0.0.0"
 
 DEFAULT_DIGITS = 12
-DEFAULT_SEED = 20260826
 
 COMMANDS = ("splinter", "verify", "density", "gap", "mixing", "reduction",
             "demo")
 
 # integer-valued parameters and their defaults (None = no default)
-_INT_KEYS = {"n_max": None, "depth": 8, "m": None, "seed": DEFAULT_SEED,
-             "stall_window": None, "component_budget": DEFAULT_COMPONENT_BUDGET,
-             "sample": 8, "digits": DEFAULT_DIGITS}
+_INT_KEYS = {"n_max": None, "depth": 8, "m": None, "stall_window": None,
+             "component_budget": DEFAULT_COMPONENT_BUDGET, "sample": 8,
+             "digits": DEFAULT_DIGITS}
 _SCALAR_KEYS = ("epsilon",)
 _STR_KEYS = {"basis": "dyadic"}
 _KEY_ORDER = (["command", "system"] + sorted(_INT_KEYS) + list(_SCALAR_KEYS)
@@ -208,6 +206,11 @@ class RunTrace:
         return json.dumps({"header": self.header, "records": self.records,
                            "summary": self.summary}, indent=2) + "\n"
 
+    def stamp(self) -> str:
+        """Version and config hash, for the first line of written files."""
+        return (f"artifact_version={self.header.get('artifact_version')} "
+                f"config_hash={self.header.get('config_hash', 'none')}")
+
 
 def _header(config: Optional[ExperimentConfig], fixture: str) -> dict:
     head = {"artifact_version": ARTIFACT_VERSION, "fixture": fixture,
@@ -338,23 +341,22 @@ _DISPATCH = {"splinter": _run_splinter, "verify": _run_verify,
 
 
 def run(config: ExperimentConfig) -> tuple[RunTrace, int]:
-    """Dispatch a config to its command; returns (trace, exit code)."""
+    """Dispatch a config to its command; returns (trace, exit code).
+
+    An error listed in ``errors.EXIT_CODES`` ends the run with that code and
+    a trace whose summary holds its status and message.
+    """
     digits = config.get_int("digits")
     if config.command == "demo":
         return demo_kakutani()
     T = make_system(config.system)
     try:
         return _DISPATCH[config.command](config, T, digits)
-    except ConfigError:
-        raise
-    except (ComponentBudgetError, RefinementBudgetError) as exc:
+    except tuple(EXIT_CODES) as exc:
+        code, status = exit_status(exc)
         trace = RunTrace(_header(config, config.command), [],
-                         {"status": "budget-exhausted", "error": str(exc)})
-        return trace, 2
-    except AssertionError as exc:
-        trace = RunTrace(_header(config, config.command), [],
-                         {"status": "fail", "error": str(exc)})
-        return trace, 1
+                         {"status": status, "error": str(exc)})
+        return trace, code
 
 
 def demo_kakutani() -> tuple[RunTrace, int]:
@@ -364,7 +366,7 @@ def demo_kakutani() -> tuple[RunTrace, int]:
     records, ok = [], True
 
     full = T.full_set()
-    total = tower_measure(full)
+    total = full.measure()
     ok &= total == Scalar(Fraction(5, 3))
     records.append({"check": "total-measure", "value": total.to_text(),
                     "pass": total == Scalar(Fraction(5, 3))})
@@ -417,8 +419,7 @@ def emit_plot_data(trace: RunTrace, fmt: str, out_path) -> list:
     import pathlib
     out_path = pathlib.Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    stamp = (f"artifact_version={trace.header.get('artifact_version')} "
-             f"config_hash={trace.header.get('config_hash', 'none')}")
+    stamp = trace.stamp()
     written = [out_path]
     if fmt == "structured":
         body = trace.to_structured()

@@ -50,9 +50,6 @@ class Interval:
         self.lo = lo
         self.hi = hi
 
-    def length(self) -> Scalar:
-        return self.hi - self.lo
-
     def to_text(self) -> str:
         return f"{self.lo.to_text()}..{self.hi.to_text()}"
 
@@ -91,9 +88,6 @@ class ParityTail:
         # sum of 2**-(n+1) over n = start, start+2, ... is a geometric
         # series with ratio 1/4
         return Scalar(Fraction(2, 3 * (1 << self.start)))
-
-    def first_block(self) -> Interval:
-        return _block(self.anchor, self.start)
 
     def to_text(self) -> str:
         return f"tail({self.anchor}, {self.start}, {_PARITY_NAMES[self.parity]})"
@@ -183,23 +177,16 @@ def _merge(a: Sequence[Interval], b: Sequence[Interval],
 # tail expansion depths
 # ---------------------------------------------------------------------
 
-def _rational_lower_bound(s: Scalar) -> Fraction:
-    """A positive rational lower bound of a scalar known to be > 0."""
-    if s.q == 0:
-        return s.p
-    k = 8
-    while True:
-        lo, _ = s.rational_bracket(k)
-        if lo > 0:
-            return lo
-        k *= 2
-
-
 def _depth_for_gap(gap: Scalar) -> int:
-    """Smallest convenient m >= 2 with 2**-m <= gap (gap > 0)."""
-    g = _rational_lower_bound(gap)
-    m = (g.denominator // g.numerator).bit_length() + 1
-    return max(2, m)
+    """An m >= 2 with 2**-m <= gap (gap > 0); the smallest one when the
+    gap is irrational."""
+    if gap.q == 0:
+        g = gap.p
+        return max(2, (g.denominator // g.numerator).bit_length() + 1)
+    m = 2
+    while gap.cmp(Fraction(1, 1 << m)) < 0:
+        m += 1
+    return m
 
 
 def _depths_for(sets: Sequence[tuple[Sequence[Interval], Collection[ParityTail]]],

@@ -3,9 +3,9 @@
 A scalar is a value p + q*alpha with p, q rational and alpha a fixed
 quadratic irrational, the root in (0, 1) of x**2 + a*x - 1 = 0.  Signs and
 comparisons are decided in closed form by comparing two integers (see
-``_sign``).  A refinable rational bracket of alpha serves only rounding and
-rendering: ``floor``/``mod1``, ``rational_bracket``, ``to_decimal`` and
-``approx``.
+``_sign``).  Rounding is the one place that needs digits of alpha:
+``floor`` refines a rational bracket of alpha until the floor is pinned
+down, and ``mod1`` and ``to_decimal`` go through ``floor``.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ class IrrationalTag:
 
     The expansion is [0; a, a, a, ...], so alpha is the positive root of
     x**2 + a*x - 1 = 0 and ``Scalar.cmp`` decides order from ``_a`` alone.
-    ``bounds(k)`` serves only rounding and rendering: it yields a rational
-    interval [l, u] containing alpha with u - l <= 2**-k.  Bounds are nested
-    in k (l non-decreasing, u non-increasing) because they are read off
-    consecutive continued-fraction convergents, which bracket the value ever
-    more tightly.
+    ``bounds(k)`` serves only ``Scalar.floor``, which ``mod1`` and
+    ``to_decimal`` use: it yields a rational interval [l, u] containing
+    alpha with u - l <= 2**-k.  Bounds are nested in k (l non-decreasing,
+    u non-increasing) because they are read off consecutive
+    continued-fraction convergents, which bracket the value ever more
+    tightly.
     """
 
     def __init__(self, name: str, partial_quotient: int):
@@ -222,67 +223,42 @@ class Scalar:
 
     # -- rounding and rendering ---------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def floor(self) -> int:
+        """Largest integer <= the value; the only code that refines alpha."""
+        P, dp = self.p.numerator, self.p.denominator
         if self.q == 0:
-            return self.p.numerator // self.p.denominator
+            return P // dp
+        # with p = P/dp and q = Q/dq the value at a rational a/b in place
+        # of alpha is (P*dq*b + Q*dp*a) / (dp*dq*b), which is monotone in
+        # a/b, so equal floors at both ends of a bracket pin the floor down
+        Q, dq = self.q.numerator, self.q.denominator
+        x, y, z = P * dq, Q * dp, dp * dq
         k = 8
         while True:
             lo, hi = self.tag.bounds(k)
-            if self.q > 0:
-                vlo, vhi = self.p + self.q * lo, self.p + self.q * hi
-            else:
-                vlo, vhi = self.p + self.q * hi, self.p + self.q * lo
-            flo = vlo.numerator // vlo.denominator
-            fhi = vhi.numerator // vhi.denominator
-            if flo == fhi:
-                return flo
+            f = (x * lo.denominator + y * lo.numerator) // (z * lo.denominator)
+            if f == ((x * hi.denominator + y * hi.numerator)
+                     // (z * hi.denominator)):
+                return f
             k *= 2  # value is irrational, so a separating bracket exists
 
     def mod1(self) -> "Scalar":
         return self - self.floor()
-
-    def rational_bracket(self, k: int) -> tuple[Fraction, Fraction]:
-        """Rational interval containing the value, width <= |q| * 2**-k."""
-        if self.q == 0:
-            return self.p, self.p
-        lo, hi = self.tag.bounds(k)
-        if self.q > 0:
-            return self.p + self.q * lo, self.p + self.q * hi
-        return self.p + self.q * hi, self.p + self.q * lo
 
     def to_decimal(self, digits: int) -> str:
         """Fixed-point decimal, round toward zero, correct to `digits`."""
         if digits < 1:
             raise ValueError("digits must be positive")
         scale = 10 ** digits
+        negative = self.sign() < 0
         if self.q == 0:
             v = self.p * scale
             t = abs(v.numerator) // v.denominator
         else:
-            # the value is irrational so value*scale is never an integer;
-            # refine until the truncation is pinned down
-            k = 8
-            while True:
-                lo, hi = self.rational_bracket(k)
-                tlo = abs(lo.numerator * scale) // lo.denominator
-                thi = abs(hi.numerator * scale) // hi.denominator
-                if lo >= 0 and tlo == thi:
-                    t = tlo
-                    break
-                if hi <= 0 and tlo == thi:
-                    t = thi
-                    break
-                k *= 2
-        sign = "-" if self.sign() < 0 else ""
+            # value*scale is irrational, so its floor is its truncation
+            t = ((-self if negative else self) * scale).floor()
         whole, frac = divmod(t, scale)
-        return f"{sign}{whole}.{frac:0{digits}d}"
-
-    def approx(self) -> float:
-        lo, hi = self.rational_bracket(64)
-        return float((lo + hi) / 2)
+        return f"{'-' if negative else ''}{whole}.{frac:0{digits}d}"
 
     # -- text form -----------------------------------------------------
 
@@ -333,25 +309,6 @@ def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:
         raise ValueError(f"malformed scalar {text!r}")
     q = Fraction(m["q"] or 1)
     return Scalar(Fraction(m["p"] or 0), -q if m["sign"] == "-" else q, tag)
-
-
-# -- operation-style wrappers (value semantics) ------------------------
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def scalar_cmp(a: Scalar, b: Scalar) -> int:
-    """-1, 0 or 1 as a <, ==, > b."""
-    return a.cmp(b)
-
-
-def scalar_mod1(a: Scalar) -> Scalar:
-    return a.mod1()
-
-
-def scalar_to_decimal(a: Scalar, digits: int) -> str:
-    return a.to_decimal(digits)
 
 
 def render(a: Scalar, digits: int = 12) -> str:

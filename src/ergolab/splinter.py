@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .dynamics import SetLike, Transformation
+from .errors import InvalidInputError
 from .scalars import Scalar, render
 
 DEFAULT_COMPONENT_BUDGET = 1 << 16
@@ -85,11 +86,12 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     """Run the splinter recursion until convergence, stall or budget."""
     mu1, mu2 = J1.measure(), J2.measure()
     if mu1 != mu2:
-        raise ValueError(f"windows must have equal measure: {mu1} != {mu2}")
+        raise InvalidInputError(
+            f"windows must have equal measure: {mu1} != {mu2}")
     if mu1.sign() <= 0:
-        raise ValueError("windows must have positive measure")
+        raise InvalidInputError("windows must have positive measure")
     if epsilon.sign() <= 0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidInputError("epsilon must be positive")
     window = stall_window if stall_window is not None else T.stall_window()
 
     d = SplinterDecomposition(T, J1, J2, epsilon, n_max)

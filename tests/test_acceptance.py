@@ -14,8 +14,7 @@ from ergolab.caratheodory import (arcs_basis, correlation_average,
                                   dyadic_basis, gap_theta, mixing_trace)
 from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                               Rotation, TOWER_EMPTY, TOWER_FULL, TowerSet,
-                              make_system, tower_measure,
-                              verify_measure_preserving)
+                              make_system, verify_measure_preserving)
 from ergolab.intervals import (AT_ZERO, EMPTY, IntervalSet, ParityTail,
                                block_one, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
@@ -203,7 +202,7 @@ def test_criterion_11_mixing_vs_ergodic():
 
 def test_criterion_12_kakutani_suite():
     T = KakutaniTower()
-    ok = tower_measure(TOWER_FULL) == Scalar(F(5, 3))
+    ok = TOWER_FULL.measure() == Scalar(F(5, 3))
     battery = [TOWER_FULL, TOWER_EMPTY,
                TowerSet(make_set([(F(1, 4), F(1, 2))]), EMPTY),
                TowerSet(make_set([(F(0), F(1, 4))]), A_SET),

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                               Rotation, TOWER_EMPTY, TOWER_FULL, TowerSet,
-                              discontinuity_set, make_system,
-                              odometer_image, odometer_preimage,
-                              tower_image, tower_measure, tower_preimage,
+                              make_system, odometer_image, odometer_preimage,
+                              tower_image, tower_preimage,
                               verify_measure_preserving)
 from ergolab.errors import (InvalidTowerSetError,
                             RepresentationOverflowError)
@@ -117,10 +116,6 @@ class TestOdometer:
         got = [x.to_text() for x in Odometer().discontinuities(4)]
         assert got == ["0", "1/2", "3/4", "7/8", "15/16"]
 
-    def test_discontinuity_set_helper(self):
-        assert [x.to_text() for x in discontinuity_set("odometer", 2)] \
-            == ["0", "1/2", "3/4"]
-
 
 class TestTowerSets:
     def test_top_must_sit_over_column(self):
@@ -129,8 +124,8 @@ class TestTowerSets:
             TowerSet(EMPTY, make_set([(F(1, 2), F(3, 4))]))
 
     def test_total_measure(self):
-        assert tower_measure(TOWER_FULL) == Scalar(F(5, 3))
-        assert tower_measure(TOWER_EMPTY) == Scalar(0)
+        assert TOWER_FULL.measure() == Scalar(F(5, 3))
+        assert TOWER_EMPTY.measure() == Scalar(0)
 
     def test_boolean_algebra(self):
         a = TowerSet(make_set([(F(0), F(1, 2))]), EMPTY)
@@ -148,7 +143,7 @@ class TestTowerSets:
 class TestKakutaniTower:
     def test_preimage_preserves_total_measure(self):
         T = KakutaniTower()
-        assert tower_measure(T.preimage(TOWER_FULL)) == Scalar(F(5, 3))
+        assert T.preimage(TOWER_FULL).measure() == Scalar(F(5, 3))
 
     def test_preimage_image_round_trip(self):
         T = KakutaniTower()

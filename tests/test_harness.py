@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from ergolab.cli import main
 from ergolab.errors import ConfigError
 from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
                              parse_config, run)
@@ -37,6 +38,26 @@ n_max = 150
 stall_window = 100
 set.J1 = 0..1/6
 set.J2 = 1/2..2/3
+"""
+
+# the Kakutani preimage of an at-one tail accumulates at 1/2
+OVERFLOW_CFG = """\
+command = splinter
+system = kakutani
+epsilon = 1/1000
+n_max = 50
+set.J1 = 0..1/3 | empty
+set.J2 = 1/3..2/3 | empty
+"""
+
+# mu(J1) = 1/4 + 1/6 differs from mu(J2) = 1/4
+UNEQUAL_WINDOWS_CFG = """\
+command = splinter
+system = odometer
+epsilon = 1/1000
+n_max = 50
+set.J1 = 0..1/4, tail(one, 2, even)
+set.J2 = 1/2..3/4
 """
 
 
@@ -71,6 +92,10 @@ class TestConfigFormat:
             parse_config("command = gap\n")
         with pytest.raises(ConfigError):
             parse_config("system = doubling\n")
+
+    def test_seed_key_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(SPLINTER_CFG + "seed = 1\n")
 
     def test_bad_set_text_rejected(self):
         with pytest.raises(ConfigError):
@@ -134,6 +159,36 @@ class TestRunDispatch:
         trace, code = run(parse_config(text))
         assert code == 0
         assert all(r["preserved"] for r in trace.records)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("text, code, status", [
+        (OVERFLOW_CFG, 4, "left-representation-class"),
+        (UNEQUAL_WINDOWS_CFG, 3, "invalid-input"),
+    ], ids=["overflow", "unequal-windows"])
+    def test_run_maps_error(self, text, code, status):
+        trace, got = run(parse_config(text))
+        assert got == code
+        assert trace.summary["status"] == status
+        assert trace.summary["error"]
+
+    @pytest.mark.parametrize("text, code, message", [
+        (OVERFLOW_CFG, 4, "left representation class: preimage of an "
+                          "at-one tail accumulates at 1/2"),
+        (UNEQUAL_WINDOWS_CFG, 3, "invalid input: windows must have equal "
+                                 "measure: 5/12 != 1/4"),
+    ], ids=["overflow", "unequal-windows"])
+    def test_cli_prints_one_line(self, tmp_path, capsys, text, code,
+                                 message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert err.splitlines() == [message]
+
+    def test_seed_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--config", "exp.cfg", "--seed", "1"])
 
 
 class TestDemo:

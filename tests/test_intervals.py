@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from ergolab.errors import (RepresentationOverflowError,
                             UnsupportedRepresentationError)
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, IntervalSet,
-                               ParityTail, block_one, block_zero, from_text,
-                               make_set, truncate_tails)
+                               ParityTail, _depth_for_gap, block_one,
+                               block_zero, from_text, make_set, truncate_tails)
 from ergolab.randomsets import random_interval_set, random_offset_set
-from ergolab.scalars import GOLDEN, Scalar
+from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar
 
 F = Fraction
 
@@ -241,3 +241,25 @@ class TestTruncation:
         finite, dropped = truncate_tails(s, blocks=3)
         assert not finite.tails
         assert finite.measure() + dropped == s.measure()
+
+
+class TestDepthForGap:
+    def test_irrational_gap_gets_smallest_depth_without_bracket(
+            self, monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("bounds called")
+        monkeypatch.setattr(IrrationalTag, "bounds", refuse)
+        cases = [(Scalar(1, -1, GOLDEN), 2),                 # ~0.382
+                 (Scalar(F(3, 4), -1, GOLDEN), 3),           # ~0.132
+                 (Scalar(0, 1, SQRT2M1), 2),                 # ~0.414
+                 (Scalar(F(1, 2), -1, SQRT2M1), 4),          # ~0.0858
+                 (Scalar(F(610, 987), -1, GOLDEN), 22)]      # ~4.6e-7
+        for gap, m in cases:
+            assert _depth_for_gap(gap) == m
+            assert Scalar(F(1, 1 << m)) <= gap
+            assert m == 2 or Scalar(F(1, 1 << (m - 1))) > gap
+
+    def test_rational_gap_formula(self):
+        assert _depth_for_gap(Scalar(F(1, 2))) == 3
+        assert _depth_for_gap(Scalar(F(1, 1000))) == 11
+        assert _depth_for_gap(Scalar(1)) == 2

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from ergolab.errors import IncompatibleBasisError
 from ergolab.scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
-                             get_tag, parse_scalar, render, scalar_cmp,
-                             scalar_to_decimal)
+                             get_tag, parse_scalar, render)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 rationals = st.builds(Scalar, fractions)
@@ -32,6 +31,38 @@ def bracket_sign(x):
         if max(ends) < 0:
             return -1
         k *= 2
+
+
+def truncated(f, digits):
+    """A rational's decimal digits, truncated toward zero."""
+    whole, frac = divmod(abs(f.numerator) * 10**digits // f.denominator,
+                         10**digits)
+    return f"{'-' if f < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
+def bracket_rounding(x, digits):
+    """(floor, to_decimal text) of x from IrrationalTag.bounds alone.
+
+    Each result is constant on an interval, so once both ends of a bracket
+    agree the whole bracket, x included, does too.
+    """
+    if x.q == 0:
+        return x.p.numerator // x.p.denominator, truncated(x.p, digits)
+    k = 4
+    while True:
+        ends = [x.p + x.q * b for b in x.tag.bounds(k)]
+        floors = {e.numerator // e.denominator for e in ends}
+        texts = {truncated(e, digits) for e in ends}
+        if len(floors) == len(texts) == 1:
+            return floors.pop(), texts.pop()
+        k *= 2
+
+
+def check_rounding(x):
+    for digits in (1, 12, 40):
+        floor, text = bracket_rounding(x, digits)
+        assert x.floor() == floor
+        assert x.to_decimal(digits) == text
 
 
 def check_against_oracle(x, y):
@@ -100,9 +131,6 @@ class TestOrdering:
         assert gold(1, -1).sign() == 1
         assert gold(Fraction(1, 2), Fraction(-1, 2)).cmp(gold(1, -1)) == -1
 
-    def test_scalar_cmp_wrapper(self):
-        assert scalar_cmp(gold(1, -1), gold(Fraction(1, 2), Fraction(-1, 2))) == 1
-
     @given(goldens, goldens)
     @settings(max_examples=60)
     def test_ordering_consistent_with_subtraction(self, a, b):
@@ -148,6 +176,23 @@ class TestClosedFormAgainstBracket:
                     x, y = Scalar(r + q * c, 1, tag), Scalar(r, q + 1, tag)
                     assert check_against_oracle(x, y) == expected
 
+    @given(fractions, fractions, st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=40)
+    def test_rounding(self, tag, p, q, shift):
+        check_rounding(Scalar(p + shift, q, tag))
+        check_rounding(Scalar(p * 10**6, q * 10**6, tag))
+        check_rounding(Scalar(p))
+
+    @pytest.mark.parametrize("k", [110, 400])
+    def test_rounding_within_1e_30_of_a_boundary(self, tag, k):
+        # r + q*(c - alpha) is nonzero and within 1e-30 of r, for the
+        # consecutive convergents c of alpha that are 2**-k apart
+        for c in tag.bounds(k):
+            for q in (Fraction(1), Fraction(-3), Fraction(7, 5)):
+                for r in (Fraction(0), Fraction(1), Fraction(-2),
+                          Fraction(1, 10), Fraction(-37, 100)):
+                    check_rounding(Scalar(r + q * c, -q, tag))
+
 
 def test_compare_mixed_tags_rejected():
     with pytest.raises(IncompatibleBasisError):
@@ -187,7 +232,7 @@ class TestRendering:
     def test_render_marks_irrationals(self):
         assert render(gold(0, 1), 4) == "~0.6180"
         assert render(Scalar(Fraction(1, 2)), 4) == "0.5000"
-        assert scalar_to_decimal(Scalar(Fraction(1, 8)), 2) == "0.12"
+        assert Scalar(Fraction(1, 8)).to_decimal(2) == "0.12"
 
     def test_text_round_trip(self):
         for text in ("3/4", "1/2+1*alpha", "1/2-2/3*alpha", "0", "-1/4"):

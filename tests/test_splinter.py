@@ -6,7 +6,8 @@ import pytest
 
 from ergolab import fixtures
 from ergolab.dynamics import Doubling, Odometer, Rotation
-from ergolab.intervals import make_set
+from ergolab.errors import InvalidInputError
+from ergolab.intervals import from_text, make_set
 from ergolab.scalars import GOLDEN, Scalar
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
                               additivity_check, splinter, transport_check,
@@ -146,3 +147,16 @@ class TestAdditivity:
         a = make_set([(F(0), F(1, 2))])
         with pytest.raises(ValueError):
             additivity_check([a, a], a, 2)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("J1, J2, epsilon", [
+        ("0..1/4", "0..1/2", "1/1000"),    # unequal measures
+        ("empty", "empty", "1/1000"),      # null windows
+        ("0..1/2", "0..1/2", "0"),         # epsilon not positive
+    ])
+    def test_invalid_input(self, J1, J2, epsilon):
+        with pytest.raises(InvalidInputError):
+            splinter(Doubling(), from_text(J1), from_text(J2),
+                     Scalar(F(epsilon)), 8)
+        assert issubclass(InvalidInputError, ValueError)
