@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .dynamics import SetLike, Transformation
-from .intervals import FULL, Interval, IntervalSet
-from .scalars import ONE, Scalar, render
+from .intervals import Interval, IntervalSet
+from .scalars import ONE, Scalar
 from .splinter import (CONVERGED, CheckReport, DEFAULT_COMPONENT_BUDGET,
                        splinter, transport_check)
 

@@ -17,15 +17,7 @@ from .errors import (InvalidTowerSetError, RepresentationOverflowError,
 from .intervals import (AT_ONE, AT_ZERO, FULL, Interval, IntervalSet,
                         ParityTail, _collapse, _depths_for, _expand, _half,
                         _sweep)
-from .scalars import ONE, Scalar, get_tag
-
-
-def _raw_scalar(p: Fraction, q: Fraction, tag) -> Scalar:
-    s = Scalar.__new__(Scalar)
-    s.p = p
-    s.q = q if q else Fraction(0)
-    s.tag = tag if s.q else None
-    return s
+from .scalars import ONE, Scalar, _make, get_tag
 
 
 #: the Kakutani base set A = union of even-index blocks I_0, I_2, ...
@@ -40,7 +32,7 @@ A_COMPLEMENT = A_SET.complement()
 
 def _odometer_shift(n: int) -> Scalar:
     # the translation taking I_n onto D_n: x - 1 + 2**-n + 2**-(n+1)
-    return Scalar(Fraction(3, 1 << (n + 1)) - 1)
+    return _make(3 - (2 << n), 0, 2 << n, None)
 
 
 def _split_blocks_one(iv: Interval) -> list[tuple[int, Interval]]:
@@ -117,16 +109,16 @@ def doubling_preimage(S: IntervalSet) -> IntervalSet:
     """{x : 2x mod 1 in S} = S/2 union (S/2 + 1/2)."""
     if S.tails:
         raise UnsupportedRepresentationError("doubling does not act on tails")
-    half = Fraction(1, 2)
     left = []
     right = []
     for iv in S.intervals:
-        llo = _raw_scalar(iv.lo.p / 2, iv.lo.q / 2, iv.lo.tag)
-        lhi = _raw_scalar(iv.hi.p / 2, iv.hi.q / 2, iv.hi.tag)
-        left.append(Interval(llo, lhi))
-        right.append(Interval(
-            _raw_scalar(llo.p + half, llo.q, llo.tag),
-            _raw_scalar(lhi.p + half, lhi.q, lhi.tag)))
+        # x = (n + m*alpha)/d gives x/2 = (n + m*alpha)/2d and
+        # x/2 + 1/2 = (n + d + m*alpha)/2d
+        lo, hi = iv.lo, iv.hi
+        left.append(Interval(_make(lo.n, lo.m, 2 * lo.d, lo.tag),
+                             _make(hi.n, hi.m, 2 * hi.d, hi.tag)))
+        right.append(Interval(_make(lo.n + lo.d, lo.m, 2 * lo.d, lo.tag),
+                              _make(hi.n + hi.d, hi.m, 2 * hi.d, hi.tag)))
     # both runs are sorted; only the junction can merge (left ends at 1/2
     # only when S reached 1, right starts at 1/2 only when S reached 0)
     if left and right and left[-1].hi == right[0].lo:
@@ -275,7 +267,7 @@ class Rotation(Transformation):
 
     def __init__(self, angle: Scalar, label: Optional[str] = None):
         self.angle = angle.mod1()
-        self.ergodic = angle.q != 0
+        self.ergodic = angle.m != 0
         self._label = label
 
     def preimage(self, S: IntervalSet) -> IntervalSet:
@@ -287,7 +279,7 @@ class Rotation(Transformation):
     def stall_window(self) -> int:
         if self.ergodic:
             return 8
-        return max(8, self.angle.p.denominator)
+        return max(8, self.angle.d)
 
     def descriptor(self) -> str:
         if self._label:

@@ -21,12 +21,12 @@ same-anchor tails of opposite parity are collapsed into a plain interval.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import lcm
 from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
-from .scalars import ONE, ZERO, IrrationalTag, Scalar, parse_scalar
+from .scalars import ONE, ZERO, IrrationalTag, Scalar, _make, parse_scalar
 
 AT_ONE = "one"
 AT_ZERO = "zero"
@@ -38,7 +38,7 @@ _PARITY_VALUES = {"even": EVEN, "odd": ODD}
 
 
 def _half(n: int) -> Scalar:
-    return Scalar(Fraction(1, 1 << n))
+    return _make(1, 0, 1 << n, None)
 
 
 class Interval:
@@ -87,7 +87,7 @@ class ParityTail:
     def measure(self) -> Scalar:
         # sum of 2**-(n+1) over n = start, start+2, ... is a geometric
         # series with ratio 1/4
-        return Scalar(Fraction(2, 3 * (1 << self.start)))
+        return _make(2, 0, 3 << self.start, None)
 
     def to_text(self) -> str:
         return f"tail({self.anchor}, {self.start}, {_PARITY_NAMES[self.parity]})"
@@ -180,11 +180,10 @@ def _merge(a: Sequence[Interval], b: Sequence[Interval],
 def _depth_for_gap(gap: Scalar) -> int:
     """An m >= 2 with 2**-m <= gap (gap > 0); the smallest one when the
     gap is irrational."""
-    if gap.q == 0:
-        g = gap.p
-        return max(2, (g.denominator // g.numerator).bit_length() + 1)
+    if gap.m == 0:
+        return max(2, (gap.d // gap.n).bit_length() + 1)
     m = 2
-    while gap.cmp(Fraction(1, 1 << m)) < 0:
+    while gap.cmp(_half(m)) < 0:
         m += 1
     return m
 
@@ -362,17 +361,21 @@ class IntervalSet:
     # -- measure ----------------------------------------------------------
 
     def measure(self) -> Scalar:
-        p = Fraction(0)
-        q = Fraction(0)
+        # sum (n + m*alpha) / d over a common denominator d
+        d = lcm(*(s.d for iv in self.intervals for s in (iv.lo, iv.hi)),
+                *(3 << t.start for t in self.tails))
+        n = m = 0
         tag = None
         for iv in self.intervals:
-            p += iv.hi.p - iv.lo.p
-            q += iv.hi.q - iv.lo.q
+            lo, hi = iv.lo, iv.hi
+            fl, fh = d // lo.d, d // hi.d
+            n += hi.n * fh - lo.n * fl
+            m += hi.m * fh - lo.m * fl
             if tag is None:
-                tag = iv.lo.tag or iv.hi.tag
+                tag = lo.tag or hi.tag
         for t in self.tails:
-            p += Fraction(2, 3 * (1 << t.start))
-        return Scalar(p, q, tag if q != 0 else None)
+            n += 2 * d // (3 << t.start)
+        return _make(n, m, d, tag)
 
     # -- boolean algebra ---------------------------------------------------
 
@@ -443,8 +446,8 @@ def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> Interv
     """Build a set from (lo, hi) pairs of Scalars/Fractions/ints."""
     ivs = []
     for lo, hi in pairs:
-        lo = lo if isinstance(lo, Scalar) else Scalar(Fraction(lo))
-        hi = hi if isinstance(hi, Scalar) else Scalar(Fraction(hi))
+        lo = lo if isinstance(lo, Scalar) else Scalar(lo)
+        hi = hi if isinstance(hi, Scalar) else Scalar(hi)
         ivs.append(Interval(lo, hi))
     return IntervalSet.build(ivs, tails)
 
@@ -488,5 +491,5 @@ def truncate_tails(s: IntervalSet, blocks: int) -> tuple[IntervalSet, Scalar]:
         for _ in range(blocks):
             ivs.append(_block(t.anchor, n))
             n += 2
-        dropped = dropped + Scalar(Fraction(2, 3 * (1 << n)))
+        dropped = dropped + _make(2, 0, 3 << n, None)
     return IntervalSet.build(ivs), dropped

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .dynamics import A_SET, TowerSet
 from .intervals import (AT_ONE, AT_ZERO, EVEN, ODD, EMPTY, IntervalSet,

@@ -1,7 +1,9 @@
 """Exact scalar arithmetic: rationals extended by one formal irrational.
 
 A scalar is a value p + q*alpha with p, q rational and alpha a fixed
-quadratic irrational, the root in (0, 1) of x**2 + a*x - 1 = 0.  Signs and
+quadratic irrational, the root in (0, 1) of x**2 + a*x - 1 = 0.  It is
+stored as three integers over one denominator, (n + m*alpha) / d, in a
+canonical form, so every operation runs on plain ``int``s.  Signs and
 comparisons are decided in closed form by comparing two integers (see
 ``_sign``).  Rounding is the one place that needs digits of alpha:
 ``floor`` refines a rational bracket of alpha until the floor is pinned
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .errors import IncompatibleBasisError
@@ -29,7 +32,7 @@ class IrrationalTag:
     alpha with u - l <= 2**-k.  Bounds are nested in k (l non-decreasing,
     u non-increasing) because they are read off consecutive
     continued-fraction convergents, which bracket the value ever more
-    tightly.
+    tightly.  Each bracket is kept once computed, per k.
     """
 
     def __init__(self, name: str, partial_quotient: int):
@@ -42,6 +45,7 @@ class IrrationalTag:
         # convergents p/q; start with p_{-1}/q_{-1} = 1/0 and p_0/q_0 = 0/1
         self._ps = [1, 0]
         self._qs = [0, 1]
+        self._bounds: dict[int, tuple[Fraction, Fraction]] = {}
 
     def _extend(self) -> None:
         a = self._a
@@ -50,6 +54,9 @@ class IrrationalTag:
 
     def bounds(self, k: int) -> tuple[Fraction, Fraction]:
         """Rational bracket [l, u] containing alpha with u - l <= 2**-k."""
+        found = self._bounds.get(k)
+        if found is not None:
+            return found
         i = 2
         while True:
             while len(self._ps) < i + 2:
@@ -61,6 +68,7 @@ class IrrationalTag:
                 hi = Fraction(self._ps[i + 1], self._qs[i + 1])
                 if lo > hi:
                     lo, hi = hi, lo
+                self._bounds[k] = lo, hi
                 return lo, hi
             i += 1
 
@@ -109,61 +117,88 @@ def _sign(u: int, v: int, a: int) -> int:
 
 
 class Scalar:
-    """Exact value p + q*alpha.  Immutable; canonical (q == 0 => no tag)."""
+    """Exact value p + q*alpha, stored as (n + m*alpha) / d in integers.
 
-    __slots__ = ("p", "q", "tag")
+    Immutable and canonical: d > 0, gcd(n, m, d) == 1, and m == 0 => no
+    tag, so equal values have equal fields.  The constructor takes the
+    rational parts p and q (``int`` or ``Fraction``); ``p`` and ``q`` read
+    them back as ``Fraction``s.  Those properties allocate, so library code
+    reads ``n``, ``m`` and ``d``, and builds scalars from integers only
+    through ``_make``.
+    """
+
+    __slots__ = ("n", "m", "d", "tag")
 
     def __init__(self, p: RationalLike, q: RationalLike = 0,
                  tag: Optional[IrrationalTag] = None):
-        p = Fraction(p)
-        q = Fraction(q)
+        if not isinstance(p, (int, Fraction)):
+            p = Fraction(p)
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
         if q == 0:
             tag = None
         elif tag is None:
             raise ValueError("nonzero irrational coefficient requires a tag")
-        self.p = p
-        self.q = q
+        # over the lcm of two reduced denominators no common factor is left
+        pd, qd = p.denominator, q.denominator
+        d = pd // gcd(pd, qd) * qd
+        self.n = p.numerator * (d // pd)
+        self.m = q.numerator * (d // qd)
+        self.d = d
         self.tag = tag
+
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self.m, self.d)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
         other = _coerce(other)
         tag = _merge_tags(self.tag, other.tag)
-        return Scalar(self.p + other.p, self.q + other.q, tag)
+        d, od = self.d, other.d
+        return _make(self.n * od + other.n * d, self.m * od + other.m * d,
+                     d * od, tag)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         other = _coerce(other)
         tag = _merge_tags(self.tag, other.tag)
-        return Scalar(self.p - other.p, self.q - other.q, tag)
+        d, od = self.d, other.d
+        return _make(self.n * od - other.n * d, self.m * od - other.m * d,
+                     d * od, tag)
 
     def __rsub__(self, other) -> "Scalar":
         return _coerce(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.p, -self.q, self.tag)
+        return _make(-self.n, -self.m, self.d, self.tag)
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
-        if self.q != 0 and other.q != 0:
+        if self.m != 0 and other.m != 0:
             # would need an alpha**2 term; not in the field we model
             raise IncompatibleBasisError(
                 "product of two irrational scalars is not representable")
-        if other.q == 0:
-            return Scalar(self.p * other.p, self.q * other.p, self.tag)
-        return Scalar(self.p * other.p, self.p * other.q, other.tag)
+        return _make(self.n * other.n, self.m * other.n + self.n * other.m,
+                     self.d * other.d, self.tag or other.tag)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
         other = _coerce(other)
-        if other.q != 0:
+        if other.m != 0:
             raise IncompatibleBasisError("division by an irrational scalar")
-        if other.p == 0:
+        on = other.n
+        if on == 0:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(self.p / other.p, self.q / other.p, self.tag)
+        od = other.d if on > 0 else -other.d
+        return _make(self.n * od, self.m * od, self.d * abs(on), self.tag)
 
     # -- comparisons --------------------------------------------------
 
@@ -174,28 +209,28 @@ class Scalar:
     def cmp(self, other) -> int:
         """-1, 0 or 1 as self <, ==, > other, in integer arithmetic only."""
         if isinstance(other, Scalar):
-            op, oq, otag = other.p, other.q, other.tag
-        elif isinstance(other, (int, Fraction)):
-            op, oq, otag = other, 0, None
+            on, om, od, otag = other.n, other.m, other.d, other.tag
+        elif isinstance(other, int):
+            on, om, od, otag = other, 0, 1, None
+        elif isinstance(other, Fraction):
+            on, om, od, otag = other.numerator, 0, other.denominator, None
         else:
             raise TypeError(f"cannot interpret {other!r} as a scalar")
-        p, q = self.p, self.q
-        pd, opd = p.denominator, op.denominator
-        u = p.numerator * opd - op.numerator * pd
+        # self - other = (u + v*alpha) / (d * od) with d * od > 0
+        d = self.d
+        u = self.n * od - on * d
         if self.tag is None and otag is None:
             return (u > 0) - (u < 0)
         a = _merge_tags(self.tag, otag)._a
-        qd, oqd = q.denominator, oq.denominator
-        return _sign(u * qd * oqd, (q.numerator * oqd - oq.numerator * qd)
-                     * pd * opd, a)
+        return _sign(u, self.m * od - om * d, a)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.p == other.p and self.q == other.q
-                and self.tag is other.tag)
+        return (self.n == other.n and self.m == other.m
+                and self.d == other.d and self.tag is other.tag)
 
     def __ne__(self, other) -> bool:
         eq = self.__eq__(other)
@@ -214,25 +249,24 @@ class Scalar:
         return self.cmp(other) >= 0
 
     def __hash__(self):
-        if self.q == 0:
-            return hash(self.p)
-        return hash((self.p, self.q, id(self.tag)))
+        if self.m == 0:
+            # equal to the hash of the equal int or Fraction
+            return hash(self.n) if self.d == 1 else hash(self.p)
+        return hash((self.n, self.m, self.d, id(self.tag)))
 
     def __bool__(self) -> bool:
-        return self.p != 0 or self.q != 0
+        return self.n != 0 or self.m != 0
 
     # -- rounding and rendering ---------------------------------------
 
     def floor(self) -> int:
         """Largest integer <= the value; the only code that refines alpha."""
-        P, dp = self.p.numerator, self.p.denominator
-        if self.q == 0:
-            return P // dp
-        # with p = P/dp and q = Q/dq the value at a rational a/b in place
-        # of alpha is (P*dq*b + Q*dp*a) / (dp*dq*b), which is monotone in
-        # a/b, so equal floors at both ends of a bracket pin the floor down
-        Q, dq = self.q.numerator, self.q.denominator
-        x, y, z = P * dq, Q * dp, dp * dq
+        x, y, z = self.n, self.m, self.d
+        if y == 0:
+            return x // z
+        # the value at a rational a/b in place of alpha is
+        # (x*b + y*a) / (z*b), which is monotone in a/b, so equal floors at
+        # both ends of a bracket pin the floor down
         k = 8
         while True:
             lo, hi = self.tag.bounds(k)
@@ -251,9 +285,8 @@ class Scalar:
             raise ValueError("digits must be positive")
         scale = 10 ** digits
         negative = self.sign() < 0
-        if self.q == 0:
-            v = self.p * scale
-            t = abs(v.numerator) // v.denominator
+        if self.m == 0:
+            t = abs(self.n) * scale // self.d
         else:
             # value*scale is irrational, so its floor is its truncation
             t = ((-self if negative else self) * scale).floor()
@@ -263,9 +296,9 @@ class Scalar:
     # -- text form -----------------------------------------------------
 
     def to_text(self) -> str:
-        if self.q == 0:
+        if self.m == 0:
             return str(self.p)
-        if self.q < 0:
+        if self.m < 0:
             return f"{self.p}-{-self.q}*alpha"
         return f"{self.p}+{self.q}*alpha"
 
@@ -274,6 +307,21 @@ class Scalar:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _make(n: int, m: int, d: int, tag: Optional[IrrationalTag]) -> Scalar:
+    """The scalar (n + m*alpha) / d for d > 0, put in canonical form."""
+    g = gcd(n, m, d)
+    if g != 1:
+        n //= g
+        m //= g
+        d //= g
+    s = object.__new__(Scalar)
+    s.n = n
+    s.m = m
+    s.d = d
+    s.tag = tag if m else None
+    return s
 
 
 def _coerce(x) -> Scalar:
@@ -314,4 +362,4 @@ def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:
 def render(a: Scalar, digits: int = 12) -> str:
     """Report rendering: decimal string, '~'-prefixed when irrational."""
     d = a.to_decimal(digits)
-    return f"~{d}" if a.q != 0 else d
+    return f"~{d}" if a.m != 0 else d

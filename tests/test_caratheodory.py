@@ -13,7 +13,7 @@ from ergolab.caratheodory import (arcs_basis, correlation_average,
 from ergolab.dynamics import Doubling, Odometer, Rotation, make_system
 from ergolab.fixtures import RATIONAL_THIRD_INVARIANT
 from ergolab.intervals import FULL, make_set
-from ergolab.scalars import GOLDEN, ONE, Scalar
+from ergolab.scalars import ONE, Scalar
 
 F = Fraction
 
@@ -146,3 +146,23 @@ class TestMixing:
     def test_full_set_trivial_correlation(self):
         trace = mixing_trace(Doubling(), FULL, FULL, 4)
         assert all(x.sign() == 0 for x in trace)
+
+    def test_doubling_trace_builds_no_fraction(self, monkeypatch):
+        # scalars are integer triples: preimages, set operations, measures
+        # and the subtraction of the product allocate no Fraction
+        C = make_set([(F(0), F(1, 3))])
+        D = make_set([(F(1, 5), F(7, 10))])
+        expected = mixing_trace(Doubling(), C, D, 8)
+        calls = 0
+        build = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        trace = mixing_trace(Doubling(), C, D, 8)
+        monkeypatch.undo()
+        assert calls == 0
+        assert trace == expected

@@ -13,8 +13,9 @@ from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                               verify_measure_preserving)
 from ergolab.errors import (InvalidTowerSetError,
                             RepresentationOverflowError)
-from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, ParityTail,
+from ergolab.intervals import (AT_ZERO, EMPTY, FULL, ParityTail,
                                block_one, block_zero, IntervalSet, make_set)
+from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
 
 F = Fraction
@@ -31,6 +32,11 @@ def dyadic_sets(depth=6, max_parts=4):
         return make_set(pairs)
 
     return st.lists(endpoints, min_size=0, max_size=2 * max_parts).map(build)
+
+
+def _member(S, x):
+    """Pointwise membership in a tail-free set."""
+    return any(iv.lo <= x < iv.hi for iv in S.intervals)
 
 
 class TestRotation:
@@ -80,6 +86,23 @@ class TestDoubling:
         # T is onto, so T(T^-1(S)) = S even though T is not invertible
         T = Doubling()
         assert T.image(T.preimage(s)).equals(s)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_preimage_pointwise(self, seed):
+        # x in T^-1 S  <=>  2x mod 1 in S, at every breakpoint (the pieces
+        # are half-open), at rationals and at alpha-shifted points
+        T = Doubling()
+        alpha = Scalar(0, 1, GOLDEN)
+        for S in (random_interval_set(seed, allow_tails=False),
+                  random_offset_set(seed, alpha)):
+            pre = T.preimage(S)
+            points = [e for iv in pre.intervals for e in (iv.lo, iv.hi)
+                      if e < Scalar(1)]
+            points += [Scalar(F(k, 97)) for k in range(97)]
+            points += [(Scalar(F(k, 13)) + alpha).mod1() for k in range(13)]
+            for x in points:
+                assert _member(pre, x) == _member(S, (x + x).mod1()), (
+                    f"{S.to_text()} at {x.to_text()}")
 
 
 class TestOdometer:

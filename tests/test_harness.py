@@ -9,8 +9,7 @@ import pytest
 
 from ergolab.cli import main
 from ergolab.errors import ConfigError
-from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
-                             parse_config, run)
+from ergolab.harness import demo_kakutani, emit_plot_data, parse_config, run
 
 F = Fraction
 

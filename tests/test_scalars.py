@@ -1,6 +1,8 @@
 """Exact scalar field p + q*alpha: arithmetic, ordering, rendering."""
 
+from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -268,3 +270,94 @@ class TestRendering:
         assert get_tag("sqrt2") is SQRT2M1
         with pytest.raises(KeyError):
             get_tag("pi")
+
+
+# -- differential tests: Scalar against a model in Fractions --------------
+
+#: p + q*alpha as two Fractions and the tag; bracket_sign and
+#: bracket_rounding read a Model as they read a Scalar
+Model = namedtuple("Model", "p q tag")
+
+wide = st.builds(Fraction, st.integers(-2**400, 2**400),
+                 st.integers(1, 2**400))
+coefficients = st.one_of(fractions, wide)
+tags = st.sampled_from([GOLDEN, SQRT2M1])
+
+
+def model_of(p, q, tag):
+    return Model(Fraction(p), Fraction(q), tag if q else None)
+
+
+def check_matches(x, model):
+    """x equals the model and its fields are in canonical form."""
+    assert x.d > 0
+    assert gcd(x.n, x.m, x.d) == 1
+    assert x.m != 0 or x.tag is None
+    assert (x.p, x.q, x.tag) == tuple(model)
+
+
+@pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
+class TestAgainstModel:
+    @given(coefficients, coefficients, coefficients, coefficients,
+           coefficients.filter(bool))
+    @settings(max_examples=60)
+    def test_arithmetic(self, tag, p1, q1, p2, q2, r):
+        for q in (q1, 0):
+            x, y = Scalar(p1, q, tag), Scalar(p2, q2, tag)
+            check_matches(x, model_of(p1, q, tag))
+            check_matches(x + y, model_of(p1 + p2, q + q2, tag))
+            check_matches(x - y, model_of(p1 - p2, q - q2, tag))
+            check_matches(-x, model_of(-p1, -q, tag))
+            check_matches(x * r, model_of(p1 * r, q * r, tag))
+            check_matches(r * x, model_of(p1 * r, q * r, tag))
+            check_matches(x / r, model_of(p1 / r, q / r, tag))
+            check_matches(x - x, model_of(0, 0, None))
+
+    @given(coefficients, coefficients, coefficients, coefficients)
+    @settings(max_examples=60)
+    def test_order_and_equality(self, tag, p1, q1, p2, q2):
+        for x, y in ((Scalar(p1, q1, tag), Scalar(p2, q2, tag)),
+                     (Scalar(p1, q1, tag), Scalar(p2, q1, tag)),
+                     (Scalar(p1), Scalar(p2, q2, tag))):
+            diff = Model(x.p - y.p, x.q - y.q, tag)
+            expected = bracket_sign(diff)
+            assert x.cmp(y) == expected and y.cmp(x) == -expected
+            assert (x < y) == (expected < 0)
+            assert (x == y) == (diff.p == 0 and diff.q == 0)
+        x = Scalar(p1, q1, tag)
+        assert x.cmp(p2) == bracket_sign(Model(p1 - p2, q1, tag))
+
+    @given(coefficients, coefficients)
+    @settings(max_examples=40)
+    def test_rounding(self, tag, p, q):
+        for x, model in ((Scalar(p, q, tag), Model(p, q, tag)),
+                         (Scalar(p), Model(p, Fraction(0), None))):
+            floor, text = bracket_rounding(model, 12)
+            assert x.floor() == floor
+            assert x.to_decimal(12) == text
+
+    @given(coefficients, coefficients)
+    @settings(max_examples=40)
+    def test_text_round_trip(self, tag, p, q):
+        x = Scalar(p, q, tag)
+        if q == 0:
+            expected = str(p)
+        else:
+            expected = f"{p}-{-q}*alpha" if q < 0 else f"{p}+{q}*alpha"
+        assert x.to_text() == expected
+        assert parse_scalar(x.to_text(), tag) == x
+
+
+@given(st.one_of(st.integers(-2**400, 2**400), coefficients))
+def test_hash_matches_the_rational(x):
+    assert Scalar(x) == x
+    assert hash(Scalar(x)) == hash(x)
+
+
+def test_integer_fields_are_canonical():
+    x = gold(Fraction(1, 6), Fraction(-1, 4))
+    assert (x.n, x.m, x.d, x.tag) == (2, -3, 12, GOLDEN)
+    y = x - gold(0, Fraction(-1, 4))
+    assert (y.n, y.m, y.d, y.tag) == (1, 0, 6, None)
+    with pytest.raises(AttributeError):
+        x.p = Fraction(1)
