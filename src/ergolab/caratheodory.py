@@ -149,11 +149,16 @@ class GapReport:
 
 def gap_theta(B: IntervalSet, J: IntervalSet) -> GapReport:
     """theta = (mu(B n J) + mu(Bc n J)) / mu(J); exactly 1 for measurable B."""
+    return _gap_theta(B, B.complement(), J)
+
+
+def _gap_theta(B: IntervalSet, Bc: IntervalSet, J: IntervalSet) -> GapReport:
+    """``gap_theta`` with the complement Bc of B given, for many windows."""
     mu_j = J.measure()
     if mu_j.sign() <= 0:
         raise ValueError("probe window must have positive measure")
     part_in = B.intersect(J).measure()
-    part_out = B.complement().intersect(J).measure()
+    part_out = Bc.intersect(J).measure()
     total = part_in + part_out
     if total == mu_j:
         theta = ONE

@@ -15,8 +15,8 @@ from typing import Optional, Union
 from .errors import (InvalidTowerSetError, RepresentationOverflowError,
                      UnsupportedRepresentationError)
 from .intervals import (AT_ONE, AT_ZERO, FULL, Interval, IntervalSet,
-                        ParityTail, _collapse, _depths_for, _expand, _half,
-                        _sweep)
+                        ParityTail, _block, _collapse, _depths_for, _expand,
+                        _half, _same, _sweep)
 from .scalars import ONE, Scalar, _make, get_tag
 
 
@@ -30,41 +30,43 @@ A_COMPLEMENT = A_SET.complement()
 # odometer primitive
 # ---------------------------------------------------------------------
 
-def _odometer_shift(n: int) -> Scalar:
-    # the translation taking I_n onto D_n: x - 1 + 2**-n + 2**-(n+1)
-    return _make(3 - (2 << n), 0, 2 << n, None)
-
-
-def _split_blocks_one(iv: Interval) -> list[tuple[int, Interval]]:
-    """Split [lo, hi) with hi < 1 at the I_n block boundaries."""
-    out = []
-    n = 0
-    lo = iv.lo
-    while True:
-        b_hi = ONE - _half(n + 1)
-        if lo < b_hi:
-            hi = iv.hi if iv.hi < b_hi else b_hi
-            out.append((n, Interval(lo, hi)))
-            if iv.hi <= b_hi:
-                return out
-            lo = b_hi
-        n += 1
-
-
-def _split_blocks_zero(iv: Interval) -> list[tuple[int, Interval]]:
-    """Split [lo, hi) with lo > 0 at the D_n block boundaries."""
-    out = []
-    n = 0
-    hi = iv.hi
-    while True:
-        b_lo = _half(n + 1)
-        if hi > b_lo:
-            lo = iv.lo if iv.lo > b_lo else b_lo
-            out.append((n, Interval(lo, hi)))
-            if iv.lo >= b_lo:
-                return out
-            hi = b_lo
-        n += 1
+def _odometer_map(S: IntervalSet, src: str) -> IntervalSet:
+    """Translate each block n of anchor `src` onto block n of the other
+    anchor (I_n onto D_n is the adding-machine primitive); the residual
+    zone beyond the depth moves along as flags."""
+    dst = AT_ZERO if src == AT_ONE else AT_ONE
+    depths = _depths_for((S,), (src,))
+    m = depths[src]
+    ivs, flags = _expand(S, depths)
+    # the blocks are visited from the top of [0, 1) down; their images
+    # then come out in increasing order, each block's pieces in order
+    out: list[Interval] = []
+    j = len(ivs)        # ivs[:j] are not yet fully mapped
+    carry = False       # ivs[j - 1] continues from the block above
+    for n in range(m) if src == AT_ZERO else range(m - 1, -1, -1):
+        if not j:
+            break
+        blk = _block(src, n)
+        i = j
+        while i and ivs[i - 1].hi > blk.lo:
+            i -= 1
+        if i == j:
+            continue
+        image = _block(dst, n)
+        # x -> x - 1 + 3 * 2**-(n+1) takes I_n onto D_n, and back
+        t = _make(3 - (2 << n) if src == AT_ONE else (2 << n) - 3, 0,
+                  2 << n, None)
+        below = ivs[i].lo < blk.lo
+        for k in range(i, j):
+            iv = ivs[k]
+            lo = image.lo if k == i and below else iv.lo + t
+            hi = image.hi if k == j - 1 and carry else iv.hi + t
+            if out and _same(out[-1].hi, lo):
+                out[-1] = Interval(out[-1].lo, hi)
+            else:
+                out.append(Interval(lo, hi))
+        j, carry = (i + 1, True) if below else (i, False)
+    return _collapse(out, {dst: flags[src]}, {dst: m})
 
 
 def odometer_image(S: IntervalSet) -> IntervalSet:
@@ -72,16 +74,7 @@ def odometer_image(S: IntervalSet) -> IntervalSet:
     if any(t.anchor == AT_ZERO for t in S.tails):
         raise RepresentationOverflowError(
             "image of an at-zero tail accumulates at 1/2")
-    depths = _depths_for([(S.intervals, S.tails)], {AT_ONE})
-    ivs, fl = _expand(S.intervals, S.tails, depths)
-    out = []
-    for iv in ivs:
-        for n, piece in _split_blocks_one(iv):
-            t = _odometer_shift(n)
-            out.append(Interval(piece.lo + t, piece.hi + t))
-    m = depths[AT_ONE]
-    flags = {(AT_ZERO, p): fl[(AT_ONE, p)] for p in (0, 1)}
-    return _collapse(out, flags, {AT_ZERO: m})
+    return _odometer_map(S, AT_ONE)
 
 
 def odometer_preimage(S: IntervalSet) -> IntervalSet:
@@ -89,16 +82,7 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
     if any(t.anchor == AT_ONE for t in S.tails):
         raise RepresentationOverflowError(
             "preimage of an at-one tail accumulates at 1/2")
-    depths = _depths_for([(S.intervals, S.tails)], {AT_ZERO})
-    ivs, fl = _expand(S.intervals, S.tails, depths)
-    out = []
-    for iv in ivs:
-        for n, piece in _split_blocks_zero(iv):
-            t = _odometer_shift(n)
-            out.append(Interval(piece.lo - t, piece.hi - t))
-    m = depths[AT_ZERO]
-    flags = {(AT_ONE, p): fl[(AT_ZERO, p)] for p in (0, 1)}
-    return _collapse(out, flags, {AT_ONE: m})
+    return _odometer_map(S, AT_ZERO)
 
 
 # ---------------------------------------------------------------------

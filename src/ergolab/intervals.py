@@ -13,16 +13,34 @@ which accumulate at 1; an at-zero tail uses the mirrored blocks
 accumulating at 0.  The I_n blocks tile [0, 1) and the D_n blocks tile (0, 1);
 all identities hold mod null sets (single points are never represented).
 
-Normal form is unique: tails are maximally extended toward small indices,
-a tail's first block is never adjacent to a finite component, and two
-same-anchor tails of opposite parity are collapsed into a plain interval.
+Normal form is unique: the components are sorted, disjoint and
+non-adjacent; a tail's blocks are exactly the connected pieces of the set
+that it covers, so no component touches a tail block and the tail is
+maximally extended toward small indices (block start-2 is not a
+component); two same-anchor tails of opposite parity are collapsed into a
+plain interval.
+
+Tail-free operands go through ``_merge`` alone.  With tails, an operation
+works in three steps, each linear in the components and blocks it touches:
+
+* one depth m per anchor, read from the operand endpoint nearest the
+  anchor and the tail starts, with every finite endpoint at least 2**-m
+  from the anchor;
+* each operand as one sorted list: its components, reused as they are,
+  merged with the blocks of its tails below the depth, which are cached
+  and listed lazily; beyond the depth each anchor carries one flag per
+  parity, combined by the same truth table as the intervals;
+* the canonical tail, settled at the anchor end of the result list, where
+  "this endpoint is a block boundary" is read from integer fields: a
+  component touching the first block takes it in, and components that are
+  exactly the blocks below join the tail.
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
@@ -37,8 +55,17 @@ _PARITY_NAMES = {EVEN: "even", ODD: "odd"}
 _PARITY_VALUES = {"even": EVEN, "odd": ODD}
 
 
+#: 2**-n and the blocks, by index; both are immutable and shared, and each
+#: table holds one entry per index used so far
+_HALVES: dict[int, Scalar] = {}
+_BLOCKS: dict[tuple[str, int], "Interval"] = {}
+
+
 def _half(n: int) -> Scalar:
-    return _make(1, 0, 1 << n, None)
+    h = _HALVES.get(n)
+    if h is None:
+        h = _HALVES[n] = _make(1, 0, 1 << n, None)
+    return h
 
 
 class Interval:
@@ -114,7 +141,11 @@ def block_zero(n: int) -> Interval:
 
 
 def _block(anchor: str, n: int) -> Interval:
-    return block_one(n) if anchor == AT_ONE else block_zero(n)
+    blk = _BLOCKS.get((anchor, n))
+    if blk is None:
+        blk = _BLOCKS[anchor, n] = (block_one(n) if anchor == AT_ONE
+                                    else block_zero(n))
+    return blk
 
 
 # ---------------------------------------------------------------------
@@ -174,7 +205,8 @@ def _merge(a: Sequence[Interval], b: Sequence[Interval],
 
 
 # ---------------------------------------------------------------------
-# tail expansion depths
+# the tailed kernel: one depth per anchor, blocks listed lazily, tails
+# canonicalised from block indices
 # ---------------------------------------------------------------------
 
 def _depth_for_gap(gap: Scalar) -> int:
@@ -188,111 +220,151 @@ def _depth_for_gap(gap: Scalar) -> int:
     return m
 
 
-def _depths_for(sets: Sequence[tuple[Sequence[Interval], Collection[ParityTail]]],
-                anchors: set[str]) -> dict[str, int]:
-    """Expansion depth per anchor for (intervals, tails) pairs."""
+def _same(x: Scalar, y: Scalar) -> bool:
+    """x == y, read from the canonical integer fields (one tag assumed)."""
+    return x.n == y.n and x.d == y.d and x.m == y.m
+
+
+def _depths_for(sets: Sequence["IntervalSet"],
+                anchors: Iterable[str]) -> dict[str, int]:
+    """Expansion depth per anchor for normalized sets: an m >= 2 no smaller
+    than any tail start there, with 2**-m at most the gap between the
+    anchor and every finite endpoint.  The smallest gap, at the endpoint
+    nearest the anchor, is the only one read."""
     depths: dict[str, int] = {}
     for anchor in anchors:
         m = 2
-        for intervals, tails in sets:
-            for t in tails:
-                if t.anchor == anchor:
-                    m = max(m, t.start)
-            for iv in intervals:
+        for S in sets:
+            for t in S.tails:
+                if t.anchor == anchor and t.start > m:
+                    m = t.start
+            ivs = S.intervals
+            if ivs:
                 if anchor == AT_ONE:
-                    for e in (iv.lo, iv.hi):
-                        if e < ONE:
-                            m = max(m, _depth_for_gap(ONE - e))
+                    iv = ivs[-1]
+                    gap = ONE - (iv.lo if _same(iv.hi, ONE) else iv.hi)
                 else:
-                    for e in (iv.lo, iv.hi):
-                        if e > ZERO:
-                            m = max(m, _depth_for_gap(e))
+                    iv = ivs[0]
+                    gap = iv.hi if _same(iv.lo, ZERO) else iv.lo
+                m = max(m, _depth_for_gap(gap))
         depths[anchor] = m
     return depths
 
 
-def _expand(intervals: Iterable[Interval], tails: Iterable[ParityTail],
-            depths: dict[str, int]):
-    """Split a set into finite intervals inside the core region plus
-    residual flags; flag (anchor, parity) means "all blocks n >= depth with
-    that parity are present".  The intervals need not be normalized."""
-    flags = {(a, p): False for a in depths for p in (EVEN, ODD)}
-    raw: list[Interval] = []
-    for t in tails:
-        M = depths[t.anchor]
-        n = t.start
-        while n < M:
-            raw.append(_block(t.anchor, n))
-            n += 2
-        flags[(t.anchor, t.parity)] = True
-    raw.extend(intervals)
-    ivs: list[Interval] = []
-    for iv in raw:
-        # a component reaching an anchor covers that anchor's whole
-        # residual zone (block D_0 / I_0 of an expanded tail included)
-        lo, hi = iv.lo, iv.hi
-        if AT_ONE in depths and hi == ONE:
-            flags[(AT_ONE, EVEN)] = flags[(AT_ONE, ODD)] = True
-            hi = ONE - _half(depths[AT_ONE])
-        if AT_ZERO in depths and lo == ZERO:
-            flags[(AT_ZERO, EVEN)] = flags[(AT_ZERO, ODD)] = True
-            lo = _half(depths[AT_ZERO])
-        if lo < hi:
-            ivs.append(Interval(lo, hi))
-    return _sweep(ivs), flags
+def _interleave(a: list[Interval], b: list[Interval]) -> list[Interval]:
+    """Sorted merge of two sorted runs whose intervals neither overlap nor
+    touch one another."""
+    if not a or not b:
+        return a or b
+    if a[-1].hi < b[0].lo:
+        return a + b
+    if b[-1].hi < a[0].lo:
+        return b + a
+    out: list[Interval] = []
+    i = 0
+    for iv in b:
+        while i < len(a) and a[i].lo < iv.lo:
+            out.append(a[i])
+            i += 1
+        out.append(iv)
+    out.extend(a[i:])
+    return out
 
 
-def _residual_interval(anchor: str, m: int) -> Interval:
+def _expand(S: "IntervalSet", depths: dict[str, int]):
+    """A normalized set as sorted intervals inside the core region plus
+    residual flags: ``flags[anchor][parity]`` says that every block n >=
+    depth of that parity lies in the set.  Tail blocks are listed only
+    below the depth, and the components are reused as they are."""
+    flags = {anchor: [False, False] for anchor in depths}
+    ivs = list(S.intervals)
+    for t in S.tails:
+        flags[t.anchor][t.parity] = True
+        blocks = [_block(t.anchor, n)
+                  for n in range(t.start, depths[t.anchor], 2)]
+        if t.anchor == AT_ZERO:
+            blocks.reverse()
+        ivs = _interleave(ivs, blocks)
+    # a piece reaching an anchor covers that anchor's whole residual zone;
+    # block I_0 / D_0 of the other anchor's tail does too
+    if ivs and AT_ONE in depths and _same(ivs[-1].hi, ONE):
+        flags[AT_ONE] = [True, True]
+        ivs[-1] = Interval(ivs[-1].lo, _block(AT_ONE, depths[AT_ONE]).lo)
+    if ivs and AT_ZERO in depths and _same(ivs[0].lo, ZERO):
+        flags[AT_ZERO] = [True, True]
+        ivs[0] = Interval(_block(AT_ZERO, depths[AT_ZERO]).hi, ivs[0].hi)
+    return ivs, flags
+
+
+def _settle(ivs: list[Interval], anchor: str, start: int) -> int:
+    """Canonical start of a tail whose blocks from `start` on lie in the
+    set beyond every component of `ivs`, which is edited in place.
+
+    A component touching the first block takes that block in, and the
+    tail starts two blocks later; otherwise components that are exactly
+    the blocks start-2, start-4, ... join the tail.  Only the components
+    at the anchor end of the list are read, and block identity is decided
+    from integer fields."""
     if anchor == AT_ONE:
-        return Interval(ONE - _half(m), ONE)
-    return Interval(ZERO, _half(m))
-
-
-def _adjust_tail(ivs: list[Interval], anchor: str, start: int):
-    """Canonicalize the boundary between finite components and a tail:
-    absorb exact isolated predecessor blocks into the tail, and push the
-    first block out into any finite component adjacent to it."""
-    changed = True
-    while changed:
-        changed = False
-        while start >= 2:
-            blk = _block(anchor, start - 2)
-            hit = None
-            for i, iv in enumerate(ivs):
-                if iv.lo == blk.lo and iv.hi == blk.hi:
-                    hit = i
-                    break
-            if hit is None:
+        first = _block(AT_ONE, start)
+        if ivs and _same(ivs[-1].hi, first.lo):
+            ivs[-1] = Interval(ivs[-1].lo, first.hi)
+            return start + 2
+        i = len(ivs)
+        while start >= 2 and i:
+            blk = _block(AT_ONE, start - 2)
+            while i and ivs[i - 1].lo >= blk.hi:  # inside block start - 1
+                i -= 1
+            if not (i and _same(ivs[i - 1].lo, blk.lo)
+                    and _same(ivs[i - 1].hi, blk.hi)):
                 break
-            del ivs[hit]
+            i -= 1
+            del ivs[i]
             start -= 2
-            changed = True
-        blk = _block(anchor, start)
-        adjacent = any(iv.hi == blk.lo or iv.lo == blk.hi for iv in ivs)
-        if adjacent:
-            ivs.append(blk)
-            ivs = _sweep(ivs)
-            start += 2
-            changed = True
-    return ivs, start
+        return start
+    first = _block(AT_ZERO, start)
+    if ivs and _same(ivs[0].lo, first.hi):
+        ivs[0] = Interval(first.lo, ivs[0].hi)
+        return start + 2
+    i = 0
+    while start >= 2 and i < len(ivs):
+        blk = _block(AT_ZERO, start - 2)
+        while i < len(ivs) and ivs[i].hi <= blk.lo:  # inside block start - 1
+            i += 1
+        if not (i < len(ivs) and _same(ivs[i].lo, blk.lo)
+                and _same(ivs[i].hi, blk.hi)):
+            break
+        del ivs[i]
+        start -= 2
+    return start
 
 
-def _collapse(ivs: list[Interval], flags, depths: dict[str, int]) -> "IntervalSet":
-    extra: list[Interval] = []
-    pending: list[tuple[str, int, int]] = []
-    for anchor, m in depths.items():
-        e, o = flags[(anchor, EVEN)], flags[(anchor, ODD)]
-        if e and o:
-            extra.append(_residual_interval(anchor, m))
-        elif e or o:
-            parity = EVEN if e else ODD
-            start = m if m % 2 == parity else m + 1
-            pending.append((anchor, start, parity))
-    ivs = _sweep(list(ivs) + extra)
+def _collapse(ivs: list[Interval], flags,
+              depths: dict[str, int]) -> "IntervalSet":
+    """Normal form of sorted, normalized core intervals (edited in place)
+    plus the residual zones the flags mark."""
+    for anchor, (even, odd) in flags.items():
+        if even and odd:
+            if anchor == AT_ONE:
+                edge = _block(AT_ONE, depths[AT_ONE]).lo
+                if ivs and _same(ivs[-1].hi, edge):
+                    ivs[-1] = Interval(ivs[-1].lo, ONE)
+                else:
+                    ivs.append(Interval(edge, ONE))
+            else:
+                edge = _block(AT_ZERO, depths[AT_ZERO]).hi
+                if ivs and _same(ivs[0].lo, edge):
+                    ivs[0] = Interval(ZERO, ivs[0].hi)
+                else:
+                    ivs.insert(0, Interval(ZERO, edge))
     tails = []
-    for anchor, start, parity in pending:
-        ivs, start = _adjust_tail(ivs, anchor, start)
-        tails.append(ParityTail(anchor, start, parity))
+    for anchor, (even, odd) in flags.items():
+        if even != odd:
+            parity = ODD if odd else EVEN
+            m = depths[anchor]
+            start = m if m % 2 == parity else m + 1
+            tails.append(ParityTail(anchor, _settle(ivs, anchor, start),
+                                    parity))
     return IntervalSet(tuple(ivs), frozenset(tails))
 
 
@@ -311,12 +383,12 @@ class IntervalSet:
 
     def __init__(self, intervals: tuple[Interval, ...] = (),
                  tails: frozenset[ParityTail] = frozenset()):
-        anchors = [t.anchor for t in tails]
-        if len(anchors) != len(set(anchors)):
+        if len(tails) > 1 and len({t.anchor for t in tails}) < len(tails):
             raise RepresentationOverflowError(
                 "more than one parity tail per anchor in normal form")
-        self.intervals = tuple(intervals)
-        self.tails = frozenset(tails)
+        self.intervals = (intervals if type(intervals) is tuple
+                          else tuple(intervals))
+        self.tails = tails if type(tails) is frozenset else frozenset(tails)
 
     # -- construction ---------------------------------------------------
 
@@ -329,11 +401,11 @@ class IntervalSet:
                 raise ValueError(f"interval {iv.to_text()} outside [0,1)")
             if not iv.lo < iv.hi:
                 raise ValueError(f"empty or inverted interval {iv.to_text()}")
-        tails = list(tails)
-        if not tails:
-            return cls(tuple(_sweep(ivs)))
-        depths = _depths_for([(ivs, tails)], {t.anchor for t in tails})
-        return _collapse(*_expand(ivs, tails, depths), depths)
+        S = cls(tuple(_sweep(ivs)))
+        for t in tails:
+            # a lone tail is in normal form
+            S = S._combine(cls((), frozenset((t,))), _UNION)
+        return S
 
     def _anchors(self) -> set[str]:
         return {t.anchor for t in self.tails}
@@ -384,13 +456,13 @@ class IntervalSet:
         if not (self.tails or other.tails):
             return IntervalSet(tuple(_merge(self.intervals, other.intervals,
                                             keep)))
-        depths = _depths_for([(self.intervals, self.tails),
-                              (other.intervals, other.tails)],
+        depths = _depths_for((self, other),
                              self._anchors() | other._anchors())
-        ia, fa = _expand(self.intervals, self.tails, depths)
-        ib, fb = _expand(other.intervals, other.tails, depths)
-        fl = {k: keep[2 * fa[k] + fb[k]] for k in fa}
-        return _collapse(_merge(ia, ib, keep), fl, depths)
+        ia, fa = _expand(self, depths)
+        ib, fb = _expand(other, depths)
+        flags = {a: [keep[2 * x + y] for x, y in zip(fa[a], fb[a])]
+                 for a in depths}
+        return _collapse(_merge(ia, ib, keep), flags, depths)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return self._combine(other, _UNION)

@@ -296,11 +296,14 @@ class Scalar:
     # -- text form -----------------------------------------------------
 
     def to_text(self) -> str:
+        """``p``, ``p+q*alpha`` or ``p-|q|*alpha``, each part written as
+        ``str`` writes a ``Fraction``."""
+        p = _ratio_text(self.n, self.d)
         if self.m == 0:
-            return str(self.p)
+            return p
         if self.m < 0:
-            return f"{self.p}-{-self.q}*alpha"
-        return f"{self.p}+{self.q}*alpha"
+            return f"{p}-{_ratio_text(-self.m, self.d)}*alpha"
+        return f"{p}+{_ratio_text(self.m, self.d)}*alpha"
 
     def __repr__(self) -> str:
         return f"Scalar({self.to_text()!r})"
@@ -322,6 +325,12 @@ def _make(n: int, m: int, d: int, tag: Optional[IrrationalTag]) -> Scalar:
     s.d = d
     s.tag = tag if m else None
     return s
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _coerce(x) -> Scalar:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .dynamics import SetLike, Transformation
-from .errors import InvalidInputError
+from .errors import ErgolabError, InvalidInputError
 from .scalars import Scalar, render
 
 DEFAULT_COMPONENT_BUDGET = 1 << 16
@@ -83,7 +83,11 @@ class CheckReport:
 def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
              n_max: int, stall_window: Optional[int] = None,
              component_budget: int = DEFAULT_COMPONENT_BUDGET) -> SplinterDecomposition:
-    """Run the splinter recursion until convergence, stall or budget."""
+    """Run the splinter recursion until convergence, stall or budget.
+
+    An error that ends the run after it started carries the steps completed
+    so far as its ``decomposition`` attribute.
+    """
     mu1, mu2 = J1.measure(), J2.measure()
     if mu1 != mu2:
         raise InvalidInputError(
@@ -95,45 +99,49 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     window = stall_window if stall_window is not None else T.stall_window()
 
     d = SplinterDecomposition(T, J1, J2, epsilon, n_max)
-    covered = J2.subtract(J2)  # empty of the right kind
-    avail = J2                 # J2 minus the splinters so far
-    B = J1
-    flat = 0  # consecutive steps with empty A and unchanged mu(B)
-    prev_mb: Optional[Scalar] = None
-    for n in range(1, n_max + 1):
-        pre = T.preimage(B)
-        A_n = pre.intersect(avail)
-        B = pre.subtract(A_n)
-        covered = covered.union(A_n)
-        avail = J2.subtract(covered)
-        ma, mb, mc = A_n.measure(), B.measure(), covered.measure()
-        d.splinters.append(A_n)
-        d.residuals.append(B)
-        d.covered = covered
-        d.trace.append(StepRecord(n, ma, mb, B.component_count(), mc))
-        # exact invariants of the construction, asserted at every step
-        if mb != avail.measure():
-            raise AssertionError(f"residual identity violated at step {n}")
-        if mc + mb != mu1:
-            raise AssertionError(f"mass conservation violated at step {n}")
-        if not A_n.subtract(J2).is_empty():
-            raise AssertionError(f"splinter escaped J2 at step {n}")
-        if mb < epsilon:
-            d.status = CONVERGED
-            break
-        if prev_mb is not None and mb == prev_mb and A_n.is_empty():
-            flat += 1
+    try:
+        covered = J2.subtract(J2)  # empty of the right kind
+        avail = J2                 # J2 minus the splinters so far
+        B = J1
+        flat = 0  # consecutive steps with empty A and unchanged mu(B)
+        prev_mb: Optional[Scalar] = None
+        for n in range(1, n_max + 1):
+            pre = T.preimage(B)
+            A_n = pre.intersect(avail)
+            B = pre.subtract(A_n)
+            covered = covered.union(A_n)
+            avail = J2.subtract(covered)
+            ma, mb, mc = A_n.measure(), B.measure(), covered.measure()
+            d.splinters.append(A_n)
+            d.residuals.append(B)
+            d.covered = covered
+            d.trace.append(StepRecord(n, ma, mb, B.component_count(), mc))
+            # exact invariants of the construction, asserted at every step
+            if mb != avail.measure():
+                raise AssertionError(f"residual identity violated at step {n}")
+            if mc + mb != mu1:
+                raise AssertionError(f"mass conservation violated at step {n}")
+            if not A_n.subtract(J2).is_empty():
+                raise AssertionError(f"splinter escaped J2 at step {n}")
+            if mb < epsilon:
+                d.status = CONVERGED
+                break
+            if prev_mb is not None and mb == prev_mb and A_n.is_empty():
+                flat += 1
+            else:
+                flat = 0
+            prev_mb = mb
+            if flat >= window:
+                d.status = STALLED
+                break
+            if B.component_count() > component_budget:
+                d.status = BUDGET_EXHAUSTED
+                break
         else:
-            flat = 0
-        prev_mb = mb
-        if flat >= window:
-            d.status = STALLED
-            break
-        if B.component_count() > component_budget:
             d.status = BUDGET_EXHAUSTED
-            break
-    else:
-        d.status = BUDGET_EXHAUSTED
+    except (ErgolabError, AssertionError) as exc:
+        exc.decomposition = d
+        raise
     return d
 
 

@@ -171,6 +171,14 @@ class TestExitCodes:
         assert trace.summary["status"] == status
         assert trace.summary["error"]
 
+    def test_run_keeps_completed_steps(self):
+        # step 1 completes; the preimage in step 2 leaves the class
+        trace, code = run(parse_config(OVERFLOW_CFG))
+        assert code == 4
+        assert trace.summary["status"] == "left-representation-class"
+        assert [r["step"] for r in trace.records] == [1]
+        assert trace.records[0]["measure_B_n"] == "1/4"
+
     @pytest.mark.parametrize("text, code, message", [
         (OVERFLOW_CFG, 4, "left representation class: preimage of an "
                           "at-one tail accumulates at 1/2"),

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab.dynamics import (A_SET, KakutaniTower, TowerSet,
+                              odometer_image, odometer_preimage)
 from ergolab.errors import (RepresentationOverflowError,
                             UnsupportedRepresentationError)
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, IntervalSet,
@@ -64,6 +66,36 @@ class TestNormalization:
         merged = tail.union(IntervalSet.build([block_one(2)]))
         assert merged.equals(make_set([], [ParityTail(AT_ONE, 2, "even")]))
 
+    def test_first_block_joins_touching_component(self):
+        # the preimage piece 5/8 + alpha/4 .. 7/8 touches I_3, the first
+        # block of the odd tail: I_3 joins it and the tail starts at I_5,
+        # so the block I_1 (the image of D_1) stays a component; written
+        # out directly, the same set has the same normal form
+        quarter_alpha = Scalar(0, F(1, 4), GOLDEN)
+        for hi, want in ((F(1, 4), "5/8+1/4*alpha..15/16, tail(one, 5, odd)"),
+                         (F(1, 2), "1/2..3/4, 5/8+1/4*alpha..15/16, "
+                                   "tail(one, 5, odd)")):
+            S = make_set([(quarter_alpha, hi)],
+                         [ParityTail(AT_ZERO, 3, "odd")])
+            pre = odometer_preimage(S)
+            assert pre.to_text() == want
+            assert _is_normal(pre)
+            assert from_text(want, GOLDEN) == pre
+            assert odometer_image(pre) == S
+        text = "5/8+1/4*alpha..7/8, 1/2..3/4, tail(one, 3, odd)"
+        assert from_text(text, GOLDEN).to_text() == (
+            "1/2..3/4, 5/8+1/4*alpha..15/16, tail(one, 5, odd)")
+        # the mirror case at zero, through the forward image
+        for lo, want in ((F(3, 4), "1/16..0+1/4*alpha, tail(zero, 5, odd)"),
+                         (F(1, 2), "1/16..0+1/4*alpha, 1/4..1/2, "
+                                   "tail(zero, 5, odd)")):
+            S = make_set([(lo, Scalar(F(5, 8), F(1, 4), GOLDEN))],
+                         [ParityTail(AT_ONE, 3, "odd")])
+            img = odometer_image(S)
+            assert img.to_text() == want
+            assert _is_normal(img)
+            assert odometer_preimage(img) == S
+
     def test_block_helpers(self):
         assert block_one(1).to_text() == "1/2..3/4"
         assert block_zero(1).to_text() == "1/4..1/2"
@@ -78,10 +110,12 @@ class TestNormalization:
         assert left == right and hash(left) == hash(right)
 
     def test_too_many_tails_rejected(self):
-        probe = frozenset({ParityTail(AT_ONE, 0, "even"),
-                           ParityTail(AT_ONE, 2, "even")})
-        with pytest.raises(RepresentationOverflowError):
-            IntervalSet((), probe)
+        first = ParityTail(AT_ONE, 0, "even")
+        for second in (ParityTail(AT_ONE, 2, "even"),
+                       ParityTail(AT_ONE, 1, "odd")):
+            for container in (frozenset, list, tuple):
+                with pytest.raises(RepresentationOverflowError):
+                    IntervalSet((), container([first, second]))
 
 
 class TestBooleanLaws:
@@ -131,11 +165,12 @@ def _contains(S, x):
     return False
 
 
-def _sample_points(*sets, tail_blocks=30):
-    """Midpoints between consecutive breakpoints of the operands, and points
-    inside the first blocks of every tail anchor they use."""
-    cuts = {Scalar(0), Scalar(1)}
-    anchors = set()
+def _sample_points(*sets, anchors=(), extra=(), tail_blocks=30):
+    """Midpoints between consecutive breakpoints of the operands and the
+    `extra` cuts, and points inside the first blocks of every tail anchor
+    they use and of `anchors`."""
+    cuts = {Scalar(0), Scalar(1)} | set(extra)
+    anchors = set(anchors)
     for S in sets:
         for iv in S.intervals:
             cuts |= {iv.lo, iv.hi}
@@ -145,6 +180,59 @@ def _sample_points(*sets, tail_blocks=30):
             cuts |= {_block(anchor, n).lo, _block(anchor, n).hi}
     cuts = sorted(cuts)
     return [(lo + hi) / Scalar(2) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _is_normal(S, blocks=64):
+    """Normal-form checker, independent of the set kernel: components
+    sorted, disjoint and non-adjacent; at most one tail per anchor; each
+    tail maximally extended (block start-2 is not a component); no
+    component overlaps or touches a tail block (so none touches the first
+    one); checked over the first `blocks` blocks of each tail."""
+    ivs = S.intervals
+    if not all(iv.lo < iv.hi for iv in ivs):
+        return False
+    if not all(a.hi < b.lo for a, b in zip(ivs, ivs[1:])):
+        return False
+    if len({t.anchor for t in S.tails}) != len(S.tails):
+        return False
+    for t in S.tails:
+        if t.start >= 2:
+            prev = _block(t.anchor, t.start - 2)
+            if any(iv.lo == prev.lo and iv.hi == prev.hi for iv in ivs):
+                return False
+        for n in range(t.start, t.start + blocks, 2):
+            blk = _block(t.anchor, n)
+            if any(iv.lo <= blk.hi and blk.lo <= iv.hi for iv in ivs):
+                return False
+    return True
+
+
+def _block_index(anchor, x):
+    """The n with x in block n of `anchor` (the blocks cover [0, 1) at
+    one and (0, 1) at zero)."""
+    assert Scalar(0) <= x < Scalar(1) and (x > Scalar(0) or anchor == AT_ONE)
+    n = 0
+    while not _block(anchor, n).lo <= x < _block(anchor, n).hi:
+        n += 1
+    return n
+
+
+def _odometer(x):
+    """The adding-machine primitive: I_n onto D_n by x - 1 + 3 * 2**-(n+1)."""
+    return x - Scalar(1) + Scalar(F(3, 2 << _block_index(AT_ONE, x)))
+
+
+def _odometer_inverse(y):
+    return y + Scalar(1) - Scalar(F(3, 2 << _block_index(AT_ZERO, y)))
+
+
+def _with_tail(seed, anchor):
+    """A seeded finite set, with a seeded tail at `anchor` for odd seeds."""
+    S = random_interval_set(seed, allow_tails=False)
+    if seed % 2:
+        parity = "odd" if seed % 4 == 1 else "even"
+        S = S.union(make_set([], [ParityTail(anchor, seed % 7, parity)]))
+    return S
 
 
 class TestPointwise:
@@ -164,11 +252,57 @@ class TestPointwise:
                    "complement": (a.complement(), lambda x, y: not x)}
             points = _sample_points(a, b)
             for name, (result, truth) in ops.items():
+                assert _is_normal(result), f"{name}: {result.to_text()}"
                 for x in points:
                     want = truth(_contains(a, x), _contains(b, x))
                     assert _contains(result, x) == want, (
                         f"{name} of {a.to_text()} and {b.to_text()} at "
                         f"{x.to_text()}")
+
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_odometer_maps_match_the_pointwise_map(self, seed):
+        # x in T^-1 S  <=>  T(x) in S,  and  y in T(S)  <=>  T^-1(y) in S
+        S = _with_tail(seed, AT_ZERO)
+        pre = odometer_preimage(S)
+        assert _is_normal(pre), pre.to_text()
+        cuts = [_odometer_inverse(e) for iv in S.intervals
+                for e in (iv.lo, iv.hi) if Scalar(0) < e < Scalar(1)]
+        for x in _sample_points(pre, anchors=(AT_ONE,), extra=cuts):
+            assert _contains(pre, x) == _contains(S, _odometer(x)), (
+                f"T^-1 of {S.to_text()} at {x.to_text()}")
+        S = _with_tail(seed, AT_ONE)
+        img = odometer_image(S)
+        assert _is_normal(img), img.to_text()
+        cuts = [_odometer(e) for iv in S.intervals for e in (iv.lo, iv.hi)
+                if e < Scalar(1)]
+        for y in _sample_points(img, anchors=(AT_ZERO,), extra=cuts):
+            assert _contains(img, y) == _contains(S, _odometer_inverse(y)), (
+                f"T of {S.to_text()} at {y.to_text()}")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kakutani_preimage_matches_the_pointwise_map(self, seed):
+        # the tower map: a base point in A climbs to its copy on the top
+        # floor, any other point goes to the odometer image in the base
+        S = TowerSet(_with_tail(seed, AT_ZERO),
+                     random_interval_set(seed + 50, allow_tails=False,
+                                         allow_empty=True).intersect(A_SET))
+        pre = KakutaniTower().preimage(S)
+        assert _is_normal(pre.base) and _is_normal(pre.top), pre.to_text()
+        cuts = [_odometer_inverse(e) for part in (S.base, S.top)
+                for iv in part.intervals for e in (iv.lo, iv.hi)
+                if Scalar(0) < e < Scalar(1)]
+        points = _sample_points(S.base, S.top, pre.base, pre.top,
+                                anchors=(AT_ONE, AT_ZERO), extra=cuts)
+        for x in points:
+            in_a = _contains(A_SET, x)
+            image = (_contains(S.top, x) if in_a
+                     else _contains(S.base, _odometer(x)))
+            assert _contains(pre.base, x) == image, (
+                f"base of T^-1 of {S.to_text()} at {x.to_text()}")
+            on_top = in_a and _contains(S.base, _odometer(x))
+            assert _contains(pre.top, x) == on_top, (
+                f"top of T^-1 of {S.to_text()} at {x.to_text()}")
 
 
 class TestMeasure:

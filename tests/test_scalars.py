@@ -237,8 +237,28 @@ class TestRendering:
         assert Scalar(Fraction(1, 8)).to_decimal(2) == "0.12"
 
     def test_text_round_trip(self):
-        for text in ("3/4", "1/2+1*alpha", "1/2-2/3*alpha", "0", "-1/4"):
+        for text in ("3/4", "1/2+1*alpha", "1/2-2/3*alpha", "0", "-1/4",
+                     "3/4-3/2*alpha", "5", "-1/2", "-5+1/3*alpha"):
             assert parse_scalar(text, GOLDEN).to_text() == text
+
+    def test_text_builds_no_fraction(self, monkeypatch):
+        values = [gold(Fraction(3, 4), Fraction(-3, 2)), Scalar(5),
+                  Scalar(Fraction(-1, 2)), Scalar(0, 1, SQRT2M1), ZERO]
+        expected = [x.to_text() for x in values]
+        calls = 0
+        build = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        texts = [x.to_text() for x in values]
+        monkeypatch.undo()
+        assert calls == 0
+        assert texts == expected == ["3/4-3/2*alpha", "5", "-1/2",
+                                     "0+1*alpha", "0"]
 
     @pytest.mark.parametrize("text, p, q", [
         ("alpha", 0, 1), ("-alpha", 0, -1), ("1-alpha", 1, -1),

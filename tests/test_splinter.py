@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from ergolab import fixtures
-from ergolab.dynamics import Doubling, Odometer, Rotation
-from ergolab.errors import InvalidInputError
+from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
+                              TowerSet)
+from ergolab.errors import InvalidInputError, RepresentationOverflowError
 from ergolab.intervals import from_text, make_set
 from ergolab.scalars import GOLDEN, Scalar
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
@@ -91,6 +92,18 @@ class TestStatuses:
         d = splinter(component_budget=16, **kw)
         assert d.status == BUDGET_EXHAUSTED
         assert d.trace and d.trace[-1].components_B > 16
+
+    def test_error_carries_completed_steps(self):
+        # step 1 completes; the preimage in step 2 has an at-one tail
+        kw = dict(T=KakutaniTower(),
+                  J1=TowerSet(from_text("0..1/3")),
+                  J2=TowerSet(from_text("1/3..2/3")),
+                  epsilon=Scalar(F(1, 1000)), n_max=50)
+        with pytest.raises(RepresentationOverflowError) as info:
+            splinter(**kw)
+        d = info.value.decomposition
+        assert d.depth == 1 and [r.step for r in d.trace] == [1]
+        assert d.residuals[0].measure() == Scalar(F(1, 4))
 
     def test_tower_fixtures_converge(self):
         d = splinter(**fixtures.tower_splinter_inputs())
