@@ -10,14 +10,13 @@ from .errors import (ErgolabError, IncompatibleBasisError, InvalidInputError,
 from .scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
                       get_tag, parse_scalar, render)
 from .intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval, IntervalSet,
-                        ParityTail, block_one, block_zero, from_text,
-                        make_set, truncate_tails)
+                        ParityTail, block_one, block_zero, doubling_image,
+                        doubling_preimage, from_text, make_set,
+                        odometer_image, odometer_preimage, truncate_tails)
 from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                        PreservationReport, Rotation, SetLike, TOWER_EMPTY,
-                       TOWER_FULL, TowerSet, Transformation, doubling_image,
-                       doubling_preimage, make_system, odometer_image,
-                       odometer_preimage, tower_image, tower_preimage,
-                       verify_measure_preserving)
+                       TOWER_FULL, TowerSet, Transformation, make_system,
+                       tower_image, tower_preimage, verify_measure_preserving)
 from .splinter import (BUDGET_EXHAUSTED, CONVERGED, CheckReport,
                        DEFAULT_COMPONENT_BUDGET, STALLED,
                        SplinterDecomposition, StepRecord, additivity_check,

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .dynamics import SetLike, Transformation
+from .errors import ComponentBudgetError, InvalidInputError
 from .intervals import Interval, IntervalSet
 from .scalars import ONE, Scalar
 from .splinter import (CONVERGED, CheckReport, DEFAULT_COMPONENT_BUDGET,
@@ -31,9 +32,9 @@ class MeasureBasis:
 
     def __init__(self, kind: str, bound: int):
         if kind not in ("dyadic", "arcs"):
-            raise ValueError(f"unknown basis kind {kind!r}")
+            raise InvalidInputError(f"unknown basis kind {kind!r}")
         if bound < 0 or (kind == "arcs" and bound < 1):
-            raise ValueError("basis bound out of range")
+            raise InvalidInputError("basis bound out of range")
         self.kind = kind
         self.bound = bound  # depth_max for dyadic, denominator_max for arcs
 
@@ -46,11 +47,11 @@ class MeasureBasis:
         if self.kind == "dyadic":
             den = 1 << level
             for k in range(den):
-                yield _cell(k, den)
+                yield _cell(Fraction(k, den), Fraction(k + 1, den))
         else:
             for a in range(level):
                 for b in range(a + 1, level + 1):
-                    yield _cell_frac(Fraction(a, level), Fraction(b, level))
+                    yield _cell(Fraction(a, level), Fraction(b, level))
 
     def elements(self) -> Iterator[IntervalSet]:
         for level in self.levels():
@@ -60,12 +61,7 @@ class MeasureBasis:
         return f"{self.kind}:{self.bound}"
 
 
-def _cell(k: int, den: int) -> IntervalSet:
-    return IntervalSet((Interval(Scalar(Fraction(k, den)),
-                                 Scalar(Fraction(k + 1, den))),))
-
-
-def _cell_frac(a: Fraction, b: Fraction) -> IntervalSet:
+def _cell(a: Fraction, b: Fraction) -> IntervalSet:
     return IntervalSet((Interval(Scalar(a), Scalar(b)),))
 
 
@@ -88,9 +84,9 @@ def density_search(S: IntervalSet, epsilon: Scalar,
     The inequality is strict; returns None when the basis is exhausted.
     """
     if not (Scalar(0) < epsilon < ONE):
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+        raise InvalidInputError("epsilon must lie strictly between 0 and 1")
     if S.measure().sign() <= 0:
-        raise ValueError("set must have positive measure")
+        raise InvalidInputError("set must have positive measure")
     one_minus = ONE - epsilon
     for J in basis.elements():
         if S.intersect(J).measure() > one_minus * J.measure():
@@ -107,7 +103,7 @@ def density_pair(A1: IntervalSet, A2: IntervalSet, epsilon: Scalar,
     one or both None when the depth bound is exhausted.
     """
     if A1.measure().sign() <= 0 or A2.measure().sign() <= 0:
-        raise ValueError("both sets must have positive measure")
+        raise InvalidInputError("both sets must have positive measure")
     one_minus = ONE - epsilon
     best1 = best2 = None
     for level in basis.levels():
@@ -231,10 +227,19 @@ def reduction_check(T: Transformation, B: IntervalSet, basis: MeasureBasis,
 # ---------------------------------------------------------------------
 
 def _check_budget(S: SetLike, budget: int) -> None:
-    from .errors import ComponentBudgetError
     if S.component_count() > budget:
         raise ComponentBudgetError(
             f"{S.component_count()} components exceed budget {budget}")
+
+
+def _correlations(T: Transformation, C: SetLike, D: SetLike, n: int,
+                  budget: int) -> Iterator[Scalar]:
+    """mu(T^-j C n D) for j = 1..n, one preimage per step."""
+    S = C
+    for _ in range(n):
+        S = T.preimage(S)
+        _check_budget(S, budget)
+        yield S.intersect(D).measure()
 
 
 def correlation_average(T: Transformation, C: SetLike, D: SetLike, m: int,
@@ -242,13 +247,8 @@ def correlation_average(T: Transformation, C: SetLike, D: SetLike, m: int,
     """(1/m) * sum_{j=1..m} mu(T^-j C n D), exactly."""
     if m < 1:
         raise ValueError("m must be positive")
-    S = C
-    total = Scalar(0)
-    for _ in range(m):
-        S = T.preimage(S)
-        _check_budget(S, component_budget)
-        total = total + S.intersect(D).measure()
-    return total / Scalar(m)
+    return sum(_correlations(T, C, D, m, component_budget),
+               Scalar(0)) / Scalar(m)
 
 
 def mixing_trace(T: Transformation, C: SetLike, D: SetLike, n_max: int,
@@ -259,10 +259,5 @@ def mixing_trace(T: Transformation, C: SetLike, D: SetLike, n_max: int,
     the excursions persist while the Cesaro averages still converge.
     """
     product = C.measure() * D.measure()
-    S = C
-    out = []
-    for _ in range(n_max):
-        S = T.preimage(S)
-        _check_budget(S, component_budget)
-        out.append(S.intersect(D).measure() - product)
-    return out
+    return [c - product
+            for c in _correlations(T, C, D, n_max, component_budget)]

@@ -23,12 +23,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("run", "demo-kakutani", "selftest", "emit-plot"):
         p = sub.add_parser(verb)
-        p.add_argument("--config", type=pathlib.Path,
-                       required=verb in ("run", "emit-plot"))
-        p.add_argument("--out", type=pathlib.Path, default=None,
-                       help="output directory")
-        p.add_argument("--format", choices=("csv", "structured"),
-                       default="csv")
+        if verb in ("run", "emit-plot"):
+            p.add_argument("--config", type=pathlib.Path, required=True)
+        if verb != "selftest":
+            p.add_argument("--out", type=pathlib.Path, default=None,
+                           help="output directory")
+            p.add_argument("--format", choices=("csv", "structured"),
+                           default="csv")
     return parser
 
 

@@ -4,6 +4,11 @@ All maps act on the representable set class by exact preimage/image, mod
 null sets.  The circle with normalized arc measure is modeled as [0, 1)
 with Lebesgue measure: multiplication by a unimodular constant becomes
 translation mod 1 and squaring becomes doubling mod 1.
+
+The set maps themselves live in ``intervals``, next to the kernel that
+builds their normal form: ``IntervalSet.translate_mod1``, the doubling and
+the odometer maps.  This module composes them: tower sets, the Kakutani
+map built from the odometer, and the ``Transformation`` descriptors.
 """
 
 from __future__ import annotations
@@ -12,123 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import (InvalidTowerSetError, RepresentationOverflowError,
-                     UnsupportedRepresentationError)
-from .intervals import (AT_ONE, AT_ZERO, FULL, Interval, IntervalSet,
-                        ParityTail, _block, _collapse, _depths_for, _expand,
-                        _half, _same, _sweep)
-from .scalars import ONE, Scalar, _make, get_tag
+from .errors import InvalidTowerSetError
+from .intervals import (AT_ONE, FULL, IntervalSet, ParityTail, block_one,
+                        doubling_image, doubling_preimage, odometer_image,
+                        odometer_preimage)
+from .scalars import Scalar, get_tag
 
 
 #: the Kakutani base set A = union of even-index blocks I_0, I_2, ...
 A_SET = IntervalSet.build([], [ParityTail(AT_ONE, 0, "even")])
 #: its complement, the odd-index blocks
 A_COMPLEMENT = A_SET.complement()
-
-
-# ---------------------------------------------------------------------
-# odometer primitive
-# ---------------------------------------------------------------------
-
-def _odometer_map(S: IntervalSet, src: str) -> IntervalSet:
-    """Translate each block n of anchor `src` onto block n of the other
-    anchor (I_n onto D_n is the adding-machine primitive); the residual
-    zone beyond the depth moves along as flags."""
-    dst = AT_ZERO if src == AT_ONE else AT_ONE
-    depths = _depths_for((S,), (src,))
-    m = depths[src]
-    ivs, flags = _expand(S, depths)
-    # the blocks are visited from the top of [0, 1) down; their images
-    # then come out in increasing order, each block's pieces in order
-    out: list[Interval] = []
-    j = len(ivs)        # ivs[:j] are not yet fully mapped
-    carry = False       # ivs[j - 1] continues from the block above
-    for n in range(m) if src == AT_ZERO else range(m - 1, -1, -1):
-        if not j:
-            break
-        blk = _block(src, n)
-        i = j
-        while i and ivs[i - 1].hi > blk.lo:
-            i -= 1
-        if i == j:
-            continue
-        image = _block(dst, n)
-        # x -> x - 1 + 3 * 2**-(n+1) takes I_n onto D_n, and back
-        t = _make(3 - (2 << n) if src == AT_ONE else (2 << n) - 3, 0,
-                  2 << n, None)
-        below = ivs[i].lo < blk.lo
-        for k in range(i, j):
-            iv = ivs[k]
-            lo = image.lo if k == i and below else iv.lo + t
-            hi = image.hi if k == j - 1 and carry else iv.hi + t
-            if out and _same(out[-1].hi, lo):
-                out[-1] = Interval(out[-1].lo, hi)
-            else:
-                out.append(Interval(lo, hi))
-        j, carry = (i + 1, True) if below else (i, False)
-    return _collapse(out, {dst: flags[src]}, {dst: m})
-
-
-def odometer_image(S: IntervalSet) -> IntervalSet:
-    """Exact forward image under the adding-machine primitive (mod null)."""
-    if any(t.anchor == AT_ZERO for t in S.tails):
-        raise RepresentationOverflowError(
-            "image of an at-zero tail accumulates at 1/2")
-    return _odometer_map(S, AT_ONE)
-
-
-def odometer_preimage(S: IntervalSet) -> IntervalSet:
-    """Exact preimage under the adding-machine primitive (mod null)."""
-    if any(t.anchor == AT_ONE for t in S.tails):
-        raise RepresentationOverflowError(
-            "preimage of an at-one tail accumulates at 1/2")
-    return _odometer_map(S, AT_ZERO)
-
-
-# ---------------------------------------------------------------------
-# doubling map
-# ---------------------------------------------------------------------
-
-def doubling_preimage(S: IntervalSet) -> IntervalSet:
-    """{x : 2x mod 1 in S} = S/2 union (S/2 + 1/2)."""
-    if S.tails:
-        raise UnsupportedRepresentationError("doubling does not act on tails")
-    left = []
-    right = []
-    for iv in S.intervals:
-        # x = (n + m*alpha)/d gives x/2 = (n + m*alpha)/2d and
-        # x/2 + 1/2 = (n + d + m*alpha)/2d
-        lo, hi = iv.lo, iv.hi
-        left.append(Interval(_make(lo.n, lo.m, 2 * lo.d, lo.tag),
-                             _make(hi.n, hi.m, 2 * hi.d, hi.tag)))
-        right.append(Interval(_make(lo.n + lo.d, lo.m, 2 * lo.d, lo.tag),
-                              _make(hi.n + hi.d, hi.m, 2 * hi.d, hi.tag)))
-    # both runs are sorted; only the junction can merge (left ends at 1/2
-    # only when S reached 1, right starts at 1/2 only when S reached 0)
-    if left and right and left[-1].hi == right[0].lo:
-        merged = Interval(left[-1].lo, right[0].hi)
-        ivs = left[:-1] + [merged] + right[1:]
-    else:
-        ivs = left + right
-    return IntervalSet(tuple(ivs))
-
-
-def doubling_image(S: IntervalSet) -> IntervalSet:
-    """Exact forward image 2S mod 1."""
-    if S.tails:
-        raise UnsupportedRepresentationError("doubling does not act on tails")
-    half = Scalar(Fraction(1, 2))
-    out = []
-    for iv in S.intervals:
-        for lo, hi in ((iv.lo, iv.hi if iv.hi < half else half),
-                       (iv.lo if iv.lo > half else half, iv.hi)):
-            if lo < hi:
-                two_lo = lo + lo
-                two_hi = hi + hi
-                if two_lo >= ONE:
-                    two_lo, two_hi = two_lo - ONE, two_hi - ONE
-                out.append(Interval(two_lo, two_hi))
-    return IntervalSet(tuple(_sweep(out)))
 
 
 # ---------------------------------------------------------------------
@@ -283,9 +182,6 @@ class Doubling(Transformation):
     def image(self, S: IntervalSet) -> IntervalSet:
         return doubling_image(S)
 
-    def discontinuities(self, depth: int = 0) -> list[Scalar]:
-        return []  # continuous as a circle map
-
 
 class Odometer(Transformation):
     """The adding-machine primitive; ergodic, invertible mod null."""
@@ -300,7 +196,7 @@ class Odometer(Transformation):
         return odometer_image(S)
 
     def discontinuities(self, depth: int = 0) -> list[Scalar]:
-        return [ONE - _half(n) for n in range(depth + 1)]
+        return [block_one(n).lo for n in range(depth + 1)]
 
 
 class KakutaniTower(Transformation):

@@ -69,17 +69,22 @@ class ExperimentConfig:
         eps = self.parameters.get("epsilon")
         if eps is not None and eps.sign() <= 0:
             raise ConfigError("epsilon must be positive")
-        for key in ("n_max", "m", "component_budget", "sample"):
+        for key in ("n_max", "m", "component_budget", "sample", "digits"):
             val = self.parameters.get(key)
             if val is not None and val < 1:
                 raise ConfigError(f"{key} must be positive")
+        if self.parameters.get("depth", 0) < 0:
+            raise ConfigError("depth must be >= 0")
+        basis = self.get_str("basis")
+        if basis not in ("dyadic", "arcs"):
+            raise ConfigError(f"unknown basis {basis!r}")
 
     # -- parameter access with defaults ------------------------------
-    def get_int(self, key: str, override=None):
+    def get_int(self, key: str) -> int:
         val = self.parameters.get(key, _INT_KEYS.get(key))
-        if val is None and override is None:
+        if val is None:
             raise ConfigError(f"missing required parameter {key!r}")
-        return val if val is not None else override
+        return val
 
     def opt_int(self, key: str):
         return self.parameters.get(key, _INT_KEYS.get(key))

@@ -34,6 +34,11 @@ works in three steps, each linear in the components and blocks it touches:
   "this endpoint is a block boundary" is read from integer fields: a
   component touching the first block takes it in, and components that are
   exactly the blocks below join the tail.
+
+The exact maps of the example systems live here too: rotation
+(``IntervalSet.translate_mod1``), doubling and the odometer primitive.
+Each emits sorted runs, joined at one seam (``_join``) or merged by union;
+only ``IntervalSet.build``, which takes unsorted input, sorts.
 """
 
 from __future__ import annotations
@@ -149,20 +154,23 @@ def _block(anchor: str, n: int) -> Interval:
 
 
 # ---------------------------------------------------------------------
-# finite sweep machinery (sorted, disjoint, non-adjacent interval lists)
+# sorted runs (sorted, disjoint, non-adjacent interval lists)
 # ---------------------------------------------------------------------
 
-def _sweep(intervals: Iterable[Interval]) -> list[Interval]:
-    ivs = [iv for iv in intervals if iv.lo < iv.hi]
-    ivs.sort(key=lambda iv: iv.lo)
-    out: list[Interval] = []
-    for iv in ivs:
-        if out and iv.lo <= out[-1].hi:
-            if iv.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, iv.hi)
-        else:
-            out.append(iv)
-    return out
+def _same(x: Scalar, y: Scalar) -> bool:
+    """x == y, read from the canonical integer fields (one tag assumed)."""
+    return x.n == y.n and x.d == y.d and x.m == y.m
+
+
+def _join(a: list[Interval], b: Sequence[Interval]) -> list[Interval]:
+    """The run a followed by the run b, with the two pieces that meet at
+    the seam merged; `a` is extended in place and returned."""
+    if a and b and _same(a[-1].hi, b[0].lo):
+        a[-1] = Interval(a[-1].lo, b[0].hi)
+        a.extend(b[1:])
+    else:
+        a.extend(b)
+    return a
 
 
 #: truth tables of the boolean operations, indexed by 2 * (x in a) + (x in b)
@@ -218,11 +226,6 @@ def _depth_for_gap(gap: Scalar) -> int:
     while gap.cmp(_half(m)) < 0:
         m += 1
     return m
-
-
-def _same(x: Scalar, y: Scalar) -> bool:
-    """x == y, read from the canonical integer fields (one tag assumed)."""
-    return x.n == y.n and x.d == y.d and x.m == y.m
 
 
 def _depths_for(sets: Sequence["IntervalSet"],
@@ -347,16 +350,10 @@ def _collapse(ivs: list[Interval], flags,
         if even and odd:
             if anchor == AT_ONE:
                 edge = _block(AT_ONE, depths[AT_ONE]).lo
-                if ivs and _same(ivs[-1].hi, edge):
-                    ivs[-1] = Interval(ivs[-1].lo, ONE)
-                else:
-                    ivs.append(Interval(edge, ONE))
+                ivs = _join(ivs, (Interval(edge, ONE),))
             else:
                 edge = _block(AT_ZERO, depths[AT_ZERO]).hi
-                if ivs and _same(ivs[0].lo, edge):
-                    ivs[0] = Interval(ZERO, ivs[0].hi)
-                else:
-                    ivs.insert(0, Interval(ZERO, edge))
+                ivs = _join([Interval(ZERO, edge)], ivs)
     tails = []
     for anchor, (even, odd) in flags.items():
         if even != odd:
@@ -401,7 +398,16 @@ class IntervalSet:
                 raise ValueError(f"interval {iv.to_text()} outside [0,1)")
             if not iv.lo < iv.hi:
                 raise ValueError(f"empty or inverted interval {iv.to_text()}")
-        S = cls(tuple(_sweep(ivs)))
+        # the one entry point for unsorted input: sort, then coalesce
+        ivs.sort(key=lambda iv: iv.lo)
+        out: list[Interval] = []
+        for iv in ivs:
+            if out and iv.lo <= out[-1].hi:
+                if iv.hi > out[-1].hi:
+                    out[-1] = Interval(out[-1].lo, iv.hi)
+            else:
+                out.append(iv)
+        S = cls(tuple(out))
         for t in tails:
             # a lone tail is in normal form
             S = S._combine(cls((), frozenset((t,))), _UNION)
@@ -481,20 +487,25 @@ class IntervalSet:
     # -- geometry -----------------------------------------------------------
 
     def translate_mod1(self, t: Scalar) -> "IntervalSet":
+        """The set moved by t around the circle [0, 1), as a rotation of
+        the sorted list: pieces pushed past 1 wrap to the front, and the
+        one piece that straddles 1 splits."""
         if self.tails:
             raise UnsupportedRepresentationError(
                 "translation of parity tails is not representable")
-        out: list[Interval] = []
+        t = t.mod1()
+        front: list[Interval] = []  # the pieces past 1, moved down by 1
+        back: list[Interval] = []
         for iv in self.intervals:
-            length = iv.hi - iv.lo
-            lo = (iv.lo + t).mod1()
-            hi = lo + length
-            if hi <= ONE:
-                out.append(Interval(lo, hi))
+            lo, hi = iv.lo + t, iv.hi + t
+            if front or lo >= ONE:
+                front.append(Interval(lo - ONE, hi - ONE))
+            elif hi > ONE:
+                front.append(Interval(ZERO, hi - ONE))
+                back.append(Interval(lo, ONE))
             else:
-                out.append(Interval(lo, ONE))
-                out.append(Interval(ZERO, hi - ONE))
-        return IntervalSet(tuple(_sweep(out)))
+                back.append(Interval(lo, hi))
+        return IntervalSet(tuple(_join(front, back)))
 
     # -- text form ------------------------------------------------------------
 
@@ -512,6 +523,95 @@ class IntervalSet:
 
 EMPTY = IntervalSet()
 FULL = IntervalSet((Interval(ZERO, ONE),))
+
+
+# ---------------------------------------------------------------------
+# the maps: each builds the normal form of its result from sorted runs
+# (rotation is ``IntervalSet.translate_mod1``)
+# ---------------------------------------------------------------------
+
+def doubling_preimage(S: IntervalSet) -> IntervalSet:
+    """{x : 2x mod 1 in S} = S/2 union (S/2 + 1/2)."""
+    if S.tails:
+        raise UnsupportedRepresentationError("doubling does not act on tails")
+    left = []
+    right = []
+    for iv in S.intervals:
+        # x = (n + m*alpha)/d gives x/2 = (n + m*alpha)/2d and
+        # x/2 + 1/2 = (n + d + m*alpha)/2d
+        lo, hi = iv.lo, iv.hi
+        left.append(Interval(_make(lo.n, lo.m, 2 * lo.d, lo.tag),
+                             _make(hi.n, hi.m, 2 * hi.d, hi.tag)))
+        right.append(Interval(_make(lo.n + lo.d, lo.m, 2 * lo.d, lo.tag),
+                              _make(hi.n + hi.d, hi.m, 2 * hi.d, hi.tag)))
+    # left ends at 1/2 only when S reached 1, right starts at 1/2 only when
+    # S reached 0
+    return IntervalSet(tuple(_join(left, right)))
+
+
+def doubling_image(S: IntervalSet) -> IntervalSet:
+    """Exact forward image 2S mod 1: the doubled parts of S below and above
+    1/2 are two sorted runs, combined by union."""
+    if S.tails:
+        raise UnsupportedRepresentationError("doubling does not act on tails")
+    half = _half(1)
+    low = [Interval(iv.lo + iv.lo, min(iv.hi, half) * 2)
+           for iv in S.intervals if iv.lo < half]
+    high = [Interval(max(iv.lo, half) * 2 - ONE, iv.hi + iv.hi - ONE)
+            for iv in S.intervals if iv.hi > half]
+    return IntervalSet(tuple(_merge(low, high, _UNION)))
+
+
+def _odometer_map(S: IntervalSet, src: str) -> IntervalSet:
+    """Translate each block n of anchor `src` onto block n of the other
+    anchor (I_n onto D_n is the adding-machine primitive); the residual
+    zone beyond the depth moves along as flags."""
+    dst = AT_ZERO if src == AT_ONE else AT_ONE
+    depths = _depths_for((S,), (src,))
+    m = depths[src]
+    ivs, flags = _expand(S, depths)
+    # the blocks are visited from the top of [0, 1) down; their images
+    # then come out in increasing order, each block's pieces in order
+    out: list[Interval] = []
+    j = len(ivs)        # ivs[:j] are not yet fully mapped
+    carry = False       # ivs[j - 1] continues from the block above
+    for n in range(m) if src == AT_ZERO else range(m - 1, -1, -1):
+        if not j:
+            break
+        blk = _block(src, n)
+        i = j
+        while i and ivs[i - 1].hi > blk.lo:
+            i -= 1
+        if i == j:
+            continue
+        image = _block(dst, n)
+        # x -> x - 1 + 3 * 2**-(n+1) takes I_n onto D_n, and back
+        t = _make(3 - (2 << n) if src == AT_ONE else (2 << n) - 3, 0,
+                  2 << n, None)
+        below = ivs[i].lo < blk.lo
+        for k in range(i, j):
+            iv = ivs[k]
+            lo = image.lo if k == i and below else iv.lo + t
+            hi = image.hi if k == j - 1 and carry else iv.hi + t
+            _join(out, (Interval(lo, hi),))
+        j, carry = (i + 1, True) if below else (i, False)
+    return _collapse(out, {dst: flags[src]}, {dst: m})
+
+
+def odometer_image(S: IntervalSet) -> IntervalSet:
+    """Exact forward image under the adding-machine primitive (mod null)."""
+    if any(t.anchor == AT_ZERO for t in S.tails):
+        raise RepresentationOverflowError(
+            "image of an at-zero tail accumulates at 1/2")
+    return _odometer_map(S, AT_ONE)
+
+
+def odometer_preimage(S: IntervalSet) -> IntervalSet:
+    """Exact preimage under the adding-machine primitive (mod null)."""
+    if any(t.anchor == AT_ONE for t in S.tails):
+        raise RepresentationOverflowError(
+            "preimage of an at-one tail accumulates at 1/2")
+    return _odometer_map(S, AT_ZERO)
 
 
 def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> IntervalSet:

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.caratheodory import (arcs_basis, correlation_average,
-                                  density_pair, density_search, dyadic_basis,
-                                  gap_theta, invariance_check, mixing_trace,
+from ergolab.caratheodory import (MeasureBasis, arcs_basis,
+                                  correlation_average, density_pair,
+                                  density_search, dyadic_basis, gap_theta,
+                                  invariance_check, mixing_trace,
                                   reduction_check)
 from ergolab.dynamics import Doubling, Odometer, Rotation, make_system
+from ergolab.errors import InvalidInputError
 from ergolab.fixtures import RATIONAL_THIRD_INVARIANT
 from ergolab.intervals import FULL, make_set
 from ergolab.scalars import ONE, Scalar
@@ -41,10 +43,13 @@ class TestBases:
         assert len(list(arcs_basis(3).elements())) == 10
 
     def test_bad_parameters(self):
-        with pytest.raises(ValueError):
+        # InvalidInputError is a ValueError
+        with pytest.raises(InvalidInputError):
             dyadic_basis(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             arcs_basis(0)
+        with pytest.raises(InvalidInputError):
+            MeasureBasis("dyadc", 3)
 
 
 class TestDensity:
@@ -66,8 +71,16 @@ class TestDensity:
         assert J1.measure() == J2.measure()
 
     def test_positive_measure_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             density_search(make_set([]), Scalar(F(1, 10)), dyadic_basis(3))
+        with pytest.raises(InvalidInputError):
+            density_pair(make_set([(F(0), F(1, 2))]), make_set([]),
+                         Scalar(F(1, 10)), dyadic_basis(3))
+
+    def test_epsilon_below_one_required(self):
+        with pytest.raises(InvalidInputError):
+            density_search(make_set([(F(0), F(1, 2))]), Scalar(2),
+                           dyadic_basis(3))
 
 
 class TestGapTheta:

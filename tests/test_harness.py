@@ -59,6 +59,14 @@ set.J1 = 0..1/4, tail(one, 2, even)
 set.J2 = 1/2..3/4
 """
 
+# density needs 0 < epsilon < 1
+DENSITY_EPSILON_CFG = """\
+command = density
+system = doubling
+epsilon = 2
+set.S = 0..1/2
+"""
+
 
 class TestConfigFormat:
     def test_round_trip_is_byte_exact(self):
@@ -193,9 +201,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == [message]
 
+    @pytest.mark.parametrize("text, message", [
+        (GAP_CFG + "basis = dyadc\n", "config error: unknown basis 'dyadc'"),
+        (GAP_CFG.replace("depth = 3", "depth = -1"),
+         "config error: depth must be >= 0"),
+        (GAP_CFG + "digits = 0\n", "config error: digits must be positive"),
+        (DENSITY_EPSILON_CFG,
+         "invalid input: epsilon must lie strictly between 0 and 1"),
+    ], ids=["basis", "depth", "digits", "density-epsilon"])
+    def test_cli_rejects_unusable_value(self, tmp_path, capsys, text,
+                                        message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_seed_flag_removed(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--config", "exp.cfg", "--seed", "1"])
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest", "--config", "exp.cfg"],
+        ["selftest", "--out", "out"],
+        ["selftest", "--format", "csv"],
+        ["demo-kakutani", "--config", "exp.cfg"],
+    ], ids=["selftest-config", "selftest-out", "selftest-format",
+            "demo-kakutani-config"])
+    def test_unread_flag_removed(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
 
 
 class TestDemo:

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+no module reaches into the private kernel of ``intervals``."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,19 @@ def unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert unused_imports(tree) == []
+
+
+def private_interval_imports(tree: ast.Module) -> list[str]:
+    return sorted(f"{alias.name} (line {node.lineno})"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module == "ergolab.intervals"
+                       or (node.level == 1 and node.module == "intervals"))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_interval_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert private_interval_imports(tree) == []

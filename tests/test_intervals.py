@@ -12,7 +12,8 @@ from ergolab.errors import (RepresentationOverflowError,
                             UnsupportedRepresentationError)
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, IntervalSet,
                                ParityTail, _depth_for_gap, block_one,
-                               block_zero, from_text, make_set, truncate_tails)
+                               block_zero, doubling_image, doubling_preimage,
+                               from_text, make_set, truncate_tails)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar
 
@@ -304,6 +305,61 @@ class TestPointwise:
             assert _contains(pre.top, x) == on_top, (
                 f"top of T^-1 of {S.to_text()} at {x.to_text()}")
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_translate_mod1_matches_the_pointwise_map(self, seed):
+        # y in S + t  <=>  (y - t) mod 1 in S
+        alpha = Scalar(0, 1, GOLDEN)
+        # components at both 0 and 1: they meet at the seam of the rotation
+        seam = make_set([(F(0), F(1, 8)), (F(3, 4), F(1))])
+        assert seam.translate_mod1(Scalar(F(1, 8))).to_text() == (
+            "0..1/4, 7/8..1")
+        assert seam.translate_mod1(Scalar(F(-1, 4))).to_text() == "1/2..7/8"
+        assert FULL.translate_mod1(alpha) == FULL
+        sets = (random_interval_set(seed, allow_tails=False),
+                random_offset_set(seed, alpha), seam, FULL)
+        shifts = (Scalar(F(1, 8)), Scalar(F(-5, 8)), Scalar(F(seed, 7)),
+                  alpha, -alpha, alpha * Scalar(seed + 2))
+        for S in sets:
+            for t in shifts:
+                moved = S.translate_mod1(t)
+                assert _is_normal(moved), moved.to_text()
+                cuts = [(e + t).mod1() for iv in S.intervals
+                        for e in (iv.lo, iv.hi)]
+                for y in _sample_points(moved, extra=cuts):
+                    assert _contains(moved, y) == _contains(
+                        S, (y - t).mod1()), (
+                        f"{S.to_text()} + {t.to_text()} at {y.to_text()}")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_doubling_maps_match_the_pointwise_map(self, seed):
+        # x in T^-1 S  <=>  2x mod 1 in S,  and
+        # y in T(S)  <=>  y/2 in S or (y + 1)/2 in S
+        alpha = Scalar(0, 1, GOLDEN)
+        half = Scalar(F(1, 2))
+        assert doubling_image(make_set([(F(1, 4), F(3, 4))])) == FULL
+        assert doubling_preimage(make_set([(F(0), F(1, 8)),
+                                           (F(3, 4), F(1))])).to_text() == (
+            "0..1/16, 3/8..9/16, 7/8..1")
+        for S in (random_interval_set(seed, allow_tails=False),
+                  random_offset_set(seed, alpha),
+                  make_set([(F(0), F(1, 8)), (F(3, 4), F(1))]), FULL):
+            pre = doubling_preimage(S)
+            assert _is_normal(pre), pre.to_text()
+            cuts = [e * half + s for iv in S.intervals
+                    for e in (iv.lo, iv.hi) for s in (Scalar(0), half)]
+            for x in _sample_points(pre, extra=cuts):
+                assert _contains(pre, x) == _contains(S, (x + x).mod1()), (
+                    f"T^-1 of {S.to_text()} at {x.to_text()}")
+            img = doubling_image(S)
+            assert _is_normal(img), img.to_text()
+            cuts = [(e + e).mod1() for iv in S.intervals
+                    for e in (iv.lo, iv.hi)]
+            for y in _sample_points(img, extra=cuts):
+                want = (_contains(S, y * half)
+                        or _contains(S, (y + Scalar(1)) * half))
+                assert _contains(img, y) == want, (
+                    f"T of {S.to_text()} at {y.to_text()}")
+
 
 class TestMeasure:
     def test_tail_measure_closed_form(self):
@@ -338,6 +394,24 @@ class TestTranslation:
         moved = s.translate_mod1(alpha)
         assert moved.measure() == s.measure()
         assert moved.translate_mod1(-alpha).equals(s)
+
+    def test_translate_rounds_the_shift_once(self, monkeypatch):
+        # t is reduced mod 1 once per call, not once per component
+        calls = 0
+        floor = Scalar.floor
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return floor(self)
+
+        monkeypatch.setattr(Scalar, "floor", counting)
+        S = make_set([(F(k, 8), F(2 * k + 1, 16)) for k in range(8)])
+        alpha = Scalar(0, 1, GOLDEN)
+        for t in (alpha, -alpha, Scalar(F(3, 5)), Scalar(F(-7, 3))):
+            calls = 0
+            S.translate_mod1(t)
+            assert calls <= 1, t.to_text()
 
     def test_translate_rejects_tails(self):
         s = make_set([], [ParityTail(AT_ONE, 0, "even")])
