@@ -150,11 +150,13 @@ class Rotation(Transformation):
 
     def __init__(self, angle: Scalar, label: Optional[str] = None):
         self.angle = angle.mod1()
+        # the backward shift, reduced once: -angle mod 1
+        self._back = (-self.angle).mod1()
         self.ergodic = angle.m != 0
         self._label = label
 
     def preimage(self, S: IntervalSet) -> IntervalSet:
-        return S.translate_mod1(-self.angle)
+        return S.translate_mod1(self._back)
 
     def image(self, S: IntervalSet) -> IntervalSet:
         return S.translate_mod1(self.angle)

@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from . import fixtures
@@ -211,13 +212,47 @@ class RunTrace:
         return "\n".join(lines) + "\n"
 
     def to_structured(self) -> str:
-        return json.dumps({"header": self.header, "records": self.records,
-                           "summary": self.summary}, indent=2) + "\n"
+        """``json.dumps(..., indent=2)`` of the trace, plus a newline.
+
+        An indent sends ``json`` to its pure-Python encoder, so flat traces
+        (dicts of strings, numbers, booleans and None; no empty record) are
+        encoded by the C encoder with newline-and-indent item separators
+        instead, and the brackets are indented around that.  An encoded
+        string never holds a raw newline, so ``},\\n      {`` occurs only
+        between records.
+        """
+        parts = (self.header, self.summary, *self.records)
+        if not (all(self.records) and set(map(type, parts)) <= {dict}
+                and _JSON_SCALARS.issuperset(
+                    map(type, chain.from_iterable(map(dict.values, parts))))):
+            return json.dumps({"header": self.header, "records": self.records,
+                               "summary": self.summary}, indent=2) + "\n"
+        records = "[]"
+        if self.records:
+            inner = _RECORD_ITEMS(self.records)[2:-2]
+            inner = inner.replace("},\n      {", "\n    },\n    {\n      ")
+            records = "[\n    {\n      " + inner + "\n    }\n  ]"
+        return (f'{{\n  "header": {_flat_dict(self.header)},\n'
+                f'  "records": {records},\n'
+                f'  "summary": {_flat_dict(self.summary)}\n}}\n')
 
     def stamp(self) -> str:
         """Version and config hash, for the first line of written files."""
         return (f"artifact_version={self.header.get('artifact_version')} "
                 f"config_hash={self.header.get('config_hash', 'none')}")
+
+
+#: C-encoded JSON whose items sit on their own lines, indented for the
+#: second (header, summary) and third (a record's fields) nesting level
+_TOP_ITEMS = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+_RECORD_ITEMS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+#: value types that both encoders write alike as one token
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _flat_dict(d: dict) -> str:
+    """A flat dict as ``json.dumps(indent=2)`` writes it one level deep."""
+    return "{\n    " + _TOP_ITEMS(d)[1:-1] + "\n  }" if d else "{}"
 
 
 def _header(config: Optional[ExperimentConfig], fixture: str) -> dict:

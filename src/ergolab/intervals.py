@@ -20,8 +20,14 @@ maximally extended toward small indices (block start-2 is not a
 component); two same-anchor tails of opposite parity are collapsed into a
 plain interval.
 
-Tail-free operands go through ``_merge`` alone.  With tails, an operation
-works in three steps, each linear in the components and blocks it touches:
+Tail-free operands go through ``_merge`` alone.  It walks both lists, one
+comparison per endpoint, unless the shorter list, of m intervals, is so
+short against the longer one, of n, that (2m + 1) * bit_length(n) < n: then
+it bisects the long list once per endpoint of the short one and copies the
+pieces in between (``_merge_skewed``), which is what intersecting a set of
+2**(j-1) components with a window of one to three takes.  With tails, an
+operation works in three steps, each linear in the components and blocks it
+touches:
 
 * one depth m per anchor, read from the operand endpoint nearest the
   anchor and the tail starts, with every finite endpoint at least 2**-m
@@ -44,12 +50,15 @@ only ``IntervalSet.build``, which takes unsorted input, sorts.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
-from .scalars import ONE, ZERO, IrrationalTag, Scalar, _make, parse_scalar
+from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _halves, _make,
+                      parse_scalar)
 
 AT_ONE = "one"
 AT_ZERO = "zero"
@@ -186,14 +195,24 @@ def _merge(a: Sequence[Interval], b: Sequence[Interval],
     Walks the boundary points of both lists in order, one comparison per
     boundary event, and keeps the points where ``keep[2 * in_a + in_b]``
     holds.  Membership is judged once per distinct point, so touching pieces
-    merge and no empty piece is emitted: the result is normalized.
+    merge and no empty piece is emitted: the result is normalized.  No table
+    keeps a point outside both lists (``keep[0]`` is false).
+
+    When one list is much shorter than the other, so that bisecting the
+    long list once per endpoint of the short one costs fewer comparisons
+    than walking it, ``_merge_skewed`` does the work instead.
     """
+    na, nb = len(a), len(b)
+    if (2 * na + 1) * nb.bit_length() < nb:
+        return _merge_skewed(a, b, keep[2:], keep[:2])
+    if (2 * nb + 1) * na.bit_length() < na:
+        return _merge_skewed(b, a, keep[1::2], keep[::2])
     out: list[Interval] = []
     i = j = state = 0
     start = None
-    while i < len(a) or j < len(b):
-        ea = (a[i].hi if state & 2 else a[i].lo) if i < len(a) else None
-        eb = (b[j].hi if state & 1 else b[j].lo) if j < len(b) else None
+    while i < na or j < nb:
+        ea = (a[i].hi if state & 2 else a[i].lo) if i < na else None
+        eb = (b[j].hi if state & 1 else b[j].lo) if j < nb else None
         c = -1 if eb is None else 1 if ea is None else ea.cmp(eb)
         if c <= 0:
             x = ea
@@ -209,6 +228,65 @@ def _merge(a: Sequence[Interval], b: Sequence[Interval],
         elif start is not None:
             out.append(Interval(start, x))
             start = None
+    return out
+
+
+_LO = attrgetter("lo")
+
+
+def _merge_skewed(short: Sequence[Interval], long: Sequence[Interval],
+                  keep_in: tuple[bool, ...],
+                  keep_out: tuple[bool, ...]) -> list[Interval]:
+    """``_merge`` in O(len(short) * log(len(long))) comparisons.
+
+    The short list cuts the line into regions: the gaps before, between and
+    after its intervals, and the intervals themselves.  Inside a region the
+    short list's membership is fixed, so ``keep_in`` (on its intervals) or
+    ``keep_out`` (on its gaps), indexed by membership in the long list,
+    says what the region contributes: nothing, the whole region, the long
+    list's pieces or its gaps.  Each cut is located in the long list by one
+    bisection; untouched pieces are copied, and new intervals are built
+    only for clipped ends and gaps.  Gaps between consecutive pieces of a
+    normalized list are never empty, so they need no comparison, and
+    pieces from neighbouring regions meet only at the cut between them.
+    """
+    out: list[Interval] = []
+    x = None     # start of the current region (None: below everything)
+    i = 0        # long[i] is the first piece that reaches past x
+    cut = False  # long[i] starts before x, so it is clipped there
+    for r, y in enumerate([e for iv in short for e in (iv.lo, iv.hi)]
+                          + [None]):
+        # the region [x, y); long[i:j] are the pieces that meet it, and
+        # `over` says that long[j - 1] reaches past y (None: above all)
+        if y is None:
+            j, over = len(long), False
+        else:
+            j = bisect_left(long, y, i, key=_LO)
+            over = j > i and long[j - 1].hi.cmp(y) > 0
+        keep_gap, keep_piece = keep_in if r & 1 else keep_out
+        if keep_gap and keep_piece:
+            _join(out, (short[r >> 1],))
+        elif keep_piece:
+            run = list(long[i:j])
+            if run:
+                if cut:
+                    run[0] = Interval(x, run[0].hi)
+                if over:
+                    run[-1] = Interval(run[-1].lo, y)
+                _join(out, run)
+        elif keep_gap:
+            # only ever inside a short interval, so x and y are finite
+            run = long[i:j]
+            if not run:
+                gaps = [Interval(x, y)]
+            else:
+                gaps = ([] if cut or _same(run[0].lo, x)
+                        else [Interval(x, run[0].lo)])
+                gaps += [Interval(p.hi, q.lo) for p, q in zip(run, run[1:])]
+                if not (over or _same(run[-1].hi, y)):
+                    gaps.append(Interval(run[-1].hi, y))
+            _join(out, gaps)
+        x, i, cut = y, j - 1 if over else j, over
     return out
 
 
@@ -489,11 +567,13 @@ class IntervalSet:
     def translate_mod1(self, t: Scalar) -> "IntervalSet":
         """The set moved by t around the circle [0, 1), as a rotation of
         the sorted list: pieces pushed past 1 wrap to the front, and the
-        one piece that straddles 1 splits."""
+        one piece that straddles 1 splits.  t is rounded only when it
+        lies outside [0, 1)."""
         if self.tails:
             raise UnsupportedRepresentationError(
                 "translation of parity tails is not representable")
-        t = t.mod1()
+        if t.cmp(ZERO) < 0 or t.cmp(ONE) >= 0:
+            t = t.mod1()
         front: list[Interval] = []  # the pieces past 1, moved down by 1
         back: list[Interval] = []
         for iv in self.intervals:
@@ -537,13 +617,10 @@ def doubling_preimage(S: IntervalSet) -> IntervalSet:
     left = []
     right = []
     for iv in S.intervals:
-        # x = (n + m*alpha)/d gives x/2 = (n + m*alpha)/2d and
-        # x/2 + 1/2 = (n + d + m*alpha)/2d
-        lo, hi = iv.lo, iv.hi
-        left.append(Interval(_make(lo.n, lo.m, 2 * lo.d, lo.tag),
-                             _make(hi.n, hi.m, 2 * hi.d, hi.tag)))
-        right.append(Interval(_make(lo.n + lo.d, lo.m, 2 * lo.d, lo.tag),
-                              _make(hi.n + hi.d, hi.m, 2 * hi.d, hi.tag)))
+        lo, lo_right = _halves(iv.lo)
+        hi, hi_right = _halves(iv.hi)
+        left.append(Interval(lo, hi))
+        right.append(Interval(lo_right, hi_right))
     # left ends at 1/2 only when S reached 1, right starts at 1/2 only when
     # S reached 0
     return IntervalSet(tuple(_join(left, right)))

@@ -124,7 +124,7 @@ class Scalar:
     rational parts p and q (``int`` or ``Fraction``); ``p`` and ``q`` read
     them back as ``Fraction``s.  Those properties allocate, so library code
     reads ``n``, ``m`` and ``d``, and builds scalars from integers only
-    through ``_make``.
+    through ``_make``, or ``_halves`` for the doubling map's halved ends.
     """
 
     __slots__ = ("n", "m", "d", "tag")
@@ -325,6 +325,32 @@ def _make(n: int, m: int, d: int, tag: Optional[IrrationalTag]) -> Scalar:
     s.d = d
     s.tag = tag if m else None
     return s
+
+
+def _halves(x: Scalar) -> tuple[Scalar, Scalar]:
+    """x/2 and x/2 + 1/2 in canonical form, without a gcd.
+
+    They are (n + m*alpha) / 2d and (n + d + m*alpha) / 2d.  As x is
+    canonical, the fields of each share at most a factor 2: a common factor
+    of n + d, m and d divides n too, and a factor 4 would leave d, hence n
+    and m, even.  So each is halved exactly when both of its numerator
+    fields are even.
+    """
+    n, m, d, tag = x.n, x.m, x.d, x.tag
+    lo = object.__new__(Scalar)
+    if (n | m) & 1:
+        lo.n, lo.m, lo.d = n, m, d << 1
+    else:
+        lo.n, lo.m, lo.d = n >> 1, m >> 1, d
+    lo.tag = tag
+    hi = object.__new__(Scalar)
+    n += d
+    if (n | m) & 1:
+        hi.n, hi.m, hi.d = n, m, d << 1
+    else:
+        hi.n, hi.m, hi.d = n >> 1, m >> 1, d
+    hi.tag = tag
+    return lo, hi
 
 
 def _ratio_text(n: int, d: int) -> str:

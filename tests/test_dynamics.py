@@ -62,6 +62,27 @@ class TestRotation:
         moved = T.preimage(T.preimage(s))
         assert T.image(T.image(moved)).equals(s)
 
+    def test_maps_round_no_shift(self, monkeypatch):
+        # the angle and its backward shift are reduced mod 1 once, when the
+        # rotation is built, so neither map rounds
+        alpha = Scalar(0, 1, GOLDEN)
+        systems = [Rotation(a) for a in (alpha, -alpha, alpha * Scalar(7),
+                                         Scalar(F(-7, 3)), Scalar(0))]
+        calls = 0
+        floor = Scalar.floor
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return floor(self)
+
+        monkeypatch.setattr(Scalar, "floor", counting)
+        s = make_set([(F(0), F(1, 4)), (F(1, 2), F(5, 8))])
+        for T in systems:
+            moved = T.preimage(s)
+            assert T.image(moved).equals(s)
+            assert calls == 0, T.angle.to_text()
+
 
 class TestDoubling:
     def test_preimage_of_half(self):

@@ -270,6 +270,64 @@ class TestPlotData:
         assert len(lines) == 1 and lines[0].startswith("#")
 
 
+# one config per command; "splinter" on the golden rotation writes tagged
+# irrational values, and the Kakutani "verify" leaves the representation
+# class, so its trace has no records
+STRUCTURED_CFGS = {
+    "splinter": SPLINTER_CFG,
+    "splinter-golden": ("command = splinter\nsystem = rotation:golden\n"
+                        "epsilon = 1/1000\nn_max = 300\n"
+                        "set.J1 = 0..1/4\nset.J2 = 1/2..3/4\n"),
+    "verify": ("command = verify\nsystem = kakutani\n"
+               "set.S = 0..1/2 | 1/8..1/4\nset.T = 1/4..5/8 | empty\n"),
+    "verify-error": ("command = verify\nsystem = kakutani\n"
+                     "set.S = 0..1/2, tail(one, 2, even) | empty\n"),
+    "density": ("command = density\nsystem = doubling\nepsilon = 1/2\n"
+                "set.S = 1/3..2/3\n"),
+    "gap": GAP_CFG,
+    "gap-tail": ("command = gap\nsystem = odometer\ndepth = 3\n"
+                 "set.B = 0..1/2, tail(zero, 3, odd)\n"),
+    "mixing": ("command = mixing\nsystem = doubling\nn_max = 6\n"
+               "set.C = 0..1/3\nset.D = 1/5..7/10\n"),
+    "reduction": ("command = reduction\nsystem = rotation:golden\n"
+                  "epsilon = 1/100\nn_max = 60\nsample = 3\nset.B = 0..1/2\n"),
+    "demo": "command = demo\nsystem = kakutani\n",
+    "overflow": OVERFLOW_CFG,
+}
+
+
+class TestStructuredTrace:
+    @staticmethod
+    def _reference(trace):
+        return json.dumps({"header": trace.header, "records": trace.records,
+                           "summary": trace.summary}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_CFGS))
+    def test_matches_indented_dumps(self, name):
+        trace, _ = run(parse_config(STRUCTURED_CFGS[name]))
+        assert trace.to_structured() == self._reference(trace)
+
+    def test_demo_kakutani_matches_indented_dumps(self):
+        trace, _ = demo_kakutani()
+        assert trace.to_structured() == self._reference(trace)
+
+    @pytest.mark.parametrize("header, records, summary", [
+        ({"artifact_version": "x"}, [], {}),
+        ({}, [{"a": 1}], {"status": "pass"}),
+        # a value that spells the separator between records
+        ({}, [{"a": "},\n      {"}, {"b": "}, {"}], {}),
+        # nested values and empty records take the indenting encoder
+        ({"k": [1, 2]}, [{"a": "b"}], {}),
+        ({}, [{"a": {"b": None}}, {"c": 1.5}], {"s": "\u00e9\n"}),
+        ({}, [{}, {"a": True}], {"x": {}}),
+    ])
+    def test_edge_traces_match_indented_dumps(self, header, records,
+                                              summary):
+        from ergolab.harness import RunTrace
+        trace = RunTrace(header, records, summary)
+        assert trace.to_structured() == self._reference(trace)
+
+
 class TestCliProcess:
     def _run(self, *args, cfg_text=None, tmp_path=None):
         argv = [sys.executable, "-m", "ergolab.cli", *args]

@@ -1,11 +1,13 @@
 """Interval-set algebra: normalization, boolean laws, measure, tails."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab import intervals
 from ergolab.dynamics import (A_SET, KakutaniTower, TowerSet,
                               odometer_image, odometer_preimage)
 from ergolab.errors import (RepresentationOverflowError,
@@ -154,13 +156,13 @@ def _block(anchor, n):
 
 
 def _contains(S, x):
-    """Pointwise membership oracle, independent of the set kernel."""
+    """Pointwise membership oracle, independent of the set kernel, for x in
+    [0, 1), and x > 0 when S has an at-zero tail."""
+    assert Scalar(0) <= x < Scalar(1), x.to_text()
     if any(iv.lo <= x < iv.hi for iv in S.intervals):
         return True
     for t in S.tails:
-        n = 0
-        while not _block(t.anchor, n).lo <= x < _block(t.anchor, n).hi:
-            n += 1
+        n = _block_index(t.anchor, x)
         if n >= t.start and n % 2 == t.parity:
             return True
     return False
@@ -227,6 +229,37 @@ def _odometer_inverse(y):
     return y + Scalar(1) - Scalar(F(3, 2 << _block_index(AT_ZERO, y)))
 
 
+def _long_set(seed):
+    """A seeded tail-free set of at least 64 components: dyadic, dyadic
+    moved by a multiple of the golden angle, or a doubling preimage iterate
+    of a small set with golden or dyadic endpoints."""
+    rng = random.Random(seed)
+    alpha = Scalar(0, 1, GOLDEN)
+    kind = seed % 4
+    if kind < 2:
+        points = sorted(rng.sample(range(1025), 2 * rng.randint(64, 96)))
+        S = make_set([(F(a, 1024), F(b, 1024))
+                      for a, b in zip(points[::2], points[1::2])])
+        return S.translate_mod1(alpha * Scalar(seed)) if kind else S
+    S = (random_offset_set(seed, alpha) if kind == 2
+         else random_interval_set(seed, allow_tails=False))
+    while S.component_count() < 64:
+        S = doubling_preimage(S)
+    return S
+
+
+def _short_set(rng, long):
+    """One to three components, with endpoints drawn from those of `long`,
+    0, 1 and fresh dyadic and golden points."""
+    ends = [e for iv in long.intervals for e in (iv.lo, iv.hi)]
+    pool = ([Scalar(0), Scalar(1)] + rng.sample(ends, 4)
+            + [Scalar(F(rng.randrange(1025), 1024)) for _ in range(2)]
+            + [Scalar(0, rng.randint(1, 9), GOLDEN).mod1()])
+    points = sorted(set(rng.sample(pool, 2 * rng.randint(1, 3))))
+    pairs = list(zip(points[::2], points[1::2]))
+    return make_set(pairs or [(F(0), F(1, 2))])
+
+
 def _with_tail(seed, anchor):
     """A seeded finite set, with a seeded tail at `anchor` for odd seeds."""
     S = random_interval_set(seed, allow_tails=False)
@@ -260,6 +293,70 @@ class TestPointwise:
                         f"{name} of {a.to_text()} and {b.to_text()} at "
                         f"{x.to_text()}")
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_skewed_operations_match_membership_oracle(self, seed,
+                                                       monkeypatch):
+        # a long operand against a short one, in both orders; the short
+        # one's endpoints often meet the long one's, 0 or 1, so regions
+        # join at their seams.  With a tail on the long operand the tailed
+        # kernel hands _merge the expanded lists.
+        skewed = 0
+        merge_skewed = intervals._merge_skewed
+
+        def counting(*args):
+            nonlocal skewed
+            skewed += 1
+            return merge_skewed(*args)
+
+        monkeypatch.setattr(intervals, "_merge_skewed", counting)
+        rng = random.Random(seed)
+        long = _long_set(seed)
+        if seed % 2:
+            long = long.union(make_set([], [ParityTail(
+                rng.choice([AT_ONE, AT_ZERO]), rng.randint(3, 8),
+                rng.choice(["even", "odd"]))]))
+        short = _short_set(rng, long)
+        for a, b in ((long, short), (short, long)):
+            ops = {"union": (a.union(b), lambda x, y: x or y),
+                   "intersect": (a.intersect(b), lambda x, y: x and y),
+                   "subtract": (a.subtract(b), lambda x, y: x and not y),
+                   "complement": (a.complement(), lambda x, y: not x)}
+            points = _sample_points(a, b)
+            member = {x: (_contains(a, x), _contains(b, x)) for x in points}
+            for name, (result, truth) in ops.items():
+                assert _is_normal(result), f"{name}: {result.to_text()}"
+                for x in points:
+                    assert _contains(result, x) == truth(*member[x]), (
+                        f"{name} of {a.to_text()} and {b.to_text()} at "
+                        f"{x.to_text()}")
+        # every binary operation and the long operand's complement
+        assert skewed >= 7
+
+    def test_skewed_merge_bisects(self, monkeypatch):
+        # a set of 4,096 components against one of a single component:
+        # each operation locates the two cuts by bisection, not by walking
+        S = make_set([(F(1, 3), F(2, 3))])
+        for _ in range(12):
+            S = doubling_preimage(S)
+        D = make_set([(F(1, 5), F(7, 10))])
+        assert S.component_count() == 4096
+        calls = 0
+        cmp = Scalar.cmp
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return cmp(self, other)
+
+        monkeypatch.setattr(Scalar, "cmp", counting)
+        for name, op in (("S & D", lambda: S.intersect(D)),
+                         ("S | D", lambda: S.union(D)),
+                         ("S - D", lambda: S.subtract(D)),
+                         ("D - S", lambda: D.subtract(S)),
+                         ("S'", S.complement)):
+            calls = 0
+            op()
+            assert calls <= 64, f"{name}: {calls} compares"
 
     @pytest.mark.parametrize("seed", range(30))
     def test_odometer_maps_match_the_pointwise_map(self, seed):

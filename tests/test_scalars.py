@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ergolab.errors import IncompatibleBasisError
 from ergolab.scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
-                             get_tag, parse_scalar, render)
+                             _halves, _make, get_tag, parse_scalar, render)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 rationals = st.builds(Scalar, fractions)
@@ -381,3 +381,28 @@ def test_integer_fields_are_canonical():
     assert (y.n, y.m, y.d, y.tag) == (1, 0, 6, None)
     with pytest.raises(AttributeError):
         x.p = Fraction(1)
+
+
+def test_halves_match_the_gcd_form():
+    # x/2 and x/2 + 1/2 built without a gcd equal _make's canonical fields
+    # for every canonical (n + m*alpha)/d in a box, which holds each parity
+    # case: x/2 halved (n, m even), x/2 + 1/2 halved (n + d, m even), and
+    # neither, with d even or (for m odd) d odd
+    cases = set()
+    for tag in (None, GOLDEN):
+        for n in range(-9, 10):
+            for m in (range(-4, 5) if tag else (0,)):
+                for d in range(1, 13):
+                    if gcd(n, m, d) != 1:
+                        continue
+                    x = _make(n, m, d, tag)
+                    want = (_make(n, m, 2 * d, tag),
+                            _make(n + d, m, 2 * d, tag))
+                    for got, ref in zip(_halves(x), want):
+                        assert (got.n, got.m, got.d, got.tag) == (
+                            ref.n, ref.m, ref.d, ref.tag), x.to_text()
+                    cases.add((tag, (n | m) & 1, ((n + d) | m) & 1, d & 1))
+    rational = {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
+    assert {c[1:] for c in cases if c[0] is None} == rational
+    # only an odd m leaves both unhalved with d odd
+    assert {c[1:] for c in cases if c[0] is GOLDEN} == rational | {(1, 1, 1)}
