@@ -25,9 +25,10 @@ comparison per endpoint, unless the shorter list, of m intervals, is so
 short against the longer one, of n, that (2m + 1) * bit_length(n) < n: then
 it bisects the long list once per endpoint of the short one and copies the
 pieces in between (``_merge_skewed``), which is what intersecting a set of
-2**(j-1) components with a window of one to three takes.  With tails, an
-operation works in three steps, each linear in the components and blocks it
-touches:
+2**(j-1) components with a window of one to three takes.  Two operands of a
+few components each take the walk, which costs less there than setting up
+the bisections.  With tails, an operation works in three steps, each linear
+in the components and blocks it touches:
 
 * one depth m per anchor, read from the operand endpoint nearest the
   anchor and the tail starts, with every finite endpoint at least 2**-m
