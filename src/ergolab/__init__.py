@@ -10,7 +10,7 @@ from .errors import (ErgolabError, IncompatibleBasisError, InvalidInputError,
 from .scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
                       get_tag, parse_scalar, render)
 from .intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval, IntervalSet,
-                        ParityTail, block_one, block_zero, doubling_image,
+                        ParityTail, arc, block_one, block_zero, doubling_image,
                         doubling_preimage, from_text, make_set,
                         odometer_image, odometer_preimage, truncate_tails)
 from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer,

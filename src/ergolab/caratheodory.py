@@ -8,12 +8,11 @@ outer measure equals measure.  Reports carry that restriction notice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .dynamics import SetLike, Transformation
 from .errors import ComponentBudgetError, InvalidInputError
-from .intervals import Interval, IntervalSet
+from .intervals import IntervalSet, arc
 from .scalars import ONE, Scalar
 from .splinter import (CONVERGED, CheckReport, DEFAULT_COMPONENT_BUDGET,
                        splinter, transport_check)
@@ -47,11 +46,11 @@ class MeasureBasis:
         if self.kind == "dyadic":
             den = 1 << level
             for k in range(den):
-                yield _cell(Fraction(k, den), Fraction(k + 1, den))
+                yield arc(k, k + 1, den)
         else:
             for a in range(level):
                 for b in range(a + 1, level + 1):
-                    yield _cell(Fraction(a, level), Fraction(b, level))
+                    yield arc(a, b, level)
 
     def elements(self) -> Iterator[IntervalSet]:
         for level in self.levels():
@@ -59,10 +58,6 @@ class MeasureBasis:
 
     def descriptor(self) -> str:
         return f"{self.kind}:{self.bound}"
-
-
-def _cell(a: Fraction, b: Fraction) -> IntervalSet:
-    return IntervalSet((Interval(Scalar(a), Scalar(b)),))
 
 
 def dyadic_basis(depth_max: int) -> MeasureBasis:

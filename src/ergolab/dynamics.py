@@ -49,19 +49,29 @@ class TowerSet:
         self.base = base
         self.top = top
 
+    @classmethod
+    def _of(cls, base: IntervalSet, top: IntervalSet) -> "TowerSet":
+        """The tower set (base, top) for a top that lies in A by
+        construction, as the tower maps and set operations make it."""
+        S = object.__new__(cls)
+        S.base = base
+        S.top = top
+        return S
+
     def union(self, other: "TowerSet") -> "TowerSet":
-        return TowerSet(self.base.union(other.base), self.top.union(other.top))
+        return TowerSet._of(self.base.union(other.base),
+                            self.top.union(other.top))
 
     def intersect(self, other: "TowerSet") -> "TowerSet":
-        return TowerSet(self.base.intersect(other.base),
-                        self.top.intersect(other.top))
+        return TowerSet._of(self.base.intersect(other.base),
+                            self.top.intersect(other.top))
 
     def subtract(self, other: "TowerSet") -> "TowerSet":
-        return TowerSet(self.base.subtract(other.base),
-                        self.top.subtract(other.top))
+        return TowerSet._of(self.base.subtract(other.base),
+                            self.top.subtract(other.top))
 
     def complement(self) -> "TowerSet":
-        return TowerSet(self.base.complement(), A_SET.subtract(self.top))
+        return TowerSet._of(self.base.complement(), A_SET.subtract(self.top))
 
     def measure(self) -> Scalar:
         return self.base.measure() + self.top.measure()
@@ -95,14 +105,14 @@ TOWER_EMPTY = TowerSet(IntervalSet(), IntervalSet())
 
 def tower_preimage(S: TowerSet) -> TowerSet:
     pre_base = odometer_preimage(S.base)
-    return TowerSet(pre_base.intersect(A_COMPLEMENT).union(S.top),
-                    pre_base.intersect(A_SET))
+    return TowerSet._of(pre_base.intersect(A_COMPLEMENT).union(S.top),
+                        pre_base.intersect(A_SET))
 
 
 def tower_image(S: TowerSet) -> TowerSet:
     base = odometer_image(S.base.intersect(A_COMPLEMENT)).union(
         odometer_image(S.top))
-    return TowerSet(base, S.base.intersect(A_SET))
+    return TowerSet._of(base, S.base.intersect(A_SET))
 
 
 # ---------------------------------------------------------------------

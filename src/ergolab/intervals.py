@@ -13,53 +13,68 @@ which accumulate at 1; an at-zero tail uses the mirrored blocks
 accumulating at 0.  The I_n blocks tile [0, 1) and the D_n blocks tile (0, 1);
 all identities hold mod null sets (single points are never represented).
 
-Normal form is unique: the components are sorted, disjoint and
+The finite part is stored as toggle points over one denominator: a
+positive integer ``d`` and a strictly increasing tuple ``pts`` of
+numerators over d, the points where membership switches, so (p0, p1, p2,
+p3) over d is [p0/d, p1/d) u [p2/d, p3/d).  A rational point is a plain
+``int``.  A point (n + m*alpha)/d with m != 0 is a ``_Surd``, the tuple
+(n, m, tag), ordered in closed form by ``scalars._sign`` on integer
+differences; ``IntervalSet.tag`` is the tag of such points, None when
+there are none.  Rational sets therefore compare, add and sum plain ints,
+and no kernel path builds a ``Scalar`` or an ``Interval`` per component:
+``IntervalSet.intervals`` builds them on each access, as a view.
+
+Normal form is unique, so equal sets have equal fields and hashes: d is
+the least common denominator of the points (its gcd with every integer
+part of every point is 1); the components are sorted, disjoint and
 non-adjacent; a tail's blocks are exactly the connected pieces of the set
 that it covers, so no component touches a tail block and the tail is
 maximally extended toward small indices (block start-2 is not a
 component); two same-anchor tails of opposite parity are collapsed into a
 plain interval.
 
-Tail-free operands go through ``_merge`` alone.  It walks both lists, one
-comparison per endpoint, unless the shorter list, of m intervals, is so
-short against the longer one, of n, that (2m + 1) * bit_length(n) < n: then
-it bisects the long list once per endpoint of the short one and copies the
-pieces in between (``_merge_skewed``), which is what intersecting a set of
-2**(j-1) components with a window of one to three takes.  Two operands of a
-few components each take the walk, which costs less there than setting up
-the bisections.  With tails, an operation works in three steps, each linear
-in the components and blocks it touches:
+Tail-free operands go through ``_merge`` alone, over the least common
+multiple of their denominators.  It walks both point lists, one
+comparison per point, unless the shorter list, of m intervals, is so short
+against the longer one, of n, that (2m + 1) * bit_length(n) < n: then it
+bisects the long list once per point of the short one and copies the runs
+in between (``_merge_skewed``), which is what intersecting a set of
+2**(j-1) components with a window of one to three takes.  Which path a
+workload takes is counted per workload in CHANGES.md.  With tails, an
+operation works in three steps, each linear in the points and blocks it
+touches, over a denominator that every block boundary it reads divides:
 
-* one depth m per anchor, read from the operand endpoint nearest the
-  anchor and the tail starts, with every finite endpoint at least 2**-m
-  from the anchor;
-* each operand as one sorted list: its components, reused as they are,
-  merged with the blocks of its tails below the depth, which are cached
-  and listed lazily; beyond the depth each anchor carries one flag per
-  parity, combined by the same truth table as the intervals;
+* one depth m per anchor, read from the operand point nearest the anchor
+  and the tail starts, with every finite point at least 2**-m from the
+  anchor;
+* each operand as one sorted point list: its own points and the
+  boundaries of its tail blocks below the depth, two sorted runs merged;
+  beyond the depth each anchor carries one flag per parity, combined by
+  the same truth table as the points;
 * the canonical tail, settled at the anchor end of the result list, where
-  "this endpoint is a block boundary" is read from integer fields: a
-  component touching the first block takes it in, and components that are
-  exactly the blocks below join the tail.
+  "this point is a block boundary" is one integer compare: a component
+  touching the first block takes it in, and components that are exactly
+  the blocks below join the tail.
 
 The exact maps of the example systems live here too: rotation
 (``IntervalSet.translate_mod1``), doubling and the odometer primitive.
-Each emits sorted runs, joined at one seam (``_join``) or merged by union;
-only ``IntervalSet.build``, which takes unsorted input, sorts.
+Each emits sorted runs of points, joined at one seam (``_join``) or merged
+by union; only ``IntervalSet.build`` takes unsorted input.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from math import lcm
-from operator import attrgetter
+from bisect import bisect_left, bisect_right
+from functools import partial
+from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
-from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _halves, _make,
-                      parse_scalar)
+from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _make, _merge_tags,
+                      _sign, _text, parse_scalar)
 
 AT_ONE = "one"
 AT_ZERO = "zero"
@@ -70,17 +85,94 @@ _PARITY_NAMES = {EVEN: "even", ODD: "odd"}
 _PARITY_VALUES = {"even": EVEN, "odd": ODD}
 
 
-#: 2**-n and the blocks, by index; both are immutable and shared, and each
-#: table holds one entry per index used so far
-_HALVES: dict[int, Scalar] = {}
-_BLOCKS: dict[tuple[str, int], "Interval"] = {}
+# ---------------------------------------------------------------------
+# points: numerators over a set's denominator
+# ---------------------------------------------------------------------
+
+class _Surd(tuple):
+    """The numerator n + m*alpha of a point, m != 0, as (n, m, tag).
+
+    Compares with ints and other surds by the sign of the difference, and
+    adds, subtracts, scales by a nonzero int and divides exactly by one;
+    a result whose alpha part cancels is a plain ``int`` (see ``_point``).
+    Equality and hashing are the tuple's.
+    """
+
+    __slots__ = ()
+
+    def _cmp(self, o) -> int:
+        """The sign of self - o."""
+        n, m, tag = self
+        if type(o) is int:
+            return _sign(n - o, m, tag._a)
+        return _sign(n - o[0], m - o[1], _merge_tags(tag, o[2])._a)
+
+    def __lt__(self, o):
+        return self._cmp(o) < 0
+
+    def __le__(self, o):
+        return self._cmp(o) <= 0
+
+    def __gt__(self, o):
+        return self._cmp(o) > 0
+
+    def __ge__(self, o):
+        return self._cmp(o) >= 0
+
+    def __add__(self, o):
+        n, m, tag = self
+        if type(o) is int:
+            return _Surd((n + o, m, tag))
+        return _point(n + o[0], m + o[1], _merge_tags(tag, o[2]))
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        n, m, tag = self
+        if type(o) is int:
+            return _Surd((n - o, m, tag))
+        return _point(n - o[0], m - o[1], _merge_tags(tag, o[2]))
+
+    def __rsub__(self, o):
+        n, m, tag = self
+        return _Surd((o - n, -m, tag))
+
+    def __mul__(self, k: int):
+        n, m, tag = self
+        return _Surd((n * k, m * k, tag))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, k: int):
+        n, m, tag = self
+        return _Surd((n // k, m // k, tag))
 
 
-def _half(n: int) -> Scalar:
-    h = _HALVES.get(n)
-    if h is None:
-        h = _HALVES[n] = _make(1, 0, 1 << n, None)
-    return h
+def _point(n: int, m: int, tag: Optional[IrrationalTag]):
+    """The numerator n + m*alpha: an int when m == 0."""
+    return n if m == 0 else _Surd((n, m, tag))
+
+
+def _numerator(x: Scalar, d: int):
+    """The numerator of x over d, a multiple of x.d."""
+    f = d // x.d
+    return _point(x.n * f, x.m * f, x.tag)
+
+
+def _point_text(p, d: int) -> str:
+    return _text(p, 0, d) if type(p) is int else _text(p[0], p[1], d)
+
+
+def _scale(pts: Sequence, f: int) -> Sequence:
+    """The points over a denominator f times larger."""
+    return pts if f == 1 else [p * f for p in pts]
+
+
+def _block_points(anchor: str, n: int, d: int) -> tuple[int, int]:
+    """Block n of `anchor` over d, which 2**(n+1) divides."""
+    if anchor == AT_ONE:
+        return d - (d >> n), d - (d >> (n + 1))
+    return d >> (n + 1), d >> n
 
 
 class Interval:
@@ -147,36 +239,24 @@ class ParityTail:
 
 def block_one(n: int) -> Interval:
     """I_n = [1 - 2**-n, 1 - 2**-(n+1))."""
-    return Interval(ONE - _half(n), ONE - _half(n + 1))
+    return Interval(_make((1 << n) - 1, 0, 1 << n, None),
+                    _make((2 << n) - 1, 0, 2 << n, None))
 
 
 def block_zero(n: int) -> Interval:
     """D_n = [2**-(n+1), 2**-n)."""
-    return Interval(_half(n + 1), _half(n))
-
-
-def _block(anchor: str, n: int) -> Interval:
-    blk = _BLOCKS.get((anchor, n))
-    if blk is None:
-        blk = _BLOCKS[anchor, n] = (block_one(n) if anchor == AT_ONE
-                                    else block_zero(n))
-    return blk
+    return Interval(_make(1, 0, 2 << n, None), _make(1, 0, 1 << n, None))
 
 
 # ---------------------------------------------------------------------
-# sorted runs (sorted, disjoint, non-adjacent interval lists)
+# sorted runs (strictly increasing toggle lists over one denominator)
 # ---------------------------------------------------------------------
 
-def _same(x: Scalar, y: Scalar) -> bool:
-    """x == y, read from the canonical integer fields (one tag assumed)."""
-    return x.n == y.n and x.d == y.d and x.m == y.m
-
-
-def _join(a: list[Interval], b: Sequence[Interval]) -> list[Interval]:
+def _join(a: list, b: Sequence) -> list:
     """The run a followed by the run b, with the two pieces that meet at
     the seam merged; `a` is extended in place and returned."""
-    if a and b and _same(a[-1].hi, b[0].lo):
-        a[-1] = Interval(a[-1].lo, b[0].hi)
+    if a and b and a[-1] == b[0]:
+        a.pop()
         a.extend(b[1:])
     else:
         a.extend(b)
@@ -189,120 +269,113 @@ _INTERSECT = (False, False, False, True)
 _SUBTRACT = (False, False, True, False)
 
 
-def _merge(a: Sequence[Interval], b: Sequence[Interval],
-           keep: tuple[bool, ...]) -> list[Interval]:
-    """Combine two normalized interval lists point by point.
+def _merge(a: Sequence, fa: int, b: Sequence, fb: int,
+           keep: tuple[bool, ...]) -> list:
+    """Combine two normalized toggle lists point by point.
 
-    Walks the boundary points of both lists in order, one comparison per
-    boundary event, and keeps the points where ``keep[2 * in_a + in_b]``
-    holds.  Membership is judged once per distinct point, so touching pieces
-    merge and no empty piece is emitted: the result is normalized.  No table
-    keeps a point outside both lists (``keep[0]`` is false).
+    `a` and `b` are over denominators fa and fb times smaller than the
+    result's.  Walks the points of both lists in order, one comparison per
+    point, and emits a point where ``keep[2 * in_a + in_b]`` changes.  A
+    point both lists share is one event, so touching pieces merge and no
+    empty piece is emitted: the result is normalized.  No table keeps a
+    point outside both lists (``keep[0]`` is false).
 
     When one list is much shorter than the other, so that bisecting the
-    long list once per endpoint of the short one costs fewer comparisons
-    than walking it, ``_merge_skewed`` does the work instead.
+    long list once per point of the short one costs fewer comparisons than
+    walking it, ``_merge_skewed`` does the work instead.
     """
-    na, nb = len(a), len(b)
+    na, nb = len(a) >> 1, len(b) >> 1
     if (2 * na + 1) * nb.bit_length() < nb:
-        return _merge_skewed(a, b, keep[2:], keep[:2])
+        return _merge_skewed(_scale(a, fa), b, fb, keep[2:], keep[:2])
     if (2 * nb + 1) * na.bit_length() < na:
-        return _merge_skewed(b, a, keep[1::2], keep[::2])
-    out: list[Interval] = []
+        return _merge_skewed(_scale(b, fb), a, fa, keep[1::2], keep[::2])
+    if fa != 1:
+        a = _scale(a, fa)
+    if fb != 1:
+        b = _scale(b, fb)
+    na, nb = len(a), len(b)
+    out = []
     i = j = state = 0
-    start = None
-    while i < na or j < nb:
-        ea = (a[i].hi if state & 2 else a[i].lo) if i < na else None
-        eb = (b[j].hi if state & 1 else b[j].lo) if j < nb else None
-        c = -1 if eb is None else 1 if ea is None else ea.cmp(eb)
-        if c <= 0:
-            x = ea
-            i += state >> 1
+    kept = False
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if x == y:
+            i += 1
+            j += 1
+            state ^= 3
+        elif x < y:
+            i += 1
             state ^= 2
-        if c >= 0:
-            x = eb
-            j += state & 1
+        else:
+            x = y
+            j += 1
             state ^= 1
-        if keep[state]:
-            if start is None:
-                start = x
-        elif start is not None:
-            out.append(Interval(start, x))
-            start = None
+        if keep[state] != kept:
+            out.append(x)
+            kept = not kept
+    # past the end of one list only the other toggles, and its points are
+    # kept exactly when the table keeps it alone
+    if i < na and keep[2]:
+        out.extend(a[i:])
+    elif j < nb and keep[1]:
+        out.extend(b[j:])
     return out
 
 
-_LO = attrgetter("lo")
-
-
-def _merge_skewed(short: Sequence[Interval], long: Sequence[Interval],
+def _merge_skewed(short: Sequence, long: Sequence, f: int,
                   keep_in: tuple[bool, ...],
-                  keep_out: tuple[bool, ...]) -> list[Interval]:
+                  keep_out: tuple[bool, ...]) -> list:
     """``_merge`` in O(len(short) * log(len(long))) comparisons.
 
-    The short list cuts the line into regions: the gaps before, between and
-    after its intervals, and the intervals themselves.  Inside a region the
-    short list's membership is fixed, so ``keep_in`` (on its intervals) or
-    ``keep_out`` (on its gaps), indexed by membership in the long list,
-    says what the region contributes: nothing, the whole region, the long
-    list's pieces or its gaps.  Each cut is located in the long list by one
-    bisection; untouched pieces are copied, and new intervals are built
-    only for clipped ends and gaps.  Gaps between consecutive pieces of a
-    normalized list are never empty, so they need no comparison, and
-    pieces from neighbouring regions meet only at the cut between them.
+    `long` is over a denominator f times smaller than `short` and the
+    result.  The short list cuts the line into regions: the gaps before,
+    between and after its intervals, and the intervals themselves.  Inside
+    a region the short list's membership is fixed, so ``keep_in`` (on its
+    intervals) or ``keep_out`` (on its gaps), indexed by membership in the
+    long list, says what the region holds: nothing, all of it, the long
+    list or its complement.  Each cut is located in the long list by one
+    bisection; the long list's points inside a region are copied as one
+    run (scaled by f), and a cut is emitted where the result's membership
+    changes across it.
     """
-    out: list[Interval] = []
-    x = None     # start of the current region (None: below everything)
-    i = 0        # long[i] is the first piece that reaches past x
-    cut = False  # long[i] starts before x, so it is clipped there
-    for r, y in enumerate([e for iv in short for e in (iv.lo, iv.hi)]
-                          + [None]):
-        # the region [x, y); long[i:j] are the pieces that meet it, and
-        # `over` says that long[j - 1] reaches past y (None: above all)
-        if y is None:
-            j, over = len(long), False
-        else:
-            j = bisect_left(long, y, i, key=_LO)
-            over = j > i and long[j - 1].hi.cmp(y) > 0
+    key = None if f == 1 else partial(mul, f)
+    out = []
+    kept = False  # the result's membership just below the cut x
+    x = None      # start of the current region (None: below everything)
+    i = 0         # long[:i] lie below x
+    for r, y in enumerate([*short, None]):
+        # the region [x, y) holds long[i:j]; the long list's membership at
+        # x counts its points up to x, one of which may sit on x
+        j = len(long) if y is None else bisect_left(long, y, i, key=key)
+        k = i
+        if k < j and (long[k] if key is None else key(long[k])) == x:
+            k += 1
         keep_gap, keep_piece = keep_in if r & 1 else keep_out
-        if keep_gap and keep_piece:
-            _join(out, (short[r >> 1],))
-        elif keep_piece:
-            run = list(long[i:j])
-            if run:
-                if cut:
-                    run[0] = Interval(x, run[0].hi)
-                if over:
-                    run[-1] = Interval(run[-1].lo, y)
-                _join(out, run)
-        elif keep_gap:
-            # only ever inside a short interval, so x and y are finite
-            run = long[i:j]
-            if not run:
-                gaps = [Interval(x, y)]
-            else:
-                gaps = ([] if cut or _same(run[0].lo, x)
-                        else [Interval(x, run[0].lo)])
-                gaps += [Interval(p.hi, q.lo) for p, q in zip(run, run[1:])]
-                if not (over or _same(run[-1].hi, y)):
-                    gaps.append(Interval(run[-1].hi, y))
-            _join(out, gaps)
-        x, i, cut = y, j - 1 if over else j, over
+        now = keep_piece if k & 1 else keep_gap
+        if now != kept:
+            out.append(x)
+        if keep_gap == keep_piece:
+            kept = now
+        else:
+            run = long[k:j]
+            out.extend(run if key is None else map(key, run))
+            kept = now != bool((j - k) & 1)
+        x, i = y, j
     return out
 
 
 # ---------------------------------------------------------------------
-# the tailed kernel: one depth per anchor, blocks listed lazily, tails
+# the tailed kernel: one depth per anchor, blocks listed below it, tails
 # canonicalised from block indices
 # ---------------------------------------------------------------------
 
-def _depth_for_gap(gap: Scalar) -> int:
-    """An m >= 2 with 2**-m <= gap (gap > 0); the smallest one when the
-    gap is irrational."""
-    if gap.m == 0:
-        return max(2, (gap.d // gap.n).bit_length() + 1)
+def _depth_for_gap(gap, d: int) -> int:
+    """An m >= 2 with 2**-m <= gap/d (gap > 0 a numerator over d); the
+    smallest one when the gap is irrational."""
+    if type(gap) is int:
+        return max(2, (d // gap).bit_length() + 1)
     m = 2
-    while gap.cmp(_half(m)) < 0:
+    while gap * (1 << m) < d:
         m += 1
     return m
 
@@ -311,8 +384,8 @@ def _depths_for(sets: Sequence["IntervalSet"],
                 anchors: Iterable[str]) -> dict[str, int]:
     """Expansion depth per anchor for normalized sets: an m >= 2 no smaller
     than any tail start there, with 2**-m at most the gap between the
-    anchor and every finite endpoint.  The smallest gap, at the endpoint
-    nearest the anchor, is the only one read."""
+    anchor and every finite point.  The smallest gap, at the point nearest
+    the anchor, is the only one read."""
     depths: dict[str, int] = {}
     for anchor in anchors:
         m = 2
@@ -320,133 +393,149 @@ def _depths_for(sets: Sequence["IntervalSet"],
             for t in S.tails:
                 if t.anchor == anchor and t.start > m:
                     m = t.start
-            ivs = S.intervals
-            if ivs:
+            pts, d = S.pts, S.d
+            if pts:
                 if anchor == AT_ONE:
-                    iv = ivs[-1]
-                    gap = ONE - (iv.lo if _same(iv.hi, ONE) else iv.hi)
+                    gap = d - (pts[-2] if pts[-1] == d else pts[-1])
                 else:
-                    iv = ivs[0]
-                    gap = iv.hi if _same(iv.lo, ZERO) else iv.lo
-                m = max(m, _depth_for_gap(gap))
+                    gap = pts[1] if pts[0] == 0 else pts[0]
+                m = max(m, _depth_for_gap(gap, d))
         depths[anchor] = m
     return depths
 
 
-def _interleave(a: list[Interval], b: list[Interval]) -> list[Interval]:
-    """Sorted merge of two sorted runs whose intervals neither overlap nor
-    touch one another."""
-    if not a or not b:
-        return a or b
-    if a[-1].hi < b[0].lo:
-        return a + b
-    if b[-1].hi < a[0].lo:
-        return b + a
-    out: list[Interval] = []
-    i = 0
-    for iv in b:
-        while i < len(a) and a[i].lo < iv.lo:
-            out.append(a[i])
-            i += 1
-        out.append(iv)
-    out.extend(a[i:])
-    return out
+def _working_denominator(sets: Sequence["IntervalSet"],
+                         depths: dict[str, int]) -> int:
+    """A common denominator of the sets that every block boundary the
+    kernel reads divides: blocks up to index depth + 1, which ``_settle``
+    may take in."""
+    return lcm(*(S.d for S in sets), 1 << (max(depths.values()) + 2))
 
 
-def _expand(S: "IntervalSet", depths: dict[str, int]):
-    """A normalized set as sorted intervals inside the core region plus
+def _expand(S: "IntervalSet", depths: dict[str, int], d: int):
+    """A normalized set as sorted points over d inside the core region plus
     residual flags: ``flags[anchor][parity]`` says that every block n >=
     depth of that parity lies in the set.  Tail blocks are listed only
-    below the depth, and the components are reused as they are."""
+    below the depth; in normal form none touches a component."""
     flags = {anchor: [False, False] for anchor in depths}
-    ivs = list(S.intervals)
+    pts = list(_scale(S.pts, d // S.d))
+    blocks = []
     for t in S.tails:
         flags[t.anchor][t.parity] = True
-        blocks = [_block(t.anchor, n)
-                  for n in range(t.start, depths[t.anchor], 2)]
-        if t.anchor == AT_ZERO:
-            blocks.reverse()
-        ivs = _interleave(ivs, blocks)
+        for n in range(t.start, depths[t.anchor], 2):
+            blocks += _block_points(t.anchor, n, d)
+    if blocks:
+        pts = sorted(pts + blocks)
     # a piece reaching an anchor covers that anchor's whole residual zone;
     # block I_0 / D_0 of the other anchor's tail does too
-    if ivs and AT_ONE in depths and _same(ivs[-1].hi, ONE):
+    if pts and AT_ONE in depths and pts[-1] == d:
         flags[AT_ONE] = [True, True]
-        ivs[-1] = Interval(ivs[-1].lo, _block(AT_ONE, depths[AT_ONE]).lo)
-    if ivs and AT_ZERO in depths and _same(ivs[0].lo, ZERO):
+        pts[-1] = _block_points(AT_ONE, depths[AT_ONE], d)[0]
+    if pts and AT_ZERO in depths and pts[0] == 0:
         flags[AT_ZERO] = [True, True]
-        ivs[0] = Interval(_block(AT_ZERO, depths[AT_ZERO]).hi, ivs[0].hi)
-    return ivs, flags
+        pts[0] = _block_points(AT_ZERO, depths[AT_ZERO], d)[1]
+    return pts, flags
 
 
-def _settle(ivs: list[Interval], anchor: str, start: int) -> int:
+def _settle(pts: list, anchor: str, start: int, d: int) -> int:
     """Canonical start of a tail whose blocks from `start` on lie in the
-    set beyond every component of `ivs`, which is edited in place.
+    set beyond every component of `pts` (over d), which is edited in place.
 
     A component touching the first block takes that block in, and the
     tail starts two blocks later; otherwise components that are exactly
     the blocks start-2, start-4, ... join the tail.  Only the components
-    at the anchor end of the list are read, and block identity is decided
-    from integer fields."""
+    at the anchor end of the list are read."""
     if anchor == AT_ONE:
-        first = _block(AT_ONE, start)
-        if ivs and _same(ivs[-1].hi, first.lo):
-            ivs[-1] = Interval(ivs[-1].lo, first.hi)
+        lo, hi = _block_points(AT_ONE, start, d)
+        if pts and pts[-1] == lo:
+            pts[-1] = hi
             return start + 2
-        i = len(ivs)
+        i = len(pts)
         while start >= 2 and i:
-            blk = _block(AT_ONE, start - 2)
-            while i and ivs[i - 1].lo >= blk.hi:  # inside block start - 1
-                i -= 1
-            if not (i and _same(ivs[i - 1].lo, blk.lo)
-                    and _same(ivs[i - 1].hi, blk.hi)):
+            lo, hi = _block_points(AT_ONE, start - 2, d)
+            while i and pts[i - 2] >= hi:  # inside block start - 1
+                i -= 2
+            if not (i and pts[i - 2] == lo and pts[i - 1] == hi):
                 break
-            i -= 1
-            del ivs[i]
+            i -= 2
+            del pts[i:i + 2]
             start -= 2
         return start
-    first = _block(AT_ZERO, start)
-    if ivs and _same(ivs[0].lo, first.hi):
-        ivs[0] = Interval(first.lo, ivs[0].hi)
+    lo, hi = _block_points(AT_ZERO, start, d)
+    if pts and pts[0] == hi:
+        pts[0] = lo
         return start + 2
     i = 0
-    while start >= 2 and i < len(ivs):
-        blk = _block(AT_ZERO, start - 2)
-        while i < len(ivs) and ivs[i].hi <= blk.lo:  # inside block start - 1
-            i += 1
-        if not (i < len(ivs) and _same(ivs[i].lo, blk.lo)
-                and _same(ivs[i].hi, blk.hi)):
+    while start >= 2 and i < len(pts):
+        lo, hi = _block_points(AT_ZERO, start - 2, d)
+        while i < len(pts) and pts[i + 1] <= lo:  # inside block start - 1
+            i += 2
+        if not (i < len(pts) and pts[i] == lo and pts[i + 1] == hi):
             break
-        del ivs[i]
+        del pts[i:i + 2]
         start -= 2
     return start
 
 
-def _collapse(ivs: list[Interval], flags,
-              depths: dict[str, int]) -> "IntervalSet":
-    """Normal form of sorted, normalized core intervals (edited in place)
-    plus the residual zones the flags mark."""
+def _collapse(pts: list, flags, depths: dict[str, int], d: int,
+              tag: Optional[IrrationalTag]) -> "IntervalSet":
+    """Normal form of sorted, normalized core points over d (edited in
+    place) plus the residual zones the flags mark."""
     for anchor, (even, odd) in flags.items():
         if even and odd:
+            lo, hi = _block_points(anchor, depths[anchor], d)
             if anchor == AT_ONE:
-                edge = _block(AT_ONE, depths[AT_ONE]).lo
-                ivs = _join(ivs, (Interval(edge, ONE),))
+                pts = _join(pts, (lo, d))
             else:
-                edge = _block(AT_ZERO, depths[AT_ZERO]).hi
-                ivs = _join([Interval(ZERO, edge)], ivs)
+                pts = _join([0, hi], pts)
     tails = []
     for anchor, (even, odd) in flags.items():
         if even != odd:
             parity = ODD if odd else EVEN
             m = depths[anchor]
             start = m if m % 2 == parity else m + 1
-            tails.append(ParityTail(anchor, _settle(ivs, anchor, start),
+            tails.append(ParityTail(anchor, _settle(pts, anchor, start, d),
                                     parity))
-    return IntervalSet(tuple(ivs), frozenset(tails))
+    return _canonical(d, pts, tag, frozenset(tails))
 
 
 # ---------------------------------------------------------------------
 # the set type
 # ---------------------------------------------------------------------
+
+def _new(d: int, pts: tuple, tag: Optional[IrrationalTag],
+         tails: frozenset) -> "IntervalSet":
+    """The set with these normal-form fields, taken as they are."""
+    S = object.__new__(IntervalSet)
+    S.d = d
+    S.pts = pts
+    S.tag = tag
+    S.tails = tails
+    return S
+
+
+def _canonical(d: int, pts: Sequence, tag: Optional[IrrationalTag],
+               tails: frozenset = frozenset()) -> "IntervalSet":
+    """The set of normalized toggle points `pts` over d with `tails`, put
+    in lowest terms; `tag` is None only when every point is rational."""
+    if not pts:
+        return _new(1, (), None, tails)
+    if tag is None:
+        g = gcd(d, *pts)
+    else:
+        # read both parts of each point, and whether alpha is left at all
+        g, tag = d, None
+        for p in pts:
+            if type(p) is int:
+                g = gcd(g, p)
+            else:
+                g = gcd(g, p[0], p[1])
+                tag = p[2]
+    if g != 1:
+        d //= g
+        pts = [p // g for p in pts]
+    return _new(d, tuple(pts), tag, tails)
+
 
 class IntervalSet:
     """Normalized measurable subset of [0, 1).
@@ -455,16 +544,19 @@ class IntervalSet:
     ``make_set`` / ``from_text``.
     """
 
-    __slots__ = ("intervals", "tails")
+    __slots__ = ("d", "pts", "tag", "tails")
 
-    def __init__(self, intervals: tuple[Interval, ...] = (),
-                 tails: frozenset[ParityTail] = frozenset()):
-        if len(tails) > 1 and len({t.anchor for t in tails}) < len(tails):
+    def __init__(self, intervals: Iterable[Interval] = (),
+                 tails: Iterable[ParityTail] = frozenset()):
+        tails = frozenset(tails)
+        if len({t.anchor for t in tails}) < len(tails):
             raise RepresentationOverflowError(
                 "more than one parity tail per anchor in normal form")
-        self.intervals = (intervals if type(intervals) is tuple
-                          else tuple(intervals))
-        self.tails = tails if type(tails) is frozenset else frozenset(tails)
+        S = IntervalSet.build(intervals)
+        self.d = S.d
+        self.pts = S.pts
+        self.tag = S.tag
+        self.tails = tails
 
     # -- construction ---------------------------------------------------
 
@@ -472,45 +564,60 @@ class IntervalSet:
     def build(cls, intervals: Iterable[Interval],
               tails: Iterable[ParityTail] = ()) -> "IntervalSet":
         ivs = list(intervals)
+        d = lcm(*(x.d for iv in ivs for x in (iv.lo, iv.hi)))
+        pairs = []
+        tag = None
         for iv in ivs:
-            if iv.lo < ZERO or iv.hi > ONE:
+            tag = tag or iv.lo.tag or iv.hi.tag
+            lo, hi = _numerator(iv.lo, d), _numerator(iv.hi, d)
+            if lo < 0 or hi > d:
                 raise ValueError(f"interval {iv.to_text()} outside [0,1)")
-            if not iv.lo < iv.hi:
+            if not lo < hi:
                 raise ValueError(f"empty or inverted interval {iv.to_text()}")
+            pairs.append((lo, hi))
         # the one entry point for unsorted input: sort, then coalesce
-        ivs.sort(key=lambda iv: iv.lo)
-        out: list[Interval] = []
-        for iv in ivs:
-            if out and iv.lo <= out[-1].hi:
-                if iv.hi > out[-1].hi:
-                    out[-1] = Interval(out[-1].lo, iv.hi)
+        pairs.sort(key=itemgetter(0))
+        pts = []
+        for lo, hi in pairs:
+            if pts and lo <= pts[-1]:
+                if hi > pts[-1]:
+                    pts[-1] = hi
             else:
-                out.append(iv)
-        S = cls(tuple(out))
+                pts += (lo, hi)
+        S = _canonical(d, pts, tag)
         for t in tails:
             # a lone tail is in normal form
-            S = S._combine(cls((), frozenset((t,))), _UNION)
+            S = S._combine(_new(1, (), None, frozenset((t,))), _UNION)
         return S
 
     def _anchors(self) -> set[str]:
         return {t.anchor for t in self.tails}
 
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        """The components, sorted, as ``Interval``s built on each access."""
+        d = self.d
+        ends = [_make(p, 0, d, None) if type(p) is int
+                else _make(p[0], p[1], d, p[2]) for p in self.pts]
+        return tuple(map(Interval, ends[::2], ends[1::2]))
+
     # -- predicates ------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not self.intervals and not self.tails
+        return not self.pts and not self.tails
 
     def equals(self, other: "IntervalSet") -> bool:
-        return self.intervals == other.intervals and self.tails == other.tails
+        return (self.d == other.d and self.pts == other.pts
+                and self.tails == other.tails)
 
     def __eq__(self, other):
         return isinstance(other, IntervalSet) and self.equals(other)
 
     def __hash__(self):
-        return hash((self.intervals, self.tails))
+        return hash((self.d, self.pts, self.tails))
 
     def component_count(self) -> int:
-        return len(self.intervals) + len(self.tails)
+        return (len(self.pts) >> 1) + len(self.tails)
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
         return self.subtract(other).is_empty()
@@ -518,36 +625,46 @@ class IntervalSet:
     # -- measure ----------------------------------------------------------
 
     def measure(self) -> Scalar:
-        # sum (n + m*alpha) / d over a common denominator d
-        d = lcm(*(s.d for iv in self.intervals for s in (iv.lo, iv.hi)),
-                *(3 << t.start for t in self.tails))
-        n = m = 0
-        tag = None
-        for iv in self.intervals:
-            lo, hi = iv.lo, iv.hi
-            fl, fh = d // lo.d, d // hi.d
-            n += hi.n * fh - lo.n * fl
-            m += hi.m * fh - lo.m * fl
-            if tag is None:
-                tag = lo.tag or hi.tag
+        pts = self.pts
+        if self.tag is None:
+            n, m = sum(pts[1::2]) - sum(pts[::2]), 0
+        else:
+            # the alternating sum of both integer parts
+            n = m = 0
+            for i, p in enumerate(pts):
+                q, r = (p, 0) if type(p) is int else p[:2]
+                if i & 1:
+                    n, m = n + q, m + r
+                else:
+                    n, m = n - q, m - r
+        d = self.d
         for t in self.tails:
-            n += 2 * d // (3 << t.start)
-        return _make(n, m, d, tag)
+            k = 3 << t.start
+            n, m, d = n * k + 2 * d, m * k, d * k
+        return _make(n, m, d, self.tag)
 
     # -- boolean algebra ---------------------------------------------------
 
     def _combine(self, other: "IntervalSet",
                  keep: tuple[bool, ...]) -> "IntervalSet":
+        # the empty set is the identity of every table on the other operand
+        if not (other.pts or other.tails):
+            return self if keep[2] else EMPTY
+        if not (self.pts or self.tails):
+            return other if keep[1] else EMPTY
+        tag = _merge_tags(self.tag, other.tag)
         if not (self.tails or other.tails):
-            return IntervalSet(tuple(_merge(self.intervals, other.intervals,
-                                            keep)))
+            d = lcm(self.d, other.d)
+            return _canonical(d, _merge(self.pts, d // self.d, other.pts,
+                                        d // other.d, keep), tag)
         depths = _depths_for((self, other),
                              self._anchors() | other._anchors())
-        ia, fa = _expand(self, depths)
-        ib, fb = _expand(other, depths)
+        d = _working_denominator((self, other), depths)
+        ia, fa = _expand(self, depths, d)
+        ib, fb = _expand(other, depths, d)
         flags = {a: [keep[2 * x + y] for x, y in zip(fa[a], fb[a])]
                  for a in depths}
-        return _collapse(_merge(ia, ib, keep), flags, depths)
+        return _collapse(_merge(ia, 1, ib, 1, keep), flags, depths, d, tag)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return self._combine(other, _UNION)
@@ -567,33 +684,39 @@ class IntervalSet:
 
     def translate_mod1(self, t: Scalar) -> "IntervalSet":
         """The set moved by t around the circle [0, 1), as a rotation of
-        the sorted list: pieces pushed past 1 wrap to the front, and the
-        one piece that straddles 1 splits.  t is rounded only when it
-        lies outside [0, 1)."""
+        the sorted points: points pushed to 1 or past it wrap to the front,
+        and a piece that straddles 1 splits there.  t is rounded only when
+        it lies outside [0, 1)."""
         if self.tails:
             raise UnsupportedRepresentationError(
                 "translation of parity tails is not representable")
         if t.cmp(ZERO) < 0 or t.cmp(ONE) >= 0:
             t = t.mod1()
-        front: list[Interval] = []  # the pieces past 1, moved down by 1
-        back: list[Interval] = []
-        for iv in self.intervals:
-            lo, hi = iv.lo + t, iv.hi + t
-            if front or lo >= ONE:
-                front.append(Interval(lo - ONE, hi - ONE))
-            elif hi > ONE:
-                front.append(Interval(ZERO, hi - ONE))
-                back.append(Interval(lo, ONE))
+        d = lcm(self.d, t.d)
+        shift = _numerator(t, d)
+        moved = [p + shift for p in _scale(self.pts, d // self.d)]
+        k = bisect_left(moved, d)
+        back = moved[:k]
+        front = [p - d for p in moved[k:]]  # moved down by 1
+        if k & 1:
+            # inside a piece at 1: it ends there and goes on from 0, unless
+            # it ended at 1 exactly
+            back.append(d)
+            if front and front[0] == 0:
+                del front[0]
             else:
-                back.append(Interval(lo, hi))
-        return IntervalSet(tuple(_join(front, back)))
+                front.insert(0, 0)
+        return _canonical(d, _join(front, back),
+                          _merge_tags(self.tag, t.tag))
 
     # -- text form ------------------------------------------------------------
 
     def to_text(self) -> str:
         if self.is_empty():
             return "empty"
-        parts = [iv.to_text() for iv in self.intervals]
+        d, pts = self.d, self.pts
+        parts = [f"{_point_text(lo, d)}..{_point_text(hi, d)}"
+                 for lo, hi in zip(pts[::2], pts[1::2])]
         parts += [t.to_text() for t in sorted(self.tails,
                                               key=lambda t: (t.anchor, t.start))]
         return ", ".join(parts)
@@ -602,8 +725,15 @@ class IntervalSet:
         return f"IntervalSet({self.to_text()!r})"
 
 
-EMPTY = IntervalSet()
-FULL = IntervalSet((Interval(ZERO, ONE),))
+EMPTY = _new(1, (), None, frozenset())
+FULL = _new(1, (0, 1), None, frozenset())
+
+
+def arc(lo: int, hi: int, d: int) -> IntervalSet:
+    """The interval [lo/d, hi/d), for integers 0 <= lo < hi <= d."""
+    if not 0 <= lo < hi <= d:
+        raise ValueError(f"no interval [{lo}/{d}, {hi}/{d}) in [0, 1)")
+    return _canonical(d, (lo, hi), None)
 
 
 # ---------------------------------------------------------------------
@@ -612,19 +742,21 @@ FULL = IntervalSet((Interval(ZERO, ONE),))
 # ---------------------------------------------------------------------
 
 def doubling_preimage(S: IntervalSet) -> IntervalSet:
-    """{x : 2x mod 1 in S} = S/2 union (S/2 + 1/2)."""
+    """{x : 2x mod 1 in S} = S/2 union (S/2 + 1/2): over 2d, the points
+    of S followed by the same points plus d."""
     if S.tails:
         raise UnsupportedRepresentationError("doubling does not act on tails")
-    left = []
-    right = []
-    for iv in S.intervals:
-        lo, lo_right = _halves(iv.lo)
-        hi, hi_right = _halves(iv.hi)
-        left.append(Interval(lo, hi))
-        right.append(Interval(lo_right, hi_right))
-    # left ends at 1/2 only when S reached 1, right starts at 1/2 only when
-    # S reached 0
-    return IntervalSet(tuple(_join(left, right)))
+    d, pts = S.d, S.pts
+    if not pts:
+        return EMPTY
+    right = [p + d for p in pts]
+    if pts[0] == 0 and pts[-1] == d:
+        # S/2 ends at 1/2 where S/2 + 1/2 starts: the two points cancel
+        if len(pts) == 2:
+            return FULL
+        return _new(2 * d, pts[:-1] + tuple(right[1:]), S.tag, frozenset())
+    # S is in lowest terms over d, so the result is over 2d
+    return _new(2 * d, pts + tuple(right), S.tag, frozenset())
 
 
 def doubling_image(S: IntervalSet) -> IntervalSet:
@@ -632,12 +764,14 @@ def doubling_image(S: IntervalSet) -> IntervalSet:
     1/2 are two sorted runs, combined by union."""
     if S.tails:
         raise UnsupportedRepresentationError("doubling does not act on tails")
-    half = _half(1)
-    low = [Interval(iv.lo + iv.lo, min(iv.hi, half) * 2)
-           for iv in S.intervals if iv.lo < half]
-    high = [Interval(max(iv.lo, half) * 2 - ONE, iv.hi + iv.hi - ONE)
-            for iv in S.intervals if iv.hi > half]
-    return IntervalSet(tuple(_merge(low, high, _UNION)))
+    d, pts = S.d, S.pts
+    # pts[:k] lie below 1/2 and pts[:k2] at most at it; a point p maps to
+    # 2p over d, less d above 1/2
+    k = bisect_left(pts, d, key=partial(mul, 2))
+    k2 = k + (k < len(pts) and pts[k] * 2 == d)
+    low = [p * 2 for p in pts[:k]] + [d] * (k & 1)
+    high = [0] * (k2 & 1) + [p * 2 - d for p in pts[k2:]]
+    return _canonical(d, _merge(low, 1, high, 1, _UNION), S.tag)
 
 
 def _odometer_map(S: IntervalSet, src: str) -> IntervalSet:
@@ -647,33 +781,26 @@ def _odometer_map(S: IntervalSet, src: str) -> IntervalSet:
     dst = AT_ZERO if src == AT_ONE else AT_ONE
     depths = _depths_for((S,), (src,))
     m = depths[src]
-    ivs, flags = _expand(S, depths)
+    d = _working_denominator((S,), depths)
+    pts, flags = _expand(S, depths, d)
     # the blocks are visited from the top of [0, 1) down; their images
     # then come out in increasing order, each block's pieces in order
-    out: list[Interval] = []
-    j = len(ivs)        # ivs[:j] are not yet fully mapped
-    carry = False       # ivs[j - 1] continues from the block above
+    out: list = []
     for n in range(m) if src == AT_ZERO else range(m - 1, -1, -1):
-        if not j:
-            break
-        blk = _block(src, n)
-        i = j
-        while i and ivs[i - 1].hi > blk.lo:
-            i -= 1
-        if i == j:
+        lo, hi = _block_points(src, n, d)
+        i = bisect_right(pts, lo)
+        j = bisect_left(pts, hi, i)
+        # the part of the set in the block: pts[i:j], closed at the block's
+        # ends when a piece runs across them
+        if i == j and not i & 1:
             continue
-        image = _block(dst, n)
         # x -> x - 1 + 3 * 2**-(n+1) takes I_n onto D_n, and back
-        t = _make(3 - (2 << n) if src == AT_ONE else (2 << n) - 3, 0,
-                  2 << n, None)
-        below = ivs[i].lo < blk.lo
-        for k in range(i, j):
-            iv = ivs[k]
-            lo = image.lo if k == i and below else iv.lo + t
-            hi = image.hi if k == j - 1 and carry else iv.hi + t
-            _join(out, (Interval(lo, hi),))
-        j, carry = (i + 1, True) if below else (i, False)
-    return _collapse(out, {dst: flags[src]}, {dst: m})
+        t = 3 * (d >> (n + 1)) - d
+        if src == AT_ZERO:
+            t = -t
+        piece = [lo] * (i & 1) + pts[i:j] + [hi] * (j & 1)
+        _join(out, [p + t for p in piece])
+    return _collapse(out, {dst: flags[src]}, {dst: m}, d, S.tag)
 
 
 def odometer_image(S: IntervalSet) -> IntervalSet:
@@ -737,9 +864,10 @@ def truncate_tails(s: IntervalSet, blocks: int) -> tuple[IntervalSet, Scalar]:
     ivs = list(s.intervals)
     dropped = Scalar(0)
     for t in s.tails:
+        block = block_one if t.anchor == AT_ONE else block_zero
         n = t.start
         for _ in range(blocks):
-            ivs.append(_block(t.anchor, n))
+            ivs.append(block(n))
             n += 2
         dropped = dropped + _make(2, 0, 3 << n, None)
     return IntervalSet.build(ivs), dropped

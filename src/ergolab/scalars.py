@@ -124,7 +124,7 @@ class Scalar:
     rational parts p and q (``int`` or ``Fraction``); ``p`` and ``q`` read
     them back as ``Fraction``s.  Those properties allocate, so library code
     reads ``n``, ``m`` and ``d``, and builds scalars from integers only
-    through ``_make``, or ``_halves`` for the doubling map's halved ends.
+    through ``_make``.
     """
 
     __slots__ = ("n", "m", "d", "tag")
@@ -298,12 +298,7 @@ class Scalar:
     def to_text(self) -> str:
         """``p``, ``p+q*alpha`` or ``p-|q|*alpha``, each part written as
         ``str`` writes a ``Fraction``."""
-        p = _ratio_text(self.n, self.d)
-        if self.m == 0:
-            return p
-        if self.m < 0:
-            return f"{p}-{_ratio_text(-self.m, self.d)}*alpha"
-        return f"{p}+{_ratio_text(self.m, self.d)}*alpha"
+        return _text(self.n, self.m, self.d)
 
     def __repr__(self) -> str:
         return f"Scalar({self.to_text()!r})"
@@ -327,36 +322,20 @@ def _make(n: int, m: int, d: int, tag: Optional[IrrationalTag]) -> Scalar:
     return s
 
 
-def _halves(x: Scalar) -> tuple[Scalar, Scalar]:
-    """x/2 and x/2 + 1/2 in canonical form, without a gcd.
-
-    They are (n + m*alpha) / 2d and (n + d + m*alpha) / 2d.  As x is
-    canonical, the fields of each share at most a factor 2: a common factor
-    of n + d, m and d divides n too, and a factor 4 would leave d, hence n
-    and m, even.  So each is halved exactly when both of its numerator
-    fields are even.
-    """
-    n, m, d, tag = x.n, x.m, x.d, x.tag
-    lo = object.__new__(Scalar)
-    if (n | m) & 1:
-        lo.n, lo.m, lo.d = n, m, d << 1
-    else:
-        lo.n, lo.m, lo.d = n >> 1, m >> 1, d
-    lo.tag = tag
-    hi = object.__new__(Scalar)
-    n += d
-    if (n | m) & 1:
-        hi.n, hi.m, hi.d = n, m, d << 1
-    else:
-        hi.n, hi.m, hi.d = n >> 1, m >> 1, d
-    hi.tag = tag
-    return lo, hi
-
-
 def _ratio_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, without building the Fraction."""
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _text(n: int, m: int, d: int) -> str:
+    """``Scalar.to_text`` of (n + m*alpha) / d, in lowest terms or not."""
+    p = _ratio_text(n, d)
+    if m == 0:
+        return p
+    if m < 0:
+        return f"{p}-{_ratio_text(-m, d)}*alpha"
+    return f"{p}+{_ratio_text(m, d)}*alpha"
 
 
 def _coerce(x) -> Scalar:
@@ -371,10 +350,26 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
+#: a rational written as an integer or a ratio of integers: "3", "-1/2"
+_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
 #: p + q*alpha with either part optional and q defaulting to 1: "alpha",
 #: "-alpha", "1-alpha", "2*alpha", "1/2+alpha", "1/2-3/4*alpha"
 _LINEAR = re.compile(r"(?:(?P<p>[+-]?\d[\d./]*)\s*(?=[+-]))?"
                      r"(?P<sign>[+-]?)\s*(?:(?P<q>\d[\d./]*)\s*\*\s*)?alpha")
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """(n, d) with d > 0 for a rational text: integers straight from
+    ``n`` or ``n/d``, and ``Fraction`` for any other form (``0.5``,
+    ``1e-3``), which also raises on a zero denominator."""
+    m = _RATIO.fullmatch(text)
+    if m:
+        d = int(m[2] or 1)
+        if d:
+            return int(m[1]), d
+    f = Fraction(text)
+    return f.numerator, f.denominator
 
 
 def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:
@@ -384,14 +379,18 @@ def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:
     """
     s = text.strip()
     if "alpha" not in s:
-        return Scalar(Fraction(s))
+        n, d = _ratio(s)
+        return _make(n, 0, d, None)
     if tag is None:
         raise ValueError(f"scalar {text!r} uses alpha but no tag was given")
     m = _LINEAR.fullmatch(s)
     if m is None:
         raise ValueError(f"malformed scalar {text!r}")
-    q = Fraction(m["q"] or 1)
-    return Scalar(Fraction(m["p"] or 0), -q if m["sign"] == "-" else q, tag)
+    pn, pd = _ratio(m["p"] or "0")
+    qn, qd = _ratio(m["q"] or "1")
+    if m["sign"] == "-":
+        qn = -qn
+    return _make(pn * qd, qn * pd, pd * qd, tag)
 
 
 def render(a: Scalar, digits: int = 12) -> str:

@@ -1,5 +1,6 @@
 """Transformations: preimages, images, measure preservation, towers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,39 @@ class TestTowerSets:
     def test_serialization(self):
         s = TowerSet(make_set([(F(0), F(1, 4))]), A_SET)
         assert s.to_text() == "0..1/4 | tail(one, 0, even)"
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_results_keep_their_top_over_the_column(self, seed, monkeypatch):
+        # tower maps and set operations build their results without the
+        # top-in-A check of the public constructor; the top still lies in A
+        rng = random.Random(seed)
+
+        def battery_set():
+            # the Kakutani battery of the acceptance suite, plus whole A
+            base = random_interval_set(rng, allow_tails=False,
+                                       allow_empty=True)
+            top = (A_SET if rng.random() < 0.2 else random_interval_set(
+                rng, allow_tails=False, allow_empty=True).intersect(A_SET))
+            return TowerSet(base, top)
+
+        a, b = battery_set(), battery_set()
+        checked = 0
+        init = TowerSet.__init__
+
+        def counting(self, *args):
+            nonlocal checked
+            checked += 1
+            init(self, *args)
+
+        monkeypatch.setattr(TowerSet, "__init__", counting)
+        results = {"preimage": tower_preimage(a), "image": tower_image(a),
+                   "union": a.union(b), "intersect": a.intersect(b),
+                   "subtract": a.subtract(b), "complement": a.complement()}
+        monkeypatch.undo()
+        assert checked == 0
+        for name, S in results.items():
+            assert S.top.is_subset_of(A_SET), f"{name}: {S.to_text()}"
+        assert tower_preimage(tower_image(a)) == a
 
 
 class TestKakutaniTower:

@@ -121,6 +121,64 @@ class TestNormalization:
                     IntervalSet((), container([first, second]))
 
 
+def _fields(S):
+    return S.d, S.pts, S.tag, S.tails
+
+
+class TestCanonicalForm:
+    """Equal sets reached by different paths have equal fields and equal
+    hashes; the tracer's value hashes and ``==`` rely on it."""
+
+    def assert_same(self, a, b):
+        assert _fields(a) == _fields(b), (a.to_text(), b.to_text())
+        assert a == b and hash(a) == hash(b)
+
+    def test_seam_at_one_half_cancels(self):
+        self.assert_same(doubling_preimage(FULL), FULL)
+        self.assert_same(make_set([(F(0), F(1, 2)), (F(1, 2), F(1))]), FULL)
+        self.assert_same(FULL, make_set([(F(0), F(1))]))
+        assert _fields(FULL) == (1, (0, 1), None, frozenset())
+        assert _fields(EMPTY) == (1, (), None, frozenset())
+
+    def test_doubling_iterate_equals_the_set_built_from_text(self):
+        S = make_set([(F(1, 3), F(2, 3))])
+        for _ in range(3):
+            S = doubling_preimage(S)
+        text = ("1/24..1/12, 1/6..5/24, 7/24..1/3, 5/12..11/24, "
+                "13/24..7/12, 2/3..17/24, 19/24..5/6, 11/12..23/24")
+        assert S.d == 24
+        self.assert_same(S, from_text(text))
+        self.assert_same(S, doubling_preimage(doubling_preimage(
+            doubling_preimage(from_text("1/3..2/3")))))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_round_trips_keep_the_fields(self, seed):
+        alpha = Scalar(0, 1, GOLDEN)
+        for S in (random_interval_set(seed, allow_tails=False),
+                  random_offset_set(seed, alpha),
+                  _with_tail(2 * seed + 1, AT_ONE),
+                  _with_tail(2 * seed + 1, AT_ZERO)):
+            self.assert_same(IntervalSet.build(S.intervals, S.tails), S)
+            self.assert_same(from_text(S.to_text(), GOLDEN), S)
+            # an irrational shift and its inverse lead back to S's fields
+            if not S.tails:
+                self.assert_same(S.translate_mod1(alpha).translate_mod1(
+                    -alpha), S)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_doubling_preimage_is_in_lowest_terms(self, seed):
+        # the preimage of a set in lowest terms over d is taken over 2d
+        # without a gcd: it must equal the reduced form of its own points
+        alpha = Scalar(0, 1, GOLDEN)
+        for S in (random_interval_set(seed, allow_tails=False),
+                  random_offset_set(seed, alpha),
+                  make_set([(F(seed % 5, 5), F(1))]),
+                  make_set([(F(0), F(seed % 7 + 1, 8))])):
+            for _ in range(3):
+                S = doubling_preimage(S)
+                self.assert_same(S, intervals._canonical(S.d, S.pts, S.tag))
+
+
 class TestBooleanLaws:
     @given(tailed_sets(), tailed_sets())
     @settings(max_examples=80)
@@ -334,29 +392,49 @@ class TestPointwise:
 
     def test_skewed_merge_bisects(self, monkeypatch):
         # a set of 4,096 components against one of a single component:
-        # each operation locates the two cuts by bisection, not by walking
+        # each operation takes the bisecting path and locates the two cuts
+        # in at most 64 point comparisons, not by walking.  Rational points
+        # compare as plain ints, so the comparisons are counted in a
+        # bisection that makes them one at a time.
         S = make_set([(F(1, 3), F(2, 3))])
         for _ in range(12):
             S = doubling_preimage(S)
         D = make_set([(F(1, 5), F(7, 10))])
         assert S.component_count() == 4096
-        calls = 0
-        cmp = Scalar.cmp
+        calls = skewed = 0
 
-        def counting(self, other):
+        def bisect_left(a, x, lo=0, hi=None, *, key=None):
             nonlocal calls
-            calls += 1
-            return cmp(self, other)
+            hi = len(a) if hi is None else hi
+            while lo < hi:
+                mid = (lo + hi) // 2
+                calls += 1
+                if (a[mid] if key is None else key(a[mid])) < x:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return lo
 
-        monkeypatch.setattr(Scalar, "cmp", counting)
-        for name, op in (("S & D", lambda: S.intersect(D)),
-                         ("S | D", lambda: S.union(D)),
-                         ("S - D", lambda: S.subtract(D)),
-                         ("D - S", lambda: D.subtract(S)),
-                         ("S'", S.complement)):
-            calls = 0
-            op()
-            assert calls <= 64, f"{name}: {calls} compares"
+        merge_skewed = intervals._merge_skewed
+
+        def counting(*args):
+            nonlocal skewed
+            skewed += 1
+            return merge_skewed(*args)
+
+        ops = (("S & D", lambda: S.intersect(D)),
+               ("S | D", lambda: S.union(D)),
+               ("S - D", lambda: S.subtract(D)),
+               ("D - S", lambda: D.subtract(S)),
+               ("S'", S.complement))
+        want = {name: op() for name, op in ops}
+        monkeypatch.setattr(intervals, "bisect_left", bisect_left)
+        monkeypatch.setattr(intervals, "_merge_skewed", counting)
+        for name, op in ops:
+            calls = skewed = 0
+            assert op() == want[name], name
+            assert skewed == 1, f"{name}: walked"
+            assert 0 < calls <= 64, f"{name}: {calls} compares"
 
     @pytest.mark.parametrize("seed", range(30))
     def test_odometer_maps_match_the_pointwise_map(self, seed):
@@ -548,6 +626,12 @@ class TestTruncation:
         assert finite.measure() + dropped == s.measure()
 
 
+def _depth_of(gap):
+    """_depth_for_gap of a Scalar gap, as its numerator over its own
+    denominator, the form the kernel passes."""
+    return _depth_for_gap(intervals._numerator(gap, gap.d), gap.d)
+
+
 class TestDepthForGap:
     def test_irrational_gap_gets_smallest_depth_without_bracket(
             self, monkeypatch):
@@ -560,11 +644,11 @@ class TestDepthForGap:
                  (Scalar(F(1, 2), -1, SQRT2M1), 4),          # ~0.0858
                  (Scalar(F(610, 987), -1, GOLDEN), 22)]      # ~4.6e-7
         for gap, m in cases:
-            assert _depth_for_gap(gap) == m
+            assert _depth_of(gap) == m
             assert Scalar(F(1, 1 << m)) <= gap
             assert m == 2 or Scalar(F(1, 1 << (m - 1))) > gap
 
     def test_rational_gap_formula(self):
-        assert _depth_for_gap(Scalar(F(1, 2))) == 3
-        assert _depth_for_gap(Scalar(F(1, 1000))) == 11
-        assert _depth_for_gap(Scalar(1)) == 2
+        assert _depth_of(Scalar(F(1, 2))) == 3
+        assert _depth_of(Scalar(F(1, 1000))) == 11
+        assert _depth_of(Scalar(1)) == 2

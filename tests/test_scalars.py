@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ergolab.errors import IncompatibleBasisError
 from ergolab.scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
-                             _halves, _make, get_tag, parse_scalar, render)
+                             get_tag, parse_scalar, render)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 rationals = st.builds(Scalar, fractions)
@@ -276,6 +276,46 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse_scalar(text, GOLDEN)
 
+    @pytest.mark.parametrize("text", [
+        "0", "3", "-3", "+3", "10/5", "-6/4", "+7/14", "0/9", " 3/4 ",
+        "\t-1/2\n", "007/010", "0.5", "-1.25", "1e-3", "2E2", ".5",
+        "1_000", "12345678901234567890123/98765432109876543210",
+    ])
+    def test_rational_texts_parse_as_fraction_does(self, text):
+        # n and n/d go straight to integers; every other form is read by
+        # Fraction, so both agree on all of them
+        got, want = parse_scalar(text), Scalar(Fraction(text.strip()))
+        assert (got.n, got.m, got.d, got.tag) == (want.n, want.m, want.d,
+                                                  want.tag)
+
+    def test_rational_texts_build_no_fraction(self, monkeypatch):
+        calls = 0
+        build = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        values = [parse_scalar(t, GOLDEN) for t in ("3/4", "-2", "1/2-alpha",
+                                                    "3/4-3/2*alpha")]
+        monkeypatch.undo()
+        assert calls == 0
+        assert [v.to_text() for v in values] == [
+            "3/4", "-2", "1/2-1*alpha", "3/4-3/2*alpha"]
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/00", "1/0+alpha",
+                                      "1/2-1/0*alpha"])
+    def test_zero_denominator_raises(self, text):
+        with pytest.raises(ZeroDivisionError):
+            parse_scalar(text, GOLDEN)
+
+    @pytest.mark.parametrize("text", ["", "1/", "/2", "1/-2", "one", "1 / 2"])
+    def test_malformed_rationals_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
     def test_alpha_without_tag_rejected(self):
         with pytest.raises(ValueError):
             parse_scalar("alpha")
@@ -381,28 +421,3 @@ def test_integer_fields_are_canonical():
     assert (y.n, y.m, y.d, y.tag) == (1, 0, 6, None)
     with pytest.raises(AttributeError):
         x.p = Fraction(1)
-
-
-def test_halves_match_the_gcd_form():
-    # x/2 and x/2 + 1/2 built without a gcd equal _make's canonical fields
-    # for every canonical (n + m*alpha)/d in a box, which holds each parity
-    # case: x/2 halved (n, m even), x/2 + 1/2 halved (n + d, m even), and
-    # neither, with d even or (for m odd) d odd
-    cases = set()
-    for tag in (None, GOLDEN):
-        for n in range(-9, 10):
-            for m in (range(-4, 5) if tag else (0,)):
-                for d in range(1, 13):
-                    if gcd(n, m, d) != 1:
-                        continue
-                    x = _make(n, m, d, tag)
-                    want = (_make(n, m, 2 * d, tag),
-                            _make(n + d, m, 2 * d, tag))
-                    for got, ref in zip(_halves(x), want):
-                        assert (got.n, got.m, got.d, got.tag) == (
-                            ref.n, ref.m, ref.d, ref.tag), x.to_text()
-                    cases.add((tag, (n | m) & 1, ((n + d) | m) & 1, d & 1))
-    rational = {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
-    assert {c[1:] for c in cases if c[0] is None} == rational
-    # only an odd m leaves both unhalved with d odd
-    assert {c[1:] for c in cases if c[0] is GOLDEN} == rational | {(1, 1, 1)}
