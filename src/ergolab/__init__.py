@@ -6,7 +6,7 @@ Caratheodory-style density/gap probes, and a batch experiment harness.
 from .errors import (ErgolabError, IncompatibleBasisError, InvalidInputError,
                      RepresentationOverflowError,
                      UnsupportedRepresentationError, ComponentBudgetError,
-                     InvalidTowerSetError, ConfigError)
+                     InvalidTowerSetError, ConfigError, InvariantViolation)
 from .scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
                       get_tag, parse_scalar, render)
 from .intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval, IntervalSet,

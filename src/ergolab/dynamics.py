@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InvalidTowerSetError
-from .intervals import (AT_ONE, FULL, IntervalSet, ParityTail, block_one,
-                        doubling_image, doubling_preimage, odometer_image,
-                        odometer_preimage)
+from .intervals import (AT_ONE, EMPTY, FULL, IntervalSet, ParityTail,
+                        block_one, doubling_image, doubling_preimage,
+                        odometer_image, odometer_preimage)
 from .scalars import Scalar, get_tag
 
 
@@ -43,7 +43,7 @@ class TowerSet:
     __slots__ = ("base", "top")
 
     def __init__(self, base: IntervalSet, top: IntervalSet = None):
-        top = top if top is not None else IntervalSet()
+        top = top if top is not None else EMPTY
         if not top.is_subset_of(A_SET):
             raise InvalidTowerSetError("top part must be a subset of A")
         self.base = base
@@ -100,7 +100,7 @@ class TowerSet:
 
 #: the full tower space; its measure is 1 + mu(A) = 5/3
 TOWER_FULL = TowerSet(FULL, A_SET)
-TOWER_EMPTY = TowerSet(IntervalSet(), IntervalSet())
+TOWER_EMPTY = TowerSet(EMPTY, EMPTY)
 
 
 def tower_preimage(S: TowerSet) -> TowerSet:
@@ -135,7 +135,7 @@ class Transformation:
         raise NotImplementedError
 
     def empty_set(self) -> SetLike:
-        return IntervalSet()
+        return EMPTY
 
     def full_set(self) -> SetLike:
         return FULL

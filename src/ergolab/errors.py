@@ -33,12 +33,17 @@ class ConfigError(ErgolabError):
     """An experiment config failed to parse or validate."""
 
 
+class InvariantViolation(ErgolabError, AssertionError):
+    """An exact identity that a construction guarantees failed to hold."""
+
+
 #: exit code and run status of each error class that ends a run; read by
 #: ``harness.run`` and the CLI through ``exit_status``
 EXIT_CODES = {
-    AssertionError: (1, "fail"),
+    InvariantViolation: (1, "fail"),
     ComponentBudgetError: (2, "budget-exhausted"),
     ConfigError: (3, "config-error"),
+    IncompatibleBasisError: (3, "incompatible-basis"),
     InvalidInputError: (3, "invalid-input"),
     RepresentationOverflowError: (4, "left-representation-class"),
     UnsupportedRepresentationError: (4, "left-representation-class"),

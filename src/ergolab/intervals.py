@@ -69,7 +69,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
@@ -175,24 +175,15 @@ def _block_points(anchor: str, n: int, d: int) -> tuple[int, int]:
     return d >> (n + 1), d >> n
 
 
-class Interval:
-    """Half-open interval [lo, hi) with 0 <= lo < hi <= 1."""
+class Interval(NamedTuple):
+    """Half-open interval [lo, hi) with 0 <= lo < hi <= 1, a pair of
+    ``Scalar``s that ``IntervalSet.build`` takes as it is."""
 
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Scalar, hi: Scalar):
-        self.lo = lo
-        self.hi = hi
+    lo: Scalar
+    hi: Scalar
 
     def to_text(self) -> str:
         return f"{self.lo.to_text()}..{self.hi.to_text()}"
-
-    def __eq__(self, other):
-        return (isinstance(other, Interval)
-                and self.lo == other.lo and self.hi == other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     def __repr__(self):
         return f"Interval({self.to_text()})"
@@ -540,45 +531,45 @@ def _canonical(d: int, pts: Sequence, tag: Optional[IrrationalTag],
 class IntervalSet:
     """Normalized measurable subset of [0, 1).
 
-    Do not call the constructor with unnormalized data; use ``build`` /
-    ``make_set`` / ``from_text``.
+    ``IntervalSet(pairs, tails)`` is ``build`` on the same input, except
+    that it rejects two tails at one anchor.
     """
 
     __slots__ = ("d", "pts", "tag", "tails")
 
-    def __init__(self, intervals: Iterable[Interval] = (),
-                 tails: Iterable[ParityTail] = frozenset()):
-        tails = frozenset(tails)
+    def __new__(cls, pairs: Iterable[tuple[Scalar, Scalar]] = (),
+                tails: Iterable[ParityTail] = ()) -> "IntervalSet":
+        tails = tuple(tails)
         if len({t.anchor for t in tails}) < len(tails):
             raise RepresentationOverflowError(
                 "more than one parity tail per anchor in normal form")
-        S = IntervalSet.build(intervals)
-        self.d = S.d
-        self.pts = S.pts
-        self.tag = S.tag
-        self.tails = tails
+        return cls.build(pairs, tails)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, intervals: Iterable[Interval],
+    def build(cls, pairs: Iterable[tuple[Scalar, Scalar]],
               tails: Iterable[ParityTail] = ()) -> "IntervalSet":
-        ivs = list(intervals)
-        d = lcm(*(x.d for iv in ivs for x in (iv.lo, iv.hi)))
-        pairs = []
+        """The normal form of the union of the intervals [lo, hi) of the
+        ``Scalar`` pairs (an ``Interval`` is one) and the tails."""
+        pairs = list(pairs)
+        d = lcm(*(x.d for pair in pairs for x in pair))
         tag = None
-        for iv in ivs:
-            tag = tag or iv.lo.tag or iv.hi.tag
-            lo, hi = _numerator(iv.lo, d), _numerator(iv.hi, d)
-            if lo < 0 or hi > d:
-                raise ValueError(f"interval {iv.to_text()} outside [0,1)")
-            if not lo < hi:
-                raise ValueError(f"empty or inverted interval {iv.to_text()}")
-            pairs.append((lo, hi))
-        # the one entry point for unsorted input: sort, then coalesce
-        pairs.sort(key=itemgetter(0))
-        pts = []
+        ends = []
         for lo, hi in pairs:
+            tag = _merge_tags(_merge_tags(tag, lo.tag), hi.tag)
+            a, b = _numerator(lo, d), _numerator(hi, d)
+            if a < 0 or b > d:
+                raise ValueError(
+                    f"interval {Interval(lo, hi).to_text()} outside [0,1)")
+            if not a < b:
+                raise ValueError(
+                    f"empty or inverted interval {Interval(lo, hi).to_text()}")
+            ends.append((a, b))
+        # the one entry point for unsorted input: sort, then coalesce
+        ends.sort(key=itemgetter(0))
+        pts = []
+        for lo, hi in ends:
             if pts and lo <= pts[-1]:
                 if hi > pts[-1]:
                     pts[-1] = hi
@@ -821,12 +812,9 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
 
 def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> IntervalSet:
     """Build a set from (lo, hi) pairs of Scalars/Fractions/ints."""
-    ivs = []
-    for lo, hi in pairs:
-        lo = lo if isinstance(lo, Scalar) else Scalar(lo)
-        hi = hi if isinstance(hi, Scalar) else Scalar(hi)
-        ivs.append(Interval(lo, hi))
-    return IntervalSet.build(ivs, tails)
+    return IntervalSet.build(
+        [[x if isinstance(x, Scalar) else Scalar(x) for x in pair]
+         for pair in pairs], tails)
 
 
 _TAIL_RE = re.compile(
@@ -838,7 +826,7 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
     s = text.strip()
     if s in ("", "empty"):
         return EMPTY
-    ivs: list[Interval] = []
+    pairs: list[tuple[Scalar, Scalar]] = []
     tails: list[ParityTail] = []
     # split on commas at parenthesis depth zero only: tail(...) has commas
     parts = re.split(r",(?![^()]*\))", s)
@@ -851,8 +839,8 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
         if ".." not in part:
             raise ValueError(f"malformed set component {part!r}")
         lo_t, hi_t = part.split("..", 1)
-        ivs.append(Interval(parse_scalar(lo_t, tag), parse_scalar(hi_t, tag)))
-    return IntervalSet.build(ivs, tails)
+        pairs.append((parse_scalar(lo_t, tag), parse_scalar(hi_t, tag)))
+    return IntervalSet.build(pairs, tails)
 
 
 def truncate_tails(s: IntervalSet, blocks: int) -> tuple[IntervalSet, Scalar]:

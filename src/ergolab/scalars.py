@@ -181,24 +181,29 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
-        if self.m != 0 and other.m != 0:
-            # would need an alpha**2 term; not in the field we model
-            raise IncompatibleBasisError(
-                "product of two irrational scalars is not representable")
-        return _make(self.n * other.n, self.m * other.n + self.n * other.m,
-                     self.d * other.d, self.tag or other.tag)
+        tag = _merge_tags(self.tag, other.tag)
+        n, m, on, om = self.n, self.m, other.n, other.m
+        # k*alpha**2 = k - a*k*alpha, since alpha**2 = 1 - a*alpha
+        k = m * om
+        a = tag._a if k else 0
+        return _make(n * on + k, n * om + m * on - a * k, self.d * other.d,
+                     tag)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
         other = _coerce(other)
-        if other.m != 0:
-            raise IncompatibleBasisError("division by an irrational scalar")
-        on = other.n
-        if on == 0:
+        on, om, od = other.n, other.m, other.d
+        if not (on or om):
             raise ZeroDivisionError("scalar division by zero")
-        od = other.d if on > 0 else -other.d
-        return _make(self.n * od, self.m * od, self.d * abs(on), self.tag)
+        # (on + om*alpha) * ((on - a*om) - om*alpha) is the norm
+        # on**2 - a*on*om - om**2, an integer that is nonzero because alpha
+        # is irrational; its sign moves to the numerator
+        a = other.tag._a if om else 0
+        norm = on * on - a * on * om - om * om
+        if norm < 0:
+            norm, od = -norm, -od
+        return self * _make(od * (on - a * om), -od * om, norm, other.tag)
 
     # -- comparisons --------------------------------------------------
 

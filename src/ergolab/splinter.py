@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .dynamics import SetLike, Transformation
-from .errors import ErgolabError, InvalidInputError
+from .errors import ErgolabError, InvalidInputError, InvariantViolation
 from .scalars import Scalar, render
 
 DEFAULT_COMPONENT_BUDGET = 1 << 16
@@ -118,11 +118,14 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
             d.trace.append(StepRecord(n, ma, mb, B.component_count(), mc))
             # exact invariants of the construction, asserted at every step
             if mb != avail.measure():
-                raise AssertionError(f"residual identity violated at step {n}")
+                raise InvariantViolation(
+                    f"residual identity violated at step {n}")
             if mc + mb != mu1:
-                raise AssertionError(f"mass conservation violated at step {n}")
+                raise InvariantViolation(
+                    f"mass conservation violated at step {n}")
             if not A_n.subtract(J2).is_empty():
-                raise AssertionError(f"splinter escaped J2 at step {n}")
+                raise InvariantViolation(
+                    f"splinter escaped J2 at step {n}")
             if mb < epsilon:
                 d.status = CONVERGED
                 break
@@ -139,7 +142,7 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
                 break
         else:
             d.status = BUDGET_EXHAUSTED
-    except (ErgolabError, AssertionError) as exc:
+    except ErgolabError as exc:
         exc.decomposition = d
         raise
     return d

@@ -9,7 +9,10 @@ import pytest
 
 from ergolab.cli import main
 from ergolab.errors import ConfigError
-from ergolab.harness import demo_kakutani, emit_plot_data, parse_config, run
+from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
+                             parse_config, run)
+from ergolab.intervals import from_text
+from ergolab.scalars import GOLDEN, SQRT2M1
 
 F = Fraction
 
@@ -160,6 +163,15 @@ class TestRunDispatch:
         assert all(r["trace"] == "0" for r in trace.records)
         assert trace.summary["cesaro_average"] == "1/4"
 
+    def test_mixing_on_irrational_arcs(self):
+        # mu(C) mu(D) = alpha**2 = 1 - alpha
+        text = ("command = mixing\nsystem = rotation:golden\nn_max = 5\n"
+                "set.C = 0..alpha\nset.D = 0..alpha\n")
+        trace, code = run(parse_config(text))
+        assert code == 0
+        assert trace.summary["product"] == "1-1*alpha"
+        assert trace.records[0]["trace"] == "-2+3*alpha"
+
     def test_verify_command(self):
         text = ("command = verify\nsystem = odometer\n"
                 "set.S = 0..1/2\nset.T = 1/4..5/8\n")
@@ -178,6 +190,17 @@ class TestExitCodes:
         assert got == code
         assert trace.summary["status"] == status
         assert trace.summary["error"]
+
+    def test_run_maps_mixed_tags(self):
+        config = ExperimentConfig(
+            "mixing", "rotation:golden",
+            {"C": from_text("0..alpha", GOLDEN),
+             "D": from_text("0..alpha", SQRT2M1)}, {"n_max": 3})
+        trace, code = run(config)
+        assert code == 3
+        assert trace.summary["status"] == "incompatible-basis"
+        assert trace.summary["error"] == (
+            "mixed irrational tags 'golden' and 'sqrt2'")
 
     def test_run_keeps_completed_steps(self):
         # step 1 completes; the preimage in step 2 leaves the class

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from ergolab import intervals
 from ergolab.dynamics import (A_SET, KakutaniTower, TowerSet,
                               odometer_image, odometer_preimage)
-from ergolab.errors import (RepresentationOverflowError,
+from ergolab.errors import (IncompatibleBasisError,
+                            RepresentationOverflowError,
                             UnsupportedRepresentationError)
-from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, IntervalSet,
-                               ParityTail, _depth_for_gap, block_one,
-                               block_zero, doubling_image, doubling_preimage,
-                               from_text, make_set, truncate_tails)
+from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval,
+                               IntervalSet, ParityTail, _depth_for_gap,
+                               block_one, block_zero, doubling_image,
+                               doubling_preimage, from_text, make_set,
+                               truncate_tails)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar
 
@@ -534,6 +536,67 @@ class TestPointwise:
                         or _contains(S, (y + Scalar(1)) * half))
                 assert _contains(img, y) == want, (
                     f"T of {S.to_text()} at {y.to_text()}")
+
+
+class TestConstructor:
+    """``IntervalSet(pairs, tails)`` is ``IntervalSet.build`` on the same
+    input: one normal form, whichever entry point builds it."""
+
+    @staticmethod
+    def _pairs_near_tail(rng, tail):
+        """Seeded components, plus pieces that equal, overlap or touch the
+        blocks of `tail` and the blocks just below its start."""
+        pairs = list(random_interval_set(rng.randrange(1 << 16),
+                                         allow_tails=False,
+                                         allow_empty=True).intervals)
+        for n in rng.sample(range(max(0, tail.start - 3), tail.start + 4), 3):
+            lo, hi = _block(tail.anchor, n)
+            mid = (lo + hi) / Scalar(2)
+            pairs.append(rng.choice([(lo, hi), (lo, mid), (mid, hi)]))
+            # a piece that ends where the block starts, starts where it
+            # ends, or runs across its end
+            width = (hi - lo) / Scalar(4)
+            a, b = rng.choice([(lo - width, lo), (hi, hi + width),
+                               (mid, hi + width)])
+            if Scalar(0) <= a and b <= Scalar(1):
+                pairs.append((a, b))
+        rng.shuffle(pairs)
+        return pairs
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_constructor_is_build(self, seed):
+        rng = random.Random(seed)
+        tail = ParityTail(AT_ONE if seed % 2 else AT_ZERO, rng.randint(0, 5),
+                          rng.choice(["even", "odd"]))
+        pairs = self._pairs_near_tail(rng, tail)
+        S = IntervalSet(pairs, [tail])
+        assert _fields(S) == _fields(IntervalSet.build(pairs, [tail]))
+        assert _is_normal(S), S.to_text()
+        cuts = [e for pair in pairs for e in pair]
+        for x in _sample_points(S, anchors=(tail.anchor,), extra=cuts):
+            n = _block_index(tail.anchor, x)
+            want = (any(lo <= x < hi for lo, hi in pairs)
+                    or (n >= tail.start and n % 2 == tail.parity))
+            assert _contains(S, x) == want, (S.to_text(), x.to_text())
+
+    def test_tail_beside_a_covered_piece(self):
+        # I_0 = [0, 1/2) and [3/4, 7/8) = I_2 are blocks of the even tail
+        even = ParityTail(AT_ONE, 0, "even")
+        for lo, hi in ((F(3, 4), F(7, 8)), (F(0), F(1, 2))):
+            S = IntervalSet([Interval(Scalar(lo), Scalar(hi))], [even])
+            assert S.to_text() == "tail(one, 0, even)"
+            assert S.measure() == Scalar(F(2, 3))
+            assert S.intersect(FULL).measure() == Scalar(F(2, 3))
+            assert S.complement().measure() == Scalar(F(1, 3))
+
+    def test_mixed_tags_rejected(self):
+        # the two pieces are disjoint, so no sort or merge compares a
+        # golden point with a sqrt2 point
+        pairs = [(Scalar(0), Scalar(0, F(1, 2), GOLDEN)),
+                 (Scalar(F(1, 2)), Scalar(0, 2, SQRT2M1))]
+        for build in (IntervalSet.build, IntervalSet, make_set):
+            with pytest.raises(IncompatibleBasisError):
+                build(pairs)
 
 
 class TestMeasure:

@@ -84,13 +84,21 @@ class TestArithmetic:
         assert (a * Scalar(Fraction(3, 2))) == gold(Fraction(3, 2), 3)
         assert (a / Scalar(2)) == gold(Fraction(1, 2), 1)
 
-    def test_irrational_product_rejected(self):
-        with pytest.raises(IncompatibleBasisError):
-            gold(0, 1) * gold(0, 1)
+    def test_irrational_product_is_exact(self):
+        # alpha**2 = 1 - a*alpha, and 1/alpha = alpha + a
+        assert gold(0, 1) * gold(0, 1) == gold(1, -1)
+        assert ONE / gold(0, 1) == gold(1, 1)
+        beta = Scalar(0, 1, SQRT2M1)
+        assert beta * beta == Scalar(1, -2, SQRT2M1)
+        assert ONE / beta == Scalar(2, 1, SQRT2M1)
+        assert gold(Fraction(1, 2), 3) * gold(-2, Fraction(1, 3)) == gold(
+            0, Fraction(-41, 6))
 
     def test_mixed_tags_rejected(self):
-        with pytest.raises(IncompatibleBasisError):
-            Scalar(0, 1, GOLDEN) + Scalar(0, 1, SQRT2M1)
+        a, b = Scalar(0, 1, GOLDEN), Scalar(0, 1, SQRT2M1)
+        for op in (lambda: a + b, lambda: a * b, lambda: a / b):
+            with pytest.raises(IncompatibleBasisError):
+                op()
 
     def test_equality_respects_tag(self):
         a, b = Scalar(0, 1, GOLDEN), Scalar(0, 1, SQRT2M1)
@@ -194,6 +202,47 @@ class TestClosedFormAgainstBracket:
                 for r in (Fraction(0), Fraction(1), Fraction(-2),
                           Fraction(1, 10), Fraction(-37, 100)):
                     check_rounding(Scalar(r + q * c, -q, tag))
+
+
+def bracket(x, k):
+    """The interval of values x takes with alpha anywhere in its
+    IrrationalTag.bounds(k) bracket (x is linear in alpha)."""
+    if x.q == 0:
+        return x.p, x.p
+    ends = [x.p + x.q * b for b in x.tag.bounds(k)]
+    return min(ends), max(ends)
+
+
+@pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
+class TestField:
+    """Same-tag scalars form a field: * and / never reject a tag."""
+
+    @given(fractions, fractions, fractions, fractions)
+    @settings(max_examples=40)
+    def test_product_against_bracket(self, tag, p1, q1, p2, q2):
+        # the exact product lies in the product of the factors' brackets
+        # and in its own; at k = 64 both are narrower than 2**-50
+        x, y = Scalar(p1, q1, tag), Scalar(p2, q2, tag)
+        (xl, xh), (yl, yh) = bracket(x, 64), bracket(y, 64)
+        corners = [u * v for u in (xl, xh) for v in (yl, yh)]
+        zl, zh = bracket(x * y, 64)
+        assert max(zl, min(corners)) <= min(zh, max(corners))
+
+    @given(fractions, fractions, fractions, fractions)
+    @settings(max_examples=40)
+    def test_identities(self, tag, p1, q1, p2, q2):
+        x, y = Scalar(p1, q1, tag), Scalar(p2, q2, tag)
+        assert (x * y).sign() == x.sign() * y.sign()
+        if y:
+            assert (x * y) / y == x
+            assert y / y == ONE
+            assert (x / y) * y == x
+
+    def test_division_by_zero(self, tag):
+        x = Scalar(1, 1, tag)
+        for zero in (ZERO, x - x):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
 
 
 def test_compare_mixed_tags_rejected():

@@ -6,9 +6,10 @@ import pytest
 
 from ergolab import fixtures
 from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
-                              TowerSet)
-from ergolab.errors import InvalidInputError, RepresentationOverflowError
-from ergolab.intervals import from_text, make_set
+                              TowerSet, Transformation)
+from ergolab.errors import (EXIT_CODES, InvalidInputError, InvariantViolation,
+                            RepresentationOverflowError, exit_status)
+from ergolab.intervals import FULL, from_text, make_set
 from ergolab.scalars import GOLDEN, Scalar
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
                               additivity_check, splinter, transport_check,
@@ -173,3 +174,29 @@ class TestArguments:
             splinter(Doubling(), from_text(J1), from_text(J2),
                      Scalar(F(epsilon)), 8)
         assert issubclass(InvalidInputError, ValueError)
+
+
+class _Flood(Transformation):
+    """Not measure preserving: the preimage of every set is [0, 1)."""
+
+    def preimage(self, S):
+        return FULL
+
+
+class TestInvariantViolation:
+    def test_violation_raises_with_completed_step(self):
+        # mu(B_1) = mu([0, 1) minus J2) = 3/4, while J2 minus A_1 = J2 is
+        # empty: the residual identity fails at step 1
+        J1, J2 = fixtures.J_QUARTER_LOW, fixtures.J_QUARTER_MID
+        with pytest.raises(InvariantViolation,
+                           match="residual identity violated at step 1"
+                           ) as info:
+            splinter(_Flood(), J1, J2, Scalar(F(1, 1000)), 8)
+        d = info.value.decomposition
+        assert [rec.step for rec in d.trace] == [1]
+        assert d.residuals[0].measure() == Scalar(F(3, 4))
+        assert d.splinters[0] == J2
+        assert exit_status(info.value) == (1, "fail")
+
+    def test_bare_assertion_has_no_exit_code(self):
+        assert not isinstance(AssertionError(), tuple(EXIT_CODES))
