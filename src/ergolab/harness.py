@@ -29,7 +29,7 @@ from .errors import ConfigError, EXIT_CODES, exit_status
 from .intervals import EMPTY, from_text as set_from_text
 from .scalars import Scalar, parse_scalar, render
 from .splinter import (BUDGET_EXHAUSTED, CONVERGED, DEFAULT_COMPONENT_BUDGET,
-                       splinter)
+                       splinter, trace_rows)
 
 try:  # single source of truth for the version stamp in file headers
     from importlib.metadata import version as _pkg_version
@@ -280,7 +280,7 @@ def _run_splinter(config: ExperimentConfig, T: Transformation,
                  config.get_scalar("epsilon"), config.get_int("n_max"),
                  stall_window=config.opt_int("stall_window"),
                  component_budget=config.get_int("component_budget"))
-    records = [rec.row(digits) for rec in d.trace]
+    records = trace_rows(d.trace, digits)
     final = d.residuals[-1].measure() if d.residuals else Scalar(0)
     exact, dec = _pair(final, digits)
     summary = {"status": d.status, "depth": d.depth,
@@ -400,7 +400,7 @@ def run(config: ExperimentConfig) -> tuple[RunTrace, int]:
     except tuple(EXIT_CODES) as exc:
         code, status = exit_status(exc)
         d = getattr(exc, "decomposition", None)
-        records = ([rec.row(digits) for rec in d.trace]
+        records = (trace_rows(d.trace, digits)
                    if d is not None and config.command == "splinter" else [])
         trace = RunTrace(_header(config, config.command), records,
                          {"status": status, "error": str(exc)})

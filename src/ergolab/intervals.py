@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -811,10 +812,21 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
 
 
 def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> IntervalSet:
-    """Build a set from (lo, hi) pairs of Scalars/Fractions/ints."""
-    return IntervalSet.build(
-        [[x if isinstance(x, Scalar) else Scalar(x) for x in pair]
-         for pair in pairs], tails)
+    """Build a set from (lo, hi) pairs of Scalars/Fractions/ints.
+
+    Any other endpoint, a ``float`` above all, raises ``TypeError``: a float
+    would be taken at its binary value, so 0.1 would not mean 1/10.
+    """
+    return IntervalSet.build([[_endpoint(x) for x in pair] for pair in pairs],
+                             tails)
+
+
+def _endpoint(x) -> Scalar:
+    if isinstance(x, Scalar):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Scalar(x)
+    raise TypeError(f"endpoint {x!r} is not a Scalar, Fraction or int")
 
 
 _TAIL_RE = re.compile(

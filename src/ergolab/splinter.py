@@ -14,7 +14,7 @@ at a positive constant, which the engine detects and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dynamics import SetLike, Transformation
 from .errors import ErgolabError, InvalidInputError, InvariantViolation
@@ -36,15 +36,43 @@ class StepRecord:
     covered_measure: Scalar
 
     def row(self, digits: int = 12) -> dict:
+        return self._row(Scalar.to_text, lambda s: render(s, digits))
+
+    def _row(self, text: Callable[[Scalar], str],
+             dec: Callable[[Scalar], str]) -> dict:
         return {
             "step": self.step,
-            "measure_A_n": self.measure_A.to_text(),
-            "measure_A_n_dec": render(self.measure_A, digits),
-            "measure_B_n": self.measure_B.to_text(),
-            "measure_B_n_dec": render(self.measure_B, digits),
+            "measure_A_n": text(self.measure_A),
+            "measure_A_n_dec": dec(self.measure_A),
+            "measure_B_n": text(self.measure_B),
+            "measure_B_n_dec": dec(self.measure_B),
             "components_B_n": self.components_B,
-            "cumulative_covered": self.covered_measure.to_text(),
+            "cumulative_covered": text(self.covered_measure),
         }
+
+
+def _once(f: Callable[[Scalar], str]) -> Callable[[Scalar], str]:
+    """``f`` computed once per distinct scalar value."""
+    seen: dict = {}
+
+    def g(s: Scalar) -> str:
+        key = (s.n, s.m, s.d, s.tag)
+        out = seen.get(key)
+        if out is None:
+            out = seen[key] = f(s)
+        return out
+    return g
+
+
+def trace_rows(trace: Sequence[StepRecord], digits: int = 12) -> list:
+    """``[rec.row(digits) for rec in trace]``, rendering each distinct
+    measure once.
+
+    A measure-preserving T keeps mu(B_n) from one unproductive step to the
+    next, so most rows of a long trace repeat the values of the row before.
+    """
+    text, dec = _once(Scalar.to_text), _once(lambda s: render(s, digits))
+    return [rec._row(text, dec) for rec in trace]
 
 
 @dataclass
@@ -85,6 +113,12 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
              component_budget: int = DEFAULT_COMPONENT_BUDGET) -> SplinterDecomposition:
     """Run the splinter recursion until convergence, stall or budget.
 
+    A step whose A_n is empty splinters nothing: it keeps ``covered``,
+    ``J2 \\ covered`` and their measures from the step before, and B_n is
+    the preimage itself.  Every step, productive or not, checks the
+    residual identity, mass conservation and A_n within J2 against the
+    current values.
+
     An error that ends the run after it started carries the steps completed
     so far as its ``decomposition`` attribute.
     """
@@ -102,22 +136,28 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     try:
         covered = J2.subtract(J2)  # empty of the right kind
         avail = J2                 # J2 minus the splinters so far
+        mc, m_avail = covered.measure(), mu2
         B = J1
         flat = 0  # consecutive steps with empty A and unchanged mu(B)
         prev_mb: Optional[Scalar] = None
         for n in range(1, n_max + 1):
             pre = T.preimage(B)
             A_n = pre.intersect(avail)
-            B = pre.subtract(A_n)
-            covered = covered.union(A_n)
-            avail = J2.subtract(covered)
-            ma, mb, mc = A_n.measure(), B.measure(), covered.measure()
+            productive = not A_n.is_empty()
+            if productive:
+                B = pre.subtract(A_n)
+                covered = covered.union(A_n)
+                avail = J2.subtract(covered)
+                mc, m_avail = covered.measure(), avail.measure()
+            else:
+                B = pre
+            ma, mb, count = A_n.measure(), B.measure(), B.component_count()
             d.splinters.append(A_n)
             d.residuals.append(B)
             d.covered = covered
-            d.trace.append(StepRecord(n, ma, mb, B.component_count(), mc))
+            d.trace.append(StepRecord(n, ma, mb, count, mc))
             # exact invariants of the construction, asserted at every step
-            if mb != avail.measure():
+            if mb != m_avail:
                 raise InvariantViolation(
                     f"residual identity violated at step {n}")
             if mc + mb != mu1:
@@ -129,7 +169,7 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
             if mb < epsilon:
                 d.status = CONVERGED
                 break
-            if prev_mb is not None and mb == prev_mb and A_n.is_empty():
+            if prev_mb is not None and mb == prev_mb and not productive:
                 flat += 1
             else:
                 flat = 0
@@ -137,7 +177,7 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
             if flat >= window:
                 d.status = STALLED
                 break
-            if B.component_count() > component_budget:
+            if count > component_budget:
                 d.status = BUDGET_EXHAUSTED
                 break
         else:

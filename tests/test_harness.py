@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from ergolab.cli import main
-from ergolab.errors import ConfigError
+from ergolab.dynamics import make_system
+from ergolab.errors import ConfigError, RepresentationOverflowError
 from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
                              parse_config, run)
 from ergolab.intervals import from_text
 from ergolab.scalars import GOLDEN, SQRT2M1
+from ergolab.splinter import splinter
 
 F = Fraction
 
@@ -209,6 +211,18 @@ class TestExitCodes:
         assert trace.summary["status"] == "left-representation-class"
         assert [r["step"] for r in trace.records] == [1]
         assert trace.records[0]["measure_B_n"] == "1/4"
+
+    @pytest.mark.parametrize("digits", [4, 12])
+    def test_kept_rows_match_step_rows(self, digits):
+        config = parse_config(OVERFLOW_CFG + f"digits = {digits}\n")
+        trace, code = run(config)
+        with pytest.raises(RepresentationOverflowError) as info:
+            splinter(make_system(config.system), config.require_set("J1"),
+                     config.require_set("J2"), config.get_scalar("epsilon"),
+                     config.get_int("n_max"))
+        kept = info.value.decomposition.trace
+        assert code == 4 and len(kept) == 1
+        assert trace.records == [kept[0].row(digits)]
 
     @pytest.mark.parametrize("text, code, message", [
         (OVERFLOW_CFG, 4, "left representation class: preimage of an "

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and
-no module reaches into the private kernel of ``intervals``."""
+"""Source hygiene: every name a library module imports is used in it, no
+module reaches into the private kernel of ``intervals``, and the harness
+builds splinter rows in one place."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,16 @@ def private_interval_imports(tree: ast.Module) -> list[str]:
 def test_no_private_interval_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert private_interval_imports(tree) == []
+
+
+def test_harness_builds_splinter_rows_through_trace_rows():
+    # the success path and the error path of ``run`` render the same rows
+    text = (SRC / "harness.py").read_text()
+    assert ".row(" not in text
+    callers = {fn.name for fn in ast.walk(ast.parse(text))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name)
+               and node.func.id == "trace_rows"}
+    assert callers == {"_run_splinter", "run"}

@@ -598,6 +598,16 @@ class TestConstructor:
             with pytest.raises(IncompatibleBasisError):
                 build(pairs)
 
+    @pytest.mark.parametrize("pair", [(0.1, F(1, 2)), (F(0), 0.5),
+                                      (Scalar(0), "1/2")],
+                             ids=["float-lo", "float-hi", "str"])
+    def test_make_set_rejects_other_endpoints(self, pair):
+        # 0.1 would otherwise be taken at its binary value,
+        # 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            make_set([pair])
+        assert make_set([(F(1, 10), 1)]).to_text() == "1/10..1"
+
 
 class TestMeasure:
     def test_tail_measure_closed_form(self):

@@ -1,5 +1,6 @@
 """Splinter recursion: invariants, statuses, orbit decomposition."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,17 @@ from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
 from ergolab.errors import (EXIT_CODES, InvalidInputError, InvariantViolation,
                             RepresentationOverflowError, exit_status)
 from ergolab.intervals import FULL, from_text, make_set
-from ergolab.scalars import GOLDEN, Scalar
+from ergolab.scalars import GOLDEN, SQRT2M1, Scalar
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
-                              additivity_check, splinter, transport_check,
+                              StepRecord, additivity_check, splinter,
+                              trace_rows, transport_check,
                               verify_disjointness, verify_mass_conservation,
                               verify_orbit_decomposition,
                               verify_residual_identity)
 
 F = Fraction
+# ``ergolab.splinter`` the attribute is the function; this is the module
+splinter_module = importlib.import_module("ergolab.splinter")
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +204,109 @@ class TestInvariantViolation:
 
     def test_bare_assertion_has_no_exit_code(self):
         assert not isinstance(AssertionError(), tuple(EXIT_CODES))
+
+
+class _LossyAt(Transformation):
+    """Rotation by 1/3 whose preimage at call `step` keeps only the lower
+    half of [0, 1/6): mass is lost in a step that splinters nothing."""
+
+    def __init__(self, step):
+        self.inner, self.step, self.calls = Rotation(Scalar(F(1, 3))), step, 0
+
+    def preimage(self, S):
+        self.calls += 1
+        pre = self.inner.preimage(S)
+        if self.calls == self.step:
+            assert pre.equals(make_set([(F(0), F(1, 6))]))
+            return make_set([(F(0), F(1, 12))])
+        return pre
+
+
+class TestUnproductiveSteps:
+    @pytest.mark.parametrize("step", [3, 6, 42])
+    def test_residual_identity_fires_on_empty_splinter(self, step):
+        # in the rational-1/3 stall every A_n is empty, so each step keeps
+        # covered and J2 minus covered from the step before
+        kw = fixtures.rational_third_stall_inputs()
+        kw["T"] = _LossyAt(step)
+        with pytest.raises(InvariantViolation,
+                           match=f"residual identity violated at step {step}$"
+                           ) as info:
+            splinter(**kw)
+        d = info.value.decomposition
+        assert [rec.step for rec in d.trace] == list(range(1, step + 1))
+        assert all(A.is_empty() for A in d.splinters)
+        assert d.residuals[-1].measure() == Scalar(F(1, 12))
+        assert all(B.measure() == Scalar(F(1, 6)) for B in d.residuals[:-1])
+
+    def test_unproductive_steps_keep_cover(self, golden_run):
+        assert verify_residual_identity(golden_run).passed
+        assert verify_mass_conservation(golden_run).passed
+        assert verify_disjointness(golden_run).passed
+
+
+def _sqrt2_shifted_inputs():
+    # windows of length 1/8 at offset 7/16 + 2*alpha on the sqrt2 rotation
+    alpha = Scalar(0, 1, SQRT2M1)
+    J1 = make_set([(F(3, 16), F(5, 16))])
+    J2 = J1.translate_mod1(Scalar(F(7, 16)) + alpha * 2)
+    return dict(T=Rotation(alpha), J1=J1, J2=J2, epsilon=Scalar(F(1, 1000)),
+                n_max=400, stall_window=400)
+
+
+TRACE_INPUTS = {
+    "golden": fixtures.golden_rotation_splinter_inputs,
+    "sqrt2-shifted": _sqrt2_shifted_inputs,
+    "rational-third-stall": fixtures.rational_third_stall_inputs,
+    "tower": fixtures.tower_splinter_inputs,
+}
+# (status, depth, productive steps) of each run
+TRACE_SHAPES = {
+    "golden": (CONVERGED, fixtures.GOLDEN_N_STAR, 8),
+    "sqrt2-shifted": (CONVERGED, 154, 6),
+    "rational-third-stall": (STALLED, fixtures.RATIONAL_THIRD_STALL_WINDOW + 1,
+                             0),
+    "tower": (CONVERGED, 3, 1),
+}
+
+
+class TestTraceRows:
+    @pytest.fixture(scope="class", params=sorted(TRACE_INPUTS))
+    def named_run(self, request):
+        return request.param, splinter(**TRACE_INPUTS[request.param]())
+
+    def test_run_shape(self, named_run):
+        name, d = named_run
+        productive = sum(not A.is_empty() for A in d.splinters)
+        assert (d.status, d.depth, productive) == TRACE_SHAPES[name]
+
+    @pytest.mark.parametrize("digits", [4, 12])
+    def test_matches_step_rows(self, named_run, digits):
+        _, d = named_run
+        assert trace_rows(d.trace, digits) == [
+            rec.row(digits) for rec in d.trace]
+
+    def test_values_that_share_parts_stay_apart(self):
+        # equal n and d, or equal fields under two tags, are distinct values
+        quarter = Scalar(F(1, 4))
+        values = [quarter, quarter + Scalar(0, 1, GOLDEN),
+                  quarter + Scalar(0, 1, SQRT2M1),
+                  quarter - Scalar(0, 1, GOLDEN), quarter]
+        trace = [StepRecord(n, v, w, 1, v)
+                 for n, (v, w) in enumerate(zip(values, values[::-1]), 1)]
+        for digits in (4, 12):
+            assert trace_rows(trace, digits) == [
+                rec.row(digits) for rec in trace]
+
+    def test_renders_each_distinct_measure_once(self, named_run,
+                                                monkeypatch):
+        _, d = named_run
+        calls = []
+        real = splinter_module.render
+        monkeypatch.setattr(
+            splinter_module, "render",
+            lambda s, digits: calls.append(s) or real(s, digits))
+        trace_rows(d.trace, 12)
+        distinct = {v for rec in d.trace
+                    for v in (rec.measure_A, rec.measure_B)}
+        assert len(calls) == len(distinct) == len(set(calls))
