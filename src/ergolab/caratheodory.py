@@ -56,9 +56,6 @@ class MeasureBasis:
         for level in self.levels():
             yield from self.elements_at(level)
 
-    def descriptor(self) -> str:
-        return f"{self.kind}:{self.bound}"
-
 
 def dyadic_basis(depth_max: int) -> MeasureBasis:
     return MeasureBasis("dyadic", depth_max)

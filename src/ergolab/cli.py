@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Verbs: run, demo-kakutani, selftest, emit-plot.  Exit codes: 0 all
-assertions pass, 1 assertion failure, 2 budget exhaustion, 3 config or
-input error, 4 the computation left the representation class (see
-``errors.EXIT_CODES``).  An error prints one line to stderr.
+Verbs: run, demo-kakutani, selftest, emit-plot.  The exit code is that of
+the run's status in ``errors.STATUS_CODES``: 0 all assertions pass (or a
+splinter run converged or stalled), 1 assertion failure, 2 budget
+exhaustion, 3 config or input error, 4 the computation left the
+representation class.  ``errors.EXIT_CODES`` gives the status of each error
+class that ends a run; such an error prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import pathlib
 import sys
 
-from .errors import ConfigError, EXIT_CODES, exit_status
+from .errors import ConfigError, EXIT_CODES, STATUS_CODES, exit_status
 from .harness import (demo_kakutani, emit_plot_data, parse_config, run)
 
 
@@ -87,7 +89,7 @@ def _selftest() -> int:
     trace, code = demo_kakutani()
     print(f"[{'pass' if code == 0 else 'FAIL'}] demo-kakutani")
     failed |= code != 0
-    return 1 if failed else 0
+    return STATUS_CODES["fail" if failed else "pass"]
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the exit code of each."""
+"""Exception types shared across the library, the run status each one
+ends a run with, and the exit code of every run status."""
 
 
 class ErgolabError(Exception):
@@ -37,19 +38,29 @@ class InvariantViolation(ErgolabError, AssertionError):
     """An exact identity that a construction guarantees failed to hold."""
 
 
-#: exit code and run status of each error class that ends a run; read by
-#: ``harness.run`` and the CLI through ``exit_status``
+#: exit code of each status a run can end with; ``harness.run``,
+#: ``harness.demo_kakutani`` and the CLI read every code from here
+STATUS_CODES = {
+    "pass": 0, "converged": 0, "stalled": 0,
+    "fail": 1,
+    "budget-exhausted": 2,
+    "config-error": 3, "incompatible-basis": 3, "invalid-input": 3,
+    "left-representation-class": 4,
+}
+
+#: run status of each error class that ends a run
 EXIT_CODES = {
-    InvariantViolation: (1, "fail"),
-    ComponentBudgetError: (2, "budget-exhausted"),
-    ConfigError: (3, "config-error"),
-    IncompatibleBasisError: (3, "incompatible-basis"),
-    InvalidInputError: (3, "invalid-input"),
-    RepresentationOverflowError: (4, "left-representation-class"),
-    UnsupportedRepresentationError: (4, "left-representation-class"),
+    InvariantViolation: "fail",
+    ComponentBudgetError: "budget-exhausted",
+    ConfigError: "config-error",
+    IncompatibleBasisError: "incompatible-basis",
+    InvalidInputError: "invalid-input",
+    RepresentationOverflowError: "left-representation-class",
+    UnsupportedRepresentationError: "left-representation-class",
 }
 
 
 def exit_status(exc: BaseException) -> tuple[int, str]:
     """(exit code, run status) of an instance of an ``EXIT_CODES`` class."""
-    return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+    status = next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+    return STATUS_CODES[status], status

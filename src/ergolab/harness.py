@@ -25,11 +25,11 @@ from .caratheodory import (RESTRICTION_NOTICE, dyadic_basis, arcs_basis,
 from .caratheodory import _gap_theta as gap_theta
 from .dynamics import (SetLike, TowerSet, Transformation, make_system,
                        verify_measure_preserving)
-from .errors import ConfigError, EXIT_CODES, exit_status
+from .errors import ConfigError, EXIT_CODES, STATUS_CODES, exit_status
 from .intervals import EMPTY, from_text as set_from_text
 from .scalars import Scalar, parse_scalar, render
-from .splinter import (BUDGET_EXHAUSTED, CONVERGED, DEFAULT_COMPONENT_BUDGET,
-                       splinter, trace_rows)
+from .splinter import (CONVERGED, DEFAULT_COMPONENT_BUDGET, splinter,
+                       trace_rows)
 
 try:  # single source of truth for the version stamp in file headers
     from importlib.metadata import version as _pkg_version
@@ -42,14 +42,29 @@ DEFAULT_DIGITS = 12
 COMMANDS = ("splinter", "verify", "density", "gap", "mixing", "reduction",
             "demo")
 
-# integer-valued parameters and their defaults (None = no default)
-_INT_KEYS = {"n_max": None, "depth": 8, "m": None, "stall_window": None,
-             "component_budget": DEFAULT_COMPONENT_BUDGET, "sample": 8,
-             "digits": DEFAULT_DIGITS}
-_SCALAR_KEYS = ("epsilon",)
-_STR_KEYS = {"basis": "dyadic"}
-_KEY_ORDER = (["command", "system"] + sorted(_INT_KEYS) + list(_SCALAR_KEYS)
-              + sorted(_STR_KEYS))
+
+def _int(text: str, tag) -> int:
+    return int(text)
+
+
+def _str(text: str, tag) -> str:
+    return text
+
+
+#: key -> (parser of its text, default or None if required, the value it
+#: must exceed or None), in the canonical order that ``to_text``, and so
+#: every ``config_hash``, follows
+_PARAMS = {
+    "component_budget": (_int, DEFAULT_COMPONENT_BUDGET, 0),
+    "depth": (_int, 8, -1),
+    "digits": (_int, DEFAULT_DIGITS, 0),
+    "m": (_int, None, 0),
+    "n_max": (_int, None, 0),
+    "sample": (_int, 8, 0),
+    "stall_window": (_int, None, 0),
+    "epsilon": (parse_scalar, None, 0),
+    "basis": (_str, "dyadic", None),
+}
 
 
 @dataclass
@@ -63,41 +78,28 @@ class ExperimentConfig:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         make_system(self.system)  # validates the descriptor
-        for key in self.parameters:
-            if key not in _INT_KEYS and key not in _SCALAR_KEYS \
-                    and key not in _STR_KEYS:
+        for key, val in self.parameters.items():
+            if key not in _PARAMS:
                 raise ConfigError(f"unknown parameter {key!r}")
-        eps = self.parameters.get("epsilon")
-        if eps is not None and eps.sign() <= 0:
-            raise ConfigError("epsilon must be positive")
-        for key in ("n_max", "m", "component_budget", "sample", "digits"):
-            val = self.parameters.get(key)
-            if val is not None and val < 1:
-                raise ConfigError(f"{key} must be positive")
-        if self.parameters.get("depth", 0) < 0:
-            raise ConfigError("depth must be >= 0")
-        basis = self.get_str("basis")
+            floor = _PARAMS[key][2]
+            if floor is not None and val <= floor:
+                least = "positive" if floor == 0 else f">= {floor + 1}"
+                raise ConfigError(f"{key} must be {least}")
+        basis = self.opt("basis")
         if basis not in ("dyadic", "arcs"):
             raise ConfigError(f"unknown basis {basis!r}")
 
     # -- parameter access with defaults ------------------------------
-    def get_int(self, key: str) -> int:
-        val = self.parameters.get(key, _INT_KEYS.get(key))
+    def opt(self, key: str):
+        """The value of ``key``, or its default (None if it has none)."""
+        return self.parameters.get(key, _PARAMS[key][1])
+
+    def get(self, key: str):
+        """The value of ``key`` or its default; a config error if neither."""
+        val = self.opt(key)
         if val is None:
             raise ConfigError(f"missing required parameter {key!r}")
         return val
-
-    def opt_int(self, key: str):
-        return self.parameters.get(key, _INT_KEYS.get(key))
-
-    def get_scalar(self, key: str) -> Scalar:
-        val = self.parameters.get(key)
-        if val is None:
-            raise ConfigError(f"missing required parameter {key!r}")
-        return val
-
-    def get_str(self, key: str) -> str:
-        return self.parameters.get(key, _STR_KEYS.get(key))
 
     def require_set(self, name: str) -> SetLike:
         if name not in self.sets:
@@ -107,7 +109,7 @@ class ExperimentConfig:
     # -- canonical text form ------------------------------------------
     def to_text(self) -> str:
         lines = [f"command = {self.command}", f"system = {self.system}"]
-        for key in _KEY_ORDER[2:]:
+        for key in _PARAMS:
             if key in self.parameters:
                 val = self.parameters[key]
                 text = val.to_text() if isinstance(val, Scalar) else str(val)
@@ -160,17 +162,10 @@ def parse_config(text: str) -> ExperimentConfig:
     tag = getattr(getattr(T, "angle", None), "tag", None)
     params: dict = {}
     for key, value in raw.items():
+        if key not in _PARAMS:
+            raise ConfigError(f"unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                params[key] = int(value)
-            elif key in _SCALAR_KEYS:
-                params[key] = parse_scalar(value, tag)
-            elif key in _STR_KEYS:
-                params[key] = value
-            else:
-                raise ConfigError(f"unknown key {key!r}")
-        except ConfigError:
-            raise
+            params[key] = _PARAMS[key][0](value, tag)
         except Exception as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     sets = {}
@@ -275,25 +270,22 @@ def _pair(value: Scalar, digits: int) -> tuple[str, str]:
 # ---------------------------------------------------------------------
 
 def _run_splinter(config: ExperimentConfig, T: Transformation,
-                  digits: int) -> tuple[RunTrace, int]:
+                  digits: int) -> tuple[list, dict]:
     d = splinter(T, config.require_set("J1"), config.require_set("J2"),
-                 config.get_scalar("epsilon"), config.get_int("n_max"),
-                 stall_window=config.opt_int("stall_window"),
-                 component_budget=config.get_int("component_budget"))
-    records = trace_rows(d.trace, digits)
+                 config.get("epsilon"), config.get("n_max"),
+                 stall_window=config.opt("stall_window"),
+                 component_budget=config.get("component_budget"))
     final = d.residuals[-1].measure() if d.residuals else Scalar(0)
     exact, dec = _pair(final, digits)
-    summary = {"status": d.status, "depth": d.depth,
-               "final_measure_B": exact, "final_measure_B_decimal": dec,
-               "n_max": config.get_int("n_max"),
-               "component_budget": config.get_int("component_budget")}
-    trace = RunTrace(_header(config, f"splinter:{T.descriptor()}"),
-                     records, summary)
-    return trace, (2 if d.status == BUDGET_EXHAUSTED else 0)
+    return trace_rows(d.trace, digits), {
+        "status": d.status, "depth": d.depth,
+        "final_measure_B": exact, "final_measure_B_decimal": dec,
+        "n_max": config.get("n_max"),
+        "component_budget": config.get("component_budget")}
 
 
 def _run_verify(config: ExperimentConfig, T: Transformation,
-                digits: int) -> tuple[RunTrace, int]:
+                digits: int) -> tuple[list, dict]:
     records, ok = [], True
     for name in sorted(config.sets):
         rep = verify_measure_preserving(T, config.sets[name])
@@ -301,32 +293,28 @@ def _run_verify(config: ExperimentConfig, T: Transformation,
         records.append({"set": name, "preserved": rep.passed,
                         "measure": rep.measure_set.to_text(),
                         "preimage_measure": rep.measure_preimage.to_text()})
-    trace = RunTrace(_header(config, f"verify:{T.descriptor()}"), records,
-                     {"status": "pass" if ok else "fail", "sets": len(records)})
-    return trace, (0 if ok else 1)
+    return records, {"status": "pass" if ok else "fail", "sets": len(records)}
 
 
 def _basis(config: ExperimentConfig):
-    kind = config.get_str("basis")
-    depth = config.get_int("depth")
-    return dyadic_basis(depth) if kind == "dyadic" else arcs_basis(depth)
+    depth = config.get("depth")
+    return (dyadic_basis(depth) if config.get("basis") == "dyadic"
+            else arcs_basis(depth))
 
 
 def _run_density(config: ExperimentConfig, T: Transformation,
-                 digits: int) -> tuple[RunTrace, int]:
+                 digits: int) -> tuple[list, dict]:
     S = config.require_set("S")
-    eps = config.get_scalar("epsilon")
+    eps = config.get("epsilon")
     window = density_search(S, eps, _basis(config))
     found = window is not None
     records = [{"set": S.to_text(), "epsilon": eps.to_text(), "found": found,
                 "window": window.to_text() if found else ""}]
-    trace = RunTrace(_header(config, "density"), records,
-                     {"status": "pass" if found else "fail"})
-    return trace, (0 if found else 1)
+    return records, {"status": "pass" if found else "fail"}
 
 
 def _run_gap(config: ExperimentConfig, T: Transformation,
-             digits: int) -> tuple[RunTrace, int]:
+             digits: int) -> tuple[list, dict]:
     B = config.require_set("B")
     Bc = B.complement()
     records, ok = [], True
@@ -338,45 +326,38 @@ def _run_gap(config: ExperimentConfig, T: Transformation,
                         "mu_B_J": rep.part_in.to_text(),
                         "mu_Bc_J": rep.part_out.to_text(),
                         "equality": rep.caratheodory_equality})
-    trace = RunTrace(_header(config, "gap"), records,
-                     {"status": "pass" if ok else "fail",
-                      "windows": len(records)})
-    return trace, (0 if ok else 1)
+    return records, {"status": "pass" if ok else "fail",
+                     "windows": len(records)}
 
 
 def _run_mixing(config: ExperimentConfig, T: Transformation,
-                digits: int) -> tuple[RunTrace, int]:
+                digits: int) -> tuple[list, dict]:
     C, D = config.require_set("C"), config.require_set("D")
-    n_max = config.get_int("n_max")
-    budget = config.get_int("component_budget")
+    n_max = config.get("n_max")
+    budget = config.get("component_budget")
     seq = mixing_trace(T, C, D, n_max, component_budget=budget)
     records = []
     for j, value in enumerate(seq, start=1):
         exact, dec = _pair(value, digits)
         records.append({"step": j, "trace": exact, "trace_decimal": dec})
-    m = config.opt_int("m") or n_max
+    m = config.opt("m") or n_max
     avg = correlation_average(T, C, D, m, component_budget=budget)
     exact, dec = _pair(avg, digits)
     product = C.measure() * D.measure()
-    trace = RunTrace(_header(config, f"mixing:{T.descriptor()}"), records,
-                     {"status": "pass", "m": m, "cesaro_average": exact,
-                      "cesaro_average_decimal": dec,
-                      "product": product.to_text()})
-    return trace, 0
+    return records, {"status": "pass", "m": m, "cesaro_average": exact,
+                     "cesaro_average_decimal": dec,
+                     "product": product.to_text()}
 
 
 def _run_reduction(config: ExperimentConfig, T: Transformation,
-                   digits: int) -> tuple[RunTrace, int]:
+                   digits: int) -> tuple[list, dict]:
     B = config.require_set("B")
-    rep = reduction_check(T, B, _basis(config), config.get_int("sample"),
-                          config.get_scalar("epsilon"),
-                          config.get_int("n_max"),
-                          stall_window=config.opt_int("stall_window"),
-                          component_budget=config.get_int("component_budget"))
-    trace = RunTrace(_header(config, f"reduction:{T.descriptor()}"),
-                     rep.rows, {"status": "pass" if rep.passed else "fail",
-                                "mode": rep.note})
-    return trace, (0 if rep.passed else 1)
+    rep = reduction_check(T, B, _basis(config), config.get("sample"),
+                          config.get("epsilon"), config.get("n_max"),
+                          stall_window=config.opt("stall_window"),
+                          component_budget=config.get("component_budget"))
+    return rep.rows, {"status": "pass" if rep.passed else "fail",
+                      "mode": rep.note}
 
 
 _DISPATCH = {"splinter": _run_splinter, "verify": _run_verify,
@@ -387,24 +368,25 @@ _DISPATCH = {"splinter": _run_splinter, "verify": _run_verify,
 def run(config: ExperimentConfig) -> tuple[RunTrace, int]:
     """Dispatch a config to its command; returns (trace, exit code).
 
-    An error listed in ``errors.EXIT_CODES`` ends the run with that code and
-    a trace whose summary holds its status and message; a splinter run keeps
-    the rows of the steps it completed.
+    The exit code is ``errors.STATUS_CODES`` of the summary's status.  An
+    error listed in ``errors.EXIT_CODES`` ends the run with its status and
+    a summary that holds its message; a splinter run keeps the rows of the
+    steps it completed.
     """
-    digits = config.get_int("digits")
     if config.command == "demo":
         return demo_kakutani()
+    digits = config.get("digits")
     T = make_system(config.system)
     try:
-        return _DISPATCH[config.command](config, T, digits)
+        records, summary = _DISPATCH[config.command](config, T, digits)
     except tuple(EXIT_CODES) as exc:
-        code, status = exit_status(exc)
         d = getattr(exc, "decomposition", None)
         records = (trace_rows(d.trace, digits)
                    if d is not None and config.command == "splinter" else [])
-        trace = RunTrace(_header(config, config.command), records,
-                         {"status": status, "error": str(exc)})
-        return trace, code
+        summary = {"status": exit_status(exc)[1], "error": str(exc)}
+    trace = RunTrace(_header(config, f"{config.command}:{T.descriptor()}"),
+                     records, summary)
+    return trace, STATUS_CODES[summary["status"]]
 
 
 def demo_kakutani() -> tuple[RunTrace, int]:
@@ -448,9 +430,10 @@ def demo_kakutani() -> tuple[RunTrace, int]:
     records.append({"check": "odometer-discontinuities", "value": listing,
                     "pass": listing == expected})
 
+    status = "pass" if ok else "fail"
     trace = RunTrace(_header(None, "demo-kakutani"), records,
-                     {"status": "pass" if ok else "fail"})
-    return trace, (0 if ok else 1)
+                     {"status": status})
+    return trace, STATUS_CODES[status]
 
 
 # ---------------------------------------------------------------------

@@ -869,5 +869,5 @@ def truncate_tails(s: IntervalSet, blocks: int) -> tuple[IntervalSet, Scalar]:
         for _ in range(blocks):
             ivs.append(block(n))
             n += 2
-        dropped = dropped + _make(2, 0, 3 << n, None)
+        dropped = dropped + ParityTail(t.anchor, n, t.parity).measure()
     return IntervalSet.build(ivs), dropped

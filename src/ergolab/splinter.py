@@ -130,6 +130,10 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
         raise InvalidInputError("windows must have positive measure")
     if epsilon.sign() <= 0:
         raise InvalidInputError("epsilon must be positive")
+    if n_max < 1:
+        raise InvalidInputError("n_max must be positive")
+    if stall_window is not None and stall_window < 1:
+        raise InvalidInputError("stall_window must be positive")
     window = stall_window if stall_window is not None else T.stall_window()
 
     d = SplinterDecomposition(T, J1, J2, epsilon, n_max)
@@ -138,8 +142,9 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
         avail = J2                 # J2 minus the splinters so far
         mc, m_avail = covered.measure(), mu2
         B = J1
-        flat = 0  # consecutive steps with empty A and unchanged mu(B)
-        prev_mb: Optional[Scalar] = None
+        # consecutive steps with empty A after step 1; mu(B) is unchanged
+        # over them, since the residual identity pins it to mu(avail)
+        flat = 0
         for n in range(1, n_max + 1):
             pre = T.preimage(B)
             A_n = pre.intersect(avail)
@@ -169,11 +174,7 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
             if mb < epsilon:
                 d.status = CONVERGED
                 break
-            if prev_mb is not None and mb == prev_mb and not productive:
-                flat += 1
-            else:
-                flat = 0
-            prev_mb = mb
+            flat = 0 if productive or n == 1 else flat + 1
             if flat >= window:
                 d.status = STALLED
                 break

@@ -9,7 +9,8 @@ import pytest
 
 from ergolab.cli import main
 from ergolab.dynamics import make_system
-from ergolab.errors import ConfigError, RepresentationOverflowError
+from ergolab.errors import (EXIT_CODES, STATUS_CODES, ConfigError,
+                            RepresentationOverflowError)
 from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
                              parse_config, run)
 from ergolab.intervals import from_text
@@ -61,6 +62,16 @@ system = odometer
 epsilon = 1/1000
 n_max = 50
 set.J1 = 0..1/4, tail(one, 2, even)
+set.J2 = 1/2..3/4
+"""
+
+# stalls at depth 20 under the rotation's default stall window of 8
+GOLDEN_CFG = """\
+command = splinter
+system = rotation:golden
+epsilon = 1/1000
+n_max = 300
+set.J1 = 0..1/4
 set.J2 = 1/2..3/4
 """
 
@@ -182,7 +193,43 @@ class TestRunDispatch:
         assert all(r["preserved"] for r in trace.records)
 
 
+# every command, and every status a run of it can end with
+STATUS_CASES = [
+    (SPLINTER_CFG, "converged", "doubling"),
+    (STALL_CFG, "stalled", "rotation:1/3"),
+    (SPLINTER_CFG.replace("n_max = 64", "n_max = 5"), "budget-exhausted",
+     "doubling"),
+    ("command = verify\nsystem = odometer\nset.S = 0..1/2\n", "pass",
+     "odometer"),
+    ("command = density\nsystem = doubling\nepsilon = 1/2\n"
+     "set.S = 1/3..2/3\n", "pass", "doubling"),
+    # mu(S n [0, 1)) = 1/2 is not above (1 - epsilon) mu([0, 1))
+    ("command = density\nsystem = doubling\ndepth = 0\nepsilon = 1/2\n"
+     "set.S = 0..1/2\n", "fail", "doubling"),
+    (GAP_CFG, "pass", "doubling"),
+    ("command = mixing\nsystem = doubling\nn_max = 6\n"
+     "set.C = 0..1/3\nset.D = 1/5..7/10\n", "pass", "doubling"),
+    ("command = reduction\nsystem = rotation:golden\nepsilon = 1/100\n"
+     "n_max = 60\nsample = 3\nset.B = 0..1/2\n", "pass", "rotation:golden"),
+    (OVERFLOW_CFG, "left-representation-class", "kakutani"),
+    (UNEQUAL_WINDOWS_CFG, "invalid-input", "odometer"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("text, status, descriptor", STATUS_CASES,
+                             ids=["converged", "stalled", "budget-exhausted",
+                                  "verify", "density-found",
+                                  "density-not-found", "gap", "mixing",
+                                  "reduction", "overflow", "unequal-windows"])
+    def test_code_is_that_of_the_status(self, text, status, descriptor):
+        config = parse_config(text)
+        trace, code = run(config)
+        assert trace.summary["status"] == status
+        assert code == STATUS_CODES[status]
+        assert trace.header["fixture"] == f"{config.command}:{descriptor}"
+        assert set(EXIT_CODES.values()) <= set(STATUS_CODES)
+
     @pytest.mark.parametrize("text, code, status", [
         (OVERFLOW_CFG, 4, "left-representation-class"),
         (UNEQUAL_WINDOWS_CFG, 3, "invalid-input"),
@@ -218,8 +265,8 @@ class TestExitCodes:
         trace, code = run(config)
         with pytest.raises(RepresentationOverflowError) as info:
             splinter(make_system(config.system), config.require_set("J1"),
-                     config.require_set("J2"), config.get_scalar("epsilon"),
-                     config.get_int("n_max"))
+                     config.require_set("J2"), config.get("epsilon"),
+                     config.get("n_max"))
         kept = info.value.decomposition.trace
         assert code == 4 and len(kept) == 1
         assert trace.records == [kept[0].row(digits)]
@@ -245,7 +292,12 @@ class TestExitCodes:
         (GAP_CFG + "digits = 0\n", "config error: digits must be positive"),
         (DENSITY_EPSILON_CFG,
          "invalid input: epsilon must lie strictly between 0 and 1"),
-    ], ids=["basis", "depth", "digits", "density-epsilon"])
+        (GOLDEN_CFG + "stall_window = 0\n",
+         "config error: stall_window must be positive"),
+        (GOLDEN_CFG + "stall_window = -3\n",
+         "config error: stall_window must be positive"),
+    ], ids=["basis", "depth", "digits", "density-epsilon", "stall-window-0",
+            "stall-window-negative"])
     def test_cli_rejects_unusable_value(self, tmp_path, capsys, text,
                                         message):
         cfg = tmp_path / "exp.cfg"
@@ -312,9 +364,7 @@ class TestPlotData:
 # class, so its trace has no records
 STRUCTURED_CFGS = {
     "splinter": SPLINTER_CFG,
-    "splinter-golden": ("command = splinter\nsystem = rotation:golden\n"
-                        "epsilon = 1/1000\nn_max = 300\n"
-                        "set.J1 = 0..1/4\nset.J2 = 1/2..3/4\n"),
+    "splinter-golden": GOLDEN_CFG,
     "verify": ("command = verify\nsystem = kakutani\n"
                "set.S = 0..1/2 | 1/8..1/4\nset.T = 1/4..5/8 | empty\n"),
     "verify-error": ("command = verify\nsystem = kakutani\n"

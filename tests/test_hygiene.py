@@ -1,6 +1,6 @@
 """Source hygiene: every name a library module imports is used in it, no
 module reaches into the private kernel of ``intervals``, and the harness
-builds splinter rows in one place."""
+builds splinter rows and run traces in one place each."""
 
 import ast
 from pathlib import Path
@@ -49,14 +49,22 @@ def test_no_private_interval_imports(path):
     assert private_interval_imports(tree) == []
 
 
+def harness_callers(name: str) -> set[str]:
+    """The functions of ``harness.py`` that call ``name``."""
+    tree = ast.parse((SRC / "harness.py").read_text())
+    return {fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name}
+
+
 def test_harness_builds_splinter_rows_through_trace_rows():
     # the success path and the error path of ``run`` render the same rows
-    text = (SRC / "harness.py").read_text()
-    assert ".row(" not in text
-    callers = {fn.name for fn in ast.walk(ast.parse(text))
-               if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn)
-               if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name)
-               and node.func.id == "trace_rows"}
-    assert callers == {"_run_splinter", "run"}
+    assert ".row(" not in (SRC / "harness.py").read_text()
+    assert harness_callers("trace_rows") == {"_run_splinter", "run"}
+
+
+def test_harness_builds_traces_in_run_and_demo_only():
+    # commands return (records, summary); ``run`` adds the one header
+    assert harness_callers("RunTrace") == {"run", "demo_kakutani"}

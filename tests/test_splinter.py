@@ -168,15 +168,19 @@ class TestAdditivity:
 
 
 class TestArguments:
-    @pytest.mark.parametrize("J1, J2, epsilon", [
-        ("0..1/4", "0..1/2", "1/1000"),    # unequal measures
-        ("empty", "empty", "1/1000"),      # null windows
-        ("0..1/2", "0..1/2", "0"),         # epsilon not positive
-    ])
-    def test_invalid_input(self, J1, J2, epsilon):
+    @pytest.mark.parametrize("J1, J2, epsilon, n_max, stall_window", [
+        ("0..1/4", "0..1/2", "1/1000", 8, None),    # unequal measures
+        ("empty", "empty", "1/1000", 8, None),      # null windows
+        ("0..1/2", "0..1/2", "0", 8, None),         # epsilon not positive
+        ("0..1/2", "0..1/2", "1/1000", 0, None),    # no step allowed
+        ("0..1/2", "0..1/2", "1/1000", 8, 0),       # stalls at step 1
+        ("0..1/2", "0..1/2", "1/1000", 8, -3),
+    ], ids=["0..1/4-0..1/2-1/1000", "empty-empty-1/1000", "0..1/2-0..1/2-0",
+            "n_max-0", "stall_window-0", "stall_window--3"])
+    def test_invalid_input(self, J1, J2, epsilon, n_max, stall_window):
         with pytest.raises(InvalidInputError):
             splinter(Doubling(), from_text(J1), from_text(J2),
-                     Scalar(F(epsilon)), 8)
+                     Scalar(F(epsilon)), n_max, stall_window=stall_window)
         assert issubclass(InvalidInputError, ValueError)
 
 
