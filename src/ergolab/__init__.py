@@ -21,8 +21,7 @@ from .splinter import (BUDGET_EXHAUSTED, CONVERGED, CheckReport,
                        DEFAULT_COMPONENT_BUDGET, STALLED,
                        SplinterDecomposition, StepRecord, additivity_check,
                        splinter, trace_rows, transport_check,
-                       verify_disjointness, verify_mass_conservation,
-                       verify_orbit_decomposition, verify_residual_identity)
+                       verify_decomposition, verify_orbit_decomposition)
 from .caratheodory import (GapReport, MeasureBasis, RESTRICTION_NOTICE,
                            arcs_basis, correlation_average, density_pair,
                            density_search, dyadic_basis, gap_theta,

@@ -143,8 +143,10 @@ class Transformation:
     def discontinuities(self, depth: int = 0) -> list[Scalar]:
         return []
 
-    def stall_window(self) -> int:
-        return 8
+    def stall_window(self) -> Optional[int]:
+        """Unproductive steps in a row that prove a splinter run stalled,
+        or None when no such count does (an ergodic T never stalls)."""
+        return None
 
     def descriptor(self) -> str:
         return self.kind
@@ -171,10 +173,10 @@ class Rotation(Transformation):
     def image(self, S: IntervalSet) -> IntervalSet:
         return S.translate_mod1(self.angle)
 
-    def stall_window(self) -> int:
-        if self.ergodic:
-            return 8
-        return max(8, self.angle.d)
+    def stall_window(self) -> Optional[int]:
+        # rotation by p/q has T**q = id, so after q unproductive steps in a
+        # row B is back where it was and no later step splinters either
+        return None if self.ergodic else self.angle.d
 
     def descriptor(self) -> str:
         if self._label:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional, Union
 
 from .errors import IncompatibleBasisError
@@ -23,54 +23,35 @@ RationalLike = Union[int, Fraction]
 
 
 class IrrationalTag:
-    """A certified irrational, given by its continued-fraction expansion.
+    """A certified irrational alpha = (sqrt(a*a + 4) - a) / 2, a >= 1.
 
-    The expansion is [0; a, a, a, ...], so alpha is the positive root of
-    x**2 + a*x - 1 = 0 and ``Scalar.cmp`` decides order from ``_a`` alone.
-    ``bounds(k)`` serves only ``Scalar.floor``, which ``mod1`` and
-    ``to_decimal`` use: it yields a rational interval [l, u] containing
-    alpha with u - l <= 2**-k.  Bounds are nested in k (l non-decreasing,
-    u non-increasing) because they are read off consecutive
-    continued-fraction convergents, which bracket the value ever more
-    tightly.  Each bracket is kept once computed, per k.
+    alpha is the positive root of x**2 + a*x - 1 = 0, with continued
+    fraction [0; a, a, a, ...], and ``Scalar.cmp`` decides order from ``_a``
+    alone.  ``bounds(k)`` serves only ``Scalar.floor``, which ``mod1`` and
+    ``to_decimal`` use: it yields a rational interval [l, u] holding alpha
+    strictly, with u - l = 2**-(j+1) for j = max(k, 0).  It is read off
+    s = isqrt((a*a + 4) * 4**j), since s < sqrt(a*a + 4) * 2**j < s + 1
+    (a*a + 4 is never a square), and the brackets are nested in k because
+    the next s is 2*s or 2*s + 1.  Each bracket is kept once computed, per k.
     """
 
-    def __init__(self, name: str, partial_quotient: int):
-        # period-1 continued fraction [0; a, a, a, ...] with a >= 1;
-        # such a value is a quadratic irrational, hence certified irrational.
-        if partial_quotient < 1:
-            raise ValueError("partial quotient must be >= 1")
+    def __init__(self, name: str, a: int):
+        if a < 1:
+            raise ValueError("a must be >= 1")
         self.name = name
-        self._a = partial_quotient
-        # convergents p/q; start with p_{-1}/q_{-1} = 1/0 and p_0/q_0 = 0/1
-        self._ps = [1, 0]
-        self._qs = [0, 1]
+        self._a = a
         self._bounds: dict[int, tuple[Fraction, Fraction]] = {}
-
-    def _extend(self) -> None:
-        a = self._a
-        self._ps.append(a * self._ps[-1] + self._ps[-2])
-        self._qs.append(a * self._qs[-1] + self._qs[-2])
 
     def bounds(self, k: int) -> tuple[Fraction, Fraction]:
         """Rational bracket [l, u] containing alpha with u - l <= 2**-k."""
         found = self._bounds.get(k)
-        if found is not None:
-            return found
-        i = 2
-        while True:
-            while len(self._ps) < i + 2:
-                self._extend()
-            # consecutive convergents bracket the value; width is
-            # 1/(q_i * q_{i+1})
-            if self._qs[i] * self._qs[i + 1] >= 1 << max(k, 0):
-                lo = Fraction(self._ps[i], self._qs[i])
-                hi = Fraction(self._ps[i + 1], self._qs[i + 1])
-                if lo > hi:
-                    lo, hi = hi, lo
-                self._bounds[k] = lo, hi
-                return lo, hi
-            i += 1
+        if found is None:
+            a, j = self._a, max(k, 0)
+            s = isqrt((a * a + 4) << 2 * j)
+            shift, den = a << j, 2 << j
+            found = self._bounds[k] = (Fraction(s - shift, den),
+                                       Fraction(s + 1 - shift, den))
+        return found
 
     def __repr__(self) -> str:
         return f"IrrationalTag({self.name!r})"

@@ -175,7 +175,7 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
                 d.status = CONVERGED
                 break
             flat = 0 if productive or n == 1 else flat + 1
-            if flat >= window:
+            if window is not None and flat >= window:
                 d.status = STALLED
                 break
             if count > component_budget:
@@ -189,47 +189,39 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     return d
 
 
-def verify_residual_identity(d: SplinterDecomposition) -> CheckReport:
-    """mu(B_n) = mu(J2 \\ union of the first n splinters), every step."""
-    report = CheckReport("residual-identity", True)
-    covered = d.J2.subtract(d.J2)
-    for n, (A_n, B_n) in enumerate(zip(d.splinters, d.residuals), start=1):
-        covered = covered.union(A_n)
-        lhs = B_n.measure()
-        rhs = d.J2.subtract(covered).measure()
-        ok = lhs == rhs
-        report.rows.append({"step": n, "measure_B_n": lhs.to_text(),
-                            "measure_J2_minus_cover": rhs.to_text(),
-                            "pass": ok})
-        report.passed &= ok
-    return report
+def verify_decomposition(d: SplinterDecomposition) -> CheckReport:
+    """Replay the recursion from J1 and check every recorded step.
 
+    The replay reuses nothing of the run: from B = J1 it takes
+    A = T^-1 B n (J2 \\ U A_i), then B = T^-1 B \\ A.  Each step's row
+    holds three booleans:
 
-def verify_mass_conservation(d: SplinterDecomposition) -> CheckReport:
-    """sum mu(A_i) + mu(B_n) = mu(J1) at every step."""
-    report = CheckReport("mass-conservation", True)
-    total = d.J1.measure() - d.J1.measure()
-    mu1 = d.J1.measure()
+    - ``same_sets``: the replayed A and B equal the recorded A_n and B_n,
+      so the recorded splinters are disjoint and inside J2;
+    - ``residual_identity``: mu(B_n) = mu(J2 \\ U A_i);
+    - ``mass_conservation``: sum mu(A_i) + mu(B_n) = mu(J1);
+
+    the two identities read the recorded sets.
+    """
+    report = CheckReport("decomposition", True)
+    T, J2, mu1 = d.transformation, d.J2, d.J1.measure()
+    B, cover, recorded_cover = d.J1, J2.subtract(J2), J2.subtract(J2)
+    total = mu1 - mu1
     for n, (A_n, B_n) in enumerate(zip(d.splinters, d.residuals), start=1):
+        pre = T.preimage(B)
+        A = pre.intersect(J2.subtract(cover))
+        B = pre.subtract(A)
+        cover = cover.union(A)
+        recorded_cover = recorded_cover.union(A_n)
         total = total + A_n.measure()
-        ok = total + B_n.measure() == mu1
-        report.rows.append({"step": n, "cumulative_A": total.to_text(),
-                            "measure_B_n": B_n.measure().to_text(),
-                            "measure_J1": mu1.to_text(), "pass": ok})
-        report.passed &= ok
-    return report
-
-
-def verify_disjointness(d: SplinterDecomposition) -> CheckReport:
-    """Splinters are pairwise disjoint and contained in J2."""
-    report = CheckReport("splinter-disjointness", True)
-    running = d.J2.subtract(d.J2)
-    for n, A_n in enumerate(d.splinters, start=1):
-        disjoint = A_n.intersect(running).is_empty()
-        inside = A_n.subtract(d.J2).is_empty()
-        report.rows.append({"step": n, "disjoint": disjoint, "in_J2": inside})
-        report.passed &= disjoint and inside
-        running = running.union(A_n)
+        mb = B_n.measure()
+        same = A.equals(A_n) and B.equals(B_n)
+        residual = mb == J2.subtract(recorded_cover).measure()
+        mass = total + mb == mu1
+        report.rows.append({"step": n, "same_sets": same,
+                            "residual_identity": residual,
+                            "mass_conservation": mass})
+        report.passed &= same and residual and mass
     return report
 
 

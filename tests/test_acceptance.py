@@ -20,9 +20,8 @@ from ergolab.intervals import (AT_ZERO, EMPTY, IntervalSet, ParityTail,
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
 from ergolab.splinter import (CONVERGED, STALLED, additivity_check, splinter,
-                              transport_check, verify_mass_conservation,
-                              verify_orbit_decomposition,
-                              verify_residual_identity)
+                              transport_check, verify_decomposition,
+                              verify_orbit_decomposition)
 
 F = Fraction
 SEED = 20260826
@@ -97,15 +96,26 @@ def test_criterion_01_measure_preservation():
               f"({elapsed:.1f}s)", ok)
 
 
-def test_criterion_02_residual_identity(all_fixture_runs):
-    ok = all(verify_residual_identity(d).passed for d in all_fixture_runs)
+@pytest.fixture(scope="module")
+def replays(all_fixture_runs):
+    return [verify_decomposition(d) for d in all_fixture_runs]
+
+
+def replay_holds(replays, check: str) -> bool:
+    """``check`` and ``same_sets`` hold on every replayed step of every
+    fixture run."""
+    return all(row[check] and row["same_sets"]
+               for rep in replays for row in rep.rows)
+
+
+def test_criterion_02_residual_identity(replays):
     report(2, "splinter residual identity exact at every step, all fixtures",
-           ok)
+           replay_holds(replays, "residual_identity"))
 
 
-def test_criterion_03_mass_conservation(all_fixture_runs):
-    ok = all(verify_mass_conservation(d).passed for d in all_fixture_runs)
-    report(3, "mass conservation exact at every step, all fixtures", ok)
+def test_criterion_03_mass_conservation(replays):
+    report(3, "mass conservation exact at every step, all fixtures",
+           replay_holds(replays, "mass_conservation"))
 
 
 def test_criterion_04_doubling_closed_form(doubling_run):

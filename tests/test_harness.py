@@ -1,9 +1,11 @@
 """Config parsing/serialization, run dispatch, exit codes, plot output."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +67,7 @@ set.J1 = 0..1/4, tail(one, 2, even)
 set.J2 = 1/2..3/4
 """
 
-# stalls at depth 20 under the rotation's default stall window of 8
+# converges at depth 224: an ergodic rotation has no default stall window
 GOLDEN_CFG = """\
 command = splinter
 system = rotation:golden
@@ -82,6 +84,18 @@ system = doubling
 epsilon = 2
 set.S = 0..1/2
 """
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_config_example_converges(self):
+        block, = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        trace, code = run(parse_config(block))
+        assert code == 0
+        assert trace.summary["status"] == "converged"
+        assert trace.summary["depth"] == 224
 
 
 class TestConfigFormat:

@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, no
-module reaches into the private kernel of ``intervals``, and the harness
-builds splinter rows and run traces in one place each."""
+module reaches into the private kernel of ``intervals``, the harness
+builds splinter rows and run traces in one place each, and one function
+refines a bracket of alpha."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,30 @@ def test_harness_builds_splinter_rows_through_trace_rows():
 def test_harness_builds_traces_in_run_and_demo_only():
     # commands return (records, summary); ``run`` adds the one header
     assert harness_callers("RunTrace") == {"run", "demo_kakutani"}
+
+
+def bounds_callers() -> set[str]:
+    """``module.py:Class.method`` (or ``:function``) for each piece of
+    library code that calls ``.bounds(...)``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                sep = "" if scope.endswith(":") else "."
+                visit(child, f"{scope}{sep}{child.name}")
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "bounds"):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.name}:")
+    return found
+
+
+def test_one_rounding_path():
+    # README: Scalar.floor is the one place that approximates alpha
+    assert bounds_callers() == {"scalars.py:Scalar.floor"}

@@ -129,7 +129,7 @@ class TestOrdering:
         assert Scalar(Fraction(41, 100)) < beta < Scalar(Fraction(42, 100))
 
     def test_tight_comparison_refines(self):
-        # alpha lies between its consecutive convergents 987/1597 and 610/987
+        # 987/1597 < alpha < 610/987, which differ by 1/(987*1597)
         assert gold(0, 1) > Scalar(Fraction(987, 1597))
         assert gold(0, 1) < Scalar(Fraction(610, 987))
 
@@ -153,6 +153,30 @@ class TestOrdering:
             assert a + c < b + c
 
 
+def convergent_brackets(a):
+    """Consecutive convergents p_i/q_i, p_{i+1}/q_{i+1} of [0; a, a, ...],
+    as (lo, hi) pairs: each pair holds alpha strictly, and the pairs
+    shrink to it."""
+    p0, q0, p1, q1 = 0, 1, 1, a
+    while True:
+        yield tuple(sorted((Fraction(p0, q0), Fraction(p1, q1))))
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+
+
+@pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 16, 31, 64, 110, 400])
+def test_bounds_against_convergents(tag, k):
+    lo, hi = tag.bounds(k)
+    assert 0 < hi - lo <= Fraction(1, 2**k)
+    # some convergent bracket, and so alpha, lies strictly inside [lo, hi];
+    # alpha is more than 2**-(2k + 5) from any m / 2**(k + 1) (Liouville),
+    # so a narrower bracket lies inside if alpha does
+    for c_lo, c_hi in convergent_brackets(tag._a):
+        if lo < c_lo and c_hi < hi:
+            break
+        assert c_hi - c_lo > Fraction(1, 2**(2 * k + 5)), "alpha outside"
+
+
 @pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
 class TestClosedFormAgainstBracket:
     """cmp/sign against a bracket oracle built from IrrationalTag.bounds."""
@@ -171,8 +195,8 @@ class TestClosedFormAgainstBracket:
 
     @pytest.mark.parametrize("k", [110, 400])
     def test_differences_within_1e_30(self, tag, k):
-        # lo < alpha < hi are consecutive convergents 2**-k apart, so
-        # x - y = q*(c - alpha) below is nonzero and within 1e-30 of zero
+        # lo < alpha < hi are at most 2**-k apart, so x - y = q*(c - alpha)
+        # below is nonzero and within 1e-30 of zero
         lo, hi = tag.bounds(k)
         for c, side in ((lo, -1), (hi, 1)):
             for q in (Fraction(1), Fraction(-3), Fraction(7, 5)):
@@ -195,8 +219,8 @@ class TestClosedFormAgainstBracket:
 
     @pytest.mark.parametrize("k", [110, 400])
     def test_rounding_within_1e_30_of_a_boundary(self, tag, k):
-        # r + q*(c - alpha) is nonzero and within 1e-30 of r, for the
-        # consecutive convergents c of alpha that are 2**-k apart
+        # r + q*(c - alpha) is nonzero and within 1e-30 of r, for the ends
+        # c of the bracket of alpha that is at most 2**-k wide
         for c in tag.bounds(k):
             for q in (Fraction(1), Fraction(-3), Fraction(7, 5)):
                 for r in (Fraction(0), Fraction(1), Fraction(-2),

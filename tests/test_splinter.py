@@ -1,5 +1,6 @@
 """Splinter recursion: invariants, statuses, orbit decomposition."""
 
+import dataclasses
 import importlib
 from fractions import Fraction
 
@@ -15,9 +16,8 @@ from ergolab.scalars import GOLDEN, SQRT2M1, Scalar
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
                               StepRecord, additivity_check, splinter,
                               trace_rows, transport_check,
-                              verify_disjointness, verify_mass_conservation,
-                              verify_orbit_decomposition,
-                              verify_residual_identity)
+                              verify_decomposition,
+                              verify_orbit_decomposition)
 
 F = Fraction
 # ``ergolab.splinter`` the attribute is the function; this is the module
@@ -44,9 +44,8 @@ class TestDoubling:
             assert B.measure() == Scalar(F(1, 1 << (n + 1)))
 
     def test_invariant_reports(self, doubling_run):
-        assert verify_residual_identity(doubling_run).passed
-        assert verify_mass_conservation(doubling_run).passed
-        assert verify_disjointness(doubling_run).passed
+        rep = verify_decomposition(doubling_run)
+        assert rep.passed and len(rep.rows) == fixtures.DOUBLING_N_STAR
 
 
 class TestGoldenRotation:
@@ -109,6 +108,24 @@ class TestStatuses:
         d = info.value.decomposition
         assert d.depth == 1 and [r.step for r in d.trace] == [1]
         assert d.residuals[0].measure() == Scalar(F(1, 4))
+
+    @pytest.mark.parametrize("inputs, status, depth, final_B", [
+        # the golden rotation splinters on ~2.5% of its steps, with runs of
+        # up to 88 unproductive steps
+        (fixtures.golden_rotation_splinter_inputs, CONVERGED,
+         fixtures.GOLDEN_N_STAR, fixtures.GOLDEN_FINAL_B_MEASURE),
+        (fixtures.odometer_deep_splinter_inputs, CONVERGED, 125, (0, 0)),
+        # rotation by 1/3: 3 unproductive steps in a row prove the stall
+        (fixtures.rational_third_stall_inputs, STALLED, 4,
+         (fixtures.RATIONAL_THIRD_B_MEASURE, 0)),
+    ], ids=["golden", "odometer-deep", "rational-third"])
+    def test_default_stall_window(self, inputs, status, depth, final_B):
+        # without stall_window only a non-ergodic T can stall
+        kw = inputs()
+        del kw["stall_window"]
+        d = splinter(**kw)
+        assert (d.status, d.depth) == (status, depth)
+        assert d.residuals[-1].measure() == Scalar(*final_B, GOLDEN)
 
     def test_tower_fixtures_converge(self):
         d = splinter(**fixtures.tower_splinter_inputs())
@@ -244,9 +261,23 @@ class TestUnproductiveSteps:
         assert all(B.measure() == Scalar(F(1, 6)) for B in d.residuals[:-1])
 
     def test_unproductive_steps_keep_cover(self, golden_run):
-        assert verify_residual_identity(golden_run).passed
-        assert verify_mass_conservation(golden_run).passed
-        assert verify_disjointness(golden_run).passed
+        assert verify_decomposition(golden_run).passed
+
+
+class TestReplay:
+    def test_tampered_residual_fails_at_its_step_only(self, golden_run):
+        # B_6 moved by 1/7 keeps its measure, so both identities hold at
+        # every step; only the replay tells the sets apart
+        residuals = list(golden_run.residuals)
+        residuals[5] = residuals[5].translate_mod1(Scalar(F(1, 7)))
+        assert not residuals[5].equals(golden_run.residuals[5])
+        rep = verify_decomposition(
+            dataclasses.replace(golden_run, residuals=residuals))
+        assert not rep.passed
+        assert [row["step"] for row in rep.rows
+                if not row["same_sets"]] == [6]
+        assert all(row["residual_identity"] and row["mass_conservation"]
+                   for row in rep.rows)
 
 
 def _sqrt2_shifted_inputs():
