@@ -10,13 +10,13 @@ from .errors import (ErgolabError, IncompatibleBasisError, InvalidInputError,
 from .scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
                       get_tag, parse_scalar, render)
 from .intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval, IntervalSet,
-                        ParityTail, arc, block_one, block_zero, doubling_image,
+                        ParityTail, arc, block_one, block_zero,
                         doubling_preimage, from_text, make_set,
-                        odometer_image, odometer_preimage, truncate_tails)
+                        odometer_preimage)
 from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                        PreservationReport, Rotation, SetLike, TOWER_EMPTY,
                        TOWER_FULL, TowerSet, Transformation, make_system,
-                       tower_image, tower_preimage, verify_measure_preserving)
+                       tower_preimage, verify_measure_preserving)
 from .splinter import (BUDGET_EXHAUSTED, CONVERGED, CheckReport,
                        DEFAULT_COMPONENT_BUDGET, STALLED,
                        SplinterDecomposition, StepRecord, additivity_check,

@@ -1,13 +1,15 @@
 """The concrete transformations: rotation, doubling, odometer, Kakutani tower.
 
-All maps act on the representable set class by exact preimage/image, mod
-null sets.  The circle with normalized arc measure is modeled as [0, 1)
-with Lebesgue measure: multiplication by a unimodular constant becomes
-translation mod 1 and squaring becomes doubling mod 1.
+All maps act on the representable set class by exact preimage, mod null
+sets: the splinter recursion, the Caratheodory probes and the correlation
+sequences pull sets back through T^-1, and nothing takes a forward image.
+The circle with normalized arc measure is modeled as [0, 1) with Lebesgue
+measure: multiplication by a unimodular constant becomes translation mod 1
+and squaring becomes doubling mod 1.
 
 The set maps themselves live in ``intervals``, next to the kernel that
 builds their normal form: ``IntervalSet.translate_mod1``, the doubling and
-the odometer maps.  This module composes them: tower sets, the Kakutani
+the odometer preimages.  This module composes them: tower sets, the Kakutani
 map built from the odometer, and the ``Transformation`` descriptors.
 """
 
@@ -19,8 +21,7 @@ from typing import Optional, Union
 
 from .errors import InvalidTowerSetError
 from .intervals import (AT_ONE, EMPTY, FULL, IntervalSet, ParityTail,
-                        block_one, doubling_image, doubling_preimage,
-                        odometer_image, odometer_preimage)
+                        block_one, doubling_preimage, odometer_preimage)
 from .scalars import Scalar, get_tag
 
 
@@ -109,12 +110,6 @@ def tower_preimage(S: TowerSet) -> TowerSet:
                         pre_base.intersect(A_SET))
 
 
-def tower_image(S: TowerSet) -> TowerSet:
-    base = odometer_image(S.base.intersect(A_COMPLEMENT)).union(
-        odometer_image(S.top))
-    return TowerSet._of(base, S.base.intersect(A_SET))
-
-
 # ---------------------------------------------------------------------
 # transformation descriptors
 # ---------------------------------------------------------------------
@@ -123,15 +118,12 @@ SetLike = Union[IntervalSet, TowerSet]
 
 
 class Transformation:
-    """Immutable descriptor exposing exact preimage/image on set values."""
+    """Immutable descriptor exposing the exact preimage on set values."""
 
     kind = "abstract"
     ergodic = False
 
     def preimage(self, S: SetLike) -> SetLike:
-        raise NotImplementedError
-
-    def image(self, S: SetLike) -> SetLike:
         raise NotImplementedError
 
     def empty_set(self) -> SetLike:
@@ -170,9 +162,6 @@ class Rotation(Transformation):
     def preimage(self, S: IntervalSet) -> IntervalSet:
         return S.translate_mod1(self._back)
 
-    def image(self, S: IntervalSet) -> IntervalSet:
-        return S.translate_mod1(self.angle)
-
     def stall_window(self) -> Optional[int]:
         # rotation by p/q has T**q = id, so after q unproductive steps in a
         # row B is back where it was and no later step splinters either
@@ -193,9 +182,6 @@ class Doubling(Transformation):
     def preimage(self, S: IntervalSet) -> IntervalSet:
         return doubling_preimage(S)
 
-    def image(self, S: IntervalSet) -> IntervalSet:
-        return doubling_image(S)
-
 
 class Odometer(Transformation):
     """The adding-machine primitive; ergodic, invertible mod null."""
@@ -205,9 +191,6 @@ class Odometer(Transformation):
 
     def preimage(self, S: IntervalSet) -> IntervalSet:
         return odometer_preimage(S)
-
-    def image(self, S: IntervalSet) -> IntervalSet:
-        return odometer_image(S)
 
     def discontinuities(self, depth: int = 0) -> list[Scalar]:
         return [block_one(n).lo for n in range(depth + 1)]
@@ -221,9 +204,6 @@ class KakutaniTower(Transformation):
 
     def preimage(self, S: TowerSet) -> TowerSet:
         return tower_preimage(S)
-
-    def image(self, S: TowerSet) -> TowerSet:
-        return tower_image(S)
 
     def empty_set(self) -> TowerSet:
         return TOWER_EMPTY

@@ -52,14 +52,13 @@ touches, over a denominator that every block boundary it reads divides:
   beyond the depth each anchor carries one flag per parity, combined by
   the same truth table as the points;
 * the canonical tail, settled at the anchor end of the result list, where
-  "this point is a block boundary" is one integer compare: a component
-  touching the first block takes it in, and components that are exactly
-  the blocks below join the tail.
+  "this point is a block boundary" is one integer compare: components
+  that are exactly the blocks below join the tail.
 
-The exact maps of the example systems live here too: rotation
+The exact preimages of the example systems live here too: rotation
 (``IntervalSet.translate_mod1``), doubling and the odometer primitive.
-Each emits sorted runs of points, joined at one seam (``_join``) or merged
-by union; only ``IntervalSet.build`` takes unsorted input.
+Each emits sorted runs of points, joined at their seams (``_join``); only
+``IntervalSet.build`` takes unsorted input.
 """
 
 from __future__ import annotations
@@ -199,7 +198,7 @@ class ParityTail:
         if anchor not in (AT_ONE, AT_ZERO):
             raise ValueError(f"bad anchor {anchor!r}")
         if isinstance(parity, str):
-            parity = _PARITY_VALUES[parity]
+            parity = _PARITY_VALUES.get(parity, parity)
         if parity not in (EVEN, ODD):
             raise ValueError(f"bad parity {parity!r}")
         if start < 0:
@@ -433,10 +432,11 @@ def _settle(pts: list, anchor: str, start: int, d: int) -> int:
     """Canonical start of a tail whose blocks from `start` on lie in the
     set beyond every component of `pts` (over d), which is edited in place.
 
-    A component touching the first block takes that block in, and the
-    tail starts two blocks later; otherwise components that are exactly
-    the blocks start-2, start-4, ... join the tail.  Only the components
-    at the anchor end of the list are read."""
+    At one, a component touching the first block takes that block in, and
+    the tail starts two blocks later (``odometer_preimage`` makes such
+    components).  Otherwise components that are exactly the blocks
+    start-2, start-4, ... join the tail.  Only the components at the
+    anchor end of the list are read."""
     if anchor == AT_ONE:
         lo, hi = _block_points(AT_ONE, start, d)
         if pts and pts[-1] == lo:
@@ -453,10 +453,9 @@ def _settle(pts: list, anchor: str, start: int, d: int) -> int:
             del pts[i:i + 2]
             start -= 2
         return start
-    lo, hi = _block_points(AT_ZERO, start, d)
-    if pts and pts[0] == hi:
-        pts[0] = lo
-        return start + 2
+    # only _combine settles at zero, and there no component touches the
+    # first block: just above 2**-depth each operand holds as in block
+    # depth + 1, so a component starting there would set both flags
     i = 0
     while start >= 2 and i < len(pts):
         lo, hi = _block_points(AT_ZERO, start - 2, d)
@@ -729,8 +728,8 @@ def arc(lo: int, hi: int, d: int) -> IntervalSet:
 
 
 # ---------------------------------------------------------------------
-# the maps: each builds the normal form of its result from sorted runs
-# (rotation is ``IntervalSet.translate_mod1``)
+# the preimages: each builds the normal form of its result from sorted
+# runs (rotation is ``IntervalSet.translate_mod1``)
 # ---------------------------------------------------------------------
 
 def doubling_preimage(S: IntervalSet) -> IntervalSet:
@@ -751,64 +750,33 @@ def doubling_preimage(S: IntervalSet) -> IntervalSet:
     return _new(2 * d, pts + tuple(right), S.tag, frozenset())
 
 
-def doubling_image(S: IntervalSet) -> IntervalSet:
-    """Exact forward image 2S mod 1: the doubled parts of S below and above
-    1/2 are two sorted runs, combined by union."""
-    if S.tails:
-        raise UnsupportedRepresentationError("doubling does not act on tails")
-    d, pts = S.d, S.pts
-    # pts[:k] lie below 1/2 and pts[:k2] at most at it; a point p maps to
-    # 2p over d, less d above 1/2
-    k = bisect_left(pts, d, key=partial(mul, 2))
-    k2 = k + (k < len(pts) and pts[k] * 2 == d)
-    low = [p * 2 for p in pts[:k]] + [d] * (k & 1)
-    high = [0] * (k2 & 1) + [p * 2 - d for p in pts[k2:]]
-    return _canonical(d, _merge(low, 1, high, 1, _UNION), S.tag)
-
-
-def _odometer_map(S: IntervalSet, src: str) -> IntervalSet:
-    """Translate each block n of anchor `src` onto block n of the other
-    anchor (I_n onto D_n is the adding-machine primitive); the residual
-    zone beyond the depth moves along as flags."""
-    dst = AT_ZERO if src == AT_ONE else AT_ONE
-    depths = _depths_for((S,), (src,))
-    m = depths[src]
+def odometer_preimage(S: IntervalSet) -> IntervalSet:
+    """Exact preimage under the adding-machine primitive (mod null): each
+    block D_n moves back onto I_n, and the residual zone beyond the depth
+    moves along as flags."""
+    if any(t.anchor == AT_ONE for t in S.tails):
+        raise RepresentationOverflowError(
+            "preimage of an at-one tail accumulates at 1/2")
+    depths = _depths_for((S,), (AT_ZERO,))
+    m = depths[AT_ZERO]
     d = _working_denominator((S,), depths)
     pts, flags = _expand(S, depths, d)
-    # the blocks are visited from the top of [0, 1) down; their images
-    # then come out in increasing order, each block's pieces in order
+    # D_0, D_1, ... run down from the top of [0, 1); their preimages I_0,
+    # I_1, ... come out in increasing order, each block's pieces in order
     out: list = []
-    for n in range(m) if src == AT_ZERO else range(m - 1, -1, -1):
-        lo, hi = _block_points(src, n, d)
+    for n in range(m):
+        lo, hi = _block_points(AT_ZERO, n, d)
         i = bisect_right(pts, lo)
         j = bisect_left(pts, hi, i)
         # the part of the set in the block: pts[i:j], closed at the block's
         # ends when a piece runs across them
         if i == j and not i & 1:
             continue
-        # x -> x - 1 + 3 * 2**-(n+1) takes I_n onto D_n, and back
-        t = 3 * (d >> (n + 1)) - d
-        if src == AT_ZERO:
-            t = -t
+        # y -> y + 1 - 3 * 2**-(n+1) takes D_n onto I_n
+        t = d - 3 * (d >> (n + 1))
         piece = [lo] * (i & 1) + pts[i:j] + [hi] * (j & 1)
         _join(out, [p + t for p in piece])
-    return _collapse(out, {dst: flags[src]}, {dst: m}, d, S.tag)
-
-
-def odometer_image(S: IntervalSet) -> IntervalSet:
-    """Exact forward image under the adding-machine primitive (mod null)."""
-    if any(t.anchor == AT_ZERO for t in S.tails):
-        raise RepresentationOverflowError(
-            "image of an at-zero tail accumulates at 1/2")
-    return _odometer_map(S, AT_ONE)
-
-
-def odometer_preimage(S: IntervalSet) -> IntervalSet:
-    """Exact preimage under the adding-machine primitive (mod null)."""
-    if any(t.anchor == AT_ONE for t in S.tails):
-        raise RepresentationOverflowError(
-            "preimage of an at-one tail accumulates at 1/2")
-    return _odometer_map(S, AT_ZERO)
+    return _collapse(out, {AT_ONE: flags[AT_ZERO]}, {AT_ONE: m}, d, S.tag)
 
 
 def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> IntervalSet:
@@ -853,21 +821,3 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
         lo_t, hi_t = part.split("..", 1)
         pairs.append((parse_scalar(lo_t, tag), parse_scalar(hi_t, tag)))
     return IntervalSet.build(pairs, tails)
-
-
-def truncate_tails(s: IntervalSet, blocks: int) -> tuple[IntervalSet, Scalar]:
-    """Replace each tail by its first `blocks` blocks.
-
-    Returns the truncated set and an exact bound on the dropped measure,
-    for experiments that drift outside the closed representation class.
-    """
-    ivs = list(s.intervals)
-    dropped = Scalar(0)
-    for t in s.tails:
-        block = block_one if t.anchor == AT_ONE else block_zero
-        n = t.start
-        for _ in range(blocks):
-            ivs.append(block(n))
-            n += 2
-        dropped = dropped + ParityTail(t.anchor, n, t.parity).measure()
-    return IntervalSet.build(ivs), dropped

@@ -1,4 +1,7 @@
-"""Transformations: preimages, images, measure preservation, towers."""
+"""Transformations: preimages, measure preservation, towers.
+
+The library has preimages only; a rotation is undone by the preimage of
+the opposite rotation, and the other maps are checked point by point."""
 
 import random
 from fractions import Fraction
@@ -9,12 +12,11 @@ from hypothesis import strategies as st
 
 from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                               Rotation, TOWER_EMPTY, TOWER_FULL, TowerSet,
-                              make_system, odometer_image, odometer_preimage,
-                              tower_image, tower_preimage,
+                              make_system, odometer_preimage, tower_preimage,
                               verify_measure_preserving)
 from ergolab.errors import (InvalidTowerSetError,
                             RepresentationOverflowError)
-from ergolab.intervals import (AT_ZERO, EMPTY, FULL, ParityTail,
+from ergolab.intervals import (AT_ZERO, EMPTY, ParityTail,
                                block_one, block_zero, IntervalSet, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
@@ -49,7 +51,7 @@ class TestRotation:
         T = Rotation(Scalar(F(1, 4)))
         s = make_set([(F(1, 4), F(1, 2))])
         assert T.preimage(s).equals(make_set([(F(0), F(1, 4))]))
-        assert T.image(T.preimage(s)).equals(s)
+        assert Rotation(Scalar(F(-1, 4))).preimage(T.preimage(s)).equals(s)
 
     @given(dyadic_sets())
     @settings(max_examples=60)
@@ -59,16 +61,19 @@ class TestRotation:
 
     def test_irrational_endpoints_survive_round_trip(self):
         T = make_system("rotation:golden")
+        back = Rotation(-Scalar(0, 1, GOLDEN))
         s = make_set([(F(0), F(1, 4))])
         moved = T.preimage(T.preimage(s))
-        assert T.image(T.image(moved)).equals(s)
+        assert back.preimage(back.preimage(moved)).equals(s)
 
     def test_maps_round_no_shift(self, monkeypatch):
         # the angle and its backward shift are reduced mod 1 once, when the
-        # rotation is built, so neither map rounds
+        # rotation is built, so the preimage does not round; each rotation
+        # is undone by the one by the opposite angle
         alpha = Scalar(0, 1, GOLDEN)
-        systems = [Rotation(a) for a in (alpha, -alpha, alpha * Scalar(7),
-                                         Scalar(F(-7, 3)), Scalar(0))]
+        systems = [(Rotation(a), Rotation(-a))
+                   for a in (alpha, -alpha, alpha * Scalar(7),
+                             Scalar(F(-7, 3)), Scalar(0))]
         calls = 0
         floor = Scalar.floor
 
@@ -79,9 +84,9 @@ class TestRotation:
 
         monkeypatch.setattr(Scalar, "floor", counting)
         s = make_set([(F(0), F(1, 4)), (F(1, 2), F(5, 8))])
-        for T in systems:
+        for T, back in systems:
             moved = T.preimage(s)
-            assert T.image(moved).equals(s)
+            assert back.preimage(moved).equals(s)
             assert calls == 0, T.angle.to_text()
 
 
@@ -92,22 +97,11 @@ class TestDoubling:
         assert T.preimage(s).equals(
             make_set([(F(0), F(1, 4)), (F(1, 2), F(3, 4))]))
 
-    def test_image_of_half(self):
-        T = Doubling()
-        assert T.image(make_set([(F(0), F(1, 2))])).equals(FULL)
-
     @given(dyadic_sets())
     @settings(max_examples=60)
     def test_preserves_measure(self, s):
         T = Doubling()
         assert T.preimage(s).measure() == s.measure()
-
-    @given(dyadic_sets())
-    @settings(max_examples=60)
-    def test_preimage_then_image_restores(self, s):
-        # T is onto, so T(T^-1(S)) = S even though T is not invertible
-        T = Doubling()
-        assert T.image(T.preimage(s)).equals(s)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_preimage_pointwise(self, seed):
@@ -129,13 +123,16 @@ class TestDoubling:
 
 class TestOdometer:
     def test_block_maps_to_mirror_block(self):
+        # T takes I_n onto D_n, so D_n pulls back to I_n
         for n in range(5):
-            img = odometer_image(IntervalSet.build([block_one(n)]))
-            assert img.equals(IntervalSet.build([block_zero(n)]))
+            pre = odometer_preimage(IntervalSet.build([block_zero(n)]))
+            assert pre.equals(IntervalSet.build([block_one(n)]))
 
     def test_column_set_image(self):
-        assert odometer_image(A_SET).equals(
-            make_set([], [ParityTail(AT_ZERO, 0, "even")]))
+        # the column A, the even blocks I_0, I_2, ..., is the preimage of
+        # the even blocks D_0, D_2, ...
+        assert odometer_preimage(
+            make_set([], [ParityTail(AT_ZERO, 0, "even")])).equals(A_SET)
 
     def test_preimage_of_left_half_is_right_half(self):
         got = odometer_preimage(make_set([(F(0), F(1, 2))]))
@@ -144,18 +141,11 @@ class TestOdometer:
     def test_overflow_on_wrong_anchor_tail(self):
         with pytest.raises(RepresentationOverflowError):
             odometer_preimage(A_SET)
-        with pytest.raises(RepresentationOverflowError):
-            odometer_image(make_set([], [ParityTail(AT_ZERO, 0, "even")]))
 
     @given(dyadic_sets())
     @settings(max_examples=60)
     def test_preserves_measure(self, s):
         assert odometer_preimage(s).measure() == s.measure()
-
-    @given(dyadic_sets())
-    @settings(max_examples=60)
-    def test_invertibility(self, s):
-        assert odometer_image(odometer_preimage(s)).equals(s)
 
     def test_discontinuities_listing(self):
         got = [x.to_text() for x in Odometer().discontinuities(4)]
@@ -208,14 +198,13 @@ class TestTowerSets:
             init(self, *args)
 
         monkeypatch.setattr(TowerSet, "__init__", counting)
-        results = {"preimage": tower_preimage(a), "image": tower_image(a),
+        results = {"preimage": tower_preimage(a),
                    "union": a.union(b), "intersect": a.intersect(b),
                    "subtract": a.subtract(b), "complement": a.complement()}
         monkeypatch.undo()
         assert checked == 0
         for name, S in results.items():
             assert S.top.is_subset_of(A_SET), f"{name}: {S.to_text()}"
-        assert tower_preimage(tower_image(a)) == a
 
 
 class TestKakutaniTower:
@@ -223,11 +212,16 @@ class TestKakutaniTower:
         T = KakutaniTower()
         assert T.preimage(TOWER_FULL).measure() == Scalar(F(5, 3))
 
-    def test_preimage_image_round_trip(self):
+    def test_preimage_of_base_blocks(self):
+        # D_1 = [1/4, 1/2) pulls back to I_1 = [1/2, 3/4), outside the
+        # column, so it stays on the base; [1/2, 3/4) inside D_0 pulls back
+        # to [0, 1/4) inside I_0, in A, so its preimage is on the top floor
         T = KakutaniTower()
         s = TowerSet(make_set([(F(1, 4), F(1, 2))]), EMPTY)
-        assert tower_image(tower_preimage(s)).equals(s)
-        assert tower_preimage(tower_image(s)).equals(s)
+        pre = T.preimage(s)
+        assert pre.equals(TowerSet(make_set([(F(1, 2), F(3, 4))]), EMPTY))
+        assert T.preimage(pre).equals(
+            TowerSet(EMPTY, make_set([(F(0), F(1, 4))])))
 
     def test_top_falls_to_base(self):
         # points on the top storey move down into the column base

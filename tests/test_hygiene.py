@@ -1,16 +1,18 @@
-"""Source hygiene: every name a library module imports is used in it, no
-module reaches into the private kernel of ``intervals``, the harness
-builds splinter rows and run traces in one place each, and one function
-refines a bracket of alpha."""
+"""Source hygiene: every name a library or test module imports is used in
+it, no library module reaches into the private kernel of ``intervals``, the
+harness builds splinter rows and run traces in one place each, and one
+function refines a bracket of alpha."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ergolab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ergolab"
 # __init__.py imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab import intervals
-from ergolab.dynamics import (A_SET, KakutaniTower, TowerSet,
-                              odometer_image, odometer_preimage)
+from ergolab.dynamics import A_SET, KakutaniTower, TowerSet, odometer_preimage
 from ergolab.errors import (IncompatibleBasisError,
                             RepresentationOverflowError,
                             UnsupportedRepresentationError)
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval,
                                IntervalSet, ParityTail, _depth_for_gap,
-                               block_one, block_zero, doubling_image,
-                               doubling_preimage, from_text, make_set,
-                               truncate_tails)
+                               block_one, block_zero, doubling_preimage,
+                               from_text, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar
 
@@ -74,8 +72,9 @@ class TestNormalization:
     def test_first_block_joins_touching_component(self):
         # the preimage piece 5/8 + alpha/4 .. 7/8 touches I_3, the first
         # block of the odd tail: I_3 joins it and the tail starts at I_5,
-        # so the block I_1 (the image of D_1) stays a component; written
-        # out directly, the same set has the same normal form
+        # so the block I_1 (the preimage of D_1) stays a component; written
+        # out directly, the same set has the same normal form.  Only the
+        # odometer preimage makes such a component, so the case is at one.
         quarter_alpha = Scalar(0, F(1, 4), GOLDEN)
         for hi, want in ((F(1, 4), "5/8+1/4*alpha..15/16, tail(one, 5, odd)"),
                          (F(1, 2), "1/2..3/4, 5/8+1/4*alpha..15/16, "
@@ -86,20 +85,9 @@ class TestNormalization:
             assert pre.to_text() == want
             assert _is_normal(pre)
             assert from_text(want, GOLDEN) == pre
-            assert odometer_image(pre) == S
         text = "5/8+1/4*alpha..7/8, 1/2..3/4, tail(one, 3, odd)"
         assert from_text(text, GOLDEN).to_text() == (
             "1/2..3/4, 5/8+1/4*alpha..15/16, tail(one, 5, odd)")
-        # the mirror case at zero, through the forward image
-        for lo, want in ((F(3, 4), "1/16..0+1/4*alpha, tail(zero, 5, odd)"),
-                         (F(1, 2), "1/16..0+1/4*alpha, 1/4..1/2, "
-                                   "tail(zero, 5, odd)")):
-            S = make_set([(lo, Scalar(F(5, 8), F(1, 4), GOLDEN))],
-                         [ParityTail(AT_ONE, 3, "odd")])
-            img = odometer_image(S)
-            assert img.to_text() == want
-            assert _is_normal(img)
-            assert odometer_preimage(img) == S
 
     def test_block_helpers(self):
         assert block_one(1).to_text() == "1/2..3/4"
@@ -113,6 +101,13 @@ class TestNormalization:
         right = c.union(b).union(a)
         assert left.to_text() == right.to_text()
         assert left == right and hash(left) == hash(right)
+
+    @pytest.mark.parametrize("anchor, parity", [
+        (AT_ONE, "evn"), (AT_ZERO, 2), ("middle", "even")])
+    def test_bad_tail_fields_raise_value_error(self, anchor, parity):
+        # a bad parity string raises as a bad int parity or anchor does
+        with pytest.raises(ValueError, match="bad"):
+            ParityTail(anchor, 0, parity)
 
     def test_too_many_tails_rejected(self):
         first = ParityTail(AT_ONE, 0, "even")
@@ -329,6 +324,13 @@ def _with_tail(seed, anchor):
     return S
 
 
+def _with_two_tails(seed):
+    """A seeded finite set with a tail at zero and one at one, of
+    opposite parities."""
+    return _with_tail(2 * seed + 1, AT_ZERO).union(
+        _with_tail(2 * seed + 3, AT_ONE))
+
+
 class TestPointwise:
     @pytest.mark.parametrize("seed", range(30))
     def test_operations_match_membership_oracle(self, seed):
@@ -338,6 +340,10 @@ class TestPointwise:
             (random_offset_set(2 * seed, alpha),
              random_offset_set(2 * seed + 1, alpha)),
             (random_offset_set(seed, alpha), random_interval_set(seed + 99)),
+            # tails at both anchors on both operands, which settle both
+            # anchors in one operation
+            (_with_two_tails(2 * seed), _with_two_tails(2 * seed + 1)),
+            (_with_two_tails(seed), random_offset_set(seed, alpha)),
         ]
         for a, b in pairs:
             ops = {"union": (a.union(b), lambda x, y: x or y),
@@ -440,7 +446,7 @@ class TestPointwise:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_odometer_maps_match_the_pointwise_map(self, seed):
-        # x in T^-1 S  <=>  T(x) in S,  and  y in T(S)  <=>  T^-1(y) in S
+        # x in T^-1 S  <=>  T(x) in S
         S = _with_tail(seed, AT_ZERO)
         pre = odometer_preimage(S)
         assert _is_normal(pre), pre.to_text()
@@ -449,14 +455,6 @@ class TestPointwise:
         for x in _sample_points(pre, anchors=(AT_ONE,), extra=cuts):
             assert _contains(pre, x) == _contains(S, _odometer(x)), (
                 f"T^-1 of {S.to_text()} at {x.to_text()}")
-        S = _with_tail(seed, AT_ONE)
-        img = odometer_image(S)
-        assert _is_normal(img), img.to_text()
-        cuts = [_odometer(e) for iv in S.intervals for e in (iv.lo, iv.hi)
-                if e < Scalar(1)]
-        for y in _sample_points(img, anchors=(AT_ZERO,), extra=cuts):
-            assert _contains(img, y) == _contains(S, _odometer_inverse(y)), (
-                f"T of {S.to_text()} at {y.to_text()}")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_kakutani_preimage_matches_the_pointwise_map(self, seed):
@@ -509,11 +507,9 @@ class TestPointwise:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_doubling_maps_match_the_pointwise_map(self, seed):
-        # x in T^-1 S  <=>  2x mod 1 in S,  and
-        # y in T(S)  <=>  y/2 in S or (y + 1)/2 in S
+        # x in T^-1 S  <=>  2x mod 1 in S
         alpha = Scalar(0, 1, GOLDEN)
         half = Scalar(F(1, 2))
-        assert doubling_image(make_set([(F(1, 4), F(3, 4))])) == FULL
         assert doubling_preimage(make_set([(F(0), F(1, 8)),
                                            (F(3, 4), F(1))])).to_text() == (
             "0..1/16, 3/8..9/16, 7/8..1")
@@ -527,15 +523,6 @@ class TestPointwise:
             for x in _sample_points(pre, extra=cuts):
                 assert _contains(pre, x) == _contains(S, (x + x).mod1()), (
                     f"T^-1 of {S.to_text()} at {x.to_text()}")
-            img = doubling_image(S)
-            assert _is_normal(img), img.to_text()
-            cuts = [(e + e).mod1() for iv in S.intervals
-                    for e in (iv.lo, iv.hi)]
-            for y in _sample_points(img, extra=cuts):
-                want = (_contains(S, y * half)
-                        or _contains(S, (y + Scalar(1)) * half))
-                assert _contains(img, y) == want, (
-                    f"T of {S.to_text()} at {y.to_text()}")
 
 
 class TestConstructor:
@@ -689,14 +676,6 @@ class TestSerialization:
     @settings(max_examples=80)
     def test_round_trip_random(self, s):
         assert from_text(s.to_text()).equals(s)
-
-
-class TestTruncation:
-    def test_truncate_tail_keeps_exact_residual_bound(self):
-        s = make_set([], [ParityTail(AT_ONE, 0, "even")])
-        finite, dropped = truncate_tails(s, blocks=3)
-        assert not finite.tails
-        assert finite.measure() + dropped == s.measure()
 
 
 def _depth_of(gap):
