@@ -10,9 +10,8 @@ from .errors import (ErgolabError, IncompatibleBasisError, InvalidInputError,
 from .scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
                       get_tag, parse_scalar, render)
 from .intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval, IntervalSet,
-                        ParityTail, arc, block_one, block_zero,
-                        doubling_preimage, from_text, make_set,
-                        odometer_preimage)
+                        ParityTail, arc, doubling_preimage, from_text,
+                        make_set, odometer_preimage)
 from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                        PreservationReport, Rotation, SetLike, TOWER_EMPTY,
                        TOWER_FULL, TowerSet, Transformation, make_system,

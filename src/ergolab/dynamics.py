@@ -21,8 +21,8 @@ from typing import Optional, Union
 
 from .errors import InvalidTowerSetError
 from .intervals import (AT_ONE, EMPTY, FULL, IntervalSet, ParityTail,
-                        block_one, doubling_preimage, odometer_preimage)
-from .scalars import Scalar, get_tag
+                        doubling_preimage, odometer_preimage)
+from .scalars import TAGS, Scalar, parse_scalar
 
 
 #: the Kakutani base set A = union of even-index blocks I_0, I_2, ...
@@ -152,12 +152,11 @@ class Rotation(Transformation):
 
     kind = "rotation"
 
-    def __init__(self, angle: Scalar, label: Optional[str] = None):
+    def __init__(self, angle: Scalar):
         self.angle = angle.mod1()
         # the backward shift, reduced once: -angle mod 1
         self._back = (-self.angle).mod1()
         self.ergodic = angle.m != 0
-        self._label = label
 
     def preimage(self, S: IntervalSet) -> IntervalSet:
         return S.translate_mod1(self._back)
@@ -168,9 +167,13 @@ class Rotation(Transformation):
         return None if self.ergodic else self.angle.d
 
     def descriptor(self) -> str:
-        if self._label:
-            return f"rotation:{self._label}"
-        return f"rotation:{self.angle.to_text()}"
+        """``rotation:`` and the tag's name when the angle is alpha itself,
+        else the angle's text, which ``make_system`` reads back when the
+        angle is rational."""
+        a = self.angle
+        if (a.n, a.m, a.d) == (0, 1, 1):
+            return f"rotation:{a.tag.name}"
+        return f"rotation:{a.to_text()}"
 
 
 class Doubling(Transformation):
@@ -193,7 +196,9 @@ class Odometer(Transformation):
         return odometer_preimage(S)
 
     def discontinuities(self, depth: int = 0) -> list[Scalar]:
-        return [block_one(n).lo for n in range(depth + 1)]
+        # 1 - 2**-n, the left end of block I_n
+        return [Scalar(Fraction((1 << n) - 1, 1 << n))
+                for n in range(depth + 1)]
 
 
 class KakutaniTower(Transformation):
@@ -215,7 +220,6 @@ class KakutaniTower(Transformation):
 @dataclass
 class PreservationReport:
     system: str
-    set_text: str
     measure_set: Scalar
     measure_preimage: Scalar
     passed: bool
@@ -231,8 +235,7 @@ def verify_measure_preserving(T: Transformation, S: SetLike) -> PreservationRepo
     pre = T.preimage(S)
     m_s = S.measure()
     m_p = pre.measure()
-    return PreservationReport(T.descriptor(), S.to_text(), m_s, m_p,
-                              m_s == m_p)
+    return PreservationReport(T.descriptor(), m_s, m_p, m_s == m_p)
 
 
 def make_system(descriptor: str) -> Transformation:
@@ -247,7 +250,7 @@ def make_system(descriptor: str) -> Transformation:
         return KakutaniTower()
     if d.startswith("rotation:"):
         angle = d.split(":", 1)[1]
-        if angle in ("golden", "sqrt2"):
-            return Rotation(Scalar(0, 1, get_tag(angle)), label=angle)
-        return Rotation(Scalar(Fraction(angle)), label=angle)
+        if angle in TAGS:
+            return Rotation(Scalar(0, 1, TAGS[angle]))
+        return Rotation(parse_scalar(angle))
     raise ValueError(f"unknown system descriptor {descriptor!r}")

@@ -365,6 +365,21 @@ _DISPATCH = {"splinter": _run_splinter, "verify": _run_verify,
              "mixing": _run_mixing, "reduction": _run_reduction}
 
 
+def _check_spaces(config: ExperimentConfig, T: Transformation) -> None:
+    """The one rule on set spaces: a set is a tower set (``base | top``)
+    exactly when the system is the Kakutani tower, which the commands with
+    one-storey probe windows do not run on."""
+    tower = T.kind == "kakutani"
+    if tower and config.command in ("density", "gap", "reduction"):
+        raise ConfigError(f"{config.command} has one-storey probe windows "
+                          "and does not run on kakutani")
+    for name in sorted(config.sets):
+        if isinstance(config.sets[name], TowerSet) != tower:
+            raise ConfigError(
+                f"set {name!r} must {'' if tower else 'not '}be a tower set "
+                f"'base | top' on {T.descriptor()}")
+
+
 def run(config: ExperimentConfig) -> tuple[RunTrace, int]:
     """Dispatch a config to its command; returns (trace, exit code).
 
@@ -378,6 +393,7 @@ def run(config: ExperimentConfig) -> tuple[RunTrace, int]:
     digits = config.get("digits")
     T = make_system(config.system)
     try:
+        _check_spaces(config, T)
         records, summary = _DISPATCH[config.command](config, T, digits)
     except tuple(EXIT_CODES) as exc:
         d = getattr(exc, "decomposition", None)

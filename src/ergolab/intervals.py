@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -73,8 +72,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
-from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _make, _merge_tags,
-                      _sign, _text, parse_scalar)
+from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _coerce, _make,
+                      _merge_tags, _sign, _text, parse_scalar)
 
 AT_ONE = "one"
 AT_ZERO = "zero"
@@ -209,11 +208,6 @@ class ParityTail:
         self.start = start
         self.parity = parity
 
-    def measure(self) -> Scalar:
-        # sum of 2**-(n+1) over n = start, start+2, ... is a geometric
-        # series with ratio 1/4
-        return _make(2, 0, 3 << self.start, None)
-
     def to_text(self) -> str:
         return f"tail({self.anchor}, {self.start}, {_PARITY_NAMES[self.parity]})"
 
@@ -226,17 +220,6 @@ class ParityTail:
 
     def __repr__(self):
         return f"ParityTail({self.to_text()})"
-
-
-def block_one(n: int) -> Interval:
-    """I_n = [1 - 2**-n, 1 - 2**-(n+1))."""
-    return Interval(_make((1 << n) - 1, 0, 1 << n, None),
-                    _make((2 << n) - 1, 0, 2 << n, None))
-
-
-def block_zero(n: int) -> Interval:
-    """D_n = [2**-(n+1), 2**-n)."""
-    return Interval(_make(1, 0, 2 << n, None), _make(1, 0, 1 << n, None))
 
 
 # ---------------------------------------------------------------------
@@ -531,18 +514,13 @@ def _canonical(d: int, pts: Sequence, tag: Optional[IrrationalTag],
 class IntervalSet:
     """Normalized measurable subset of [0, 1).
 
-    ``IntervalSet(pairs, tails)`` is ``build`` on the same input, except
-    that it rejects two tails at one anchor.
+    ``IntervalSet(pairs, tails)`` is ``build`` on the same input.
     """
 
     __slots__ = ("d", "pts", "tag", "tails")
 
     def __new__(cls, pairs: Iterable[tuple[Scalar, Scalar]] = (),
                 tails: Iterable[ParityTail] = ()) -> "IntervalSet":
-        tails = tuple(tails)
-        if len({t.anchor for t in tails}) < len(tails):
-            raise RepresentationOverflowError(
-                "more than one parity tail per anchor in normal form")
         return cls.build(pairs, tails)
 
     # -- construction ---------------------------------------------------
@@ -782,19 +760,12 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
 def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> IntervalSet:
     """Build a set from (lo, hi) pairs of Scalars/Fractions/ints.
 
-    Any other endpoint, a ``float`` above all, raises ``TypeError``: a float
-    would be taken at its binary value, so 0.1 would not mean 1/10.
+    Any other endpoint, a ``float`` above all, raises ``TypeError``, as
+    ``Scalar`` does: a float would be taken at its binary value, so 0.1
+    would not mean 1/10.
     """
-    return IntervalSet.build([[_endpoint(x) for x in pair] for pair in pairs],
+    return IntervalSet.build([[_coerce(x) for x in pair] for pair in pairs],
                              tails)
-
-
-def _endpoint(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
-    raise TypeError(f"endpoint {x!r} is not a Scalar, Fraction or int")
 
 
 _TAIL_RE = re.compile(

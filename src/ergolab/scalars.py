@@ -102,20 +102,22 @@ class Scalar:
 
     Immutable and canonical: d > 0, gcd(n, m, d) == 1, and m == 0 => no
     tag, so equal values have equal fields.  The constructor takes the
-    rational parts p and q (``int`` or ``Fraction``); ``p`` and ``q`` read
-    them back as ``Fraction``s.  Those properties allocate, so library code
-    reads ``n``, ``m`` and ``d``, and builds scalars from integers only
-    through ``_make``.
+    rational parts p and q as ``int`` or ``Fraction`` and raises
+    ``TypeError`` on anything else: a float would be taken at its binary
+    value, and text is read by ``parse_scalar`` alone.  ``p`` and ``q``
+    read the parts back as ``Fraction``s.  Those properties allocate, so
+    library code reads ``n``, ``m`` and ``d``, and builds scalars from
+    integers only through ``_make``.
     """
 
     __slots__ = ("n", "m", "d", "tag")
 
     def __init__(self, p: RationalLike, q: RationalLike = 0,
                  tag: Optional[IrrationalTag] = None):
-        if not isinstance(p, (int, Fraction)):
-            p = Fraction(p)
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+        if not (isinstance(p, (int, Fraction))
+                and isinstance(q, (int, Fraction))):
+            raise TypeError(f"scalar parts {p!r}, {q!r} must be int or "
+                            "Fraction")
         if q == 0:
             tag = None
         elif tag is None:
@@ -217,10 +219,6 @@ class Scalar:
             return NotImplemented
         return (self.n == other.n and self.m == other.m
                 and self.d == other.d and self.tag is other.tag)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __lt__(self, other) -> bool:
         return self.cmp(other) < 0
@@ -325,11 +323,7 @@ def _text(n: int, m: int, d: int) -> str:
 
 
 def _coerce(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
-    raise TypeError(f"cannot interpret {x!r} as a scalar")
+    return x if isinstance(x, Scalar) else Scalar(x)
 
 
 ZERO = Scalar(0)

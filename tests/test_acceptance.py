@@ -15,8 +15,7 @@ from ergolab.caratheodory import (arcs_basis, correlation_average,
 from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                               Rotation, TOWER_EMPTY, TOWER_FULL, TowerSet,
                               make_system, verify_measure_preserving)
-from ergolab.intervals import (AT_ZERO, EMPTY, IntervalSet, ParityTail,
-                               block_one, make_set)
+from ergolab.intervals import AT_ZERO, EMPTY, ParityTail, arc, make_set
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
 from ergolab.splinter import (CONVERGED, STALLED, additivity_check, splinter,
@@ -230,7 +229,8 @@ def test_criterion_13_finite_additivity(golden_run, doubling_run):
     probe = make_set([(F(0), F(2, 3))])
     ok = additivity_check(golden_run.splinters[:32], probe, 32).passed
     ok &= additivity_check(doubling_run.splinters, probe, 32).passed
-    blocks = [IntervalSet.build([block_one(n)]) for n in range(32)]
+    # I_n = [1 - 2**-n, 1 - 2**-(n+1)) is the arc [d-2, d-1) over 2**(n+1)
+    blocks = [arc((2 << n) - 2, (2 << n) - 1, 2 << n) for n in range(32)]
     ok &= additivity_check(blocks, fixtures.RATIONAL_THIRD_INVARIANT,
                            32).passed
     report(13, "finite additivity with monotone tails over splinter "

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab import fixtures
 from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                               Rotation, TOWER_EMPTY, TOWER_FULL, TowerSet,
                               make_system, odometer_preimage, tower_preimage,
                               verify_measure_preserving)
 from ergolab.errors import (InvalidTowerSetError,
                             RepresentationOverflowError)
-from ergolab.intervals import (AT_ZERO, EMPTY, ParityTail,
-                               block_one, block_zero, IntervalSet, make_set)
+from ergolab.intervals import AT_ZERO, EMPTY, ParityTail, arc, make_set
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
 
@@ -123,10 +123,12 @@ class TestDoubling:
 
 class TestOdometer:
     def test_block_maps_to_mirror_block(self):
-        # T takes I_n onto D_n, so D_n pulls back to I_n
+        # T takes I_n onto D_n, so D_n pulls back to I_n; over
+        # d = 2**(n+1) they are the arcs [d-2, d-1) and [1, 2)
         for n in range(5):
-            pre = odometer_preimage(IntervalSet.build([block_zero(n)]))
-            assert pre.equals(IntervalSet.build([block_one(n)]))
+            d = 2 << n
+            pre = odometer_preimage(arc(1, 2, d))
+            assert pre.equals(arc(d - 2, d - 1, d))
 
     def test_column_set_image(self):
         # the column A, the even blocks I_0, I_2, ..., is the preimage of
@@ -242,6 +244,27 @@ class TestDescriptors:
         for d in ("rotation:golden", "rotation:1/3", "doubling",
                   "odometer", "kakutani"):
             assert make_system(d).descriptor() == d
+
+    @pytest.mark.parametrize("text, descriptor", [
+        ("rotation:sqrt2", "rotation:sqrt2"),
+        ("rotation:4/3", "rotation:1/3"),
+        ("rotation:0.5", "rotation:1/2"),
+        ("rotation:-1/4", "rotation:3/4"),
+        ("rotation:0", "rotation:0"),
+    ])
+    def test_rotation_names_itself(self, text, descriptor):
+        # the descriptor is read off the angle, reduced mod 1
+        assert make_system(text).descriptor() == descriptor
+        assert make_system(descriptor).descriptor() == descriptor
+
+    def test_fixture_rotations_round_trip(self):
+        inputs = [getattr(fixtures, name)() for name in dir(fixtures)
+                  if name.endswith("_inputs")]
+        rotations = [kw["T"] for kw in inputs if isinstance(kw["T"], Rotation)]
+        assert [T.descriptor() for T in rotations] == [
+            "rotation:golden", "rotation:1/3"]
+        for T in rotations:
+            assert make_system(T.descriptor()).descriptor() == T.descriptor()
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):

@@ -230,6 +230,31 @@ STATUS_CASES = [
 ]
 
 
+# a set is a tower set exactly on kakutani, where the one-storey commands
+# do not run
+MISMATCHED_SPACES = {
+    "verify-kakutani-plain": (
+        "command = verify\nsystem = kakutani\nset.S = 0..1/2\n",
+        "set 'S' must be a tower set 'base | top' on kakutani"),
+    "splinter-odometer-tower": (
+        "command = splinter\nsystem = odometer\nepsilon = 1/1000\n"
+        "n_max = 8\nset.J1 = 0..1/4 | empty\nset.J2 = 1/2..3/4\n",
+        "set 'J1' must not be a tower set 'base | top' on odometer"),
+    "gap-kakutani": (
+        "command = gap\nsystem = kakutani\nset.B = 0..1/2 | empty\n",
+        "gap has one-storey probe windows and does not run on kakutani"),
+    "reduction-kakutani": (
+        "command = reduction\nsystem = kakutani\nepsilon = 1/100\n"
+        "n_max = 8\nset.B = 0..1/2 | empty\n",
+        "reduction has one-storey probe windows and does not run on "
+        "kakutani"),
+    "mixing-doubling-tower": (
+        "command = mixing\nsystem = doubling\nn_max = 4\n"
+        "set.C = 0..1/2 | empty\nset.D = 0..1/2\n",
+        "set 'C' must not be a tower set 'base | top' on doubling"),
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("text, status, descriptor", STATUS_CASES,
                              ids=["converged", "stalled", "budget-exhausted",
@@ -318,6 +343,19 @@ class TestExitCodes:
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("text, message", list(MISMATCHED_SPACES.values()),
+                             ids=list(MISMATCHED_SPACES))
+    def test_mismatched_set_space_exits_three(self, tmp_path, capsys, text,
+                                              message):
+        trace, code = run(parse_config(text))
+        assert (code, trace.summary) == (3, {"status": "config-error",
+                                             "error": message})
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
 
     def test_seed_flag_removed(self, capsys):
         with pytest.raises(SystemExit):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from ergolab import intervals
 from ergolab.dynamics import A_SET, KakutaniTower, TowerSet, odometer_preimage
 from ergolab.errors import (IncompatibleBasisError,
-                            RepresentationOverflowError,
                             UnsupportedRepresentationError)
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval,
-                               IntervalSet, ParityTail, _depth_for_gap,
-                               block_one, block_zero, doubling_preimage,
-                               from_text, make_set)
+                               IntervalSet, ParityTail, _depth_for_gap, arc,
+                               doubling_preimage, from_text, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar
 
@@ -66,7 +64,7 @@ class TestNormalization:
     def test_blocks_absorb_into_tail(self):
         # an explicit block adjacent below the tail start extends the tail
         tail = make_set([], [ParityTail(AT_ONE, 4, "even")])
-        merged = tail.union(IntervalSet.build([block_one(2)]))
+        merged = tail.union(IntervalSet.build([_block(AT_ONE, 2)]))
         assert merged.equals(make_set([], [ParityTail(AT_ONE, 2, "even")]))
 
     def test_first_block_joins_touching_component(self):
@@ -90,8 +88,16 @@ class TestNormalization:
             "1/2..3/4, 5/8+1/4*alpha..15/16, tail(one, 5, odd)")
 
     def test_block_helpers(self):
-        assert block_one(1).to_text() == "1/2..3/4"
-        assert block_zero(1).to_text() == "1/4..1/2"
+        # the test-side blocks, built from Fractions, are the arcs over
+        # d = 2**(n+1) that the kernel names
+        assert _block(AT_ONE, 1).to_text() == "1/2..3/4"
+        assert _block(AT_ZERO, 1).to_text() == "1/4..1/2"
+        for n in range(8):
+            d = 2 << n
+            one, zero = (IntervalSet.build([_block(anchor, n)])
+                         for anchor in (AT_ONE, AT_ZERO))
+            assert one == arc(d - 2, d - 1, d)
+            assert zero == arc(1, 2, d)
 
     def test_normal_form_unique_across_op_order(self):
         a = make_set([(F(1, 8), F(1, 2))])
@@ -109,13 +115,23 @@ class TestNormalization:
         with pytest.raises(ValueError, match="bad"):
             ParityTail(anchor, 0, parity)
 
-    def test_too_many_tails_rejected(self):
-        first = ParityTail(AT_ONE, 0, "even")
-        for second in (ParityTail(AT_ONE, 2, "even"),
-                       ParityTail(AT_ONE, 1, "odd")):
-            for container in (frozenset, list, tuple):
-                with pytest.raises(RepresentationOverflowError):
-                    IntervalSet((), container([first, second]))
+    def test_two_tails_at_one_anchor_agree(self):
+        # every way in normalizes two tails at one anchor alike: same
+        # parity keeps the longer tail, opposite parities make 0..1
+        for anchor in (AT_ONE, AT_ZERO):
+            for start, parity, want in (
+                    (2, "even", f"tail({anchor}, 0, even)"),
+                    (1, "odd", "0..1")):
+                tails = [ParityTail(anchor, 0, "even"),
+                         ParityTail(anchor, start, parity)]
+                built = IntervalSet.build((), tails)
+                assert built.to_text() == want
+                text = ", ".join(t.to_text() for t in tails)
+                others = [IntervalSet((), c(tails))
+                          for c in (frozenset, list, tuple)]
+                others += [make_set([], tails), from_text(text)]
+                for S in others:
+                    assert _fields(S) == _fields(built), want
 
 
 def _fields(S):
@@ -207,7 +223,13 @@ class TestBooleanLaws:
 
 
 def _block(anchor, n):
-    return block_one(n) if anchor == AT_ONE else block_zero(n)
+    """I_n = [1 - 2**-n, 1 - 2**-(n+1)) at one, D_n = [2**-(n+1), 2**-n)
+    at zero, built from Fractions apart from the kernel."""
+    if anchor == AT_ONE:
+        lo, hi = 1 - F(1, 1 << n), 1 - F(1, 2 << n)
+    else:
+        lo, hi = F(1, 2 << n), F(1, 1 << n)
+    return Interval(Scalar(lo), Scalar(hi))
 
 
 def _contains(S, x):

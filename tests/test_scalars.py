@@ -494,3 +494,11 @@ def test_integer_fields_are_canonical():
     assert (y.n, y.m, y.d, y.tag) == (1, 0, 6, None)
     with pytest.raises(AttributeError):
         x.p = Fraction(1)
+
+
+@pytest.mark.parametrize("args", [(0.1,), ("1/3",), (1, 0.5, GOLDEN)])
+def test_constructor_takes_int_or_fraction_parts_only(args):
+    # a float would be taken at its binary value; text is parse_scalar's
+    with pytest.raises(TypeError):
+        Scalar(*args)
+    assert parse_scalar("1/3") == Scalar(Fraction(1, 3))
