@@ -69,21 +69,25 @@ def arcs_basis(denominator_max: int) -> MeasureBasis:
 # density
 # ---------------------------------------------------------------------
 
+def _density_test(epsilon: Scalar, *sets: IntervalSet):
+    """The input check of both density searches, then their one test:
+    ``dense(S, J)`` is mu(S n J) > (1 - eps) mu(J), exactly."""
+    if not (Scalar(0) < epsilon < ONE):
+        raise InvalidInputError("epsilon must lie strictly between 0 and 1")
+    if any(S.measure().sign() <= 0 for S in sets):
+        raise InvalidInputError("every set must have positive measure")
+    one_minus = ONE - epsilon
+    return lambda S, J: S.intersect(J).measure() > one_minus * J.measure()
+
+
 def density_search(S: IntervalSet, epsilon: Scalar,
                    basis: MeasureBasis) -> Optional[IntervalSet]:
     """First basis element J with mu(S n J) > (1 - eps) mu(J), exactly.
 
     The inequality is strict; returns None when the basis is exhausted.
     """
-    if not (Scalar(0) < epsilon < ONE):
-        raise InvalidInputError("epsilon must lie strictly between 0 and 1")
-    if S.measure().sign() <= 0:
-        raise InvalidInputError("set must have positive measure")
-    one_minus = ONE - epsilon
-    for J in basis.elements():
-        if S.intersect(J).measure() > one_minus * J.measure():
-            return J
-    return None
+    dense = _density_test(epsilon, S)
+    return next((J for J in basis.elements() if dense(S, J)), None)
 
 
 def density_pair(A1: IntervalSet, A2: IntervalSet, epsilon: Scalar,
@@ -94,19 +98,12 @@ def density_pair(A1: IntervalSet, A2: IntervalSet, epsilon: Scalar,
     exactly equal measure.  Returns (J1, J2), or (partial1, partial2) with
     one or both None when the depth bound is exhausted.
     """
-    if A1.measure().sign() <= 0 or A2.measure().sign() <= 0:
-        raise InvalidInputError("both sets must have positive measure")
-    one_minus = ONE - epsilon
+    dense = _density_test(epsilon, A1, A2)
     best1 = best2 = None
     for level in basis.levels():
-        found1: list[IntervalSet] = []
-        found2: list[IntervalSet] = []
-        for J in basis.elements_at(level):
-            mu = J.measure()
-            if A1.intersect(J).measure() > one_minus * mu:
-                found1.append(J)
-            if A2.intersect(J).measure() > one_minus * mu:
-                found2.append(J)
+        cells = list(basis.elements_at(level))
+        found1 = [J for J in cells if dense(A1, J)]
+        found2 = [J for J in cells if dense(A2, J)]
         for J1 in found1:
             for J2 in found2:
                 if J1.measure() == J2.measure():

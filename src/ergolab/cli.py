@@ -30,6 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if verb != "selftest":
             p.add_argument("--out", type=pathlib.Path, default=None,
                            help="output directory")
+        if verb in ("run", "demo-kakutani"):
             p.add_argument("--format", choices=("csv", "structured"),
                            default="csv")
     return parser
@@ -108,10 +109,8 @@ def main(argv=None) -> int:
         if args.verb == "run":
             _write_trace(trace, args, f"run-{config.digest()}")
             return code
-        out_dir = args.out or pathlib.Path(".")
-        suffix = ".json" if args.format == "structured" else ".csv"
-        out = out_dir / f"plot-{config.digest()}{suffix}"
-        for path in emit_plot_data(trace, args.format, out):
+        out = (args.out or pathlib.Path(".")) / f"plot-{config.digest()}.csv"
+        for path in emit_plot_data(trace, out):
             print(f"wrote {path}")
         return code
     except tuple(EXIT_CODES) as exc:

@@ -168,12 +168,12 @@ class Rotation(Transformation):
 
     def descriptor(self) -> str:
         """``rotation:`` and the tag's name when the angle is alpha itself,
-        else the angle's text, which ``make_system`` reads back when the
-        angle is rational."""
+        the angle's text when it is rational, else both, as in
+        ``rotation:golden:-1/2+1*alpha``; ``make_system`` reads each back."""
         a = self.angle
         if (a.n, a.m, a.d) == (0, 1, 1):
             return f"rotation:{a.tag.name}"
-        return f"rotation:{a.to_text()}"
+        return f"rotation:{f'{a.tag.name}:' if a.m else ''}{a.to_text()}"
 
 
 class Doubling(Transformation):
@@ -239,8 +239,8 @@ def verify_measure_preserving(T: Transformation, S: SetLike) -> PreservationRepo
 
 
 def make_system(descriptor: str) -> Transformation:
-    """Parse a system descriptor: rotation:golden, rotation:1/3, doubling,
-    odometer, kakutani."""
+    """Parse a system descriptor: rotation:golden, rotation:1/3,
+    rotation:golden:1/2-alpha, doubling, odometer, kakutani."""
     d = descriptor.strip()
     if d == "doubling":
         return Doubling()
@@ -249,8 +249,10 @@ def make_system(descriptor: str) -> Transformation:
     if d == "kakutani":
         return KakutaniTower()
     if d.startswith("rotation:"):
-        angle = d.split(":", 1)[1]
-        if angle in TAGS:
+        tag, _, angle = d[len("rotation:"):].rpartition(":")
+        if tag and tag not in TAGS:
+            raise ValueError(f"unknown irrational tag {tag!r}")
+        if not tag and angle in TAGS:
             return Rotation(Scalar(0, 1, TAGS[angle]))
-        return Rotation(parse_scalar(angle))
+        return Rotation(parse_scalar(angle, TAGS.get(tag)))
     raise ValueError(f"unknown system descriptor {descriptor!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -77,7 +78,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        make_system(self.system)  # validates the descriptor
+        _system(self.system)  # validates the descriptor
         for key, val in self.parameters.items():
             if key not in _PARAMS:
                 raise ConfigError(f"unknown parameter {key!r}")
@@ -122,6 +123,14 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
+def _system(descriptor: str) -> Transformation:
+    try:
+        return make_system(descriptor)
+    except Exception as exc:
+        raise ConfigError(
+            f"bad system descriptor {descriptor!r}: {exc}") from exc
+
+
 def _set_from_text(text: str, tag) -> SetLike:
     if "|" in text:
         base_text, top_text = (part.strip() for part in text.split("|", 1))
@@ -155,10 +164,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("missing required key 'system'")
     command = raw.pop("command")
     system = raw.pop("system")
-    try:
-        T = make_system(system)
-    except Exception as exc:
-        raise ConfigError(f"bad system descriptor {system!r}: {exc}") from exc
+    T = _system(system)
     tag = getattr(getattr(T, "angle", None), "tag", None)
     params: dict = {}
     for key, value in raw.items():
@@ -456,54 +462,39 @@ def demo_kakutani() -> tuple[RunTrace, int]:
 # plot data
 # ---------------------------------------------------------------------
 
-def emit_plot_data(trace: RunTrace, fmt: str, out_path) -> list:
-    """Write plot-ready columns; exact strings go to a JSON sidecar.
+def emit_plot_data(trace: RunTrace, out_path) -> list:
+    """Write plot-ready columns at ``out_path``, exact values beside it.
 
-    ``csv`` keeps only numeric-looking columns (decimal renderings are
-    emitted without their exactness marker); ``structured`` writes the
-    full trace as JSON.  Returns the list of paths written.
+    The CSV holds ``_plot_cell`` of every value, in the columns where any
+    cell holds a number, under the ``stamp`` line.  The ``.exact.json``
+    sidecar is ``to_structured`` of the trace, whose header carries the
+    same version and config hash.  Returns the two paths written.
     """
-    import pathlib
     out_path = pathlib.Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    stamp = trace.stamp()
-    written = [out_path]
-    if fmt == "structured":
-        body = trace.to_structured()
-        out_path.write_text(f"# {stamp}\n{body}")
-        return written
-    if fmt != "csv":
-        raise ValueError(f"unknown plot format {fmt!r}")
-    cols = [c for c in trace.columns()
-            if any(_numeric(rec.get(c)) for rec in trace.records)]
-    lines = [f"# {stamp}"]
+    cells = {col: [_plot_cell(rec.get(col)) for rec in trace.records]
+             for col in trace.columns()}
+    cols = [col for col, column in cells.items() if any(column)]
+    lines = [f"# {trace.stamp()}"]
     if cols:
         lines.append(",".join(cols))
-        for rec in trace.records:
-            lines.append(",".join(_as_float_text(rec.get(col, ""))
-                                  for col in cols))
+        lines.extend(map(",".join, zip(*(cells[col] for col in cols))))
     out_path.write_text("\n".join(lines) + "\n")
     sidecar = out_path.with_suffix(out_path.suffix + ".exact.json")
     sidecar.write_text(trace.to_structured())
-    written.append(sidecar)
-    return written
+    return [out_path, sidecar]
 
 
-def _numeric(value) -> bool:
-    if isinstance(value, (int, float)):
-        return True
-    if not isinstance(value, str):
-        return False
+def _plot_cell(value) -> str:
+    """The number that a trace value holds, as CSV text, or "" if none.
+
+    The value's text is read as a rational, after any ``~``: an ``int`` or
+    ``float``, an exact value such as ``1/4``, a decimal rendering.  A
+    ``bool`` reads ``True`` or ``False`` and holds none.  A whole number
+    is written as an integer, any other as its ``float``.
+    """
     try:
-        float(value.lstrip("~"))
-        return True
-    except ValueError:
-        return False
-
-
-def _as_float_text(value) -> str:
-    if isinstance(value, (int, float)):
-        return str(value)
-    if isinstance(value, str) and _numeric(value):
-        return value.lstrip("~")
-    return ""
+        number = Fraction(str(value).lstrip("~"))
+    except (ValueError, ZeroDivisionError):
+        return ""
+    return str(number.numerator if number.denominator == 1 else float(number))

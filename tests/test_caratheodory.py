@@ -81,6 +81,11 @@ class TestDensity:
         with pytest.raises(InvalidInputError):
             density_search(make_set([(F(0), F(1, 2))]), Scalar(2),
                            dyadic_basis(3))
+        # with epsilon = 2 every window would pass as dense
+        with pytest.raises(InvalidInputError):
+            density_pair(make_set([(F(0), F(1, 8))]),
+                         make_set([(F(7, 8), F(1))]), Scalar(2),
+                         dyadic_basis(3))
 
 
 class TestGapTheta:

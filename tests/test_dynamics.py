@@ -251,11 +251,19 @@ class TestDescriptors:
         ("rotation:0.5", "rotation:1/2"),
         ("rotation:-1/4", "rotation:3/4"),
         ("rotation:0", "rotation:0"),
+        # an irrational angle other than alpha carries its tag
+        ("rotation:golden:1/2+alpha", "rotation:golden:-1/2+1*alpha"),
+        ("rotation:sqrt2:1/3-2*alpha", "rotation:sqrt2:4/3-2*alpha"),
     ])
     def test_rotation_names_itself(self, text, descriptor):
         # the descriptor is read off the angle, reduced mod 1
         assert make_system(text).descriptor() == descriptor
         assert make_system(descriptor).descriptor() == descriptor
+
+    def test_tagged_angle_round_trips(self):
+        T = Rotation(Scalar(F(1, 2), 1, GOLDEN))
+        assert T.descriptor() == "rotation:golden:-1/2+1*alpha"
+        assert make_system(T.descriptor()).angle == T.angle
 
     def test_fixture_rotations_round_trip(self):
         inputs = [getattr(fixtures, name)() for name in dir(fixtures)
@@ -269,3 +277,5 @@ class TestDescriptors:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_system("bakers-map")
+        with pytest.raises(ValueError, match="unknown irrational tag"):
+            make_system("rotation:bogus:1/2")

@@ -85,6 +85,16 @@ epsilon = 2
 set.S = 0..1/2
 """
 
+# T^-7 C on doubling has 2^7 = 128 components, past the budget
+MIXING_BUDGET_CFG = """\
+command = mixing
+system = doubling
+n_max = 30
+component_budget = 100
+set.C = 0..1/3
+set.D = 0..1/2
+"""
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -133,6 +143,13 @@ class TestConfigFormat:
     def test_seed_key_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(SPLINTER_CFG + "seed = 1\n")
+
+    def test_bad_system_rejected(self):
+        message = "bad system descriptor 'bogus'"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig("splinter", "bogus", {})
+        with pytest.raises(ConfigError, match=message):
+            parse_config("command = splinter\nsystem = bogus\n")
 
     def test_bad_set_text_rejected(self):
         with pytest.raises(ConfigError):
@@ -227,6 +244,7 @@ STATUS_CASES = [
      "n_max = 60\nsample = 3\nset.B = 0..1/2\n", "pass", "rotation:golden"),
     (OVERFLOW_CFG, "left-representation-class", "kakutani"),
     (UNEQUAL_WINDOWS_CFG, "invalid-input", "odometer"),
+    (MIXING_BUDGET_CFG, "budget-exhausted", "doubling"),
 ]
 
 
@@ -260,7 +278,8 @@ class TestExitCodes:
                              ids=["converged", "stalled", "budget-exhausted",
                                   "verify", "density-found",
                                   "density-not-found", "gap", "mixing",
-                                  "reduction", "overflow", "unequal-windows"])
+                                  "reduction", "overflow", "unequal-windows",
+                                  "mixing-budget-exhausted"])
     def test_code_is_that_of_the_status(self, text, status, descriptor):
         config = parse_config(text)
         trace, code = run(config)
@@ -315,7 +334,9 @@ class TestExitCodes:
                           "at-one tail accumulates at 1/2"),
         (UNEQUAL_WINDOWS_CFG, 3, "invalid input: windows must have equal "
                                  "measure: 5/12 != 1/4"),
-    ], ids=["overflow", "unequal-windows"])
+        (MIXING_BUDGET_CFG, 2, "budget exhausted: 128 components exceed "
+                               "budget 100"),
+    ], ids=["overflow", "unequal-windows", "mixing-budget"])
     def test_cli_prints_one_line(self, tmp_path, capsys, text, code,
                                  message):
         cfg = tmp_path / "exp.cfg"
@@ -366,8 +387,9 @@ class TestExitCodes:
         ["selftest", "--out", "out"],
         ["selftest", "--format", "csv"],
         ["demo-kakutani", "--config", "exp.cfg"],
+        ["emit-plot", "--config", "exp.cfg", "--format", "csv"],
     ], ids=["selftest-config", "selftest-out", "selftest-format",
-            "demo-kakutani-config"])
+            "demo-kakutani-config", "emit-plot-format"])
     def test_unread_flag_removed(self, capsys, argv):
         with pytest.raises(SystemExit):
             main(argv)
@@ -382,33 +404,6 @@ class TestDemo:
         assert by_check["odometer-discontinuities"]["value"] \
             == "0, 1/2, 3/4, 7/8, 15/16"
         assert all(r["pass"] for r in trace.records)
-
-
-class TestPlotData:
-    def test_csv_with_exact_sidecar(self, tmp_path):
-        trace, _ = run(parse_config(SPLINTER_CFG))
-        out = tmp_path / "plot.csv"
-        written = emit_plot_data(trace, "csv", out)
-        assert out in written
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("# artifact_version=")
-        assert "0.25" in lines[2]
-        sidecar = json.loads((tmp_path / "plot.csv.exact.json").read_text())
-        assert sidecar["records"][0]["measure_B_n"] == "1/4"
-
-    def test_structured_format(self, tmp_path):
-        trace, _ = run(parse_config(GAP_CFG))
-        out = tmp_path / "plot.json"
-        emit_plot_data(trace, "structured", out)
-        assert out.read_text().startswith("# artifact_version=")
-
-    def test_empty_trace_yields_header_only(self, tmp_path):
-        from ergolab.harness import RunTrace
-        trace = RunTrace({"artifact_version": "x"}, [], {})
-        out = tmp_path / "empty.csv"
-        emit_plot_data(trace, "csv", out)
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("#")
 
 
 # one config per command; "splinter" on the golden rotation writes tagged
@@ -435,6 +430,47 @@ STRUCTURED_CFGS = {
 }
 
 
+class TestPlotData:
+    def test_csv_with_exact_sidecar(self, tmp_path):
+        trace, _ = run(parse_config(SPLINTER_CFG))
+        out = tmp_path / "plot.csv"
+        written = emit_plot_data(trace, out)
+        assert written == [out, tmp_path / "plot.csv.exact.json"]
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# artifact_version=")
+        assert "0.25" in lines[2]
+        sidecar = json.loads((tmp_path / "plot.csv.exact.json").read_text())
+        assert sidecar["records"][0]["measure_B_n"] == "1/4"
+
+    def test_empty_trace_yields_header_only(self, tmp_path):
+        from ergolab.harness import RunTrace
+        trace = RunTrace({"artifact_version": "x"}, [], {})
+        out = tmp_path / "empty.csv"
+        emit_plot_data(trace, out)
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("#")
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_CFGS))
+    def test_every_rational_is_plotted(self, tmp_path, name):
+        trace, _ = run(parse_config(STRUCTURED_CFGS[name]))
+        out, sidecar = emit_plot_data(trace, tmp_path / "plot.csv")
+        assert sidecar.read_text() == trace.to_structured()
+        stamp, *lines = out.read_text().splitlines()
+        assert stamp == f"# {trace.stamp()}"
+        cols = lines[0].split(",") if lines else []
+        rows = [dict(zip(cols, line.split(","))) for line in lines[1:]]
+        assert len(rows) == (len(trace.records) if cols else 0)
+        for rec, row in zip(trace.records, rows):
+            for key, value in rec.items():
+                if isinstance(value, bool):
+                    assert row.get(key, "") == ""
+                elif isinstance(value, str) and re.fullmatch(
+                        r"-?\d+(/\d+)?", value):
+                    assert float(row[key]) == float(Fraction(value))
+        for col in cols:
+            assert any(row[col] for row in rows), col
+
+
 class TestStructuredTrace:
     @staticmethod
     def _reference(trace):
@@ -445,6 +481,21 @@ class TestStructuredTrace:
     def test_matches_indented_dumps(self, name):
         trace, _ = run(parse_config(STRUCTURED_CFGS[name]))
         assert trace.to_structured() == self._reference(trace)
+
+    @pytest.mark.parametrize("fmt, suffix", [("structured", ".json"),
+                                             ("csv", ".txt")])
+    def test_run_file_starts_with_stamp(self, tmp_path, capsys, fmt, suffix):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(GAP_CFG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--format", fmt,
+                     "--out", str(out)]) == 0
+        config = parse_config(GAP_CFG)
+        trace, _ = run(config)
+        body = (trace.to_structured() if fmt == "structured"
+                else trace.to_columnar())
+        path = out / f"run-{config.digest()}{suffix}"
+        assert path.read_text() == f"# {trace.stamp()}\n{body}"
 
     def test_demo_kakutani_matches_indented_dumps(self):
         trace, _ = demo_kakutani()

@@ -607,6 +607,17 @@ class TestConstructor:
             with pytest.raises(IncompatibleBasisError):
                 build(pairs)
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        (F(-1, 4), F(1, 2), "outside"), (F(1, 2), F(1, 2), "empty")],
+        ids=["below-zero", "empty"])
+    def test_build_rejects_interval(self, lo, hi, message):
+        with pytest.raises(ValueError, match=message):
+            IntervalSet.build([(Scalar(lo), Scalar(hi))])
+
+    def test_arc_rejects_inverted_block(self):
+        with pytest.raises(ValueError, match="no interval"):
+            arc(2, 1, 4)
+
     @pytest.mark.parametrize("pair", [(0.1, F(1, 2)), (F(0), 0.5),
                                       (Scalar(0), "1/2")],
                              ids=["float-lo", "float-hi", "str"])
