@@ -219,15 +219,9 @@ class KakutaniTower(Transformation):
 
 @dataclass
 class PreservationReport:
-    system: str
     measure_set: Scalar
     measure_preimage: Scalar
     passed: bool
-
-    def __str__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        return (f"[{verdict}] {self.system}: mu(S) = {self.measure_set} "
-                f"vs mu(T^-1 S) = {self.measure_preimage}")
 
 
 def verify_measure_preserving(T: Transformation, S: SetLike) -> PreservationReport:
@@ -235,7 +229,7 @@ def verify_measure_preserving(T: Transformation, S: SetLike) -> PreservationRepo
     pre = T.preimage(S)
     m_s = S.measure()
     m_p = pre.measure()
-    return PreservationReport(T.descriptor(), m_s, m_p, m_s == m_p)
+    return PreservationReport(m_s, m_p, m_s == m_p)
 
 
 def make_system(descriptor: str) -> Transformation:

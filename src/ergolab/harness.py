@@ -26,7 +26,8 @@ from .caratheodory import (RESTRICTION_NOTICE, dyadic_basis, arcs_basis,
 from .caratheodory import _gap_theta as gap_theta
 from .dynamics import (SetLike, TowerSet, Transformation, make_system,
                        verify_measure_preserving)
-from .errors import ConfigError, EXIT_CODES, STATUS_CODES, exit_status
+from .errors import (ConfigError, ErgolabError, EXIT_CODES, STATUS_CODES,
+                     exit_status)
 from .intervals import EMPTY, from_text as set_from_text
 from .scalars import Scalar, parse_scalar, render
 from .splinter import (CONVERGED, DEFAULT_COMPONENT_BUDGET, splinter,
@@ -78,7 +79,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        _system(self.system)  # validates the descriptor
+        T = _system(self.system)
+        if self.command == "demo" and T.kind != "kakutani":
+            raise ConfigError(f"demo runs on kakutani, not {self.system!r}")
         for key, val in self.parameters.items():
             if key not in _PARAMS:
                 raise ConfigError(f"unknown parameter {key!r}")
@@ -126,7 +129,7 @@ class ExperimentConfig:
 def _system(descriptor: str) -> Transformation:
     try:
         return make_system(descriptor)
-    except Exception as exc:
+    except (ValueError, ErgolabError) as exc:
         raise ConfigError(
             f"bad system descriptor {descriptor!r}: {exc}") from exc
 
@@ -172,13 +175,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r}")
         try:
             params[key] = _PARAMS[key][0](value, tag)
-        except Exception as exc:
+        except (ValueError, ErgolabError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     sets = {}
     for name, value in set_texts.items():
         try:
             sets[name] = _set_from_text(value, tag)
-        except Exception as exc:
+        except (ValueError, ErgolabError) as exc:
             raise ConfigError(f"bad set {name!r}: {exc}") from exc
     return ExperimentConfig(command, system, sets, params)
 

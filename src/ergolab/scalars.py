@@ -342,14 +342,14 @@ _LINEAR = re.compile(r"(?:(?P<p>[+-]?\d[\d./]*)\s*(?=[+-]))?"
 def _ratio(text: str) -> tuple[int, int]:
     """(n, d) with d > 0 for a rational text: integers straight from
     ``n`` or ``n/d``, and ``Fraction`` for any other form (``0.5``,
-    ``1e-3``), which also raises on a zero denominator."""
+    ``1e-3``); a ``ValueError`` on a zero denominator."""
     m = _RATIO.fullmatch(text)
-    if m:
-        d = int(m[2] or 1)
-        if d:
-            return int(m[1]), d
-    f = Fraction(text)
-    return f.numerator, f.denominator
+    if m and (d := int(m[2] or 1)):
+        return int(m[1]), d
+    try:
+        return Fraction(text).as_integer_ratio()
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:

@@ -84,7 +84,6 @@ class SplinterDecomposition:
     n_max: int
     splinters: list = field(default_factory=list)   # A_1 .. A_n
     residuals: list = field(default_factory=list)   # B_1 .. B_n
-    covered: Optional[SetLike] = None               # union of the A_i
     trace: list = field(default_factory=list)
     status: str = BUDGET_EXHAUSTED
 
@@ -99,13 +98,6 @@ class CheckReport:
     passed: bool
     rows: list = field(default_factory=list)
     note: str = ""
-
-    def __str__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        out = f"[{verdict}] {self.name}"
-        if self.note:
-            out += f" ({self.note})"
-        return out
 
 
 def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
@@ -159,7 +151,6 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
             ma, mb, count = A_n.measure(), B.measure(), B.component_count()
             d.splinters.append(A_n)
             d.residuals.append(B)
-            d.covered = covered
             d.trace.append(StepRecord(n, ma, mb, count, mc))
             # exact invariants of the construction, asserted at every step
             if mb != m_avail:
@@ -225,11 +216,13 @@ def verify_decomposition(d: SplinterDecomposition) -> CheckReport:
     return report
 
 
-def verify_orbit_decomposition(T: Transformation, d: SplinterDecomposition,
+def verify_orbit_decomposition(d: SplinterDecomposition,
                                n: int) -> CheckReport:
-    """T^-n(J1) equals the disjoint union B_n u U_{i<=n} T^{i-n}(A_i)."""
+    """T^-n(J1) is the disjoint union B_n u U_{i<=n} T^{i-n}(A_i) for
+    the run's T."""
     if n < 1 or n > d.depth:
         raise ValueError(f"step {n} outside recorded depth {d.depth}")
+    T = d.transformation
     lhs = d.J1
     for _ in range(n):
         lhs = T.preimage(lhs)
@@ -258,16 +251,15 @@ def verify_orbit_decomposition(T: Transformation, d: SplinterDecomposition,
     return report
 
 
-def transport_check(d: SplinterDecomposition, B: SetLike,
-                    T: Transformation) -> CheckReport:
+def transport_check(d: SplinterDecomposition, B: SetLike) -> CheckReport:
     """The transport chain mu(J1 n B) <= mu(B_n n B) + sum mu(A_i n B).
 
-    For T-invariant B the chain holds exactly at every step and the final
-    step yields mu(J1 n B) <= mu(J2 n B) + mu(B_n).  For non-invariant B
-    the chain is evaluated diagnostically and failures are recorded rather
-    than raised.
+    For B invariant under the run's T the chain holds exactly at every
+    step and the final step yields mu(J1 n B) <= mu(J2 n B) + mu(B_n).
+    For non-invariant B the chain is evaluated diagnostically and failures
+    are recorded rather than raised.
     """
-    invariant = T.preimage(B).equals(B)
+    invariant = d.transformation.preimage(B).equals(B)
     mode = "invariant" if invariant else "diagnostic"
     report = CheckReport("transport-chain", True, note=mode)
     lhs = d.J1.intersect(B).measure()

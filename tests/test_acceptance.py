@@ -13,8 +13,8 @@ from ergolab import fixtures
 from ergolab.caratheodory import (arcs_basis, correlation_average,
                                   dyadic_basis, gap_theta, mixing_trace)
 from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
-                              Rotation, TOWER_EMPTY, TOWER_FULL, TowerSet,
-                              make_system, verify_measure_preserving)
+                              TOWER_EMPTY, TOWER_FULL, TowerSet, make_system,
+                              verify_measure_preserving)
 from ergolab.intervals import AT_ZERO, EMPTY, ParityTail, arc, make_set
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
@@ -155,13 +155,11 @@ def test_criterion_07_non_ergodic_stall(stall_run):
 
 def test_criterion_08_orbit_decomposition(doubling_run, golden_run,
                                           odometer_deep_run):
-    ok = all(verify_orbit_decomposition(Doubling(), doubling_run, n).passed
+    ok = all(verify_orbit_decomposition(doubling_run, n).passed
              for n in range(1, 11))
-    T = Rotation(Scalar(0, 1, GOLDEN))
-    ok &= all(verify_orbit_decomposition(T, golden_run, n).passed
+    ok &= all(verify_orbit_decomposition(golden_run, n).passed
               for n in range(1, 65))
-    ok &= all(verify_orbit_decomposition(Odometer(), odometer_deep_run,
-                                         n).passed
+    ok &= all(verify_orbit_decomposition(odometer_deep_run, n).passed
               for n in range(1, 65))
     report(8, "orbit decomposition exact: doubling n <= 10, "
               "rotation and odometer n <= 64", ok)
@@ -182,13 +180,12 @@ def test_criterion_09_caratheodory_equality():
 
 def test_criterion_10_transport_inequality(doubling_run, golden_run,
                                            stall_run):
-    rep = transport_check(stall_run, fixtures.RATIONAL_THIRD_INVARIANT,
-                          Rotation(Scalar(F(1, 3))))
+    rep = transport_check(stall_run, fixtures.RATIONAL_THIRD_INVARIANT)
     ok = rep.passed and rep.note == "invariant"
-    for d, T in ((doubling_run, Doubling()),
-                 (golden_run, Rotation(Scalar(0, 1, GOLDEN)))):
+    for d in (doubling_run, golden_run):
+        T = d.transformation
         for B in (T.empty_set(), T.full_set()):
-            rep = transport_check(d, B, T)
+            rep = transport_check(d, B)
             ok &= rep.passed
             ok &= all(row["lhs"] == row["bound"] for row in rep.rows
                       if row["step"] != "limit")

@@ -14,7 +14,7 @@ from ergolab.caratheodory import (MeasureBasis, arcs_basis,
 from ergolab.dynamics import Doubling, Odometer, Rotation, make_system
 from ergolab.errors import InvalidInputError
 from ergolab.fixtures import RATIONAL_THIRD_INVARIANT
-from ergolab.intervals import FULL, make_set
+from ergolab.intervals import EMPTY, FULL, make_set
 from ergolab.scalars import ONE, Scalar
 
 F = Fraction
@@ -129,6 +129,21 @@ class TestReduction:
                               n_max=40, stall_window=30)
         assert rep.note == "invariant"
         assert rep.passed
+
+    @pytest.mark.parametrize("system", ["rotation:golden", "odometer"])
+    @pytest.mark.parametrize("B", [FULL, EMPTY], ids=["full", "empty"])
+    def test_invariant_mode_checks_converged_pairs(self, system, B):
+        # every pair converges, so the inequality and the chain both count
+        rep = reduction_check(make_system(system), B, dyadic_basis(2),
+                              sample=3, epsilon=Scalar(F(1, 100)), n_max=400)
+        assert (rep.note, rep.passed) == ("invariant", True)
+        header, *rows = rep.rows
+        assert header["mode"] == "invariant"
+        assert [(row["J"], row["K"]) for row in rows] == [
+            ("0..1/2", "1/2..1"), ("0..1/4", "1/4..1/2"),
+            ("0..1/4", "1/2..3/4")]
+        assert all(row["status"] == "converged" and row["pass"]
+                   and row["chain"] for row in rows)
 
     def test_diagnostic_mode_for_non_invariant(self):
         T = Doubling()

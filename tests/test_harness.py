@@ -16,7 +16,7 @@ from ergolab.errors import (EXIT_CODES, STATUS_CODES, ConfigError,
 from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
                              parse_config, run)
 from ergolab.intervals import from_text
-from ergolab.scalars import GOLDEN, SQRT2M1
+from ergolab.scalars import GOLDEN, SQRT2M1, parse_scalar
 from ergolab.splinter import splinter
 
 F = Fraction
@@ -150,6 +150,20 @@ class TestConfigFormat:
             ExperimentConfig("splinter", "bogus", {})
         with pytest.raises(ConfigError, match=message):
             parse_config("command = splinter\nsystem = bogus\n")
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_scalar, "1/0"), (make_system, "rotation:1/0"),
+        (from_text, "0..1/0")], ids=["scalar", "system", "set"])
+    def test_zero_denominator_is_a_value_error(self, parse, text):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            parse(text)
+
+    def test_a_bug_is_not_a_config_error(self, monkeypatch):
+        def broken(descriptor):
+            raise TypeError("a bug")
+        monkeypatch.setattr("ergolab.harness.make_system", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            ExperimentConfig("splinter", "doubling", {})
 
     def test_bad_set_text_rejected(self):
         with pytest.raises(ConfigError):
@@ -356,8 +370,15 @@ class TestExitCodes:
          "config error: stall_window must be positive"),
         (GOLDEN_CFG + "stall_window = -3\n",
          "config error: stall_window must be positive"),
+        (GOLDEN_CFG.replace("1/1000", "1/0"),
+         "config error: bad value for 'epsilon': zero denominator in '1/0'"),
+        ("command = demo\nsystem = doubling\n",
+         "config error: demo runs on kakutani, not 'doubling'"),
+        ("command = demo\nsystem = rotation:1/3\n",
+         "config error: demo runs on kakutani, not 'rotation:1/3'"),
     ], ids=["basis", "depth", "digits", "density-epsilon", "stall-window-0",
-            "stall-window-negative"])
+            "stall-window-negative", "epsilon-zero-denominator",
+            "demo-doubling", "demo-rotation"])
     def test_cli_rejects_unusable_value(self, tmp_path, capsys, text,
                                         message):
         cfg = tmp_path / "exp.cfg"

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library or test module imports is used in
 it, no library module reaches into the private kernel of ``intervals``, the
-harness builds splinter rows and run traces in one place each, and one
-function refines a bracket of alpha."""
+harness builds splinter rows and run traces in one place each, one
+function refines a bracket of alpha, and a check of a splinter run reads
+its map from the run."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,26 @@ def bounds_callers() -> set[str]:
 def test_one_rounding_path():
     # README: Scalar.floor is the one place that approximates alpha
     assert bounds_callers() == {"scalars.py:Scalar.floor"}
+
+
+def parameter_types(path: Path) -> dict[str, list[set[str]]]:
+    """For each public module-level function of ``path``, the names that
+    the annotation of each of its parameters mentions."""
+    tree = ast.parse(path.read_text())
+    return {fn.name: [{node.id for node in ast.walk(arg.annotation)
+                       if isinstance(node, ast.Name)}
+                      if arg.annotation else set()
+                      for arg in (fn.args.posonlyargs + fn.args.args
+                                  + fn.args.kwonlyargs)]
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+
+
+@pytest.mark.parametrize("name", ["splinter.py", "caratheodory.py"])
+def test_checks_read_the_map_from_the_run(name):
+    # a run carries the T that produced it; a second T could disagree
+    found = parameter_types(SRC / name)
+    assert all(all(types) for types in found.values())  # all annotated
+    assert [fn for fn, types in found.items()
+            if any("SplinterDecomposition" in t for t in types)
+            and any("Transformation" in t for t in types)] == []

@@ -381,7 +381,7 @@ class TestRendering:
     @pytest.mark.parametrize("text", ["1/0", "-3/00", "1/0+alpha",
                                       "1/2-1/0*alpha"])
     def test_zero_denominator_raises(self, text):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="zero denominator in '-?[13]/0"):
             parse_scalar(text, GOLDEN)
 
     @pytest.mark.parametrize("text", ["", "1/", "/2", "1/-2", "one", "1 / 2"])

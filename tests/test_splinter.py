@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from ergolab import fixtures
-from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
-                              TowerSet, Transformation)
+from ergolab.dynamics import (Doubling, KakutaniTower, Rotation, TowerSet,
+                              Transformation)
 from ergolab.errors import (EXIT_CODES, InvalidInputError, InvariantViolation,
                             RepresentationOverflowError, exit_status)
 from ergolab.intervals import FULL, from_text, make_set
@@ -137,24 +137,22 @@ class TestStatuses:
 class TestOrbitDecomposition:
     def test_doubling(self, doubling_run):
         for n in (1, 3, 5, 10):
-            assert verify_orbit_decomposition(
-                Doubling(), doubling_run, n).passed
+            assert verify_orbit_decomposition(doubling_run, n).passed
 
     def test_golden_rotation(self, golden_run):
-        T = Rotation(Scalar(0, 1, GOLDEN))
         for n in (1, 7, 25, 64):
-            assert verify_orbit_decomposition(T, golden_run, n).passed
+            assert verify_orbit_decomposition(golden_run, n).passed
 
     def test_odometer(self):
         d = splinter(**fixtures.odometer_splinter_inputs())
-        assert verify_orbit_decomposition(Odometer(), d, 1).passed
+        assert verify_orbit_decomposition(d, 1).passed
 
 
 class TestTransport:
     def test_invariant_empty_and_full(self, doubling_run):
         T = Doubling()
         for B in (T.empty_set(), T.full_set()):
-            rep = transport_check(doubling_run, B, T)
+            rep = transport_check(doubling_run, B)
             assert rep.passed
             # equality throughout for trivially invariant sets
             per_step = [row for row in rep.rows if row["step"] != "limit"]
@@ -162,13 +160,12 @@ class TestTransport:
 
     def test_diagnostic_mode_for_non_invariant(self, doubling_run):
         B = make_set([(F(0), F(1, 3))])
-        rep = transport_check(doubling_run, B, Doubling())
+        rep = transport_check(doubling_run, B)
         assert rep.note == "diagnostic"
 
     def test_invariant_set_of_rational_rotation(self):
         d = splinter(**fixtures.rational_third_stall_inputs())
-        rep = transport_check(d, fixtures.RATIONAL_THIRD_INVARIANT,
-                              Rotation(Scalar(F(1, 3))))
+        rep = transport_check(d, fixtures.RATIONAL_THIRD_INVARIANT)
         assert rep.passed
 
 
