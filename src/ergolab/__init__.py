@@ -10,14 +10,14 @@ from .errors import (ErgolabError, IncompatibleBasisError, InvalidInputError,
 from .scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
                       get_tag, parse_scalar, render)
 from .intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval, IntervalSet,
-                        ParityTail, arc, doubling_preimage, from_text,
-                        make_set, odometer_preimage)
+                        ParityTail, ShiftSteps, arc, doubling_preimage,
+                        from_text, make_set, odometer_preimage)
 from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                        PreservationReport, Rotation, SetLike, TOWER_EMPTY,
                        TOWER_FULL, TowerSet, Transformation, make_system,
                        tower_preimage, verify_measure_preserving)
 from .splinter import (BUDGET_EXHAUSTED, CONVERGED, CheckReport,
-                       DEFAULT_COMPONENT_BUDGET, STALLED,
+                       DEFAULT_COMPONENT_BUDGET, Residuals, STALLED,
                        SplinterDecomposition, StepRecord, additivity_check,
                        splinter, trace_rows, transport_check,
                        verify_decomposition, verify_orbit_decomposition)

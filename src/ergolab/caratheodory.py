@@ -170,8 +170,12 @@ def reduction_check(T: Transformation, B: IntervalSet, basis: MeasureBasis,
 
     Each pair is connected through a splinter run; pairs whose splinter
     does not converge are reported as non-converged (expected for
-    non-ergodic systems), not as failures of the inequality.
+    non-ergodic systems), not as failures of the inequality.  `sample`,
+    the number of pairs probed, is an int >= 0.
     """
+    if not isinstance(sample, int) or sample < 0:
+        raise InvalidInputError(
+            f"sample must be an int >= 0, not {sample!r}")
     inv = invariance_check(T, B)
     mode = "invariant" if inv.passed else "diagnostic"
     report = CheckReport("reduction-hypothesis", True, note=mode)

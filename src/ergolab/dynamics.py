@@ -140,6 +140,11 @@ class Transformation:
         or None when no such count does (an ergodic T never stalls)."""
         return None
 
+    def translation(self) -> Optional[Scalar]:
+        """The t in [0, 1) with T^-1(S) = S + t mod 1 for every set S, or
+        None when T^-1 is no translation."""
+        return None
+
     def descriptor(self) -> str:
         return self.kind
 
@@ -160,6 +165,9 @@ class Rotation(Transformation):
 
     def preimage(self, S: IntervalSet) -> IntervalSet:
         return S.translate_mod1(self._back)
+
+    def translation(self) -> Scalar:
+        return self._back
 
     def stall_window(self) -> Optional[int]:
         # rotation by p/q has T**q = id, so after q unproductive steps in a

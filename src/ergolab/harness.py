@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Optional
@@ -71,15 +71,22 @@ _PARAMS = {
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config.  ``transformation`` is the map that ``system``
+    names, built once: from the init-only ``T`` that ``parse_config``
+    passes, the map it read the sets with, or else from ``system``."""
+
     command: str
     system: str
     sets: dict  # name -> IntervalSet | TowerSet
     parameters: dict = field(default_factory=dict)
+    T: InitVar[Optional[Transformation]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, T):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        T = _system(self.system)
+        if T is None:
+            T = _system(self.system)
+        self.transformation = T
         if self.command == "demo" and T.kind != "kakutani":
             raise ConfigError(f"demo runs on kakutani, not {self.system!r}")
         for key, val in self.parameters.items():
@@ -183,7 +190,7 @@ def parse_config(text: str) -> ExperimentConfig:
             sets[name] = _set_from_text(value, tag)
         except (ValueError, ErgolabError) as exc:
             raise ConfigError(f"bad set {name!r}: {exc}") from exc
-    return ExperimentConfig(command, system, sets, params)
+    return ExperimentConfig(command, system, sets, params, T)
 
 
 # ---------------------------------------------------------------------
@@ -400,7 +407,7 @@ def run(config: ExperimentConfig) -> tuple[RunTrace, int]:
     if config.command == "demo":
         return demo_kakutani()
     digits = config.get("digits")
-    T = make_system(config.system)
+    T = config.transformation
     try:
         _check_spaces(config, T)
         records, summary = _DISPATCH[config.command](config, T, digits)

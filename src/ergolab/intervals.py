@@ -58,7 +58,9 @@ touches, over a denominator that every block boundary it reads divides:
 The exact preimages of the example systems live here too: rotation
 (``IntervalSet.translate_mod1``), doubling and the odometer primitive.
 Each emits sorted runs of points, joined at their seams (``_join``); only
-``IntervalSet.build`` takes unsorted input.
+``IntervalSet.build`` takes unsorted input.  ``ShiftSteps`` runs a
+rotation's preimages of one set against a fixed window without building
+them: each step is one shift in integers and two bisections.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
@@ -755,6 +757,114 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
         piece = [lo] * (i & 1) + pts[i:j] + [hi] * (j & 1)
         _join(out, [p + t for p in piece])
     return _collapse(out, {AT_ONE: flags[AT_ZERO]}, {AT_ONE: m}, d, S.tag)
+
+
+# ---------------------------------------------------------------------
+# rotation steps: a set moved by t, 2t, 3t, ... against a fixed window
+# ---------------------------------------------------------------------
+
+def _arc_edges(arcs: Iterable[tuple], d: int) -> list[tuple[int, int]]:
+    """Sorted edges lo0, hi0, lo1, hi1, ... of the union of the open arcs
+    (start, start + length) of the circle [0, d), as pairs (n, m) of the
+    points n + m*alpha over d; a start lies in [-d, d).
+
+    An arc that wraps past d is cut there, and its front piece starts at
+    -1, so the point 0 lies inside it.  Pieces that overlap merge; pieces
+    that only touch stay apart, so the point they share lies in neither."""
+    pieces = []
+    for lo, length in arcs:
+        if lo < 0:
+            lo += d
+        hi = lo + length
+        if hi > d:
+            pieces += [(lo, d), (-1, hi - d)]
+        else:
+            pieces.append((lo, hi))
+    pieces.sort(key=itemgetter(0))
+    edges: list = []
+    for lo, hi in pieces:
+        if edges and lo < edges[-1]:
+            edges[-1] = max(edges[-1], hi)
+        else:
+            edges += (lo, hi)
+    return [(p, 0) if type(p) is int else p[:2] for p in edges]
+
+
+def _inside(edges: list[tuple[int, int]], n: int, m: int, a: int) -> bool:
+    """Does the point n + m*alpha lie strictly inside one of the open
+    intervals (edges[0], edges[1]), (edges[2], edges[3]), ...?  One
+    bisection, each comparison the sign of an integer pair."""
+    lo, hi = 0, len(edges)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        en, em = edges[mid]
+        if _sign(en - n, em - m, a) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    # edges[:lo] lie below the point: inside a piece, unless at its end
+    return lo & 1 == 1 and edges[lo] != (n, m)
+
+
+class ShiftSteps:
+    """The tail-free set B moved by t, 2t, 3t, ... around the circle, each
+    move tested against a fixed tail-free window W without being built.
+
+    Over one denominator D of B, W and t, the shift s_k = {k*t} is the
+    integer pair (n, m) of the point n + m*alpha over D: a step adds t's
+    pair and subtracts D once s passes it.  B + s meets W in positive
+    measure exactly when s lies in the open arcs (w_lo - b_hi, w_hi - b_lo)
+    mod D, over the components b of B and w of W.  B + s has one component
+    per arc of B on the circle (a piece ending at 1 goes on from 0), plus
+    one when -s cuts an arc of B, that is, when s lies in the arc mirrored
+    about 0.  A step bisects the two edge lists (``_inside``).
+
+    Iterating yields (B + s_k meets W, components of B + s_k, s_k) for
+    k = 1, 2, ...; ``moved(s_k)`` builds B + s_k by ``B.translate_mod1``.
+    The tags of B, t and W meet in the order of
+    ``B.translate_mod1(t).intersect(W)``.
+    """
+
+    def __init__(self, B: IntervalSet, W: IntervalSet, t: Scalar):
+        if B.tails or W.tails:
+            raise UnsupportedRepresentationError(
+                "translation of parity tails is not representable")
+        if t.cmp(ZERO) < 0 or t.cmp(ONE) >= 0:
+            t = t.mod1()
+        self.B = B
+        self.tag = _merge_tags(_merge_tags(B.tag, t.tag), W.tag)
+        self.d = d = lcm(B.d, W.d, t.d)
+        bp, wp = _scale(B.pts, d // B.d), _scale(W.pts, d // W.d)
+        comps = list(zip(bp[::2], bp[1::2]))
+        meets = _arc_edges([(w_lo - b_hi, (w_hi - w_lo) + (b_hi - b_lo))
+                            for b_lo, b_hi in comps
+                            for w_lo, w_hi in zip(wp[::2], wp[1::2])], d)
+        if len(comps) > 1 and comps[0][0] == 0 and comps[-1][1] == d:
+            (lo, _), (_, hi) = comps.pop(), comps.pop(0)
+            comps.append((lo, hi + d))
+        # [0, 1) itself is one arc that no shift cuts
+        cuts = [] if comps == [(0, d)] else _arc_edges(
+            [(d - hi, hi - lo) for lo, hi in comps], d)
+        step = _numerator(t, d)
+        self._step = (step, 0) if type(step) is int else step[:2]
+        self._meets, self._cuts, self._arcs = meets, cuts, len(comps)
+
+    def __iter__(self) -> Iterator[tuple[bool, int, tuple[int, int]]]:
+        meets, cuts, arcs, d = self._meets, self._cuts, self._arcs, self.d
+        (tn, tm), n, m = self._step, 0, 0
+        # without a tag every m is 0, and ``_sign`` reads no a
+        a = self.tag._a if self.tag else 1
+        while True:
+            n += tn
+            m += tm
+            if _sign(n - d, m, a) >= 0:
+                n -= d
+            yield (_inside(meets, n, m, a), arcs + _inside(cuts, n, m, a),
+                   (n, m))
+
+    def moved(self, s: tuple[int, int]) -> IntervalSet:
+        """B moved by a shift that the iteration yielded."""
+        return self.B.translate_mod1(_make(s[0], s[1], self.d, self.tag))
 
 
 def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> IntervalSet:

@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 
 from .dynamics import SetLike, Transformation
 from .errors import ErgolabError, InvalidInputError, InvariantViolation
-from .scalars import Scalar, render
+from .intervals import EMPTY, ShiftSteps
+from .scalars import ZERO, Scalar, render
 
 DEFAULT_COMPONENT_BUDGET = 1 << 16
 
@@ -75,6 +76,38 @@ def trace_rows(trace: Sequence[StepRecord], digits: int = 12) -> list:
     return [rec._row(text, dec) for rec in trace]
 
 
+class Residuals(Sequence):
+    """B_1 .. B_n of a run, each built on access.
+
+    Step n stores (anchor, shift): B_n is the set `anchor` when shift is
+    None, else ``anchor.moved(shift)`` for a ``ShiftSteps`` anchor.
+    Indexing takes negative indices and slices; a slice is a list.
+    """
+
+    __slots__ = ("_steps",)
+
+    def __init__(self):
+        self._steps: list = []
+
+    def append(self, anchor, shift=None) -> None:
+        self._steps.append((anchor, shift))
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [_residual(*step) for step in self._steps[i]]
+        return _residual(*self._steps[i])
+
+    def __iter__(self):
+        return (_residual(*step) for step in self._steps)
+
+
+def _residual(anchor, shift) -> SetLike:
+    return anchor if shift is None else anchor.moved(shift)
+
+
 @dataclass
 class SplinterDecomposition:
     transformation: Transformation
@@ -83,7 +116,7 @@ class SplinterDecomposition:
     epsilon: Scalar
     n_max: int
     splinters: list = field(default_factory=list)   # A_1 .. A_n
-    residuals: list = field(default_factory=list)   # B_1 .. B_n
+    residuals: Sequence = field(default_factory=Residuals)   # B_1 .. B_n
     trace: list = field(default_factory=list)
     status: str = BUDGET_EXHAUSTED
 
@@ -107,7 +140,11 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
 
     A step whose A_n is empty splinters nothing: it keeps ``covered``,
     ``J2 \\ covered`` and their measures from the step before, and B_n is
-    the preimage itself.  Every step, productive or not, checks the
+    the preimage itself.  When T^-1 is a translation by t (a rotation) and
+    the sets are tail-free, B_n is the last productive step's B_p moved by
+    (n - p)*t, so ``ShiftSteps`` decides each step from that shift alone: a
+    step with empty A_n costs no set operation, and ``d.residuals`` builds
+    each such B_n on access.  Every step, productive or not, checks the
     residual identity, mass conservation and A_n within J2 against the
     current values.
 
@@ -127,36 +164,60 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     if stall_window is not None and stall_window < 1:
         raise InvalidInputError("stall_window must be positive")
     window = stall_window if stall_window is not None else T.stall_window()
+    shift = T.translation()
 
     d = SplinterDecomposition(T, J1, J2, epsilon, n_max)
     try:
         covered = J2.subtract(J2)  # empty of the right kind
         avail = J2                 # J2 minus the splinters so far
         mc, m_avail = covered.measure(), mu2
-        B = J1
+        B, mb = J1, mu1
+        total = mc + mb
+        # the walk through the shifts of B against avail (``ShiftSteps``),
+        # while both hold still
+        walk = None
         # consecutive steps with empty A after step 1; mu(B) is unchanged
         # over them, since the residual identity pins it to mu(avail)
         flat = 0
         for n in range(1, n_max + 1):
-            pre = T.preimage(B)
-            A_n = pre.intersect(avail)
-            productive = not A_n.is_empty()
+            if (walk is None and shift is not None
+                    and not (B.tails or avail.tails)):
+                steps = ShiftSteps(B, avail, shift)
+                walk = iter(steps)
+            if walk is None:
+                pre = T.preimage(B)
+                A_n = pre.intersect(avail)
+                productive = not A_n.is_empty()
+            else:
+                productive, count, s = next(walk)
+                if productive:
+                    pre = steps.moved(s)
+                    A_n = pre.intersect(avail)
+                    walk = None
+                else:
+                    A_n = EMPTY
             if productive:
                 B = pre.subtract(A_n)
                 covered = covered.union(A_n)
                 avail = J2.subtract(covered)
                 mc, m_avail = covered.measure(), avail.measure()
-            else:
+            elif walk is None:
                 B = pre
-            ma, mb, count = A_n.measure(), B.measure(), B.component_count()
+            ma = A_n.measure() if productive else ZERO
+            if walk is None:
+                mb, count = B.measure(), B.component_count()
+                total = mc + mb
+                d.residuals.append(B)
+            else:
+                # B_n is B moved by s: B's measure, and the walk counted it
+                d.residuals.append(steps, s)
             d.splinters.append(A_n)
-            d.residuals.append(B)
             d.trace.append(StepRecord(n, ma, mb, count, mc))
             # exact invariants of the construction, asserted at every step
             if mb != m_avail:
                 raise InvariantViolation(
                     f"residual identity violated at step {n}")
-            if mc + mb != mu1:
+            if total != mu1:
                 raise InvariantViolation(
                     f"mass conservation violated at step {n}")
             if not A_n.subtract(J2).is_empty():

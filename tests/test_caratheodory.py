@@ -145,6 +145,13 @@ class TestReduction:
         assert all(row["status"] == "converged" and row["pass"]
                    and row["chain"] for row in rows)
 
+    @pytest.mark.parametrize("sample", [-1, 1.5, "3"])
+    def test_rejects_bad_sample(self, sample):
+        with pytest.raises(InvalidInputError, match="sample"):
+            reduction_check(Rotation(Scalar(F(1, 3))), FULL, dyadic_basis(2),
+                            sample=sample, epsilon=Scalar(F(1, 100)),
+                            n_max=40)
+
     def test_diagnostic_mode_for_non_invariant(self):
         T = Doubling()
         rep = reduction_check(T, make_set([(F(0), F(1, 3))]), dyadic_basis(2),

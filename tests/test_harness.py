@@ -208,6 +208,18 @@ class TestRunDispatch:
         assert a.to_columnar() == b.to_columnar()
         assert a.to_structured() == b.to_structured()
 
+    @pytest.mark.parametrize("text", [GAP_CFG, GOLDEN_CFG],
+                             ids=["gap", "splinter-golden"])
+    def test_builds_the_system_once(self, monkeypatch, text):
+        built = []
+
+        def counting(descriptor):
+            built.append(descriptor)
+            return make_system(descriptor)
+        monkeypatch.setattr("ergolab.harness.make_system", counting)
+        trace, code = run(parse_config(text))
+        assert code == 0 and len(built) == 1
+
     def test_trace_header_carries_hash_and_notice(self):
         trace, _ = run(parse_config(GAP_CFG))
         assert trace.header["config_hash"] == parse_config(GAP_CFG).digest()

@@ -12,8 +12,9 @@ from ergolab.dynamics import A_SET, KakutaniTower, TowerSet, odometer_preimage
 from ergolab.errors import (IncompatibleBasisError,
                             UnsupportedRepresentationError)
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval,
-                               IntervalSet, ParityTail, _depth_for_gap, arc,
-                               doubling_preimage, from_text, make_set)
+                               IntervalSet, ParityTail, ShiftSteps,
+                               _depth_for_gap, arc, doubling_preimage,
+                               from_text, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar
 
@@ -685,6 +686,28 @@ class TestTranslation:
         s = make_set([], [ParityTail(AT_ONE, 0, "even")])
         with pytest.raises(UnsupportedRepresentationError):
             s.translate_mod1(Scalar(F(1, 3)))
+        for B, W in ((s, FULL), (FULL, s)):
+            with pytest.raises(UnsupportedRepresentationError):
+                ShiftSteps(B, W, Scalar(F(1, 3)))
+
+    @given(dyadic_sets(), dyadic_sets(),
+           st.fractions(min_value=0, max_value=1, max_denominator=32),
+           st.sampled_from([0, 1, -1]), st.booleans())
+    @settings(max_examples=80)
+    def test_shift_steps_match_translations(self, B, W, p, q, alpha_ends):
+        # touching arcs, shifts that return to 0, pieces at 0 and 1
+        alpha = Scalar(0, 1, GOLDEN)
+        if alpha_ends:
+            B = B.translate_mod1(alpha)
+        t = (Scalar(p) + alpha * q).mod1()
+        steps, moved = ShiftSteps(B, W, t), B
+        walk = iter(steps)
+        for _ in range(40):
+            moved = moved.translate_mod1(t)
+            hit, count, s = next(walk)
+            assert hit == (not moved.intersect(W).is_empty())
+            assert count == moved.component_count()
+            assert steps.moved(s).equals(moved)
 
     @given(dyadic_sets(), st.fractions(min_value=0, max_value=1,
                                        max_denominator=32))

@@ -2,20 +2,21 @@
 
 import dataclasses
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from ergolab import fixtures
-from ergolab.dynamics import (Doubling, KakutaniTower, Rotation, TowerSet,
-                              Transformation)
+from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
+                              TowerSet, Transformation)
 from ergolab.errors import (EXIT_CODES, InvalidInputError, InvariantViolation,
                             RepresentationOverflowError, exit_status)
 from ergolab.intervals import FULL, from_text, make_set
 from ergolab.scalars import GOLDEN, SQRT2M1, Scalar
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
-                              StepRecord, additivity_check, splinter,
-                              trace_rows, transport_check,
+                              Residuals, StepRecord, additivity_check,
+                              splinter, trace_rows, transport_check,
                               verify_decomposition,
                               verify_orbit_decomposition)
 
@@ -342,3 +343,179 @@ class TestTraceRows:
         distinct = {v for rec in d.trace
                     for v in (rec.measure_A, rec.measure_B)}
         assert len(calls) == len(distinct) == len(set(calls))
+
+
+class _Generic(Transformation):
+    """A rotation seen only through its preimage: a run on it takes the
+    per-step path of a map that is no translation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def preimage(self, S):
+        return self.inner.preimage(S)
+
+
+def _circle_window(rng, tag, pieces):
+    """A union of 1..pieces arcs with endpoints p/q, or p/q + k*alpha mod 1
+    under a tag, moved around the circle by a random shift."""
+    alpha = Scalar(0, 1, tag) if tag else Scalar(0)
+    q = rng.choice([4, 6, 8, 9, 12])
+    points = set()
+    while len(points) < 2 * rng.randint(1, pieces):
+        points.add((Scalar(F(rng.randrange(q), q))
+                    + alpha * rng.choice([0, 0, 1, -1, 2])).mod1())
+    points = sorted(points)
+    J = make_set(list(zip(points[::2], points[1::2])))
+    return J.translate_mod1(Scalar(F(rng.randrange(q), q)) + alpha)
+
+
+def _seeded_inputs(seed):
+    rng = random.Random(seed)
+    kind = rng.choice(["golden", "sqrt2", "p/9", "p/13"])
+    if kind in ("golden", "sqrt2"):
+        tag = GOLDEN if kind == "golden" else SQRT2M1
+        T = Rotation(Scalar(0, 1, tag))
+    else:
+        tag, q = None, int(kind[2:])
+        T = Rotation(Scalar(F(rng.randrange(1, q), q)))
+    J1 = _circle_window(rng, tag, 3)
+    shift = (Scalar(F(rng.randrange(16), 16))
+             + (Scalar(0, rng.randint(-2, 2), tag) if tag else Scalar(0)))
+    return dict(T=T, J1=J1, J2=J1.translate_mod1(shift.mod1()),
+                epsilon=Scalar(F(1, 1000)), n_max=rng.choice([30, 200, 400]))
+
+
+def _window_inputs(J1, J2, n_max=300):
+    return lambda: dict(T=GOLDEN_ROTATION, J1=from_text(J1, GOLDEN),
+                        J2=from_text(J2, GOLDEN),
+                        epsilon=Scalar(F(1, 1000)), n_max=n_max)
+
+
+GOLDEN_ROTATION = Rotation(Scalar(0, 1, GOLDEN))
+SHIFT_CASES = {
+    "golden": fixtures.golden_rotation_splinter_inputs,
+    "sqrt2-shifted": _sqrt2_shifted_inputs,
+    "multi-component": _window_inputs(
+        "0..1/8, 1/4..3/8, 1/2..5/8", "1/16..3/16, 7/16..9/16, 3/4..7/8"),
+    "alpha-endpoints": _window_inputs(
+        "0..-1/2+alpha, 3/4..7/8", "1-alpha..1/2, 5/8..3/4"),
+    "J2-whole-circle": _window_inputs("0..1", "0..1"),
+    "arcs-wrap-past-1": _window_inputs(
+        "0..1/8, 7/8..1", "0..1/16, 3/4..7/8, 15/16..1"),
+    "rational-third-stall": fixtures.rational_third_stall_inputs,
+    # a tailed window keeps the rotation on the per-step path
+    "J2-with-tail": _window_inputs("1/4..7/24", "tail(zero, 4, even)", 100),
+}
+
+
+def _same_run(direct, generic):
+    assert (direct.status, direct.depth) == (generic.status, generic.depth)
+    assert trace_rows(direct.trace) == trace_rows(generic.trace)
+    assert all(a.equals(b)
+               for a, b in zip(direct.splinters, generic.splinters))
+    assert all(a.equals(b)
+               for a, b in zip(direct.residuals, generic.residuals))
+    assert len(direct.residuals) == len(generic.residuals) == direct.depth
+
+
+class TestShiftSteps:
+    """A rotation run tests each shift against precomputed arcs; wrapped
+    as a map that is no translation, it takes the per-step path."""
+
+    @staticmethod
+    def _both(kw):
+        T = kw["T"]
+        kw.setdefault("stall_window", T.stall_window())
+        return splinter(**kw), splinter(**dict(kw, T=_Generic(T)))
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_CASES))
+    def test_matches_generic_path(self, name):
+        _same_run(*self._both(SHIFT_CASES[name]()))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_windows_match_generic_path(self, seed):
+        _same_run(*self._both(_seeded_inputs(seed)))
+
+    def test_rotation_steps_call_no_preimage(self, monkeypatch):
+        def refuse(self, S):
+            raise AssertionError("preimage called")
+        monkeypatch.setattr(Rotation, "preimage", refuse)
+        for inputs in (fixtures.golden_rotation_splinter_inputs,
+                       fixtures.rational_third_stall_inputs):
+            d = splinter(**inputs())
+            assert d.status in (CONVERGED, STALLED)
+
+    def test_residuals_sequence(self):
+        direct, generic = self._both(SHIFT_CASES["golden"]())
+        lazy, plain = direct.residuals, list(generic.residuals)
+        assert bool(lazy) and len(lazy) == len(plain) == direct.depth
+        for i in (0, 5, -1, -7):
+            assert lazy[i].equals(plain[i])
+        for part in (slice(3, 9), slice(-4, None), slice(None, None, 50)):
+            assert [B.to_text() for B in lazy[part]] == [
+                B.to_text() for B in plain[part]]
+        with pytest.raises(IndexError):
+            lazy[direct.depth]
+        assert not Residuals()
+
+
+# (T, J, productive steps) of splinter(T, J, J, 1/100000, 2000): the
+# steps of a first return to J, which Slater's theorem limits to three
+# values r1 < r2 < r1 + r2 under a rotation
+RETURN_TIMES = [
+    (GOLDEN_ROTATION, "0..1/4", [2, 3, 5]),
+    (GOLDEN_ROTATION, "1/8..1/3", [3, 5, 8]),
+    (GOLDEN_ROTATION, "0..-1/2+alpha", [5, 8, 13]),
+    (GOLDEN_ROTATION, "1/3..1/3+1/7*alpha", [8, 13, 21]),
+    (Rotation(Scalar(0, 1, SQRT2M1)), "0..1/16", [12, 17, 29]),
+    (Rotation(Scalar(F(1, 7))), "0..1/3", [1, 5, 6]),
+    (Odometer(), "0..1/4", [4]),
+    (Odometer(), "1/3..1/2", [4, 8]),
+]
+
+
+def _return_run(T, J):
+    """The first-return run on J, checked against Kac's lemma: it ends
+    with B empty and sum n*mu(A_n) = 1, as T is ergodic on the circle."""
+    d = splinter(T, J, J, Scalar(F(1, 100000)), 2000)
+    assert d.status == CONVERGED
+    assert d.residuals[-1].measure() == Scalar(0)
+    kac = sum((A.measure() * n for n, A in enumerate(d.splinters, 1)),
+              Scalar(0))
+    assert kac == Scalar(1)
+    assert verify_decomposition(d).passed
+    return [n for n, A in enumerate(d.splinters, 1) if not A.is_empty()]
+
+
+def _first_close_return(alpha, length):
+    """Slater's r1 = min{n >= 1 : ||n*alpha|| < length}."""
+    n = 1
+    while True:
+        x = (alpha * n).mod1()
+        if min(x, 1 - x) < length:
+            return n
+        n += 1
+
+
+class TestReturnTimes:
+    @pytest.mark.parametrize("T, J, steps", RETURN_TIMES,
+                             ids=[f"{T.descriptor()}-{J}"
+                                  for T, J, _ in RETURN_TIMES])
+    def test_pinned_return_times(self, T, J, steps):
+        assert _return_run(T, from_text(J, GOLDEN)) == steps
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_windows_obey_slater(self, seed):
+        rng = random.Random(seed)
+        tag = rng.choice([GOLDEN, SQRT2M1])
+        alpha = Scalar(0, 1, tag)
+        length = rng.choice([Scalar(F(1, rng.randint(3, 24))),
+                             (alpha * rng.randint(1, 4)).mod1() * F(1, 4)])
+        J = make_set([(0, length)]).translate_mod1(
+            Scalar(F(rng.randrange(16), 16)) + alpha * rng.randint(0, 1))
+        steps = _return_run(Rotation(alpha), J)
+        assert 1 <= len(steps) <= 3
+        if len(steps) == 3:
+            assert steps[2] == steps[0] + steps[1]
+        assert steps[0] == _first_close_return(alpha, length)
