@@ -60,7 +60,7 @@ The exact preimages of the example systems live here too: rotation
 Each emits sorted runs of points, joined at their seams (``_join``); only
 ``IntervalSet.build`` takes unsorted input.  ``ShiftSteps`` runs a
 rotation's preimages of one set against a fixed window without building
-them: each step is one shift in integers and two bisections.
+them: each step is one shift in integers, one bisection and one lookup.
 """
 
 from __future__ import annotations
@@ -763,14 +763,15 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
 # rotation steps: a set moved by t, 2t, 3t, ... against a fixed window
 # ---------------------------------------------------------------------
 
-def _arc_edges(arcs: Iterable[tuple], d: int) -> list[tuple[int, int]]:
+def _arc_edges(arcs: Iterable[tuple], d: int) -> list:
     """Sorted edges lo0, hi0, lo1, hi1, ... of the union of the open arcs
-    (start, start + length) of the circle [0, d), as pairs (n, m) of the
-    points n + m*alpha over d; a start lies in [-d, d).
+    (start, start + length) of the circle [0, d), as the points over d; a
+    start lies in [-d, d).
 
     An arc that wraps past d is cut there, and its front piece starts at
     -1, so the point 0 lies inside it.  Pieces that overlap merge; pieces
-    that only touch stay apart, so the point they share lies in neither."""
+    that only touch stay apart, so the point they share is an edge twice
+    and lies in neither."""
     pieces = []
     for lo, length in arcs:
         if lo < 0:
@@ -787,23 +788,7 @@ def _arc_edges(arcs: Iterable[tuple], d: int) -> list[tuple[int, int]]:
             edges[-1] = max(edges[-1], hi)
         else:
             edges += (lo, hi)
-    return [(p, 0) if type(p) is int else p[:2] for p in edges]
-
-
-def _inside(edges: list[tuple[int, int]], n: int, m: int, a: int) -> bool:
-    """Does the point n + m*alpha lie strictly inside one of the open
-    intervals (edges[0], edges[1]), (edges[2], edges[3]), ...?  One
-    bisection, each comparison the sign of an integer pair."""
-    lo, hi = 0, len(edges)
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        en, em = edges[mid]
-        if _sign(en - n, em - m, a) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    # edges[:lo] lie below the point: inside a piece, unless at its end
-    return lo & 1 == 1 and edges[lo] != (n, m)
+    return edges
 
 
 class ShiftSteps:
@@ -817,7 +802,14 @@ class ShiftSteps:
     mod D, over the components b of B and w of W.  B + s has one component
     per arc of B on the circle (a piece ending at 1 goes on from 0), plus
     one when -s cuts an arc of B, that is, when s lies in the arc mirrored
-    about 0.  A step bisects the two edge lists (``_inside``).
+    about 0.
+
+    The distinct edges of both arc lists cut the circle into cells: the
+    open gaps between edges and the edge points themselves.  Each cell is
+    labelled once with (meets W, component count) by a sweep that flips a
+    list's parity at each of its edges, counted with multiplicity, so a
+    point where two arcs touch flips twice and lies in neither.  A step is
+    one bisection of the edges and one lookup of the label.
 
     Iterating yields (B + s_k meets W, components of B + s_k, s_k) for
     k = 1, 2, ...; ``moved(s_k)`` builds B + s_k by ``B.translate_mod1``.
@@ -845,12 +837,31 @@ class ShiftSteps:
         # [0, 1) itself is one arc that no shift cuts
         cuts = [] if comps == [(0, d)] else _arc_edges(
             [(d - hi, hi - lo) for lo, hi in comps], d)
+        # per edge point, bit 1 for meets and bit 2 for cuts: the lists
+        # whose parity it flips, and the lists it ends an open arc of
+        flips, ends = {}, {}
+        for bit, points in ((1, meets), (2, cuts)):
+            for p in points:
+                flips[p] = flips.get(p, 0) ^ bit
+                ends[p] = ends.get(p, 0) | bit
+        # the bits of the cells from the bottom: no arc lies below every
+        # edge, then per edge come the point itself and the cell above it
+        edges, inside, bits = sorted(flips), 0, [0]
+        for p in edges:
+            bits.append(inside & ~ends[p])
+            inside ^= flips[p]
+            bits.append(inside)
+        arcs = len(comps)
+        self._labels = [(bool(b & 1), arcs + (b >> 1)) for b in bits]
+        # a shift lies in [0, D), so it never equals the closing point
+        self._edges = [(p, 0) if type(p) is int else p[:2]
+                       for p in edges] + [(d + 1, 0)]
         step = _numerator(t, d)
         self._step = (step, 0) if type(step) is int else step[:2]
-        self._meets, self._cuts, self._arcs = meets, cuts, len(comps)
 
     def __iter__(self) -> Iterator[tuple[bool, int, tuple[int, int]]]:
-        meets, cuts, arcs, d = self._meets, self._cuts, self._arcs, self.d
+        edges, labels, d = self._edges, self._labels, self.d
+        top = len(edges) - 1
         (tn, tm), n, m = self._step, 0, 0
         # without a tag every m is 0, and ``_sign`` reads no a
         a = self.tag._a if self.tag else 1
@@ -859,8 +870,18 @@ class ShiftSteps:
             m += tm
             if _sign(n - d, m, a) >= 0:
                 n -= d
-            yield (_inside(meets, n, m, a), arcs + _inside(cuts, n, m, a),
-                   (n, m))
+            # lo = the number of edges below the shift
+            lo, hi = 0, top
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                en, em = edges[mid]
+                if _sign(en - n, em - m, a) < 0:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            s = (n, m)
+            hit, count = labels[2 * lo + (edges[lo] == s)]
+            yield hit, count, s
 
     def moved(self, s: tuple[int, int]) -> IntervalSet:
         """B moved by a shift that the iteration yielded."""

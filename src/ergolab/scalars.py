@@ -53,6 +53,12 @@ class IrrationalTag:
                                        Fraction(s + 1 - shift, den))
         return found
 
+    def __reduce__(self):
+        # tags compare by identity, so a copy of a built-in tag is the tag
+        if TAGS.get(self.name) is self:
+            return get_tag, (self.name,)
+        return IrrationalTag, (self.name, self._a)
+
     def __repr__(self) -> str:
         return f"IrrationalTag({self.name!r})"
 
@@ -213,10 +219,11 @@ class Scalar:
         return _sign(u, self.m * od - om * d, a)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                other = Scalar(other)
+            elif not isinstance(other, Scalar):
+                return NotImplemented
         return (self.n == other.n and self.m == other.m
                 and self.d == other.d and self.tag is other.tag)
 

@@ -70,10 +70,20 @@ def trace_rows(trace: Sequence[StepRecord], digits: int = 12) -> list:
     measure once.
 
     A measure-preserving T keeps mu(B_n) from one unproductive step to the
-    next, so most rows of a long trace repeat the values of the row before.
+    next, so most rows of a long trace repeat the values of the row before:
+    such a row is a copy of the row before with its own ``step``.
     """
     text, dec = _once(Scalar.to_text), _once(lambda s: render(s, digits))
-    return [rec._row(text, dec) for rec in trace]
+    rows, last = [], None
+    for rec in trace:
+        values = (rec.measure_A, rec.measure_B, rec.components_B,
+                  rec.covered_measure)
+        if values == last:
+            rows.append(dict(rows[-1], step=rec.step))
+        else:
+            rows.append(rec._row(text, dec))
+            last = values
+    return rows
 
 
 class Residuals(Sequence):
@@ -143,10 +153,11 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     the preimage itself.  When T^-1 is a translation by t (a rotation) and
     the sets are tail-free, B_n is the last productive step's B_p moved by
     (n - p)*t, so ``ShiftSteps`` decides each step from that shift alone: a
-    step with empty A_n costs no set operation, and ``d.residuals`` builds
-    each such B_n on access.  Every step, productive or not, checks the
-    residual identity, mass conservation and A_n within J2 against the
-    current values.
+    step with empty A_n costs no set operation and keeps mu(B_n), so the
+    stop rule mu(B_n) < epsilon is decided only where mu(B_n) is computed,
+    and ``d.residuals`` builds each such B_n on access.  Every step,
+    productive or not, checks the residual identity, mass conservation and
+    A_n within J2 against the current values.
 
     An error that ends the run after it started carries the steps completed
     so far as its ``decomposition`` attribute.
@@ -173,6 +184,8 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
         mc, m_avail = covered.measure(), mu2
         B, mb = J1, mu1
         total = mc + mb
+        # the stop rule mu(B) < eps, read where mu(B) changes
+        converged = mb < epsilon
         # the walk through the shifts of B against avail (``ShiftSteps``),
         # while both hold still
         walk = None
@@ -207,6 +220,7 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
             if walk is None:
                 mb, count = B.measure(), B.component_count()
                 total = mc + mb
+                converged = mb < epsilon
                 d.residuals.append(B)
             else:
                 # B_n is B moved by s: B's measure, and the walk counted it
@@ -223,7 +237,7 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
             if not A_n.subtract(J2).is_empty():
                 raise InvariantViolation(
                     f"splinter escaped J2 at step {n}")
-            if mb < epsilon:
+            if converged:
                 d.status = CONVERGED
                 break
             flat = 0 if productive or n == 1 else flat + 1

@@ -145,6 +145,22 @@ class TestReduction:
         assert all(row["status"] == "converged" and row["pass"]
                    and row["chain"] for row in rows)
 
+    def test_arcs_basis_pairs_equal_measures(self):
+        # each level of arcs also holds arcs of other lengths, 0..1 among
+        # them, so only the equal-measure pairs reach a splinter run
+        rep = reduction_check(make_system("rotation:golden"),
+                              make_set([(F(1, 4), F(1, 2))]), arcs_basis(4),
+                              sample=5, epsilon=Scalar(F(1, 100)), n_max=400)
+        assert (rep.note, rep.passed) == ("diagnostic", True)
+        assert [tuple(row.values()) for row in rep.rows[1:]] == [
+            ("0..1/2", "1/2..1", "converged", "0", "6/25", False, True),
+            ("0..1/3", "1/3..2/3", "converged", "1/6", "11/150", True, True),
+            ("0..1/3", "2/3..1", "converged", "0", "11/150", False, True),
+            ("0..2/3", "1/3..1", "converged", "1/6", "6/25", False, True),
+            ("1/3..2/3", "2/3..1", "converged", "0", "47/300", False, True)]
+        assert list(rep.rows[1]) == ["J", "K", "status", "mu_B_K",
+                                     "mu_B_J_minus_eps", "pass", "chain"]
+
     @pytest.mark.parametrize("sample", [-1, 1.5, "3"])
     def test_rejects_bad_sample(self, sample):
         with pytest.raises(InvalidInputError, match="sample"):

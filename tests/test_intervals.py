@@ -1,6 +1,8 @@
 """Interval-set algebra: normalization, boolean laws, measure, tails."""
 
+import pickle
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -727,6 +729,15 @@ class TestSerialization:
 
     def test_empty_round_trip(self):
         assert from_text("empty").is_empty()
+
+    @pytest.mark.parametrize("copy", [
+        lambda x: pickle.loads(pickle.dumps(x)), deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_copies_keep_the_builtin_tag(self, copy):
+        s = from_text("0..-1/2+alpha, 3/4..7/8", GOLDEN)
+        c = copy(s)
+        assert c == s and c.tag is GOLDEN
+        assert c.union(s).equals(s) and c.measure() == s.measure()
 
     @given(tailed_sets())
     @settings(max_examples=80)

@@ -1,6 +1,8 @@
 """Exact scalar field p + q*alpha: arithmetic, ordering, rendering."""
 
+import pickle
 from collections import namedtuple
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 
@@ -104,6 +106,35 @@ class TestArithmetic:
         a, b = Scalar(0, 1, GOLDEN), Scalar(0, 1, SQRT2M1)
         assert a != b
         assert len({a, b}) == 2
+        # equal fields under a second tag of the same alpha
+        twin = IrrationalTag("golden", 1)
+        assert Scalar(0, 1, twin) != a
+
+    def test_equality_with_plain_numbers(self):
+        half = Scalar(Fraction(1, 2))
+        assert half == Fraction(1, 2) and Fraction(1, 2) == half
+        assert half != Fraction(1, 3) and half != 0
+        assert Scalar(3) == 3 and 3 == Scalar(3) and Scalar(3) != 4
+        assert ONE == True and ZERO == False and ONE != False  # noqa: E712
+        assert gold(1, 1) != 1 and gold(1, 1) != Fraction(1)
+        for other in ("1", 1.0, None, (1, 0, 1)):
+            assert ONE.__eq__(other) is NotImplemented
+        assert ONE != "1" and not ONE == 1.0
+
+    @pytest.mark.parametrize("copy", [
+        lambda x: pickle.loads(pickle.dumps(x)), deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_copies_keep_the_builtin_tag(self, copy):
+        for a in (gold(Fraction(1, 2), -3), Scalar(1, 1, SQRT2M1)):
+            b = copy(a)
+            assert b == a and b.tag is a.tag
+            assert a + b == a * 2
+        assert copy(GOLDEN) is GOLDEN and copy(SQRT2M1) is SQRT2M1
+        # a tag of one's own stays a tag of its own
+        other = IrrationalTag("golden", 1)
+        twin = copy(other)
+        assert twin is not other and twin is not GOLDEN
+        assert (twin.name, twin._a) == ("golden", 1)
 
     def test_canonical_zero_coefficient(self):
         a = gold(1, 1) - gold(0, 1)

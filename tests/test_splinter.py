@@ -319,6 +319,27 @@ class TestTraceRows:
         assert trace_rows(d.trace, digits) == [
             rec.row(digits) for rec in d.trace]
 
+    def test_repeated_rows_are_separate_dicts(self, named_run):
+        _, d = named_run
+        rows, expected = trace_rows(d.trace), [rec.row() for rec in d.trace]
+        assert rows == expected
+        assert [list(row) for row in rows] == [list(row) for row in expected]
+        for row in rows[::2]:
+            row["step"] = -1
+            row["measure_B_n"] = "changed"
+        assert rows[1::2] == expected[1::2]
+
+    def test_equal_values_copy_the_row_before(self):
+        # step 2 repeats step 1 in values built apart; steps 3 and 4 each
+        # change one field
+        third, half = Scalar(F(1, 3)), Scalar(F(1, 2))
+        trace = [StepRecord(1, third, half, 2, third),
+                 StepRecord(2, Scalar(F(2, 6)), Scalar(F(1, 2)), 2,
+                            Scalar(F(1, 3))),
+                 StepRecord(3, third, half, 3, third),
+                 StepRecord(4, third, half, 3, half)]
+        assert trace_rows(trace) == [rec.row() for rec in trace]
+
     def test_values_that_share_parts_stay_apart(self):
         # equal n and d, or equal fields under two tags, are distinct values
         quarter = Scalar(F(1, 4))
@@ -386,6 +407,22 @@ def _seeded_inputs(seed):
                 epsilon=Scalar(F(1, 1000)), n_max=rng.choice([30, 200, 400]))
 
 
+def _cells(cells, n):
+    """The union of the cells [c/n, (c + 1)/n)."""
+    return make_set([(F(c, n), F(c + 1, n)) for c in cells])
+
+
+def _cell_inputs(seed):
+    """A rotation by p/q against windows made of cells of width 1/(kq):
+    arcs of shifts that meet J2 often only touch each other."""
+    rng = random.Random(seed)
+    q, k = rng.choice([5, 7, 9]), rng.choice([2, 3])
+    size = rng.randint(2, k * q - 2)
+    J1, J2 = (_cells(rng.sample(range(k * q), size), k * q) for _ in "12")
+    return dict(T=Rotation(Scalar(F(rng.randrange(1, q), q))), J1=J1, J2=J2,
+                epsilon=Scalar(F(1, 1000)), n_max=200)
+
+
 def _window_inputs(J1, J2, n_max=300):
     return lambda: dict(T=GOLDEN_ROTATION, J1=from_text(J1, GOLDEN),
                         J2=from_text(J2, GOLDEN),
@@ -436,6 +473,23 @@ class TestShiftSteps:
     @pytest.mark.parametrize("seed", range(24))
     def test_seeded_windows_match_generic_path(self, seed):
         _same_run(*self._both(_seeded_inputs(seed)))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_cell_windows_match_generic_path(self, seed):
+        _same_run(*self._both(_cell_inputs(seed)))
+
+    def test_touching_arcs_stay_apart(self):
+        # at a shift where two arcs of meeting shifts touch, B + s meets J2
+        # in points only; taken as productive, it restarts the stall count
+        # and the run goes on to its budget
+        direct, generic = self._both(dict(
+            T=Rotation(Scalar(F(5, 7))),
+            J1=_cells({1, 3, 6, 8, 9, 11, 14, 15, 18}, 21),
+            J2=_cells({4, 8, 10, 11, 14, 15, 16, 18, 20}, 21),
+            epsilon=Scalar(F(1, 1000)), n_max=200))
+        _same_run(direct, generic)
+        assert (direct.status, direct.depth) == (STALLED, 11)
+        assert direct.residuals[-1].measure() == Scalar(F(1, 7))
 
     def test_rotation_steps_call_no_preimage(self, monkeypatch):
         def refuse(self, S):
