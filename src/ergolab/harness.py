@@ -14,7 +14,8 @@ import json
 import pathlib
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Optional
 
 from . import fixtures
@@ -30,7 +31,7 @@ from .errors import (ConfigError, ErgolabError, EXIT_CODES, STATUS_CODES,
                      exit_status)
 from .intervals import EMPTY, from_text as set_from_text
 from .scalars import Scalar, parse_scalar, render
-from .splinter import (CONVERGED, DEFAULT_COMPONENT_BUDGET, splinter,
+from .splinter import (CONVERGED, DEFAULT_COMPONENT_BUDGET, Rows, splinter,
                        trace_rows)
 
 try:  # single source of truth for the version stamp in file headers
@@ -227,10 +228,11 @@ class RunTrace:
 
         An indent sends ``json`` to its pure-Python encoder, so flat traces
         (dicts of strings, numbers, booleans and None; no empty record) are
-        encoded by the C encoder with newline-and-indent item separators
-        instead, and the brackets are indented around that.  An encoded
-        string never holds a raw newline, so ``},\\n      {`` occurs only
-        between records.
+        written without it (``_record_texts``): by the C encoder with
+        newline-and-indent item separators, and, when the records are
+        ``Rows``, each further record of a run as the text of the run's
+        first record with its own first value put in.  The brackets are
+        indented around that.
         """
         parts = (self.header, self.summary, *self.records)
         if not (all(self.records) and set(map(type, parts)) <= {dict}
@@ -240,9 +242,10 @@ class RunTrace:
                                "summary": self.summary}, indent=2) + "\n"
         records = "[]"
         if self.records:
-            inner = _RECORD_ITEMS(self.records)[2:-2]
-            inner = inner.replace("},\n      {", "\n    },\n    {\n      ")
-            records = "[\n    {\n      " + inner + "\n    }\n  ]"
+            runs = (self.records.runs if isinstance(self.records, Rows)
+                    else [1] * len(self.records))
+            records = ("[\n    {\n      "
+                       + _record_texts(self.records, runs) + "\n    }\n  ]")
         return (f'{{\n  "header": {_flat_dict(self.header)},\n'
                 f'  "records": {records},\n'
                 f'  "summary": {_flat_dict(self.summary)}\n}}\n')
@@ -253,17 +256,50 @@ class RunTrace:
                 f"config_hash={self.header.get('config_hash', 'none')}")
 
 
+#: between two fields of a record as ``json.dumps(indent=2)`` writes it
+_NEXT_ITEM = ",\n      "
 #: C-encoded JSON whose items sit on their own lines, indented for the
 #: second (header, summary) and third (a record's fields) nesting level
 _TOP_ITEMS = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-_RECORD_ITEMS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+_RECORD_ITEMS = json.JSONEncoder(separators=(_NEXT_ITEM, ": ")).encode
 #: value types that both encoders write alike as one token
 _JSON_SCALARS = {str, int, float, bool, type(None)}
+#: between two records as ``_RECORD_ITEMS`` writes a list of them, and as
+#: ``json.dumps(indent=2)`` does; an encoded string holds no raw newline,
+#: so neither occurs inside a record, and ``_NEXT_ITEM`` first occurs in a
+#: record right after its first value
+_BETWEEN = "},\n      {"
+_NEXT_RECORD = "\n    },\n    {\n      "
 
 
 def _flat_dict(d: dict) -> str:
     """A flat dict as ``json.dumps(indent=2)`` writes it one level deep."""
     return "{\n    " + _TOP_ITEMS(d)[1:-1] + "\n  }" if d else "{}"
+
+
+def _record_texts(records: list, runs: list) -> str:
+    """The records as ``json.dumps(indent=2)`` writes them in the list,
+    without the outer braces.
+
+    ``runs`` counts the records of each run (``Rows``).  The first records
+    of the runs are one C-encoder call.  The rest of a run is the text of
+    its first record cut around the first value, and one join of their own
+    first values.
+    """
+    starts = list(accumulate(runs[:-1], initial=0))
+    text = _RECORD_ITEMS([records[i] for i in starts])[2:-2]
+    pieces = []
+    for text, i, length in zip(text.split(_BETWEEN), starts, runs):
+        pieces.append(text)
+        if length > 1:
+            key, first = next(iter(records[i].items()))
+            cut = text.find(_NEXT_ITEM)
+            tail = text[cut:] if cut >= 0 else ""
+            head = text[:len(text) - len(tail) - len(repr(first))]
+            firsts = map(itemgetter(key), records[i + 1:i + length])
+            pieces.append(head + (tail + _NEXT_RECORD + head).join(
+                map(repr, firsts)) + tail)
+    return _NEXT_RECORD.join(pieces)
 
 
 def _header(config: Optional[ExperimentConfig], fixture: str) -> dict:

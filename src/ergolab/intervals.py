@@ -60,7 +60,8 @@ The exact preimages of the example systems live here too: rotation
 Each emits sorted runs of points, joined at their seams (``_join``); only
 ``IntervalSet.build`` takes unsorted input.  ``ShiftSteps`` runs a
 rotation's preimages of one set against a fixed window without building
-them: each step is one shift in integers, one bisection and one lookup.
+them: each step is one shift in integers, one bisection of integer
+keys and one lookup.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
-from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _coerce, _make,
-                      _merge_tags, _sign, _text, parse_scalar)
+from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _coerce,
+                      _floor_key, _make, _merge_tags, _sign, _text,
+                      parse_scalar)
 
 AT_ONE = "one"
 AT_ZERO = "zero"
@@ -808,8 +810,17 @@ class ShiftSteps:
     open gaps between edges and the edge points themselves.  Each cell is
     labelled once with (meets W, component count) by a sweep that flips a
     list's parity at each of its edges, counted with multiplicity, so a
-    point where two arcs touch flips twice and lies in neither.  A step is
-    one bisection of the edges and one lookup of the label.
+    point where two arcs touch flips twice and lies in neither.
+
+    A step finds the shift's cell by a filtered compare.  A point x/D,
+    x = n + m*alpha, has the exact integer key floor(2**62 * x)
+    (``_floor_key``), and the shift's key is estimated by adding the
+    step's key: after k steps the shift's x times 2**62 lies in
+    [est, est + k).  An edge whose key is below est lies below the shift,
+    and one whose key is est + k or more lies above it, so ``bisect`` over
+    the edge keys places the shift, and ``_sign`` decides only the edges
+    whose keys fall in the window, and the wrap at D when 2**62 * D does.
+    The label is then one lookup.
 
     Iterating yields (B + s_k meets W, components of B + s_k, s_k) for
     k = 1, 2, ...; ``moved(s_k)`` builds B + s_k by ``B.translate_mod1``.
@@ -853,35 +864,43 @@ class ShiftSteps:
             bits.append(inside)
         arcs = len(comps)
         self._labels = [(bool(b & 1), arcs + (b >> 1)) for b in bits]
-        # a shift lies in [0, D), so it never equals the closing point
-        self._edges = [(p, 0) if type(p) is int else p[:2]
-                       for p in edges] + [(d + 1, 0)]
+        # without a tag every m is 0, and ``_sign`` reads no a
+        self._a = a = self.tag._a if self.tag else 1
+        self._edges = [(p, 0) if type(p) is int else p[:2] for p in edges]
+        self._keys = [_floor_key(n, m, a) for n, m in self._edges]
         step = _numerator(t, d)
         self._step = (step, 0) if type(step) is int else step[:2]
 
     def __iter__(self) -> Iterator[tuple[bool, int, tuple[int, int]]]:
-        edges, labels, d = self._edges, self._labels, self.d
-        top = len(edges) - 1
+        edges, keys, labels, d, a = (self._edges, self._keys, self._labels,
+                                     self.d, self._a)
         (tn, tm), n, m = self._step, 0, 0
-        # without a tag every m is 0, and ``_sign`` reads no a
-        a = self.tag._a if self.tag else 1
+        step, top = _floor_key(tn, tm, a), d << 62
+        size = len(keys)
+        # est <= 2**62 * (n + m*alpha) < est + k after k steps: each adds
+        # the floor of 2**62 * t, and each wrap takes 2**62 * D off exactly
+        est = k = 0
         while True:
             n += tn
             m += tm
-            if _sign(n - d, m, a) >= 0:
+            est += step
+            k += 1
+            if est + k > top and (est >= top or _sign(n - d, m, a) >= 0):
                 n -= d
-            # lo = the number of edges below the shift
-            lo, hi = 0, top
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                en, em = edges[mid]
-                if _sign(en - n, em - m, a) < 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            s = (n, m)
-            hit, count = labels[2 * lo + (edges[lo] == s)]
-            yield hit, count, s
+                est -= top
+            # lo = the number of edges below the shift, once ``_sign`` has
+            # placed those whose keys fall in the window
+            lo = bisect_left(keys, est)
+            on = 0
+            while lo < size and keys[lo] < est + k:
+                en, em = edges[lo]
+                c = _sign(en - n, em - m, a)
+                if c >= 0:
+                    on = c == 0
+                    break
+                lo += 1
+            hit, count = labels[2 * lo + on]
+            yield hit, count, (n, m)
 
     def moved(self, s: tuple[int, int]) -> IntervalSet:
         """B moved by a shift that the iteration yielded."""

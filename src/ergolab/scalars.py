@@ -103,6 +103,17 @@ def _sign(u: int, v: int, a: int) -> int:
     return (w > 0) - (w < 0)
 
 
+def _floor_key(u: int, v: int, a: int) -> int:
+    """floor(2**62 * (u + v*alpha)), alpha as in ``_sign``.
+
+    2**62 * (u + v*alpha) = 2**61 * (2*u - a*v) + 2**61 * v * sqrt(a*a + 4),
+    and the isqrt of 4**61 * v*v * (a*a + 4) is the floor of the last term's
+    size, which is irrational when v != 0.
+    """
+    r = isqrt(v * v * (a * a + 4) << 122)
+    return ((2 * u - a * v) << 61) + (r if v >= 0 else -r - 1)
+
+
 class Scalar:
     """Exact value p + q*alpha, stored as (n + m*alpha) / d in integers.
 

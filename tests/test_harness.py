@@ -17,7 +17,7 @@ from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
                              parse_config, run)
 from ergolab.intervals import from_text
 from ergolab.scalars import GOLDEN, SQRT2M1, parse_scalar
-from ergolab.splinter import splinter
+from ergolab.splinter import Rows, splinter
 
 F = Fraction
 
@@ -504,6 +504,29 @@ class TestPlotData:
             assert any(row[col] for row in rows), col
 
 
+#: a value that a run of records repeats
+REPEATED = '100% "},\n      {" %d'
+
+
+def _runs(records):
+    """The runs of ``records`` that ``RunTrace.to_structured`` may write
+    from the text of a run's first record: the same keys in the same
+    order, ``int`` first values, and other values that JSON writes alike."""
+    def parts(rec):
+        values = list(rec.values())
+        return list(rec), type(values[0]), list(map(json.dumps, values[1:]))
+
+    runs, first = [], None
+    for rec in records:
+        if rec and first and parts(rec) == parts(first) and (
+                parts(rec)[1] is int):
+            runs[-1] += 1
+        else:
+            runs.append(1)
+            first = rec
+    return runs
+
+
 class TestStructuredTrace:
     @staticmethod
     def _reference(trace):
@@ -543,12 +566,35 @@ class TestStructuredTrace:
         ({"k": [1, 2]}, [{"a": "b"}], {}),
         ({}, [{"a": {"b": None}}, {"c": 1.5}], {"s": "\u00e9\n"}),
         ({}, [{}, {"a": True}], {"x": {}}),
+        # other values that == holds equal but JSON writes apart
+        ({}, [{"step": 1, "a": 1}, {"step": 2, "a": 1.0},
+              {"step": 3, "a": True}, {"step": 4, "a": 1}], {}),
+        ({}, [{"step": 1, "a": 0.0}, {"step": 2, "a": -0.0}], {}),
+        # first values that are no int, or a negative one
+        ({}, [{"s": s, "a": "x"}
+              for s in (1, True, 2.5, -3, -4, "4", -5, 6, False, 0)], {}),
+        # a repeated string that holds a format sign and the separator
+        ({}, [{"step": k, "a": REPEATED, "b": None}
+              for k in range(1, 5)], {}),
+        # equal records with their keys in another order
+        ({}, [{"step": 1, "a": "x", "b": "y"},
+              {"step": 2, "b": "y", "a": "x"},
+              {"step": 3, "b": "y", "a": "x"}], {}),
+        ({}, [{"step": 1, "a": "x"}, {"a": "x", "step": 2}], {}),
+        ({}, [{"step": 1, "a": "x", "b": "x"},
+              {"step": 2, "b": "x", "a": "x"}], {}),
+        # a record of one field, then a run of them
+        ({}, [{"step": k} for k in range(-2, 3)], {}),
+        # a run of 1,000 records after one of other values
+        ({}, [{"step": 0, "a": "y"}]
+         + [{"step": k, "a": "x", "n": 7} for k in range(1, 1001)], {}),
     ])
     def test_edge_traces_match_indented_dumps(self, header, records,
                                               summary):
         from ergolab.harness import RunTrace
-        trace = RunTrace(header, records, summary)
-        assert trace.to_structured() == self._reference(trace)
+        for rows in (records, Rows(records, _runs(records))):
+            trace = RunTrace(header, rows, summary)
+            assert trace.to_structured() == self._reference(trace)
 
 
 class TestCliProcess:

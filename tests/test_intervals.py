@@ -55,6 +55,9 @@ class TestNormalization:
 
     def test_empty_and_full(self):
         assert EMPTY.to_text() == "empty"
+        tailed = make_set([(F(1, 8), F(1, 4))],
+                          [ParityTail(AT_ONE, 2, "even")])
+        assert EMPTY.subtract(tailed) is EMPTY
         assert FULL.measure() == Scalar(1)
         assert make_set([(F(0), F(1))]).equals(FULL)
 

@@ -119,7 +119,20 @@ class TestArithmetic:
         assert gold(1, 1) != 1 and gold(1, 1) != Fraction(1)
         for other in ("1", 1.0, None, (1, 0, 1)):
             assert ONE.__eq__(other) is NotImplemented
-        assert ONE != "1" and not ONE == 1.0
+            assert ONE.__ne__(other) is NotImplemented
+            assert ONE != other and other != ONE
+        assert not ONE == 1.0
+
+    def test_inequality_is_not_equality(self):
+        twin = IrrationalTag("golden", 1)
+        values = [Scalar(0), ONE, Scalar(Fraction(1, 2)), gold(1, 1),
+                  gold(0, 1), Scalar(0, 1, SQRT2M1), Scalar(0, 1, twin)]
+        others = values + [0, 1, -1, Fraction(1, 2), Fraction(3, 2), True,
+                           False]
+        for a in values:
+            for b in others:
+                assert (a != b) is (not a == b), (a, b)
+                assert (b != a) is (not b == a), (b, a)
 
     @pytest.mark.parametrize("copy", [
         lambda x: pickle.loads(pickle.dumps(x)), deepcopy],

@@ -12,10 +12,10 @@ from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
                               TowerSet, Transformation)
 from ergolab.errors import (EXIT_CODES, InvalidInputError, InvariantViolation,
                             RepresentationOverflowError, exit_status)
-from ergolab.intervals import FULL, from_text, make_set
+from ergolab.intervals import FULL, ShiftSteps, from_text, make_set
 from ergolab.scalars import GOLDEN, SQRT2M1, Scalar
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
-                              Residuals, StepRecord, additivity_check,
+                              Residuals, StepRecord, Steps, additivity_check,
                               splinter, trace_rows, transport_check,
                               verify_decomposition,
                               verify_orbit_decomposition)
@@ -339,6 +339,14 @@ class TestTraceRows:
                  StepRecord(3, third, half, 3, third),
                  StepRecord(4, third, half, 3, half)]
         assert trace_rows(trace) == [rec.row() for rec in trace]
+        assert trace_rows(trace).runs == [2, 1, 1]
+        # a run of steps whose values repeat the step before joins its run
+        steps = Steps()
+        steps.append(trace[0])
+        steps.append(trace[1])
+        steps.repeat()
+        rows = trace_rows(steps)
+        assert rows == [rec.row() for rec in steps] and rows.runs == [3]
 
     def test_values_that_share_parts_stay_apart(self):
         # equal n and d, or equal fields under two tags, are distinct values
@@ -448,12 +456,27 @@ SHIFT_CASES = {
 
 def _same_run(direct, generic):
     assert (direct.status, direct.depth) == (generic.status, generic.depth)
+    assert [vars(rec) for rec in direct.trace] == [
+        vars(rec) for rec in generic.trace]
     assert trace_rows(direct.trace) == trace_rows(generic.trace)
     assert all(a.equals(b)
                for a, b in zip(direct.splinters, generic.splinters))
     assert all(a.equals(b)
                for a, b in zip(direct.residuals, generic.residuals))
     assert len(direct.residuals) == len(generic.residuals) == direct.depth
+
+
+def _walk_matches_translations(B, W, t, n):
+    """ShiftSteps(B, W, t) against B moved by t over and over, for n
+    steps; the (hit, count) of each step."""
+    steps, moved, seen = ShiftSteps(B, W, t), B, []
+    for _, (hit, count, s) in zip(range(n), steps):
+        moved = moved.translate_mod1(t)
+        assert hit == (not moved.intersect(W).is_empty())
+        assert count == moved.component_count()
+        assert steps.moved(s).equals(moved)
+        seen.append((hit, count))
+    return seen
 
 
 class TestShiftSteps:
@@ -500,6 +523,39 @@ class TestShiftSteps:
             d = splinter(**inputs())
             assert d.status in (CONVERGED, STALLED)
 
+    @pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_shift_on_an_edge_of_the_meeting_arcs(self, tag, k):
+        # W ends where B + {k*alpha} starts and starts where it ends, so
+        # the k-th shift is an edge twice; shifts just below and just
+        # above it meet W, the shift itself only touches W, and only
+        # ``_sign`` tells it from its neighbours
+        alpha = Scalar(0, 1, tag)
+        s = (alpha * k).mod1()
+        B = make_set([(F(0), F(1, 4))])
+        W = make_set([(F(1, 4), F(3, 8)), (F(7, 8), F(1))]).translate_mod1(s)
+        hit, _ = _walk_matches_translations(B, W, alpha, 2 * k + 3)[k - 1]
+        assert not hit
+
+    @pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_shift_on_an_edge_of_the_cutting_arcs(self, tag, k):
+        # B + {k*alpha} is [3/4, 1), one piece; a shift just above cuts
+        # it at 1 into two
+        alpha = Scalar(0, 1, tag)
+        B = make_set([(F(3, 4), F(1))]).translate_mod1((-alpha * k).mod1())
+        W = make_set([(F(0), F(1, 2))])
+        seen = _walk_matches_translations(B, W, alpha, 2 * k + 3)
+        assert seen[k - 1] == (False, 1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rational_shifts_on_cell_edges(self, seed):
+        # every shift of p/q lies on the grid of the cells, so each step
+        # ties some edge and is decided by ``_sign``
+        kw = _cell_inputs(seed)
+        t = kw["T"].translation()
+        _walk_matches_translations(kw["J1"], kw["J2"], t, 3 * t.d)
+
     def test_residuals_sequence(self):
         direct, generic = self._both(SHIFT_CASES["golden"]())
         lazy, plain = direct.residuals, list(generic.residuals)
@@ -512,6 +568,34 @@ class TestShiftSteps:
         with pytest.raises(IndexError):
             lazy[direct.depth]
         assert not Residuals()
+
+    def test_trace_sequence(self):
+        direct, generic = self._both(SHIFT_CASES["golden"]())
+        steps, plain = direct.trace, list(generic.trace)
+        assert isinstance(steps, Steps)
+        assert len(list(steps.runs())) < len(steps) == len(plain)
+        for i in (0, 1, 5, -1, -7, -len(plain)):
+            assert vars(steps[i]) == vars(plain[i])
+        for part in (slice(3, 9), slice(-4, None), slice(None, None, 50),
+                     slice(None, None, -3)):
+            assert [vars(rec) for rec in steps[part]] == [
+                vars(rec) for rec in plain[part]]
+        for i in (len(plain), -len(plain) - 1):
+            with pytest.raises(IndexError):
+                steps[i]
+        assert not Steps() and list(Steps()) == []
+        copied = dataclasses.replace(direct, trace=list(direct.trace))
+        rows, plain_rows = trace_rows(direct.trace), trace_rows(copied.trace)
+        assert plain_rows == rows and plain_rows.runs == rows.runs
+        assert sum(rows.runs) == len(rows) and max(rows.runs) > 1
+        i = 0
+        for length in rows.runs:
+            for row in rows[i + 1:i + length]:
+                assert list(row) == list(rows[i])
+                assert dict(row, step=rows[i]["step"]) == rows[i]
+            i += length
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            steps[0].step = 7
 
 
 # (T, J, productive steps) of splinter(T, J, J, 1/100000, 2000): the
