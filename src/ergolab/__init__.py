@@ -18,8 +18,8 @@ from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                        tower_preimage, verify_measure_preserving)
 from .splinter import (BUDGET_EXHAUSTED, CONVERGED, CheckReport,
                        DEFAULT_COMPONENT_BUDGET, Residuals, Rows, STALLED,
-                       SplinterDecomposition, StepRecord, Steps,
-                       additivity_check, splinter, trace_rows, transport_check,
+                       SplinterDecomposition, StepRecord, additivity_check,
+                       splinter, trace_rows, transport_check,
                        verify_decomposition, verify_orbit_decomposition)
 from .caratheodory import (GapReport, MeasureBasis, RESTRICTION_NOTICE,
                            arcs_basis, correlation_average, density_pair,

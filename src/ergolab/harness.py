@@ -131,7 +131,12 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+        return _digest(self.to_text())
+
+
+def _digest(text: str) -> str:
+    """The config hash of a config's ``to_text``."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _system(descriptor: str) -> Transformation:
@@ -162,10 +167,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ConfigError(f"line {lineno}: empty key or value")
         target = set_texts if key.startswith("set.") else raw
         name = key[4:] if key.startswith("set.") else key
+        if not name or not value:
+            raise ConfigError(f"line {lineno}: empty key, set name or value")
         if name in target:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         target[name] = value
@@ -306,8 +311,9 @@ def _header(config: Optional[ExperimentConfig], fixture: str) -> dict:
     head = {"artifact_version": ARTIFACT_VERSION, "fixture": fixture,
             "restriction": RESTRICTION_NOTICE}
     if config is not None:
-        head["config_hash"] = config.digest()
-        for line in config.to_text().rstrip("\n").split("\n"):
+        text = config.to_text()
+        head["config_hash"] = _digest(text)
+        for line in text.rstrip("\n").split("\n"):
             key, _, value = line.partition(" = ")
             head[f"config.{key}"] = value
     return head

@@ -13,11 +13,9 @@ at a positive constant, which the engine detects and reports.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from itertools import repeat
-from operator import sub
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Callable, Optional, Sequence
 
 from .dynamics import SetLike, Transformation
 from .errors import ErgolabError, InvalidInputError, InvariantViolation
@@ -33,19 +31,19 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 @dataclass(frozen=True)
 class StepRecord:
-    step: int
+    """The measures of one step; its number is its place in ``d.trace``."""
     measure_A: Scalar
     measure_B: Scalar
     components_B: int
     covered_measure: Scalar
 
-    def row(self, digits: int = 12) -> dict:
-        return self._row(Scalar.to_text, lambda s: render(s, digits))
+    def row(self, step: int, digits: int = 12) -> dict:
+        return self._row(step, Scalar.to_text, lambda s: render(s, digits))
 
-    def _row(self, text: Callable[[Scalar], str],
+    def _row(self, step: int, text: Callable[[Scalar], str],
              dec: Callable[[Scalar], str]) -> dict:
         return {
-            "step": self.step,
+            "step": step,
             "measure_A_n": text(self.measure_A),
             "measure_A_n_dec": dec(self.measure_A),
             "measure_B_n": text(self.measure_B),
@@ -69,34 +67,25 @@ def _once(f: Callable[[Scalar], str]) -> Callable[[Scalar], str]:
 
 
 def trace_rows(trace: Sequence[StepRecord], digits: int = 12) -> "Rows":
-    """``[rec.row(digits) for rec in trace]``, rendering each distinct
-    measure once, as ``Rows``.
+    """``[rec.row(n, digits) for n, rec in enumerate(trace, 1)]``,
+    rendering each distinct measure once, as ``Rows``.
 
-    A measure-preserving T keeps mu(B_n) from one unproductive step to the
-    next, so most rows of a long trace repeat the values of the row before:
-    such a row is a copy of the row before with its own ``step``, and joins
-    that row's run.  A ``Steps`` trace is read by its runs, one row rendered
-    per run and copied for each further step of it; any other sequence is
-    read as runs of one.
+    ``splinter`` appends the same record again for a step that repeats the
+    values of the step before, as most unproductive steps of a
+    measure-preserving T do.  Each run of one record object is one run of
+    the rows: its first row is rendered, and the rest are copies of it
+    with their own ``step``.
     """
     text, dec = _once(Scalar.to_text), _once(lambda s: render(s, digits))
-    steps = trace.runs() if isinstance(trace, Steps) else zip(trace, repeat(1))
-    rows, last = Rows(), None
-    runs = rows.runs
-    for rec, length in steps:
-        values = (rec.measure_A, rec.measure_B, rec.components_B,
-                  rec.covered_measure)
-        if values == last:
-            row = dict(rows[-1], step=rec.step)
-            runs[-1] += length
-        else:
-            row = rec._row(text, dec)
-            runs.append(length)
-            last = values
+    rows = Rows()
+    for _, run in groupby(trace, id):
+        rec, *more = run
+        step = len(rows) + 1
+        row = rec._row(step, text, dec)
         rows.append(row)
-        if length > 1:
-            rows += [dict(row, step=step)
-                     for step in range(rec.step + 1, rec.step + length)]
+        rows += [dict(row, step=k)
+                 for k in range(step + 1, step + 1 + len(more))]
+        rows.runs.append(1 + len(more))
     return rows
 
 
@@ -105,7 +94,8 @@ class Rows(list):
 
     A run is a row and the rows after it that repeat it but for their first
     value, an ``int``: the same keys in the same order and the same other
-    values.  ``RunTrace.to_structured`` writes a run from the text of its
+    values.  ``trace_rows`` makes a run of the steps that share one
+    record.  ``RunTrace.to_structured`` writes a run from the text of its
     first row, so ``runs`` must hold for the rows as they are; a plain list
     is written row by row.
     """
@@ -113,56 +103,6 @@ class Rows(list):
     def __init__(self, rows=(), runs=()):
         super().__init__(rows)
         self.runs = list(runs)
-
-
-class Steps(Sequence):
-    """The ``StepRecord``s of a run, as a list of them reads.
-
-    A run of steps whose records differ only in ``step``, numbered one after
-    another, is stored once, as its first record and its length.  Indexing
-    (negative indices, slices; a slice is a list) and iteration hand back
-    that first record and build the further records of a run on access;
-    a ``StepRecord`` is frozen, so none of them can change the trace.
-    """
-
-    __slots__ = ("_firsts", "_ends")
-
-    def __init__(self):
-        self._firsts: list = []   # the first record of each run
-        self._ends: list = []     # the steps up to the end of each run
-
-    def append(self, rec: StepRecord) -> None:
-        self._firsts.append(rec)
-        self._ends.append(len(self) + 1)
-
-    def repeat(self) -> None:
-        """One more step: the last record with the next ``step``."""
-        self._ends[-1] += 1
-
-    def runs(self) -> Iterator[tuple[StepRecord, int]]:
-        """(first record, length) of each run."""
-        return zip(self._firsts, map(sub, self._ends, [0, *self._ends]))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("step index out of range")
-        j = bisect_right(self._ends, i)
-        k = i - (self._ends[j - 1] if j else 0)
-        rec = self._firsts[j]
-        return replace(rec, step=rec.step + k) if k else rec
-
-    def __iter__(self) -> Iterator[StepRecord]:
-        for rec, length in self.runs():
-            yield rec
-            for k in range(1, length):
-                yield replace(rec, step=rec.step + k)
 
 
 class Residuals(Sequence):
@@ -206,7 +146,7 @@ class SplinterDecomposition:
     n_max: int
     splinters: list = field(default_factory=list)   # A_1 .. A_n
     residuals: Sequence = field(default_factory=Residuals)   # B_1 .. B_n
-    trace: Sequence = field(default_factory=Steps)   # StepRecords
+    trace: list = field(default_factory=list)   # StepRecords
     status: str = BUDGET_EXHAUSTED
 
     @property
@@ -234,9 +174,10 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     (n - p)*t, so ``ShiftSteps`` decides each step from that shift alone: a
     step with empty A_n costs no set operation and keeps mu(B_n), so the
     stop rule mu(B_n) < epsilon is decided only where mu(B_n) is computed,
-    and ``d.residuals`` builds each such B_n on access.  Such a walk step
-    repeats the record of the walk step before when the two counts agree,
-    and ``d.trace``, a ``Steps``, stores the run of them once.  Every step,
+    and ``d.residuals`` builds each such B_n on access.  A step whose
+    mu(A_n), mu(B_n), component count and covered measure equal the step
+    before's appends that step's ``StepRecord`` to ``d.trace`` again, on
+    either path; step n's record is ``d.trace[n - 1]``.  Every step,
     productive or not, checks the residual identity, mass conservation and
     A_n within J2 against the current values.
 
@@ -273,8 +214,7 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
         # consecutive steps with empty A after step 1; mu(B) is unchanged
         # over them, since the residual identity pins it to mu(avail)
         flat = 0
-        # the count of step n - 1 when it was a walk step: a walk step with
-        # that count too repeats its record but for ``step``
+        # the values of step n - 1's record, ``rec``
         last = None
         for n in range(1, n_max + 1):
             if (walk is None and shift is not None
@@ -310,11 +250,10 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
                 # B_n is B moved by s: B's measure, and the walk counted it
                 d.residuals.append(steps, s)
             d.splinters.append(A_n)
-            if walk is not None and count == last:
-                d.trace.repeat()
-            else:
-                d.trace.append(StepRecord(n, ma, mb, count, mc))
-            last = None if walk is None else count
+            values = (ma, mb, count, mc)
+            if values != last:
+                rec, last = StepRecord(*values), values
+            d.trace.append(rec)
             # exact invariants of the construction, asserted at every step
             if mb != m_avail:
                 raise InvariantViolation(

@@ -130,6 +130,19 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("command = gap\nnonsense line\n")
 
+    @pytest.mark.parametrize("line", ["set. = 0..1/2", "= gap", "depth ="],
+                             ids=["set-name", "key", "value"])
+    def test_empty_name_or_value_rejected(self, tmp_path, capsys, line):
+        text = f"command = gap\n{line}\nsystem = doubling\nset.B = 0..1\n"
+        message = "line 2: empty key, set name or value"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(text)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
+
     def test_unknown_command_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("command = explode\nsystem = doubling\n")
@@ -353,7 +366,7 @@ class TestExitCodes:
                      config.get("n_max"))
         kept = info.value.decomposition.trace
         assert code == 4 and len(kept) == 1
-        assert trace.records == [kept[0].row(digits)]
+        assert trace.records == [kept[0].row(1, digits)]
 
     @pytest.mark.parametrize("text, code, message", [
         (OVERFLOW_CFG, 4, "left representation class: preimage of an "

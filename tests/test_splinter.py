@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -13,9 +14,10 @@ from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
 from ergolab.errors import (EXIT_CODES, InvalidInputError, InvariantViolation,
                             RepresentationOverflowError, exit_status)
 from ergolab.intervals import FULL, ShiftSteps, from_text, make_set
-from ergolab.scalars import GOLDEN, SQRT2M1, Scalar
+from ergolab.harness import RunTrace
+from ergolab.scalars import GOLDEN, SQRT2M1, ZERO, Scalar
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
-                              Residuals, StepRecord, Steps, additivity_check,
+                              Residuals, StepRecord, additivity_check,
                               splinter, trace_rows, transport_check,
                               verify_decomposition,
                               verify_orbit_decomposition)
@@ -64,7 +66,7 @@ class TestGoldenRotation:
 
     def test_progress_steps(self, golden_run):
         trace = golden_run.trace
-        progress = [r.step for i, r in enumerate(trace)
+        progress = [i + 1 for i, r in enumerate(trace)
                     if i == 0 or trace[i - 1].measure_B != r.measure_B]
         assert progress == fixtures.GOLDEN_PROGRESS_STEPS
 
@@ -107,7 +109,7 @@ class TestStatuses:
         with pytest.raises(RepresentationOverflowError) as info:
             splinter(**kw)
         d = info.value.decomposition
-        assert d.depth == 1 and [r.step for r in d.trace] == [1]
+        assert d.depth == len(d.trace) == 1
         assert d.residuals[0].measure() == Scalar(F(1, 4))
 
     @pytest.mark.parametrize("inputs, status, depth, final_B", [
@@ -216,7 +218,7 @@ class TestInvariantViolation:
                            ) as info:
             splinter(_Flood(), J1, J2, Scalar(F(1, 1000)), 8)
         d = info.value.decomposition
-        assert [rec.step for rec in d.trace] == [1]
+        assert len(d.trace) == 1
         assert d.residuals[0].measure() == Scalar(F(3, 4))
         assert d.splinters[0] == J2
         assert exit_status(info.value) == (1, "fail")
@@ -253,7 +255,14 @@ class TestUnproductiveSteps:
                            ) as info:
             splinter(**kw)
         d = info.value.decomposition
-        assert [rec.step for rec in d.trace] == list(range(1, step + 1))
+        assert len(d.trace) == step
+        # the failing step keeps its own mu(B) = 1/12; the steps before it
+        # repeat one record
+        *before, last = d.trace
+        assert last.measure_B == Scalar(F(1, 12))
+        assert last.components_B == before[0].components_B
+        assert all(rec is before[0] for rec in before)
+        assert before[0] is not last
         assert all(A.is_empty() for A in d.splinters)
         assert d.residuals[-1].measure() == Scalar(F(1, 12))
         assert all(B.measure() == Scalar(F(1, 6)) for B in d.residuals[:-1])
@@ -317,11 +326,12 @@ class TestTraceRows:
     def test_matches_step_rows(self, named_run, digits):
         _, d = named_run
         assert trace_rows(d.trace, digits) == [
-            rec.row(digits) for rec in d.trace]
+            rec.row(n, digits) for n, rec in enumerate(d.trace, 1)]
 
     def test_repeated_rows_are_separate_dicts(self, named_run):
         _, d = named_run
-        rows, expected = trace_rows(d.trace), [rec.row() for rec in d.trace]
+        rows = trace_rows(d.trace)
+        expected = [rec.row(n) for n, rec in enumerate(d.trace, 1)]
         assert rows == expected
         assert [list(row) for row in rows] == [list(row) for row in expected]
         for row in rows[::2]:
@@ -330,23 +340,27 @@ class TestTraceRows:
         assert rows[1::2] == expected[1::2]
 
     def test_equal_values_copy_the_row_before(self):
-        # step 2 repeats step 1 in values built apart; steps 3 and 4 each
-        # change one field
+        # record 2 repeats record 1 in values built apart; records 3 and 4
+        # each change one field
         third, half = Scalar(F(1, 3)), Scalar(F(1, 2))
-        trace = [StepRecord(1, third, half, 2, third),
-                 StepRecord(2, Scalar(F(2, 6)), Scalar(F(1, 2)), 2,
+        trace = [StepRecord(third, half, 2, third),
+                 StepRecord(Scalar(F(2, 6)), Scalar(F(1, 2)), 2,
                             Scalar(F(1, 3))),
-                 StepRecord(3, third, half, 3, third),
-                 StepRecord(4, third, half, 3, half)]
-        assert trace_rows(trace) == [rec.row() for rec in trace]
-        assert trace_rows(trace).runs == [2, 1, 1]
-        # a run of steps whose values repeat the step before joins its run
-        steps = Steps()
-        steps.append(trace[0])
-        steps.append(trace[1])
-        steps.repeat()
-        rows = trace_rows(steps)
-        assert rows == [rec.row() for rec in steps] and rows.runs == [3]
+                 StepRecord(third, half, 3, third),
+                 StepRecord(third, half, 3, half)]
+        # equal but distinct records are runs of one
+        rows = trace_rows(trace)
+        assert rows == [rec.row(n) for n, rec in enumerate(trace, 1)]
+        assert rows.runs == [1, 1, 1, 1]
+        run_trace = RunTrace({}, rows, {})
+        assert run_trace.to_structured() == json.dumps(
+            {"header": {}, "records": rows, "summary": {}}, indent=2) + "\n"
+        # a record appended again joins the run of the step before; its
+        # rows copy the run's first row with their own step
+        shared = [trace[0], trace[1], trace[1], trace[1], trace[0]]
+        rows = trace_rows(shared)
+        assert rows == [rec.row(n) for n, rec in enumerate(shared, 1)]
+        assert rows.runs == [1, 3, 1]
 
     def test_values_that_share_parts_stay_apart(self):
         # equal n and d, or equal fields under two tags, are distinct values
@@ -354,11 +368,19 @@ class TestTraceRows:
         values = [quarter, quarter + Scalar(0, 1, GOLDEN),
                   quarter + Scalar(0, 1, SQRT2M1),
                   quarter - Scalar(0, 1, GOLDEN), quarter]
-        trace = [StepRecord(n, v, w, 1, v)
-                 for n, (v, w) in enumerate(zip(values, values[::-1]), 1)]
+        trace = [StepRecord(v, w, 1, v) for v, w in zip(values, values[::-1])]
         for digits in (4, 12):
             assert trace_rows(trace, digits) == [
-                rec.row(digits) for rec in trace]
+                rec.row(n, digits) for n, rec in enumerate(trace, 1)]
+
+    def test_flat_steps_share_one_record(self):
+        # on narrow windows the odometer splinters nothing until step 125,
+        # which covers J2 at once
+        kw = fixtures.odometer_deep_splinter_inputs()
+        del kw["stall_window"]
+        d = splinter(**kw)
+        assert len(d.trace) == 125 and len(set(map(id, d.trace))) == 2
+        assert trace_rows(d.trace).runs == [124, 1]
 
     def test_renders_each_distinct_measure_once(self, named_run,
                                                 monkeypatch):
@@ -458,7 +480,8 @@ def _same_run(direct, generic):
     assert (direct.status, direct.depth) == (generic.status, generic.depth)
     assert [vars(rec) for rec in direct.trace] == [
         vars(rec) for rec in generic.trace]
-    assert trace_rows(direct.trace) == trace_rows(generic.trace)
+    rows, generic_rows = trace_rows(direct.trace), trace_rows(generic.trace)
+    assert rows == generic_rows and rows.runs == generic_rows.runs
     assert all(a.equals(b)
                for a, b in zip(direct.splinters, generic.splinters))
     assert all(a.equals(b)
@@ -571,31 +594,21 @@ class TestShiftSteps:
 
     def test_trace_sequence(self):
         direct, generic = self._both(SHIFT_CASES["golden"]())
-        steps, plain = direct.trace, list(generic.trace)
-        assert isinstance(steps, Steps)
-        assert len(list(steps.runs())) < len(steps) == len(plain)
-        for i in (0, 1, 5, -1, -7, -len(plain)):
-            assert vars(steps[i]) == vars(plain[i])
-        for part in (slice(3, 9), slice(-4, None), slice(None, None, 50),
-                     slice(None, None, -3)):
-            assert [vars(rec) for rec in steps[part]] == [
-                vars(rec) for rec in plain[part]]
-        for i in (len(plain), -len(plain) - 1):
-            with pytest.raises(IndexError):
-                steps[i]
-        assert not Steps() and list(Steps()) == []
-        copied = dataclasses.replace(direct, trace=list(direct.trace))
-        rows, plain_rows = trace_rows(direct.trace), trace_rows(copied.trace)
-        assert plain_rows == rows and plain_rows.runs == rows.runs
+        trace = direct.trace
+        assert type(trace) is list and len(trace) == len(generic.trace)
+        rows = trace_rows(trace)
+        # one record object per run of rows
+        assert len(set(map(id, trace))) == len(rows.runs) < len(rows)
         assert sum(rows.runs) == len(rows) and max(rows.runs) > 1
         i = 0
         for length in rows.runs:
+            assert all(rec is trace[i] for rec in trace[i:i + length])
             for row in rows[i + 1:i + length]:
                 assert list(row) == list(rows[i])
                 assert dict(row, step=rows[i]["step"]) == rows[i]
             i += length
         with pytest.raises(dataclasses.FrozenInstanceError):
-            steps[0].step = 7
+            trace[0].measure_B = ZERO
 
 
 # (T, J, productive steps) of splinter(T, J, J, 1/100000, 2000): the
