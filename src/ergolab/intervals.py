@@ -61,7 +61,8 @@ Each emits sorted runs of points, joined at their seams (``_join``); only
 ``IntervalSet.build`` takes unsorted input.  ``ShiftSteps`` runs a
 rotation's preimages of one set against a fixed window without building
 them: each step is one shift in integers, one bisection of integer
-keys and one lookup.
+keys and one lookup, and the walk yields each run of steps that share
+their outcome once.
 """
 
 from __future__ import annotations
@@ -822,9 +823,12 @@ class ShiftSteps:
     whose keys fall in the window, and the wrap at D when 2**62 * D does.
     The label is then one lookup.
 
-    Iterating yields (B + s_k meets W, components of B + s_k, s_k) for
-    k = 1, 2, ...; ``moved(s_k)`` builds B + s_k by ``B.translate_mod1``.
-    The tags of B, t and W meet in the order of
+    ``runs(limit)`` walks steps 1 .. limit in runs: maximal stretches of
+    consecutive steps with one label, yielded once each as (B + s_k meets
+    W, components of B + s_k, k, length) for steps k .. k + length - 1.
+    A step that meets W is a run of one.  ``shift(k)`` is s_k in closed
+    form, and ``moved(k)`` builds B + s_k by ``B.translate_mod1``.  The
+    tags of B, t and W meet in the order of
     ``B.translate_mod1(t).intersect(W)``.
     """
 
@@ -862,8 +866,10 @@ class ShiftSteps:
             bits.append(inside & ~ends[p])
             inside ^= flips[p]
             bits.append(inside)
+        # one object per distinct label, so a run compares labels by ``is``
         arcs = len(comps)
-        self._labels = [(bool(b & 1), arcs + (b >> 1)) for b in bits]
+        labels = [(bool(b & 1), arcs + (b >> 1)) for b in range(4)]
+        self._labels = [labels[b] for b in bits]
         # without a tag every m is 0, and ``_sign`` reads no a
         self._a = a = self.tag._a if self.tag else 1
         self._edges = [(p, 0) if type(p) is int else p[:2] for p in edges]
@@ -871,7 +877,10 @@ class ShiftSteps:
         step = _numerator(t, d)
         self._step = (step, 0) if type(step) is int else step[:2]
 
-    def __iter__(self) -> Iterator[tuple[bool, int, tuple[int, int]]]:
+    def runs(self, limit: int) -> Iterator[tuple[bool, int, int, int]]:
+        """(meets W, component count, k, length) for each run of steps
+        k .. k + length - 1 among steps 1 .. limit; the lengths add up to
+        ``limit``."""
         edges, keys, labels, d, a = (self._edges, self._keys, self._labels,
                                      self.d, self._a)
         (tn, tm), n, m = self._step, 0, 0
@@ -880,7 +889,9 @@ class ShiftSteps:
         # est <= 2**62 * (n + m*alpha) < est + k after k steps: each adds
         # the floor of 2**62 * t, and each wrap takes 2**62 * D off exactly
         est = k = 0
-        while True:
+        # the open run of steps that miss W: its label and first step
+        run, start = None, 0
+        while k < limit:
             n += tn
             m += tm
             est += step
@@ -899,12 +910,29 @@ class ShiftSteps:
                     on = c == 0
                     break
                 lo += 1
-            hit, count = labels[2 * lo + on]
-            yield hit, count, (n, m)
+            label = labels[2 * lo + on]
+            if label is run:
+                continue
+            if run is not None:
+                yield run[0], run[1], start, k - start
+            if label[0]:
+                run = None
+                yield True, label[1], k, 1
+            else:
+                run, start = label, k
+        if run is not None:
+            yield run[0], run[1], start, k + 1 - start
 
-    def moved(self, s: tuple[int, int]) -> IntervalSet:
-        """B moved by a shift that the iteration yielded."""
-        return self.B.translate_mod1(_make(s[0], s[1], self.d, self.tag))
+    def shift(self, k: int) -> tuple[int, int]:
+        """s_k = {k*t} as the pair (n, m) of the point n + m*alpha over D."""
+        (tn, tm), d = self._step, self.d
+        n, m = k * tn, k * tm
+        return n - _floor_key(n, m, self._a) // (d << 62) * d, m
+
+    def moved(self, k: int) -> IntervalSet:
+        """B moved by the shift of step k."""
+        n, m = self.shift(k)
+        return self.B.translate_mod1(_make(n, m, self.d, self.tag))
 
 
 def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> IntervalSet:

@@ -14,7 +14,7 @@ at a positive constant, which the engine detects and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import Callable, Optional, Sequence
 
 from .dynamics import SetLike, Transformation
@@ -108,9 +108,9 @@ class Rows(list):
 class Residuals(Sequence):
     """B_1 .. B_n of a run, each built on access.
 
-    Step n stores (anchor, shift): B_n is the set `anchor` when shift is
-    None, else ``anchor.moved(shift)`` for a ``ShiftSteps`` anchor.
-    Indexing takes negative indices and slices; a slice is a list.
+    Step n stores (anchor, k): B_n is the set `anchor` when k is None,
+    else ``anchor.moved(k)``, step k of a ``ShiftSteps`` walk.  Indexing
+    takes negative indices and slices; a slice is a list.
     """
 
     __slots__ = ("_steps",)
@@ -118,8 +118,12 @@ class Residuals(Sequence):
     def __init__(self):
         self._steps: list = []
 
-    def append(self, anchor, shift=None) -> None:
-        self._steps.append((anchor, shift))
+    def append(self, anchor, k=None) -> None:
+        self._steps.append((anchor, k))
+
+    def extend(self, steps, k: int, count: int) -> None:
+        """Append steps k .. k + count - 1 of the walk ``steps``."""
+        self._steps += zip(repeat(steps, count), range(k, k + count))
 
     def __len__(self) -> int:
         return len(self._steps)
@@ -133,8 +137,8 @@ class Residuals(Sequence):
         return (_residual(*step) for step in self._steps)
 
 
-def _residual(anchor, shift) -> SetLike:
-    return anchor if shift is None else anchor.moved(shift)
+def _residual(anchor, k) -> SetLike:
+    return anchor if k is None else anchor.moved(k)
 
 
 @dataclass
@@ -174,12 +178,16 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     (n - p)*t, so ``ShiftSteps`` decides each step from that shift alone: a
     step with empty A_n costs no set operation and keeps mu(B_n), so the
     stop rule mu(B_n) < epsilon is decided only where mu(B_n) is computed,
-    and ``d.residuals`` builds each such B_n on access.  A step whose
-    mu(A_n), mu(B_n), component count and covered measure equal the step
-    before's appends that step's ``StepRecord`` to ``d.trace`` again, on
-    either path; step n's record is ``d.trace[n - 1]``.  Every step,
-    productive or not, checks the residual identity, mass conservation and
-    A_n within J2 against the current values.
+    and ``d.residuals`` builds each such B_n on access.  The walk moves in
+    runs of steps with one outcome, and a run of steps with empty A_n is
+    one iteration here: it is cut where a step of it would end the run
+    (``n_max``, the stall window, the component budget), and its steps
+    share one ``StepRecord``.  A step whose mu(A_n), mu(B_n), component
+    count and covered measure equal the step before's appends that step's
+    record to ``d.trace`` again, on either path; step n's record is
+    ``d.trace[n - 1]``.  The residual identity, mass conservation and A_n
+    within J2 are checked once per run, at its first step: the values they
+    read are the same objects at every step of it.
 
     An error that ends the run after it started carries the steps completed
     so far as its ``decomposition`` attribute.
@@ -216,19 +224,23 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
         flat = 0
         # the values of step n - 1's record, ``rec``
         last = None
-        for n in range(1, n_max + 1):
+        n = 0  # the steps taken
+        while n < n_max:
             if (walk is None and shift is not None
                     and not (B.tails or avail.tails)):
                 steps = ShiftSteps(B, avail, shift)
-                walk = iter(steps)
+                walk = steps.runs(n_max - n)
+            n += 1
+            # step n and the steps of its walk run that repeat it
+            length = 1
             if walk is None:
                 pre = T.preimage(B)
                 A_n = pre.intersect(avail)
                 productive = not A_n.is_empty()
             else:
-                productive, count, s = next(walk)
+                productive, count, k, length = next(walk)
                 if productive:
-                    pre = steps.moved(s)
+                    pre = steps.moved(k)
                     A_n = pre.intersect(avail)
                     walk = None
                 else:
@@ -247,14 +259,16 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
                 converged = mb < epsilon
                 d.residuals.append(B)
             else:
-                # B_n is B moved by s: B's measure, and the walk counted it
-                d.residuals.append(steps, s)
+                # B_n is B moved by step k's shift: B's measure, and the
+                # walk counted it
+                d.residuals.append(steps, k)
             d.splinters.append(A_n)
             values = (ma, mb, count, mc)
             if values != last:
                 rec, last = StepRecord(*values), values
             d.trace.append(rec)
-            # exact invariants of the construction, asserted at every step
+            # exact invariants of the construction, asserted at every step;
+            # the rest of a run holds the same operands
             if mb != m_avail:
                 raise InvariantViolation(
                     f"residual identity violated at step {n}")
@@ -268,6 +282,17 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
                 d.status = CONVERGED
                 break
             flat = 0 if productive or n == 1 else flat + 1
+            if length > 1 and count <= component_budget:
+                # the rest of the run, up to the step that fills the stall
+                # window; each step of it adds one to ``flat``
+                rest = length - 1
+                if window is not None:
+                    rest = min(rest, window - flat)
+                d.splinters += repeat(EMPTY, rest)
+                d.trace += repeat(rec, rest)
+                d.residuals.extend(steps, k + 1, rest)
+                n += rest
+                flat += rest
             if window is not None and flat >= window:
                 d.status = STALLED
                 break

@@ -18,7 +18,7 @@ from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval,
                                _depth_for_gap, arc, doubling_preimage,
                                from_text, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
-from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar
+from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar, _make
 
 F = Fraction
 
@@ -661,6 +661,29 @@ class TestMeasure:
             assert a.measure() <= b.measure()
 
 
+def walk_matches_translations(B, W, t, limit):
+    """``ShiftSteps(B, W, t).runs(limit)`` expanded step by step, against B
+    moved by t over and over; the (meets, count) of each step.
+
+    The runs tile steps 1 .. limit, a step that meets W is a run of one,
+    and two neighbouring runs that miss W differ in count."""
+    steps, moved, seen = ShiftSteps(B, W, t), B, []
+    before = None
+    for hit, count, start, length in steps.runs(limit):
+        assert start == len(seen) + 1 and length >= 1
+        assert length == 1 or not hit
+        assert hit or before != (False, count)
+        for k in range(start, start + length):
+            moved = moved.translate_mod1(t)
+            assert hit == (not moved.intersect(W).is_empty())
+            assert count == moved.component_count()
+            assert steps.moved(k).equals(moved)
+            seen.append((hit, count))
+        before = (hit, count)
+    assert len(seen) == limit
+    return seen
+
+
 class TestTranslation:
     def test_irrational_translate_round_trip(self):
         alpha = Scalar(0, 1, GOLDEN)
@@ -705,14 +728,37 @@ class TestTranslation:
         if alpha_ends:
             B = B.translate_mod1(alpha)
         t = (Scalar(p) + alpha * q).mod1()
-        steps, moved = ShiftSteps(B, W, t), B
-        walk = iter(steps)
-        for _ in range(40):
-            moved = moved.translate_mod1(t)
-            hit, count, s = next(walk)
-            assert hit == (not moved.intersect(W).is_empty())
-            assert count == moved.component_count()
-            assert steps.moved(s).equals(moved)
+        walk_matches_translations(B, W, t, 40)
+
+    def test_shift_steps_that_all_miss_are_one_run(self):
+        # B + j/7 = [j/7, j/7 + 1/14) only touches W = [1/14, 1/7)
+        B, W = make_set([(F(0), F(1, 14))]), make_set([(F(1, 14), F(1, 7))])
+        steps = ShiftSteps(B, W, Scalar(F(1, 7)))
+        for limit in (1, 7, 1000):
+            assert list(steps.runs(limit)) == [(False, 1, 1, limit)]
+        assert walk_matches_translations(B, W, Scalar(F(1, 7)), 15) == [
+            (False, 1)] * 15
+
+    @pytest.mark.parametrize("t", [
+        Scalar(0, 1, GOLDEN), Scalar(0, 1, SQRT2M1),
+        (-Scalar(0, 1, GOLDEN)).mod1(),
+        (Scalar(F(1, 4)) + Scalar(0, 3, SQRT2M1)).mod1(),
+        Scalar(F(3, 7))], ids=str)
+    def test_shift_after_k_steps(self, t):
+        # k*t just below and just above an integer: at the denominators
+        # of alpha's convergents, [0; a, a, ...], and at multiples of q
+        # for p/q, each with its neighbours
+        near = [1, 1]
+        a = t.tag._a if t.tag else 1
+        while near[-1] < 10 ** 6:
+            near.append(a * near[-1] + near[-2])
+        near += [7 * 142857, 7 * 142858]
+        steps = ShiftSteps(make_set([(F(0), F(1, 3))]),
+                           make_set([(F(1, 2), F(5, 8))]), t)
+        ks = {k + e for k in near for e in (-1, 0, 1)} | {10 ** 6}
+        for k in sorted(ks - {0} | set(range(1, 30))):
+            n, m = steps.shift(k)
+            assert _make(n, m, steps.d, steps.tag) == (t * k).mod1(), k
 
     @given(dyadic_sets(), st.fractions(min_value=0, max_value=1,
                                        max_denominator=32))

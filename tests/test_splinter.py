@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_intervals import walk_matches_translations
 
 from ergolab import fixtures
 from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
@@ -459,6 +460,14 @@ def _window_inputs(J1, J2, n_max=300):
                         epsilon=Scalar(F(1, 1000)), n_max=n_max)
 
 
+def _two_arc_inputs(t, J2):
+    """J1 of two arcs, so B + s has two components or more, against a J2
+    that the first two or three steps miss, one run from step 1."""
+    return lambda: dict(T=Rotation(t), J1=from_text("0..1/16, 1/2..9/16"),
+                        J2=from_text(J2), epsilon=Scalar(F(1, 1000)),
+                        n_max=300)
+
+
 GOLDEN_ROTATION = Rotation(Scalar(0, 1, GOLDEN))
 SHIFT_CASES = {
     "golden": fixtures.golden_rotation_splinter_inputs,
@@ -473,7 +482,13 @@ SHIFT_CASES = {
     "rational-third-stall": fixtures.rational_third_stall_inputs,
     # a tailed window keeps the rotation on the per-step path
     "J2-with-tail": _window_inputs("1/4..7/24", "tail(zero, 4, even)", 100),
+    "golden-two-arcs": _two_arc_inputs(Scalar(0, 1, GOLDEN), "1/2..5/8"),
+    "sqrt2-two-arcs": _two_arc_inputs(Scalar(0, 1, SQRT2M1), "1/4..3/8"),
+    "rational-two-arcs": _two_arc_inputs(Scalar(F(1, 7)), "1/2..5/8"),
 }
+# golden, sqrt2 and p/q cases whose runs are cut inside
+RUN_CUT_CASES = ["golden", "sqrt2-shifted", "rational-third-stall",
+                 "golden-two-arcs", "sqrt2-two-arcs", "rational-two-arcs"]
 
 
 def _same_run(direct, generic):
@@ -487,19 +502,6 @@ def _same_run(direct, generic):
     assert all(a.equals(b)
                for a, b in zip(direct.residuals, generic.residuals))
     assert len(direct.residuals) == len(generic.residuals) == direct.depth
-
-
-def _walk_matches_translations(B, W, t, n):
-    """ShiftSteps(B, W, t) against B moved by t over and over, for n
-    steps; the (hit, count) of each step."""
-    steps, moved, seen = ShiftSteps(B, W, t), B, []
-    for _, (hit, count, s) in zip(range(n), steps):
-        moved = moved.translate_mod1(t)
-        assert hit == (not moved.intersect(W).is_empty())
-        assert count == moved.component_count()
-        assert steps.moved(s).equals(moved)
-        seen.append((hit, count))
-    return seen
 
 
 class TestShiftSteps:
@@ -523,6 +525,77 @@ class TestShiftSteps:
     @pytest.mark.parametrize("seed", range(40))
     def test_seeded_cell_windows_match_generic_path(self, seed):
         _same_run(*self._both(_cell_inputs(seed)))
+
+    @staticmethod
+    def _walk_items(monkeypatch):
+        """The items that ``ShiftSteps.runs`` yields from now on."""
+        items, runs = [], ShiftSteps.runs
+
+        def recorded(self, limit):
+            for item in runs(self, limit):
+                items.append(item)
+                yield item
+        monkeypatch.setattr(ShiftSteps, "runs", recorded)
+        return items
+
+    def test_golden_steps_come_in_runs(self, monkeypatch):
+        # one walk item per run of steps, and one record per run
+        items = self._walk_items(monkeypatch)
+        d = splinter(**fixtures.golden_rotation_splinter_inputs())
+        assert d.depth == sum(length for *_, length in items) == 224
+        assert len(items) == len(set(map(id, d.trace))) == 18
+
+    @pytest.mark.parametrize("name", RUN_CUT_CASES)
+    def test_run_cut_at_n_max(self, name):
+        full = splinter(**SHIFT_CASES[name]())
+        # steps n and n + 1 of one run share a record
+        inside = [n for n in range(1, full.depth)
+                  if full.trace[n - 1] is full.trace[n]]
+        assert inside
+        for n_max in {inside[0], inside[len(inside) // 2], inside[-1]}:
+            direct, generic = self._both(dict(SHIFT_CASES[name](),
+                                              n_max=n_max))
+            _same_run(direct, generic)
+            assert (direct.status, direct.depth) == (BUDGET_EXHAUSTED, n_max)
+
+    @pytest.mark.parametrize("name", RUN_CUT_CASES)
+    @pytest.mark.parametrize("window", [1, 2, 3, 5, 9])
+    def test_run_cut_at_stall_window(self, name, window):
+        direct, generic = self._both(dict(SHIFT_CASES[name](),
+                                          stall_window=window))
+        _same_run(direct, generic)
+        if name.endswith("two-arcs") and window == 1:
+            # step 1 and step 2, one run from step 1, fill a window of 1
+            assert (direct.status, direct.depth) == (STALLED, 2)
+        if name == "rational-third-stall":
+            # every step of it misses J2
+            assert (direct.status, direct.depth) == (STALLED, window + 1)
+
+    def test_golden_run_cut_at_stall_window(self):
+        # CI runs this config: step 17 fills the window inside a run
+        # that the full run goes on with
+        full = splinter(**dict(SHIFT_CASES["golden"](), stall_window=None))
+        assert full.trace[16] is full.trace[17]
+        direct, generic = self._both(dict(SHIFT_CASES["golden"](),
+                                          stall_window=5))
+        _same_run(direct, generic)
+        assert (direct.status, direct.depth) == (STALLED, 17)
+        assert direct.residuals[-1].measure() == (
+            Scalar(F(5, 4)) - Scalar(0, 2, GOLDEN))
+
+    @pytest.mark.parametrize("name, depth", [
+        ("golden", 5), ("golden-two-arcs", 1), ("sqrt2-two-arcs", 1),
+        ("rational-two-arcs", 1)])
+    def test_run_cut_at_component_budget(self, name, depth, monkeypatch):
+        items = self._walk_items(monkeypatch)
+        direct, generic = self._both(dict(SHIFT_CASES[name](),
+                                          component_budget=1))
+        _same_run(direct, generic)
+        assert (direct.status, direct.depth) == (BUDGET_EXHAUSTED, depth)
+        # the last walk item is the run whose first step ends the run;
+        # the two-arc runs go on past it
+        _, count, _, length = items[-1]
+        assert count > 1 and (length > 1) == (depth == 1)
 
     def test_touching_arcs_stay_apart(self):
         # at a shift where two arcs of meeting shifts touch, B + s meets J2
@@ -557,7 +630,7 @@ class TestShiftSteps:
         s = (alpha * k).mod1()
         B = make_set([(F(0), F(1, 4))])
         W = make_set([(F(1, 4), F(3, 8)), (F(7, 8), F(1))]).translate_mod1(s)
-        hit, _ = _walk_matches_translations(B, W, alpha, 2 * k + 3)[k - 1]
+        hit, _ = walk_matches_translations(B, W, alpha, 2 * k + 3)[k - 1]
         assert not hit
 
     @pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
@@ -568,7 +641,7 @@ class TestShiftSteps:
         alpha = Scalar(0, 1, tag)
         B = make_set([(F(3, 4), F(1))]).translate_mod1((-alpha * k).mod1())
         W = make_set([(F(0), F(1, 2))])
-        seen = _walk_matches_translations(B, W, alpha, 2 * k + 3)
+        seen = walk_matches_translations(B, W, alpha, 2 * k + 3)
         assert seen[k - 1] == (False, 1)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -577,7 +650,7 @@ class TestShiftSteps:
         # ties some edge and is decided by ``_sign``
         kw = _cell_inputs(seed)
         t = kw["T"].translation()
-        _walk_matches_translations(kw["J1"], kw["J2"], t, 3 * t.d)
+        walk_matches_translations(kw["J1"], kw["J2"], t, 3 * t.d)
 
     def test_residuals_sequence(self):
         direct, generic = self._both(SHIFT_CASES["golden"]())
