@@ -9,7 +9,7 @@ of ``reduction_check``, carry that restriction notice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, cycle, islice
 from typing import Iterator, Optional
 
 from .dynamics import SetLike, Transformation
@@ -211,22 +211,41 @@ def _check_budget(S: SetLike, budget: int) -> None:
 
 
 def _correlations(T: Transformation, C: SetLike, D: SetLike, n: int,
-                  budget: int) -> Iterator[Scalar]:
-    """mu(T^-j C n D) for j = 1..n, one preimage per step."""
+                  budget: int) -> list[Scalar]:
+    """mu(T^-j C n D) for j = 1..p: one period of the sequence j = 1..n.
+
+    One preimage per step, each compared with C by ``equals``: the walk
+    stops at the first j = p <= n with T^-p C = C, else at j = n.  A
+    preimage depends only on its set, so T^-j C = T^-(j-p) C from there
+    on, and the sequence for j = 1..n is these p values repeated; the sets
+    past the first period were checked against ``budget`` already.  The
+    odometer with dyadic C and ``rotation:p/q`` return to C; a doubling
+    preimage does not, and ``equals`` rejects it by its denominator.
+    """
+    period = []
     S = C
     for _ in range(n):
         S = T.preimage(S)
         _check_budget(S, budget)
-        yield S.intersect(D).measure()
+        period.append(S.intersect(D).measure())
+        if S.equals(C):
+            break
+    return period
 
 
 def correlation_average(T: Transformation, C: SetLike, D: SetLike, m: int,
                         component_budget: int = DEFAULT_COMPONENT_BUDGET) -> Scalar:
-    """(1/m) * sum_{j=1..m} mu(T^-j C n D), exactly."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return sum(_correlations(T, C, D, m, component_budget),
-               Scalar(0)) / Scalar(m)
+    """(1/m) * sum_{j=1..m} mu(T^-j C n D), exactly, for an int m >= 1.
+
+    The sum is q sums of one period of p values and the first r of them,
+    for q, r = divmod(m, p), so an orbit that returns to C is walked once.
+    """
+    if not isinstance(m, int) or m < 1:
+        raise InvalidInputError(f"m must be an int >= 1, not {m!r}")
+    period = _correlations(T, C, D, m, component_budget)
+    q, r = divmod(m, len(period))
+    return (sum(period, Scalar(0)) * q
+            + sum(period[:r], Scalar(0))) / Scalar(m)
 
 
 def mixing_trace(T: Transformation, C: SetLike, D: SetLike, n_max: int,
@@ -234,8 +253,11 @@ def mixing_trace(T: Transformation, C: SetLike, D: SetLike, n_max: int,
     """The sequence mu(T^-j C n D) - mu(C) mu(D) for j = 1..n_max, exact.
 
     Identically zero along a mixing direction; for merely ergodic systems
-    the excursions persist while the Cesaro averages still converge.
+    the excursions persist while the Cesaro averages still converge.  An
+    orbit that returns to C is walked once: the list repeats its period,
+    one value object per distinct j mod p.
     """
     product = C.measure() * D.measure()
-    return [c - product
-            for c in _correlations(T, C, D, n_max, component_budget)]
+    period = [c - product
+              for c in _correlations(T, C, D, n_max, component_budget)]
+    return list(islice(cycle(period), n_max))

@@ -31,7 +31,7 @@ from .errors import (ConfigError, ErgolabError, EXIT_CODES, STATUS_CODES,
                      exit_status)
 from .intervals import EMPTY, from_text as set_from_text
 from .scalars import Scalar, parse_scalar, render
-from .splinter import (CONVERGED, DEFAULT_COMPONENT_BUDGET, Rows, splinter,
+from .splinter import (CONVERGED, DEFAULT_COMPONENT_BUDGET, _once, splinter,
                        trace_rows)
 
 try:  # single source of truth for the version stamp in file headers
@@ -247,10 +247,8 @@ class RunTrace:
                                "summary": self.summary}, indent=2) + "\n"
         records = "[]"
         if self.records:
-            runs = (self.records.runs if isinstance(self.records, Rows)
-                    else [1] * len(self.records))
-            records = ("[\n    {\n      "
-                       + _record_texts(self.records, runs) + "\n    }\n  ]")
+            records = ("[\n    {\n      " + _record_texts(self.records)
+                       + "\n    }\n  ]")
         return (f'{{\n  "header": {_flat_dict(self.header)},\n'
                 f'  "records": {records},\n'
                 f'  "summary": {_flat_dict(self.summary)}\n}}\n')
@@ -282,15 +280,19 @@ def _flat_dict(d: dict) -> str:
     return "{\n    " + _TOP_ITEMS(d)[1:-1] + "\n  }" if d else "{}"
 
 
-def _record_texts(records: list, runs: list) -> str:
+def _record_texts(records: list) -> str:
     """The records as ``json.dumps(indent=2)`` writes them in the list,
     without the outer braces.
 
-    ``runs`` counts the records of each run (``Rows``).  The first records
-    of the runs are one C-encoder call.  The rest of a run is the text of
+    Records without runs (a plain list, or ``Rows`` whose runs are all
+    one record long) are one C-encoder call.  Otherwise the first records
+    of the runs are one such call, and the rest of a run is the text of
     its first record cut around the first value, and one join of their own
     first values.
     """
+    runs = getattr(records, "runs", ())
+    if len(runs) in (0, len(records)):
+        return _RECORD_ITEMS(records)[2:-2].replace(_BETWEEN, _NEXT_RECORD)
     starts = list(accumulate(runs[:-1], initial=0))
     text = _RECORD_ITEMS([records[i] for i in starts])[2:-2]
     pieces = []
@@ -319,10 +321,6 @@ def _header(config: Optional[ExperimentConfig], fixture: str) -> dict:
     return head
 
 
-def _pair(value: Scalar, digits: int) -> tuple[str, str]:
-    return value.to_text(), render(value, digits)
-
-
 # ---------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------
@@ -334,10 +332,10 @@ def _run_splinter(config: ExperimentConfig, T: Transformation,
                  stall_window=config.opt("stall_window"),
                  component_budget=config.get("component_budget"))
     final = d.residuals[-1].measure() if d.residuals else Scalar(0)
-    exact, dec = _pair(final, digits)
     return trace_rows(d.trace, digits), {
         "status": d.status, "depth": d.depth,
-        "final_measure_B": exact, "final_measure_B_decimal": dec,
+        "final_measure_B": final.to_text(),
+        "final_measure_B_decimal": render(final, digits),
         "n_max": config.get("n_max"),
         "component_budget": config.get("component_budget")}
 
@@ -394,16 +392,15 @@ def _run_mixing(config: ExperimentConfig, T: Transformation,
     n_max = config.get("n_max")
     budget = config.get("component_budget")
     seq = mixing_trace(T, C, D, n_max, component_budget=budget)
-    records = []
-    for j, value in enumerate(seq, start=1):
-        exact, dec = _pair(value, digits)
-        records.append({"step": j, "trace": exact, "trace_decimal": dec})
+    # values recur (a periodic orbit, a vanishing trace): render each once
+    text, dec = _once(Scalar.to_text), _once(lambda s: render(s, digits))
+    records = [{"step": j, "trace": text(value), "trace_decimal": dec(value)}
+               for j, value in enumerate(seq, start=1)]
     m = config.opt("m") or n_max
     avg = correlation_average(T, C, D, m, component_budget=budget)
-    exact, dec = _pair(avg, digits)
     product = C.measure() * D.measure()
-    return records, {"status": "pass", "m": m, "cesaro_average": exact,
-                     "cesaro_average_decimal": dec,
+    return records, {"status": "pass", "m": m, "cesaro_average": text(avg),
+                     "cesaro_average_decimal": dec(avg),
                      "product": product.to_text()}
 
 

@@ -12,9 +12,9 @@ from ergolab.caratheodory import (MeasureBasis, arcs_basis,
                                   invariance_check, mixing_trace,
                                   reduction_check)
 from ergolab.dynamics import Doubling, Odometer, Rotation, make_system
-from ergolab.errors import InvalidInputError
+from ergolab.errors import ComponentBudgetError, InvalidInputError
 from ergolab.fixtures import RATIONAL_THIRD_INVARIANT
-from ergolab.intervals import EMPTY, FULL, make_set
+from ergolab.intervals import EMPTY, FULL, from_text, make_set
 from ergolab.scalars import ONE, Scalar
 
 F = Fraction
@@ -222,3 +222,125 @@ class TestMixing:
         monkeypatch.undo()
         assert calls == 0
         assert trace == expected
+
+
+def _every_step(T, C, D, n, budget=1 << 16):
+    """mu(T^-j C n D) - mu(C) mu(D) for j = 1..n, one preimage per step
+    and no period: the reference for ``mixing_trace``."""
+    product = C.measure() * D.measure()
+    S, out = C, []
+    for _ in range(n):
+        S = T.preimage(S)
+        if S.component_count() > budget:
+            raise ComponentBudgetError(
+                f"{S.component_count()} components exceed budget {budget}")
+        out.append(S.intersect(D).measure() - product)
+    return out
+
+
+def _mixing_inputs(system, C, D):
+    T = make_system(system)
+    tag = getattr(getattr(T, "angle", None), "tag", None)
+    return T, from_text(C, tag), from_text(D, tag)
+
+
+def _counted(monkeypatch, T):
+    """T with its ``preimage`` calls counted in the returned list's one
+    entry."""
+    calls = [0]
+    preimage = T.preimage
+
+    def counting(S):
+        calls[0] += 1
+        return preimage(S)
+
+    monkeypatch.setattr(T, "preimage", counting)
+    return calls
+
+
+class TestPeriodicOrbit:
+    """An orbit that returns to C (T^-p C = C) is walked once."""
+
+    #: (system, C, D, the least p with T^-p C = C)
+    PERIODIC = [
+        ("odometer", "0..1/2", "0..1/2", 2),
+        ("odometer", "1/4..1/2", "1/8..5/8", 4),
+        ("odometer", "0..1/4, 1/2..3/4", "1/3..1", 4),
+        ("odometer", "1/8..1/4", "0..3/8", 8),
+        ("odometer", "0..3/16, 5/16..3/8", "1/4..3/4", 16),
+        ("odometer", "1/32..1/16", "1/5..7/10", 32),
+        ("odometer", "3/32..1/8, 1/2..17/32", "0..1/3", 32),
+        ("odometer", "0..1/2, tail(zero, 3, odd)", "1/4..3/4", 2),
+        ("rotation:1/2", "1/3..1/2", "0..1/2", 2),
+        ("rotation:1/3", "0..1/5", "0..1/2", 3),
+        ("rotation:2/7", "0..1/2", "1/9..4/9", 7),
+        ("rotation:5/13", "1/7..2/3", "1/4..1/2", 13),
+        ("doubling", "0..1", "1/5..7/10", 1),
+    ]
+    #: (system, C, D): no preimage of C is C; lengths probed as for p = 3
+    APERIODIC = [
+        ("odometer", "1/3..1/2", "0..1/2"),
+        ("rotation:golden", "0..1/5", "0..1/2"),
+        ("rotation:sqrt2", "1/4..1/3", "0..1/2"),
+        ("doubling", "0..1/3", "1/5..7/10"),
+    ]
+
+    @staticmethod
+    def _lengths(p):
+        return sorted({1, max(p - 1, 1), p, p + 1, 3 * p, 3 * p + 1,
+                       3 * p + p // 2})
+
+    @pytest.mark.parametrize("system,C,D,p",
+                             PERIODIC + [(*case, 3) for case in APERIODIC])
+    def test_matches_a_walk_of_every_step(self, system, C, D, p):
+        T, C, D = _mixing_inputs(system, C, D)
+        product = C.measure() * D.measure()
+        for n in self._lengths(p):
+            expected = _every_step(T, C, D, n)
+            assert mixing_trace(T, C, D, n) == expected
+            assert correlation_average(T, C, D, n) == (
+                sum(expected, Scalar(0)) / Scalar(n) + product)
+
+    @pytest.mark.parametrize("system,C,D,p", PERIODIC)
+    def test_walks_one_period(self, monkeypatch, system, C, D, p):
+        T, C, D = _mixing_inputs(system, C, D)
+        calls = _counted(monkeypatch, T)
+        mixing_trace(T, C, D, 5 * p + 1)
+        correlation_average(T, C, D, 7 * p + 2)
+        assert calls[0] == 2 * p
+
+    def test_odometer_cell_average_in_eight_preimages(self, monkeypatch):
+        T = Odometer()
+        C = make_set([(F(1, 8), F(1, 4))])
+        D = make_set([(F(1, 5), F(7, 10))])
+        calls = _counted(monkeypatch, T)
+        avg = correlation_average(T, C, D, 10 ** 4)
+        assert calls[0] == 8
+        assert avg == C.measure() * D.measure()
+
+    @pytest.mark.parametrize("budget,step", [(1, 2), (2, 4)])
+    def test_budget_fires_at_the_same_step(self, monkeypatch, budget, step):
+        # the orbit of C, period 16, has 1, 2, 2, 3, ... components, so the
+        # budget fires inside the first period, after the walk began
+        T, C, D = _mixing_inputs("odometer", "11/16..15/16", "1/4..3/4")
+        with pytest.raises(ComponentBudgetError) as ref:
+            _every_step(T, C, D, 16, budget)
+        assert str(ref.value) == (
+            f"{budget + 1} components exceed budget {budget}")
+        for walk in (mixing_trace, correlation_average):
+            calls = _counted(monkeypatch, T)
+            with pytest.raises(ComponentBudgetError) as exc:
+                walk(T, C, D, 10 ** 6, component_budget=budget)
+            monkeypatch.undo()
+            assert str(exc.value) == str(ref.value)
+            assert calls[0] == step
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_average_rejects_m_below_one(self, m):
+        C = make_set([(F(1, 8), F(1, 4))])
+        with pytest.raises(InvalidInputError, match="m must be"):
+            correlation_average(Odometer(), C, C, m)
+
+    def test_empty_trace(self):
+        C = make_set([(F(1, 8), F(1, 4))])
+        assert mixing_trace(Odometer(), C, C, 0) == []

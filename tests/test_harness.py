@@ -246,6 +246,21 @@ class TestRunDispatch:
         assert all(r["trace"] == "0" for r in trace.records)
         assert trace.summary["cesaro_average"] == "1/4"
 
+    def test_mixing_periodic_orbit_renders_one_period(self, monkeypatch):
+        # the odometer cycles the eight level-3 cells: a period of 8
+        import ergolab.harness as harness
+        calls = []
+        monkeypatch.setattr(harness, "render",
+                            lambda s, digits: calls.append(s) or "~")
+        text = ("command = mixing\nsystem = odometer\nn_max = 64\n"
+                "m = 1000000\nset.C = 1/8..1/4\nset.D = 0..3/8\n")
+        trace, code = run(parse_config(text))
+        assert code == 0
+        texts = [r["trace"] for r in trace.records]
+        assert texts == texts[:8] * 8
+        assert trace.summary["cesaro_average"] == "3/64"
+        assert len(calls) <= 9
+
     def test_mixing_on_irrational_arcs(self):
         # mu(C) mu(D) = alpha**2 = 1 - alpha
         text = ("command = mixing\nsystem = rotation:golden\nn_max = 5\n"
