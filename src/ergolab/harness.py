@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import re
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -54,19 +55,28 @@ def _str(text: str, tag) -> str:
     return text
 
 
+#: the most decimal digits a rendering and the largest start a parity
+#: tail may have: Python 3.11 and later (and 3.10 from 3.10.7) write no
+#: int of more than 4,300 digits as text, and a tail from block n has
+#: measure 2/(3 * 2**n), whose denominator has about 0.3 * n digits, so
+#: a product of two such measures stays below that limit too
+MAX_DIGITS = MAX_TAIL_START = 4000
+
+_TAIL_START = re.compile(r"tail\(\s*\w+\s*,\s*(\d+)")
+
 #: key -> (parser of its text, default or None if required, the value it
-#: must exceed or None), in the canonical order that ``to_text``, and so
-#: every ``config_hash``, follows
+#: must exceed or None, the most it may be or None), in the canonical order
+#: that ``to_text``, and so every ``config_hash``, follows
 _PARAMS = {
-    "component_budget": (_int, DEFAULT_COMPONENT_BUDGET, 0),
-    "depth": (_int, 8, -1),
-    "digits": (_int, DEFAULT_DIGITS, 0),
-    "m": (_int, None, 0),
-    "n_max": (_int, None, 0),
-    "sample": (_int, 8, 0),
-    "stall_window": (_int, None, 0),
-    "epsilon": (parse_scalar, None, 0),
-    "basis": (_str, "dyadic", None),
+    "component_budget": (_int, DEFAULT_COMPONENT_BUDGET, 0, None),
+    "depth": (_int, 8, -1, None),
+    "digits": (_int, DEFAULT_DIGITS, 0, MAX_DIGITS),
+    "m": (_int, None, 0, None),
+    "n_max": (_int, None, 0, None),
+    "sample": (_int, 8, 0, None),
+    "stall_window": (_int, None, 0, None),
+    "epsilon": (parse_scalar, None, 0, None),
+    "basis": (_str, "dyadic", None, None),
 }
 
 
@@ -93,10 +103,12 @@ class ExperimentConfig:
         for key, val in self.parameters.items():
             if key not in _PARAMS:
                 raise ConfigError(f"unknown parameter {key!r}")
-            floor = _PARAMS[key][2]
+            floor, ceiling = _PARAMS[key][2:]
             if floor is not None and val <= floor:
                 least = "positive" if floor == 0 else f">= {floor + 1}"
                 raise ConfigError(f"{key} must be {least}")
+            if ceiling is not None and val > ceiling:
+                raise ConfigError(f"{key} must be at most {ceiling}")
         basis = self.opt("basis")
         if basis not in ("dyadic", "arcs"):
             raise ConfigError(f"unknown basis {basis!r}")
@@ -193,6 +205,12 @@ def parse_config(text: str) -> ExperimentConfig:
     sets = {}
     for name, value in set_texts.items():
         try:
+            # checked on the text: a tail is built over a denominator of
+            # 2**(start + 2)
+            if any(int(start) > MAX_TAIL_START
+                   for start in _TAIL_START.findall(value)):
+                raise ValueError(
+                    f"a tail start must be at most {MAX_TAIL_START}")
             sets[name] = _set_from_text(value, tag)
         except (ValueError, ErgolabError) as exc:
             raise ConfigError(f"bad set {name!r}: {exc}") from exc

@@ -40,9 +40,17 @@ against the longer one, of n, that (2m + 1) * bit_length(n) < n: then it
 bisects the long list once per point of the short one and copies the runs
 in between (``_merge_skewed``), which is what intersecting a set of
 2**(j-1) components with a window of one to three takes.  Which path a
-workload takes is counted per workload in CHANGES.md.  With tails, an
-operation works in three steps, each linear in the points and blocks it
-touches, over a denominator that every block boundary it reads divides:
+workload takes is counted per workload in CHANGES.md.
+
+With tails, an operation is clipped (``_clip``) when one operand T has
+tails, the table keeps nothing where T holds alone (an intersection in
+either order, or F - T) and the tail-free operand F stays clear of the
+anchors of T's tails.  Then no tail block from the depth read off F's gap
+to the anchor on meets F, so T's points and its blocks below that depth
+go through ``_merge`` with F's, and the result has no tail.  Every other
+tailed operation works in three steps, each linear in the points and
+blocks it touches, over a denominator that every block boundary it reads
+divides:
 
 * one depth m per anchor, read from the operand point nearest the anchor
   and the tail starts, with every finite point at least 2**-m from the
@@ -344,8 +352,10 @@ def _merge_skewed(short: Sequence, long: Sequence, f: int,
 
 
 # ---------------------------------------------------------------------
-# the tailed kernel: one depth per anchor, blocks listed below it, tails
-# canonicalised from block indices
+# the tailed kernel: a one-tailed operation whose result lies in a
+# tail-free operand clear of the tails' anchors clips the tails where that
+# operand ends; any other takes one depth per anchor, blocks listed below
+# it, tails canonicalised from block indices
 # ---------------------------------------------------------------------
 
 def _depth_for_gap(gap, d: int) -> int:
@@ -381,6 +391,29 @@ def _depths_for(sets: Sequence["IntervalSet"],
                 m = max(m, _depth_for_gap(gap, d))
         depths[anchor] = m
     return depths
+
+
+def _clip(T: "IntervalSet", F: "IntervalSet"):
+    """(d, points over d) of T, its tails cut off where the tail-free F
+    ends, or None when F reaches an anchor of T's tails.
+
+    Per tail, the depth m is read from F's gap to the anchor alone, so no
+    block from m on meets F; the blocks below m are listed with T's own
+    points, which may lie deeper than F reaches and stay as they are."""
+    fp, fd = F.pts, F.d
+    depths = []
+    for t in T.tails:
+        gap = fd - fp[-1] if t.anchor == AT_ONE else fp[0]
+        if not gap:
+            return None
+        depths.append(_depth_for_gap(gap, fd))
+    d = lcm(T.d, fd, 1 << max(depths))
+    own = _scale(T.pts, d // T.d)
+    blocks = []
+    for t, m in zip(T.tails, depths):
+        for n in range(t.start, m, 2):
+            blocks += _block_points(t.anchor, n, d)
+    return d, sorted([*own, *blocks]) if blocks else own
 
 
 def _working_denominator(sets: Sequence["IntervalSet"],
@@ -631,6 +664,17 @@ class IntervalSet:
             d = lcm(self.d, other.d)
             return _canonical(d, _merge(self.pts, d // self.d, other.pts,
                                         d // other.d, keep), tag)
+        if not (self.tails and other.tails or keep[2 if self.tails else 1]):
+            # one operand T has tails, and the table keeps nothing where T
+            # holds alone: the result lies in the other, F
+            F, T = (other, self) if self.tails else (self, other)
+            clip = _clip(T, F)
+            if clip is not None:
+                d, pts = clip
+                if T is self:
+                    keep = keep[::2] + keep[1::2]  # the table with F first
+                return _canonical(d, _merge(F.pts, d // F.d, pts, 1, keep),
+                                  tag)
         depths = _depths_for((self, other),
                              self._anchors() | other._anchors())
         d = _working_denominator((self, other), depths)

@@ -426,6 +426,34 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err.splitlines() == [message]
 
+    @pytest.mark.parametrize("template, over, message", [
+        ("command = mixing\nsystem = doubling\nn_max = 2\ndigits = {}\n"
+         "set.C = 0..1/3\nset.D = 0..1/2\n", 5000,
+         "digits must be at most 4000"),
+        ("command = gap\nsystem = odometer\ndepth = 3\n"
+         "set.B = 0..1/8, tail(one, {}, even)\n", 20000,
+         "bad set 'B': a tail start must be at most 4000"),
+        ("command = verify\nsystem = kakutani\n"
+         "set.S = tail(zero, {}, odd) | empty\n", 4001,
+         "bad set 'S': a tail start must be at most 4000"),
+    ], ids=["digits", "tail-start", "tower-tail-start"])
+    def test_over_the_text_limit_exits_three(self, tmp_path, capsys,
+                                             template, over, message):
+        # an exact value or a rendering of more than 4,300 digits cannot be
+        # written as text on Python 3.11 and later; such a config is
+        # rejected as it is parsed, and the same config at the greatest
+        # value runs
+        text = template.format(over)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(text)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {message}"]
+        trace, code = run(parse_config(template.format(4000)))
+        assert code == 0, trace.summary
+
     @pytest.mark.parametrize("text, message", list(MISMATCHED_SPACES.values()),
                              ids=list(MISMATCHED_SPACES))
     def test_mismatched_set_space_exits_three(self, tmp_path, capsys, text,

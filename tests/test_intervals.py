@@ -426,6 +426,69 @@ class TestPointwise:
         # every binary operation and the long operand's complement
         assert skewed >= 7
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_clipped_operations_match_membership_oracle(self, seed,
+                                                        monkeypatch):
+        # a tailed set against tail-free windows, in both orders: windows
+        # clear of the tails' anchors take the clip, and windows that touch
+        # an anchor take the generic tailed path, as T - W' does for any
+        # window W' (the table keeps T alone there)
+        paths = {"clip": 0, "generic": 0}
+        clip, depths_for = intervals._clip, intervals._depths_for
+
+        def counting_clip(T, F):
+            out = clip(T, F)
+            paths["clip"] += out is not None
+            return out
+
+        def counting_depths(sets, anchors):
+            paths["generic"] += len(sets) == 2
+            return depths_for(sets, anchors)
+
+        monkeypatch.setattr(intervals, "_clip", counting_clip)
+        monkeypatch.setattr(intervals, "_depths_for", counting_depths)
+        rng = random.Random(seed)
+        alpha = Scalar(0, 1, GOLDEN)
+        T = (random_offset_set(seed, alpha) if seed % 2
+             else random_interval_set(seed, allow_tails=False))
+        anchors = ([AT_ONE], [AT_ZERO], [AT_ONE, AT_ZERO])[seed % 3]
+        # the finite part keeps clear of the tails, so they stay apart;
+        # it may reach the other anchor
+        T = T.intersect(arc(AT_ZERO in anchors, 8 - (AT_ONE in anchors), 8))
+        for anchor in anchors:
+            parity = rng.randrange(2)
+            T = T.union(make_set([], [ParityTail(anchor, rng.randint(0, 8),
+                                                 parity)]))
+            # a component inside a block of the other parity, far deeper
+            # than most windows reach
+            blk = _block(anchor, 21 - parity)
+            quarter = (blk.hi - blk.lo) * Scalar(F(1, 4))
+            T = T.union(make_set([(blk.lo + quarter, blk.hi - quarter)]))
+        assert len(T.tails) == len(anchors)
+        lo, hi = sorted(rng.sample(range(1, 64), 2))
+        g = (alpha * Scalar(rng.randint(1, 9))).mod1()
+        windows = [
+            make_set([(F(lo, 64), F(hi, 64))]),
+            make_set([(F(0), F(lo, 64)), (F(hi, 64), F(1))]),
+            make_set([(F(lo, 64), F(1))]),
+            make_set([(g * Scalar(F(1, 2)), g)]),
+            make_set([(F(1, 64), F(1, 2)), (F(3, 4), 1 - F(1, 1 << 30))]),
+        ]
+        for W in windows:
+            for a, b in ((T, W), (W, T)):
+                ops = {"intersect": (a.intersect(b), lambda x, y: x and y),
+                       "subtract": (a.subtract(b), lambda x, y: x and not y)}
+                assert ops["intersect"][0] == a.subtract(b.complement())
+                points = _sample_points(a, b)
+                for name, (result, truth) in ops.items():
+                    assert _is_normal(result), f"{name}: {result.to_text()}"
+                    for x in points:
+                        want = truth(_contains(a, x), _contains(b, x))
+                        assert _contains(result, x) == want, (
+                            f"{name} of {a.to_text()} and {b.to_text()} at "
+                            f"{x.to_text()}")
+        assert paths["clip"] and paths["generic"], paths
+
     def test_skewed_merge_bisects(self, monkeypatch):
         # a set of 4,096 components against one of a single component:
         # each operation takes the bisecting path and locates the two cuts
