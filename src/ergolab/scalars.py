@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
 
-from .errors import IncompatibleBasisError
+from .errors import IncompatibleBasisError, InvalidInputError
 
 RationalLike = Union[int, Fraction]
 
@@ -325,9 +325,14 @@ def _make(n: int, m: int, d: int, tag: Optional[IrrationalTag]) -> Scalar:
 
 
 def _ratio_text(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    """str(Fraction(n, d)) for d > 0, without building the Fraction; an
+    ``InvalidInputError`` when ``str`` refuses a part for its length."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError as exc:
+        raise InvalidInputError(
+            "an exact value has too many digits to write as text") from exc
 
 
 def _text(n: int, m: int, d: int) -> str:

@@ -166,28 +166,69 @@ class CheckReport:
     note: str = ""
 
 
+def _runs(T: Transformation, J1: SetLike, J2: SetLike, n_max: int):
+    """Steps 1 .. n_max of the recursion from B_0 = J1, one item per run
+    of steps with one outcome: (A_n, anchor, k, length, values,
+    mu(J2 \\ cover)) for the run's first step n.  B_n is
+    ``_residual(anchor, k)`` and ``values`` is (mu(A_n), mu(B_n), component
+    count of B_n, mu(cover)); step n + i of the run differs from step n
+    only in B_n, ``_residual(anchor, k + i)``.
+
+    After step 0 and each productive step, when T^-1 is a translation by t
+    and neither B nor J2 \\ cover has a tail, a ``ShiftSteps`` walk of B
+    against J2 \\ cover gives the steps: B_n is the last productive step's
+    B_p moved by (n - p)*t, and a run of steps with empty A_n is one item
+    that costs no set operation.  Otherwise a step is one ``T.preimage``.
+    A step with empty A_n keeps the cover, and B_n is the preimage itself.
+    """
+    shift = T.translation()
+    B, cover, avail = J1, J2.subtract(J2), J2
+    mb, mc, m_avail = J1.measure(), cover.measure(), J2.measure()
+    n = 0  # the steps taken
+    while n < n_max:
+        if shift is not None and not (B.tails or avail.tails):
+            steps = ShiftSteps(B, avail, shift)
+            for meets, count, k, length in steps.runs(n_max - n):
+                n += length
+                if meets:
+                    break
+                # B_n is B moved by step k's shift: B's measure, and the
+                # walk counted it
+                yield EMPTY, steps, k, length, (ZERO, mb, count, mc), m_avail
+            else:
+                return
+            pre = steps.moved(k)
+        else:
+            n += 1
+            pre = T.preimage(B)
+        A = pre.intersect(avail)
+        if A.is_empty():
+            B, ma = pre, ZERO
+        else:
+            B = pre.subtract(A)
+            cover = cover.union(A)
+            avail = J2.subtract(cover)
+            ma, mc, m_avail = A.measure(), cover.measure(), avail.measure()
+        mb = B.measure()
+        yield A, B, None, 1, (ma, mb, B.component_count(), mc), m_avail
+
+
 def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
              n_max: int, stall_window: Optional[int] = None,
              component_budget: int = DEFAULT_COMPONENT_BUDGET) -> SplinterDecomposition:
     """Run the splinter recursion until convergence, stall or budget.
 
-    A step whose A_n is empty splinters nothing: it keeps ``covered``,
-    ``J2 \\ covered`` and their measures from the step before, and B_n is
-    the preimage itself.  When T^-1 is a translation by t (a rotation) and
-    the sets are tail-free, B_n is the last productive step's B_p moved by
-    (n - p)*t, so ``ShiftSteps`` decides each step from that shift alone: a
-    step with empty A_n costs no set operation and keeps mu(B_n), so the
-    stop rule mu(B_n) < epsilon is decided only where mu(B_n) is computed,
-    and ``d.residuals`` builds each such B_n on access.  The walk moves in
-    runs of steps with one outcome, and a run of steps with empty A_n is
-    one iteration here: it is cut where a step of it would end the run
-    (``n_max``, the stall window, the component budget), and its steps
-    share one ``StepRecord``.  A step whose mu(A_n), mu(B_n), component
-    count and covered measure equal the step before's appends that step's
-    record to ``d.trace`` again, on either path; step n's record is
-    ``d.trace[n - 1]``.  The residual identity, mass conservation and A_n
-    within J2 are checked once per run, at its first step: the values they
-    read are the same objects at every step of it.
+    The steps come from ``_runs``, one item per run of steps with one
+    outcome; ``splinter`` keeps their records, checks and stops.  A run is cut
+    where a step of it would end the run (``n_max``, the stall window, the
+    component budget), and its steps share one ``StepRecord``.  A step
+    whose mu(A_n), mu(B_n), component count and covered measure equal the
+    step before's appends that step's record to ``d.trace`` again; step n's
+    record is ``d.trace[n - 1]``.  The residual identity, mass conservation
+    and A_n within J2 are checked, and the stop rule mu(B_n) < epsilon
+    decided, at the first step of each run that computes mu(B_n) anew: the
+    values they read are the same objects at every later step of the run,
+    and at every step of a walk's run with empty A_n.
 
     An error that ends the run after it started carries the steps completed
     so far as its ``decomposition`` attribute.
@@ -205,102 +246,57 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
     if stall_window is not None and stall_window < 1:
         raise InvalidInputError("stall_window must be positive")
     window = stall_window if stall_window is not None else T.stall_window()
-    shift = T.translation()
 
     d = SplinterDecomposition(T, J1, J2, epsilon, n_max)
+    # consecutive steps with empty A after step 1; mu(B) is unchanged
+    # over them, since the residual identity pins it to mu(J2 \\ cover)
+    flat = 0
+    # the values of the last record, ``rec``
+    last = None
+    # mu(B_n) as of the last check: a walk repeats it, and every operand
+    # of the checks, over the steps after a productive one
+    checked = None
     try:
-        covered = J2.subtract(J2)  # empty of the right kind
-        avail = J2                 # J2 minus the splinters so far
-        mc, m_avail = covered.measure(), mu2
-        B, mb = J1, mu1
-        total = mc + mb
-        # the stop rule mu(B) < eps, read where mu(B) changes
-        converged = mb < epsilon
-        # the walk through the shifts of B against avail (``ShiftSteps``),
-        # while both hold still
-        walk = None
-        # consecutive steps with empty A after step 1; mu(B) is unchanged
-        # over them, since the residual identity pins it to mu(avail)
-        flat = 0
-        # the values of step n - 1's record, ``rec``
-        last = None
-        n = 0  # the steps taken
-        while n < n_max:
-            if (walk is None and shift is not None
-                    and not (B.tails or avail.tails)):
-                steps = ShiftSteps(B, avail, shift)
-                walk = steps.runs(n_max - n)
-            n += 1
-            # step n and the steps of its walk run that repeat it
-            length = 1
-            if walk is None:
-                pre = T.preimage(B)
-                A_n = pre.intersect(avail)
-                productive = not A_n.is_empty()
-            else:
-                productive, count, k, length = next(walk)
-                if productive:
-                    pre = steps.moved(k)
-                    A_n = pre.intersect(avail)
-                    walk = None
-                else:
-                    A_n = EMPTY
-            if productive:
-                B = pre.subtract(A_n)
-                covered = covered.union(A_n)
-                avail = J2.subtract(covered)
-                mc, m_avail = covered.measure(), avail.measure()
-            elif walk is None:
-                B = pre
-            ma = A_n.measure() if productive else ZERO
-            if walk is None:
-                mb, count = B.measure(), B.component_count()
-                total = mc + mb
-                converged = mb < epsilon
-                d.residuals.append(B)
-            else:
-                # B_n is B moved by step k's shift: B's measure, and the
-                # walk counted it
-                d.residuals.append(steps, k)
+        for A_n, anchor, k, length, values, m_avail in _runs(T, J1, J2,
+                                                            n_max):
             d.splinters.append(A_n)
-            values = (ma, mb, count, mc)
+            d.residuals.append(anchor, k)
             if values != last:
                 rec, last = StepRecord(*values), values
             d.trace.append(rec)
-            # exact invariants of the construction, asserted at every step;
-            # the rest of a run holds the same operands
-            if mb != m_avail:
-                raise InvariantViolation(
-                    f"residual identity violated at step {n}")
-            if total != mu1:
-                raise InvariantViolation(
-                    f"mass conservation violated at step {n}")
-            if not A_n.subtract(J2).is_empty():
-                raise InvariantViolation(
-                    f"splinter escaped J2 at step {n}")
-            if converged:
-                d.status = CONVERGED
-                break
-            flat = 0 if productive or n == 1 else flat + 1
+            n = len(d.trace)
+            _, mb, count, mc = values
+            if mb is not checked:
+                # exact invariants of the construction
+                if mb != m_avail:
+                    raise InvariantViolation(
+                        f"residual identity violated at step {n}")
+                if mc + mb != mu1:
+                    raise InvariantViolation(
+                        f"mass conservation violated at step {n}")
+                if not A_n.subtract(J2).is_empty():
+                    raise InvariantViolation(
+                        f"splinter escaped J2 at step {n}")
+                if mb < epsilon:
+                    d.status = CONVERGED
+                    break
+                checked = mb
+            flat = 0 if n == 1 or not A_n.is_empty() else flat + 1
             if length > 1 and count <= component_budget:
                 # the rest of the run, up to the step that fills the stall
                 # window; each step of it adds one to ``flat``
                 rest = length - 1
                 if window is not None:
                     rest = min(rest, window - flat)
-                d.splinters += repeat(EMPTY, rest)
+                d.splinters += repeat(A_n, rest)
                 d.trace += repeat(rec, rest)
-                d.residuals.extend(steps, k + 1, rest)
-                n += rest
+                d.residuals.extend(anchor, k + 1, rest)
                 flat += rest
             if window is not None and flat >= window:
                 d.status = STALLED
                 break
             if count > component_budget:
-                d.status = BUDGET_EXHAUSTED
-                break
-        else:
-            d.status = BUDGET_EXHAUSTED
+                break  # d.status is BUDGET_EXHAUSTED, as at n_max
     except ErgolabError as exc:
         exc.decomposition = d
         raise

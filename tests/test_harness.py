@@ -95,6 +95,16 @@ set.C = 0..1/3
 set.D = 0..1/2
 """
 
+# mu(C) * mu(D) = 10^-5000: its denominator has more digits than Python
+# 3.11 and later write for an int
+OVER_DIGITS_CFG = f"""\
+command = mixing
+system = doubling
+n_max = 1
+set.C = 0..1/1{"0" * 2500}
+set.D = 0..1/1{"0" * 2500}
+"""
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -345,7 +355,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, code, status", [
         (OVERFLOW_CFG, 4, "left-representation-class"),
         (UNEQUAL_WINDOWS_CFG, 3, "invalid-input"),
-    ], ids=["overflow", "unequal-windows"])
+        (OVER_DIGITS_CFG, 3, "invalid-input"),
+    ], ids=["overflow", "unequal-windows", "over-digits"])
     def test_run_maps_error(self, text, code, status):
         trace, got = run(parse_config(text))
         assert got == code
@@ -390,7 +401,9 @@ class TestExitCodes:
                                  "measure: 5/12 != 1/4"),
         (MIXING_BUDGET_CFG, 2, "budget exhausted: 128 components exceed "
                                "budget 100"),
-    ], ids=["overflow", "unequal-windows", "mixing-budget"])
+        (OVER_DIGITS_CFG, 3, "invalid input: an exact value has too many "
+                             "digits to write as text"),
+    ], ids=["overflow", "unequal-windows", "mixing-budget", "over-digits"])
     def test_cli_prints_one_line(self, tmp_path, capsys, text, code,
                                  message):
         cfg = tmp_path / "exp.cfg"

@@ -1,8 +1,8 @@
 """Source hygiene: every name a library or test module imports is used in
 it, no library module reaches into the private kernel of ``intervals``, the
 harness builds splinter rows and run traces in one place each, one
-function refines a bracket of alpha, and a check of a splinter run reads
-its map from the run."""
+function refines a bracket of alpha, a check of a splinter run reads its
+map from the run, and one function gives the steps of a splinter run."""
 
 import ast
 from pathlib import Path
@@ -122,3 +122,24 @@ def test_checks_read_the_map_from_the_run(name):
     assert [fn for fn, types in found.items()
             if any("SplinterDecomposition" in t for t in types)
             and any("Transformation" in t for t in types)] == []
+
+
+def called_names(path: Path) -> dict[str, set[str]]:
+    """For each module-level function of ``path``, the names it calls:
+    ``f`` for ``f(...)`` and ``m`` for ``x.m(...)``."""
+    tree = ast.parse(path.read_text())
+    return {fn.name: {node.func.id if isinstance(node.func, ast.Name)
+                      else node.func.attr
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and isinstance(node.func, (ast.Name, ast.Attribute))}
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_splinter_steps_come_from_runs():
+    # ``_runs`` picks each step's source, a walk or a preimage; ``splinter``
+    # keeps the records, the checks and the stops
+    calls = called_names(SRC / "splinter.py")
+    assert {fn for fn, names in calls.items()
+            if "ShiftSteps" in names} == {"_runs"}
+    assert "_runs" in calls["splinter"]
+    assert not {"ShiftSteps", "preimage"} & calls["splinter"]
