@@ -13,7 +13,7 @@ from itertools import combinations, cycle, islice
 from typing import Iterator, Optional
 
 from .dynamics import SetLike, Transformation
-from .errors import ComponentBudgetError, InvalidInputError
+from .errors import ComponentBudgetError, InvalidInputError, check_count
 from .intervals import IntervalSet, arc
 from .scalars import ONE, Scalar
 from .splinter import (CONVERGED, CheckReport, DEFAULT_COMPONENT_BUDGET,
@@ -173,9 +173,7 @@ def reduction_check(T: Transformation, B: IntervalSet, basis: MeasureBasis,
     non-ergodic systems), not as failures of the inequality.  `sample`,
     the number of pairs probed, is an int >= 0.
     """
-    if not isinstance(sample, int) or sample < 0:
-        raise InvalidInputError(
-            f"sample must be an int >= 0, not {sample!r}")
+    check_count("sample", sample, 0)
     inv = invariance_check(T, B)
     mode = "invariant" if inv.passed else "diagnostic"
     report = CheckReport("reduction-hypothesis", True, note=mode)
@@ -240,8 +238,8 @@ def correlation_average(T: Transformation, C: SetLike, D: SetLike, m: int,
     The sum is q sums of one period of p values and the first r of them,
     for q, r = divmod(m, p), so an orbit that returns to C is walked once.
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvalidInputError(f"m must be an int >= 1, not {m!r}")
+    check_count("m", m)
+    check_count("component_budget", component_budget)
     period = _correlations(T, C, D, m, component_budget)
     q, r = divmod(m, len(period))
     return (sum(period, Scalar(0)) * q
@@ -257,6 +255,8 @@ def mixing_trace(T: Transformation, C: SetLike, D: SetLike, n_max: int,
     orbit that returns to C is walked once: the list repeats its period,
     one value object per distinct j mod p.
     """
+    check_count("n_max", n_max, 0)
+    check_count("component_budget", component_budget)
     product = C.measure() * D.measure()
     period = [c - product
               for c in _correlations(T, C, D, n_max, component_budget)]

@@ -242,7 +242,8 @@ def verify_measure_preserving(T: Transformation, S: SetLike) -> PreservationRepo
 
 def make_system(descriptor: str) -> Transformation:
     """Parse a system descriptor: rotation:golden, rotation:1/3,
-    rotation:golden:1/2-alpha, doubling, odometer, kakutani."""
+    rotation:golden:1/2-alpha, doubling, odometer, kakutani.  A tag goes
+    with an irrational angle only."""
     d = descriptor.strip()
     if d == "doubling":
         return Doubling()
@@ -256,5 +257,11 @@ def make_system(descriptor: str) -> Transformation:
             raise ValueError(f"unknown irrational tag {tag!r}")
         if not tag and angle in TAGS:
             return Rotation(Scalar(0, 1, TAGS[angle]))
-        return Rotation(parse_scalar(angle, TAGS.get(tag)))
+        a = parse_scalar(angle, TAGS.get(tag))
+        if tag and not a.m:
+            # the tag would be dropped, and windows written with alpha
+            # would no longer parse
+            raise ValueError(f"tag {tag!r} given for the rational angle "
+                             f"{angle!r}; write rotation:{angle}")
+        return Rotation(a)
     raise ValueError(f"unknown system descriptor {descriptor!r}")

@@ -1,5 +1,6 @@
 """Exception types shared across the library, the run status each one
-ends a run with, and the exit code of every run status."""
+ends a run with, the exit code of every run status, and the one check of
+a count argument."""
 
 
 class ErgolabError(Exception):
@@ -58,6 +59,13 @@ EXIT_CODES = {
     RepresentationOverflowError: "left-representation-class",
     UnsupportedRepresentationError: "left-representation-class",
 }
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count argument `name` that is not an int >= least."""
+    if not isinstance(value, int) or value < least:
+        raise InvalidInputError(
+            f"{name} must be an int >= {least}, not {value!r}")
 
 
 def exit_status(exc: BaseException) -> tuple[int, str]:

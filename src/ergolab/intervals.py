@@ -56,12 +56,15 @@ divides:
   and the tail starts, with every finite point at least 2**-m from the
   anchor;
 * each operand as one sorted point list: its own points and the
-  boundaries of its tail blocks below the depth, two sorted runs merged;
-  beyond the depth each anchor carries one flag per parity, combined by
-  the same truth table as the points;
+  boundaries of its tail blocks below the depth, merged by
+  ``_with_blocks``, which lists the blocks for the clip too; beyond the
+  depth each anchor carries one flag per parity, combined by the same
+  truth table as the points;
 * the canonical tail, settled at the anchor end of the result list, where
   "this point is a block boundary" is one integer compare: components
-  that are exactly the blocks below join the tail.
+  that are exactly the blocks below join the tail.  The rule is written
+  for the tail at one; a tail at zero settles on the mirror image
+  p -> d - p of the list, which takes each block D_n onto I_n.
 
 The exact preimages of the example systems live here too: rotation
 (``IntervalSet.translate_mod1``), doubling and the odometer primitive.
@@ -276,10 +279,7 @@ def _merge(a: Sequence, fa: int, b: Sequence, fb: int,
         return _merge_skewed(_scale(a, fa), b, fb, keep[2:], keep[:2])
     if (2 * nb + 1) * na.bit_length() < na:
         return _merge_skewed(_scale(b, fb), a, fa, keep[1::2], keep[::2])
-    if fa != 1:
-        a = _scale(a, fa)
-    if fb != 1:
-        b = _scale(b, fb)
+    a, b = _scale(a, fa), _scale(b, fb)
     na, nb = len(a), len(b)
     out = []
     i = j = state = 0
@@ -393,6 +393,18 @@ def _depths_for(sets: Sequence["IntervalSet"],
     return depths
 
 
+def _with_blocks(S: "IntervalSet", depths: dict[str, int], d: int):
+    """S's points over d (a multiple of S.d) merged with the blocks of its
+    tails below their anchor's depth, sorted; S's points as they are when
+    no block lies below."""
+    pts = _scale(S.pts, d // S.d)
+    blocks = []
+    for t in S.tails:
+        for n in range(t.start, depths[t.anchor], 2):
+            blocks += _block_points(t.anchor, n, d)
+    return sorted([*pts, *blocks]) if blocks else pts
+
+
 def _clip(T: "IntervalSet", F: "IntervalSet"):
     """(d, points over d) of T, its tails cut off where the tail-free F
     ends, or None when F reaches an anchor of T's tails.
@@ -401,19 +413,14 @@ def _clip(T: "IntervalSet", F: "IntervalSet"):
     block from m on meets F; the blocks below m are listed with T's own
     points, which may lie deeper than F reaches and stay as they are."""
     fp, fd = F.pts, F.d
-    depths = []
+    depths = {}
     for t in T.tails:
         gap = fd - fp[-1] if t.anchor == AT_ONE else fp[0]
         if not gap:
             return None
-        depths.append(_depth_for_gap(gap, fd))
-    d = lcm(T.d, fd, 1 << max(depths))
-    own = _scale(T.pts, d // T.d)
-    blocks = []
-    for t, m in zip(T.tails, depths):
-        for n in range(t.start, m, 2):
-            blocks += _block_points(t.anchor, n, d)
-    return d, sorted([*own, *blocks]) if blocks else own
+        depths[t.anchor] = _depth_for_gap(gap, fd)
+    d = lcm(T.d, fd, 1 << max(depths.values()))
+    return d, _with_blocks(T, depths, d)
 
 
 def _working_denominator(sets: Sequence["IntervalSet"],
@@ -430,14 +437,9 @@ def _expand(S: "IntervalSet", depths: dict[str, int], d: int):
     depth of that parity lies in the set.  Tail blocks are listed only
     below the depth; in normal form none touches a component."""
     flags = {anchor: [False, False] for anchor in depths}
-    pts = list(_scale(S.pts, d // S.d))
-    blocks = []
     for t in S.tails:
         flags[t.anchor][t.parity] = True
-        for n in range(t.start, depths[t.anchor], 2):
-            blocks += _block_points(t.anchor, n, d)
-    if blocks:
-        pts = sorted(pts + blocks)
+    pts = list(_with_blocks(S, depths, d))
     # a piece reaching an anchor covers that anchor's whole residual zone;
     # block I_0 / D_0 of the other anchor's tail does too
     if pts and AT_ONE in depths and pts[-1] == d:
@@ -457,33 +459,25 @@ def _settle(pts: list, anchor: str, start: int, d: int) -> int:
     the tail starts two blocks later (``odometer_preimage`` makes such
     components).  Otherwise components that are exactly the blocks
     start-2, start-4, ... join the tail.  Only the components at the
-    anchor end of the list are read."""
-    if anchor == AT_ONE:
-        lo, hi = _block_points(AT_ONE, start, d)
-        if pts and pts[-1] == lo:
-            pts[-1] = hi
-            return start + 2
-        i = len(pts)
-        while start >= 2 and i:
-            lo, hi = _block_points(AT_ONE, start - 2, d)
-            while i and pts[i - 2] >= hi:  # inside block start - 1
-                i -= 2
-            if not (i and pts[i - 2] == lo and pts[i - 1] == hi):
-                break
-            i -= 2
-            del pts[i:i + 2]
-            start -= 2
+    anchor end of the list are read.  At zero the same rule runs on the
+    mirror image p -> d - p, which takes each block D_n onto I_n."""
+    if anchor == AT_ZERO:
+        image = [d - p for p in reversed(pts)]
+        start = _settle(image, AT_ONE, start, d)
+        pts[:] = [d - p for p in reversed(image)]
         return start
-    # only _combine settles at zero, and there no component touches the
-    # first block: just above 2**-depth each operand holds as in block
-    # depth + 1, so a component starting there would set both flags
-    i = 0
-    while start >= 2 and i < len(pts):
-        lo, hi = _block_points(AT_ZERO, start - 2, d)
-        while i < len(pts) and pts[i + 1] <= lo:  # inside block start - 1
-            i += 2
-        if not (i < len(pts) and pts[i] == lo and pts[i + 1] == hi):
+    lo, hi = _block_points(AT_ONE, start, d)
+    if pts and pts[-1] == lo:
+        pts[-1] = hi
+        return start + 2
+    i = len(pts)
+    while start >= 2 and i:
+        lo, hi = _block_points(AT_ONE, start - 2, d)
+        while i and pts[i - 2] >= hi:  # inside block start - 1
+            i -= 2
+        if not (i and pts[i - 2] == lo and pts[i - 1] == hi):
             break
+        i -= 2
         del pts[i:i + 2]
         start -= 2
     return start

@@ -18,7 +18,8 @@ from itertools import groupby, repeat
 from typing import Callable, Optional, Sequence
 
 from .dynamics import SetLike, Transformation
-from .errors import ErgolabError, InvalidInputError, InvariantViolation
+from .errors import (ErgolabError, InvalidInputError, InvariantViolation,
+                     check_count)
 from .intervals import EMPTY, ShiftSteps
 from .scalars import ZERO, Scalar, render
 
@@ -241,10 +242,10 @@ def splinter(T: Transformation, J1: SetLike, J2: SetLike, epsilon: Scalar,
         raise InvalidInputError("windows must have positive measure")
     if epsilon.sign() <= 0:
         raise InvalidInputError("epsilon must be positive")
-    if n_max < 1:
-        raise InvalidInputError("n_max must be positive")
-    if stall_window is not None and stall_window < 1:
-        raise InvalidInputError("stall_window must be positive")
+    check_count("n_max", n_max)
+    if stall_window is not None:
+        check_count("stall_window", stall_window)
+    check_count("component_budget", component_budget)
     window = stall_window if stall_window is not None else T.stall_window()
 
     d = SplinterDecomposition(T, J1, J2, epsilon, n_max)

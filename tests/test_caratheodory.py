@@ -344,3 +344,24 @@ class TestPeriodicOrbit:
     def test_empty_trace(self):
         C = make_set([(F(1, 8), F(1, 4))])
         assert mixing_trace(Odometer(), C, C, 0) == []
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, "3"])
+    def test_trace_rejects_bad_n_max(self, n_max):
+        C = make_set([(F(1, 8), F(1, 4))])
+        with pytest.raises(InvalidInputError,
+                           match="^n_max must be an int >= 0, not "):
+            mixing_trace(Odometer(), C, C, n_max)
+
+    def test_average_rejects_m_not_an_int(self):
+        C = make_set([(F(1, 8), F(1, 4))])
+        with pytest.raises(InvalidInputError,
+                           match="^m must be an int >= 1, not 2.5$"):
+            correlation_average(Odometer(), C, C, 2.5)
+
+    @pytest.mark.parametrize("walk", [mixing_trace, correlation_average])
+    @pytest.mark.parametrize("budget", [0, 0.5, None])
+    def test_walks_reject_bad_component_budget(self, walk, budget):
+        C = make_set([(F(1, 8), F(1, 4))])
+        with pytest.raises(InvalidInputError,
+                           match="^component_budget must be an int >= 1"):
+            walk(Odometer(), C, C, 4, component_budget=budget)

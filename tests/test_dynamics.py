@@ -279,3 +279,12 @@ class TestDescriptors:
             make_system("bakers-map")
         with pytest.raises(ValueError, match="unknown irrational tag"):
             make_system("rotation:bogus:1/2")
+
+    @pytest.mark.parametrize("descriptor", [
+        "rotation:golden:1/3", "rotation:sqrt2:0",
+        "rotation:golden:1/3+0*alpha"])
+    def test_tag_on_rational_angle_rejected(self, descriptor):
+        # rotation:TAG:ANGLE is for irrational angles; a rational one would
+        # drop the tag
+        with pytest.raises(ValueError, match="given for the rational angle"):
+            make_system(descriptor)

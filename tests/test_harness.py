@@ -77,6 +77,15 @@ set.J1 = 0..1/4
 set.J2 = 1/2..3/4
 """
 
+TAGGED_RATIONAL_CFG = """\
+command = splinter
+system = rotation:golden:1/3
+epsilon = 1/1000
+n_max = 30
+set.J1 = 0..-1/2+alpha
+set.J2 = 1/2..alpha
+"""
+
 # density needs 0 < epsilon < 1
 DENSITY_EPSILON_CFG = """\
 command = density
@@ -438,6 +447,18 @@ class TestExitCodes:
         cfg.write_text(text)
         assert main(["run", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_cli_rejects_tag_on_rational_angle(self, tmp_path, capsys):
+        # the tag would be dropped from rotation:golden:1/3, so the alpha
+        # windows would fail as if no tag were given: the descriptor is
+        # rejected before them
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(TAGGED_RATIONAL_CFG)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: bad system descriptor 'rotation:golden:1/3': "
+            "tag 'golden' given for the rational angle '1/3'; write "
+            "rotation:1/3"]
 
     @pytest.mark.parametrize("template, over, message", [
         ("command = mixing\nsystem = doubling\nn_max = 2\ndigits = {}\n"

@@ -616,6 +616,86 @@ class TestPointwise:
                     f"T^-1 of {S.to_text()} at {x.to_text()}")
 
 
+def _mirror(S):
+    """The image of S under x -> 1 - x, built apart from the set kernel:
+    each component [lo, hi) goes to [1 - hi, 1 - lo), and each block D_n
+    onto I_n (mod null), so a tail moves to the other anchor with its start
+    and parity."""
+    one = Scalar(1)
+    pairs = [(one - iv.hi, one - iv.lo) for iv in S.intervals]
+    tails = [ParityTail(AT_ONE if t.anchor == AT_ZERO else AT_ZERO,
+                        t.start, t.parity) for t in S.tails]
+    return make_set(pairs, tails)
+
+
+def _zero_tail(start, parity="even", pairs=()):
+    return make_set(pairs, [ParityTail(AT_ZERO, start, parity)])
+
+
+#: operands whose result is the at-zero tail from block 4, made by taking
+#: the components that are exactly the blocks start-2, start-4, ... in
+#: (the union settles from block 12, the others from block 16): the work
+#: of the at-zero settle
+_ZERO_ABSORBING = [
+    ("union", _zero_tail(10, pairs=[_block(AT_ZERO, 4), _block(AT_ZERO, 6)]),
+     IntervalSet.build([_block(AT_ZERO, 8)])),
+    ("subtract", make_set([(F(0), F(1, 1 << 14)), (F(1, 1 << 13), F(1, 16))]),
+     _zero_tail(5, "odd")),
+    ("intersect", make_set([(F(0), F(1, 1 << 14)),
+                            (F(1, 1 << 13), F(1, 16))]),
+     _zero_tail(2)),
+]
+
+
+class TestMirror:
+    """The set algebra commutes with x -> 1 - x, which swaps the anchors:
+    an at-zero result is the mirror image of its at-one twin."""
+
+    OPS = {"union": IntervalSet.union, "intersect": IntervalSet.intersect,
+           "subtract": IntervalSet.subtract}
+
+    def _check(self, a, b):
+        results = {name: op(a, b) for name, op in self.OPS.items()}
+        results["complement"] = a.complement()
+        ma, mb = _mirror(a), _mirror(b)
+        twins = {name: op(ma, mb) for name, op in self.OPS.items()}
+        twins["complement"] = ma.complement()
+        for name, result in results.items():
+            assert _mirror(result) == twins[name], (
+                f"{name} of {a.to_text()} and {b.to_text()}")
+            assert result.measure() == twins[name].measure()
+
+    def test_mirror_is_an_involution(self):
+        S = _with_two_tails(3)
+        assert S.tails and _mirror(S) != S
+        assert _mirror(_mirror(S)) == S
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_operations_commute_with_the_mirror(self, seed):
+        alpha = Scalar(0, 1, GOLDEN)
+        pairs = [
+            (_with_tail(2 * seed + 1, AT_ONE), _with_tail(2 * seed + 3,
+                                                          AT_ZERO)),
+            (_with_tail(2 * seed + 1, AT_ZERO),
+             random_offset_set(seed, alpha)),
+            (_with_two_tails(seed), _with_tail(2 * seed + 5, AT_ZERO)),
+            (_with_two_tails(seed), _with_two_tails(seed + 7)),
+        ]
+        for a, b in pairs:
+            self._check(a, b)
+            self._check(b, a)
+
+    @pytest.mark.parametrize("name, a, b", _ZERO_ABSORBING,
+                             ids=[case[0] for case in _ZERO_ABSORBING])
+    def test_absorbing_settle_commutes_with_the_mirror(self, name, a, b):
+        want = _zero_tail(4)
+        assert self.OPS[name](a, b) == want
+        assert self.OPS[name](_mirror(a), _mirror(b)) == _mirror(want)
+        for x, y in ((a, b), (_mirror(a), _mirror(b))):
+            self._check(x, y)
+            self._check(y, x)
+
+
 class TestConstructor:
     """``IntervalSet(pairs, tails)`` is ``IntervalSet.build`` on the same
     input: one normal form, whichever entry point builds it."""

@@ -201,6 +201,19 @@ class TestArguments:
                      Scalar(F(epsilon)), n_max, stall_window=stall_window)
         assert issubclass(InvalidInputError, ValueError)
 
+    @pytest.mark.parametrize("arg, value", [
+        ("n_max", 2.5), ("n_max", "3"), ("stall_window", 2.5),
+        ("component_budget", 0.5), ("component_budget", 0),
+        ("component_budget", -1),
+    ])
+    def test_budgets_must_be_ints(self, arg, value):
+        # a float step count would run as if rounded up, or fail deep in
+        # the run; each is rejected up front by name
+        kw = dict(fixtures.golden_rotation_splinter_inputs(), **{arg: value})
+        with pytest.raises(InvalidInputError,
+                           match=f"^{arg} must be an int >= 1, not "):
+            splinter(**kw)
+
 
 class _Flood(Transformation):
     """Not measure preserving: the preimage of every set is [0, 1)."""
