@@ -9,18 +9,23 @@ of ``reduction_check``, carry that restriction notice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, cycle, islice
+from itertools import accumulate, combinations, cycle, islice
 from typing import Iterator, Optional
 
 from .dynamics import SetLike, Transformation
 from .errors import ComponentBudgetError, InvalidInputError, check_count
 from .intervals import IntervalSet, arc
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar, _make
 from .splinter import (CONVERGED, CheckReport, DEFAULT_COMPONENT_BUDGET,
                        splinter, transport_check)
 
 RESTRICTION_NOTICE = ("outer measure evaluated as measure on representable "
                       "(measurable) sets, where the two agree")
+
+
+#: the most windows one basis level may hold: ``measures_at`` reads a level
+#: whole, and the gap over 2**16 dyadic windows takes about a second
+MAX_LEVEL_WINDOWS = 1 << 16
 
 
 class MeasureBasis:
@@ -29,6 +34,8 @@ class MeasureBasis:
     Dyadic: all intervals [k 2^-d, (k+1) 2^-d) by increasing depth d then
     left to right.  Arcs: intervals with rational endpoints of bounded
     denominator, by increasing denominator then lexicographic endpoints.
+    A level is read whole by ``measures_at``, so it may hold at most
+    ``MAX_LEVEL_WINDOWS`` windows.
     """
 
     def __init__(self, kind: str, bound: int):
@@ -44,19 +51,44 @@ class MeasureBasis:
             return iter(range(self.bound + 1))
         return iter(range(1, self.bound + 1))
 
-    def elements_at(self, level: int) -> Iterator[IntervalSet]:
+    def _ends(self, level: int) -> tuple[int, Iterator[tuple[int, int]]]:
+        """The cell count L of `level` and its windows [a/L, b/L) as the
+        pairs (a, b), in order."""
         if self.kind == "dyadic":
-            den = 1 << level
-            for k in range(den):
-                yield arc(k, k + 1, den)
-        else:
-            for a in range(level):
-                for b in range(a + 1, level + 1):
-                    yield arc(a, b, level)
+            L = 1 << level
+            return L, ((k, k + 1) for k in range(L))
+        return level, ((a, b) for a in range(level)
+                       for b in range(a + 1, level + 1))
+
+    def elements_at(self, level: int) -> Iterator[IntervalSet]:
+        L, ends = self._ends(level)
+        return (arc(a, b, L) for a, b in ends)
 
     def elements(self) -> Iterator[IntervalSet]:
         for level in self.levels():
             yield from self.elements_at(level)
+
+    def measures_at(self, S: IntervalSet,
+                    level: int) -> list[tuple[Scalar, Scalar]]:
+        """(mu(S n J), mu(J)) for each element J at `level`, in order.
+
+        One ``S.cell_measures`` sweep reads the level: a dyadic window is
+        a cell, and an arc [a/L, b/L) the difference of two prefix sums of
+        the cells.  A level of more than ``MAX_LEVEL_WINDOWS`` windows is
+        an ``InvalidInputError``."""
+        L, ends = self._ends(level)
+        count = L if self.kind == "dyadic" else L * (L + 1) // 2
+        if count > MAX_LEVEL_WINDOWS:
+            raise InvalidInputError(
+                f"a basis level may hold at most {MAX_LEVEL_WINDOWS} "
+                f"windows; {self.kind} level {level} holds {count}")
+        cells = S.cell_measures(L)
+        if self.kind == "dyadic":
+            width = _make(1, 0, L, None)
+            return [(part, width) for part in cells]
+        sums = list(accumulate(cells, initial=ZERO))
+        widths = [_make(k, 0, L, None) for k in range(L + 1)]
+        return [(sums[b] - sums[a], widths[b - a]) for a, b in ends]
 
 
 def dyadic_basis(depth_max: int) -> MeasureBasis:
@@ -71,15 +103,27 @@ def arcs_basis(denominator_max: int) -> MeasureBasis:
 # density
 # ---------------------------------------------------------------------
 
-def _density_test(epsilon: Scalar, *sets: IntervalSet):
-    """The input check of both density searches, then their one test:
-    ``dense(S, J)`` is mu(S n J) > (1 - eps) mu(J), exactly."""
+def _density_bar(epsilon: Scalar, *sets: IntervalSet) -> Scalar:
+    """The input check of both density searches, then 1 - eps: a window J
+    is dense for S when mu(S n J) > (1 - eps) mu(J), exactly."""
     if not (Scalar(0) < epsilon < ONE):
         raise InvalidInputError("epsilon must lie strictly between 0 and 1")
     if any(S.measure().sign() <= 0 for S in sets):
         raise InvalidInputError("every set must have positive measure")
-    one_minus = ONE - epsilon
-    return lambda S, J: S.intersect(J).measure() > one_minus * J.measure()
+    return ONE - epsilon
+
+
+def _dense_at(S: IntervalSet, bar: Scalar, basis: MeasureBasis,
+              level: int) -> Iterator[tuple[IntervalSet, Scalar]]:
+    """(J, mu(J)) for each element J at `level` dense for S, in order; the
+    bound (1 - eps) mu(J) is computed once per window length."""
+    L, ends = basis._ends(level)
+    bounds: dict[int, Scalar] = {}
+    for (a, b), (part, width) in zip(ends, basis.measures_at(S, level)):
+        if b - a not in bounds:
+            bounds[b - a] = bar * width
+        if part > bounds[b - a]:
+            yield arc(a, b, L), width
 
 
 def density_search(S: IntervalSet, epsilon: Scalar,
@@ -88,8 +132,11 @@ def density_search(S: IntervalSet, epsilon: Scalar,
 
     The inequality is strict; returns None when the basis is exhausted.
     """
-    dense = _density_test(epsilon, S)
-    return next((J for J in basis.elements() if dense(S, J)), None)
+    bar = _density_bar(epsilon, S)
+    for level in basis.levels():
+        for J, _ in _dense_at(S, bar, basis, level):
+            return J
+    return None
 
 
 def density_pair(A1: IntervalSet, A2: IntervalSet, epsilon: Scalar,
@@ -100,18 +147,17 @@ def density_pair(A1: IntervalSet, A2: IntervalSet, epsilon: Scalar,
     exactly equal measure.  Returns (J1, J2), or (partial1, partial2) with
     one or both None when the depth bound is exhausted.
     """
-    dense = _density_test(epsilon, A1, A2)
+    bar = _density_bar(epsilon, A1, A2)
     best1 = best2 = None
     for level in basis.levels():
-        cells = list(basis.elements_at(level))
-        found1 = [J for J in cells if dense(A1, J)]
-        found2 = [J for J in cells if dense(A2, J)]
-        for J1 in found1:
-            for J2 in found2:
-                if J1.measure() == J2.measure():
+        found1 = list(_dense_at(A1, bar, basis, level))
+        found2 = list(_dense_at(A2, bar, basis, level))
+        for J1, width1 in found1:
+            for J2, width2 in found2:
+                if width1 == width2:
                     return J1, J2
-        best1 = best1 or (found1[0] if found1 else None)
-        best2 = best2 or (found2[0] if found2 else None)
+        best1 = best1 or (found1[0][0] if found1 else None)
+        best2 = best2 or (found2[0][0] if found2 else None)
     return best1, best2
 
 
@@ -129,16 +175,16 @@ class GapReport:
 
 def gap_theta(B: IntervalSet, J: IntervalSet) -> GapReport:
     """theta = (mu(B n J) + mu(Bc n J)) / mu(J); exactly 1 for measurable B."""
-    return _gap_theta(B, B.complement(), J)
+    return _gap_theta(B.intersect(J).measure(),
+                      B.complement().intersect(J).measure(), J.measure())
 
 
-def _gap_theta(B: IntervalSet, Bc: IntervalSet, J: IntervalSet) -> GapReport:
-    """``gap_theta`` with the complement Bc of B given, for many windows."""
-    mu_j = J.measure()
+def _gap_theta(part_in: Scalar, part_out: Scalar, mu_j: Scalar) -> GapReport:
+    """The report of a window J of measure mu_j, from mu(B n J) and
+    mu(Bc n J) measured apart (``MeasureBasis.measures_at`` of B and of
+    Bc for a basis level)."""
     if mu_j.sign() <= 0:
         raise ValueError("probe window must have positive measure")
-    part_in = B.intersect(J).measure()
-    part_out = Bc.intersect(J).measure()
     total = part_in + part_out
     if total == mu_j:
         theta = ONE
@@ -174,6 +220,10 @@ def reduction_check(T: Transformation, B: IntervalSet, basis: MeasureBasis,
     the number of pairs probed, is an int >= 0.
     """
     check_count("sample", sample, 0)
+    check_count("n_max", n_max)
+    if stall_window is not None:
+        check_count("stall_window", stall_window)
+    check_count("component_budget", component_budget)
     inv = invariance_check(T, B)
     mode = "invariant" if inv.passed else "diagnostic"
     report = CheckReport("reduction-hypothesis", True, note=mode)

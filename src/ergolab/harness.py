@@ -390,11 +390,16 @@ def _run_density(config: ExperimentConfig, T: Transformation,
 def _run_gap(config: ExperimentConfig, T: Transformation,
              digits: int) -> tuple[list, dict]:
     B = config.require_set("B")
-    Bc = B.complement()
-    records, ok = [], True
     basis = _basis(config)
-    for J in basis.elements_at(basis.bound):
-        rep = gap_theta(B, Bc, J)
+    level = basis.bound
+    # B and its complement are swept apart, so the equality is measured,
+    # never assumed
+    parts_in = basis.measures_at(B, level)
+    parts_out = basis.measures_at(B.complement(), level)
+    records, ok = [], True
+    for J, (part_in, mu_j), (part_out, _) in zip(basis.elements_at(level),
+                                                 parts_in, parts_out):
+        rep = gap_theta(part_in, part_out, mu_j)
         ok &= rep.caratheodory_equality
         records.append({"window": J.to_text(), "theta": rep.theta.to_text(),
                         "mu_B_J": rep.part_in.to_text(),

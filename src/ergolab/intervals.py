@@ -66,6 +66,14 @@ divides:
   for the tail at one; a tail at zero settles on the mirror image
   p -> d - p of the list, which takes each block D_n onto I_n.
 
+``IntervalSet.cell_measures(L)`` measures the set in every cell [i/L,
+(i+1)/L) in one sweep, which is how a measure basis reads a level: each
+piece is placed among the cells by two bisections of the integer cell
+boundaries and its length summed into the cells it spans.  A tail's
+blocks below a depth m with 2**-m <= 1/L are pieces too, from
+``_with_blocks``; the rest of the tail lies in the anchor's cell, and its
+measure 2/(3 * 2**r), r its first block from m on, is added there.
+
 The exact preimages of the example systems live here too: rotation
 (``IntervalSet.translate_mod1``), doubling and the odometer primitive.
 Each emits sorted runs of points, joined at their seams (``_join``); only
@@ -643,6 +651,40 @@ class IntervalSet:
             k = 3 << t.start
             n, m, d = n * k + 2 * d, m * k, d * k
         return _make(n, m, d, self.tag)
+
+    def cell_measures(self, L: int) -> list[Scalar]:
+        """mu(self n [i/L, (i+1)/L)) for i = 0 .. L-1, in one pass.
+
+        Over d, a multiple of self.d, the points times L meet the cell
+        boundaries d, 2d, ..., (L-1)d, so ``bisect`` places each end of a
+        piece (an alpha point by ``_Surd`` order), and the piece's length
+        is summed into the cells it spans as numerators over d*L.  A tail's
+        blocks below the depth m, 2**-m <= 1/L, are pieces too
+        (``_with_blocks``); those from m on lie in the anchor's cell and
+        add 2/(3 * 2**r) there, r the first of them."""
+        depth = (L - 1).bit_length()
+        depths = {t.anchor: max(t.start, depth) for t in self.tails}
+        d = lcm(self.d, 1 << max(depths.values(), default=0))
+        pts = _with_blocks(self, depths, d)
+        bounds = range(d, L * d, d)
+        sums = [0] * L
+        for lo, hi in zip(pts[::2], pts[1::2]):
+            lo, hi = lo * L, hi * L
+            a, b = bisect_right(bounds, lo), bisect_left(bounds, hi)
+            if a == b:
+                sums[a] += hi - lo
+            else:
+                sums[a] += (a + 1) * d - lo
+                sums[a + 1:b] = [d] * (b - a - 1)
+                sums[b] += hi - b * d
+        d *= L
+        out = [_make(s, 0, d, None) if type(s) is int
+               else _make(s[0], s[1], d, s[2]) for s in sums]
+        for t in self.tails:
+            m = depths[t.anchor]
+            k = L - 1 if t.anchor == AT_ONE else 0
+            out[k] += _make(2, 0, 3 << (m + (m - t.parity) % 2), None)
+        return out
 
     # -- boolean algebra ---------------------------------------------------
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab.caratheodory import (MeasureBasis, arcs_basis,
+from ergolab.caratheodory import (MAX_LEVEL_WINDOWS, MeasureBasis,
+                                  arcs_basis,
                                   correlation_average, density_pair,
                                   density_search, dyadic_basis, gap_theta,
                                   invariance_check, mixing_trace,
@@ -14,8 +15,10 @@ from ergolab.caratheodory import (MeasureBasis, arcs_basis,
 from ergolab.dynamics import Doubling, Odometer, Rotation, make_system
 from ergolab.errors import ComponentBudgetError, InvalidInputError
 from ergolab.fixtures import RATIONAL_THIRD_INVARIANT
-from ergolab.intervals import EMPTY, FULL, from_text, make_set
-from ergolab.scalars import ONE, Scalar
+from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, IntervalSet,
+                               ParityTail, from_text, make_set)
+from ergolab.randomsets import random_interval_set, random_offset_set
+from ergolab.scalars import GOLDEN, ONE, SQRT2M1, Scalar
 
 F = Fraction
 
@@ -86,6 +89,116 @@ class TestDensity:
             density_pair(make_set([(F(0), F(1, 8))]),
                          make_set([(F(7, 8), F(1))]), Scalar(2),
                          dyadic_basis(3))
+
+
+def _probe_sets(seed):
+    """Seeded positive-measure sets: dyadic with a tail at either anchor or
+    both, golden and sqrt2 endpoints, and complements."""
+    tail = make_set([], [ParityTail(AT_ONE if seed % 2 else AT_ZERO,
+                                    seed % 5, "odd" if seed % 3 else "even")])
+    sets = [random_interval_set(seed, depth=6).union(tail),
+            random_offset_set(seed, Scalar(0, 1, GOLDEN), depth=6),
+            random_offset_set(seed, Scalar(0, 1, SQRT2M1), depth=5).union(tail)]
+    sets += [S.complement() for S in sets]
+    return [S for S in sets if S.measure() > 0]
+
+
+def _reference_dense(S, bar, J):
+    """The density test by one intersection per window."""
+    return S.intersect(J).measure() > bar * J.measure()
+
+
+def _reference_search(S, epsilon, basis):
+    return next((J for J in basis.elements()
+                 if _reference_dense(S, ONE - epsilon, J)), None)
+
+
+def _reference_pair(A1, A2, epsilon, basis):
+    best1 = best2 = None
+    for level in basis.levels():
+        cells = list(basis.elements_at(level))
+        found1 = [J for J in cells if _reference_dense(A1, ONE - epsilon, J)]
+        found2 = [J for J in cells if _reference_dense(A2, ONE - epsilon, J)]
+        for J1 in found1:
+            for J2 in found2:
+                if J1.measure() == J2.measure():
+                    return J1, J2
+        best1 = best1 or (found1[0] if found1 else None)
+        best2 = best2 or (found2[0] if found2 else None)
+    return best1, best2
+
+
+BASES = [dyadic_basis(5), arcs_basis(9)]
+
+
+class TestLevelSweep:
+    """Every basis probe reads a level from one sweep of the set; these
+    compare it with one intersection per window."""
+
+    @pytest.mark.parametrize("basis", BASES, ids=["dyadic", "arcs"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_measures_match_intersection(self, seed, basis):
+        for S in _probe_sets(seed):
+            for level in basis.levels():
+                assert basis.measures_at(S, level) == [
+                    (S.intersect(J).measure(), J.measure())
+                    for J in basis.elements_at(level)]
+
+    @pytest.mark.parametrize("epsilon", [F(1, 10), F(1, 3), F(3, 4)])
+    @pytest.mark.parametrize("basis", BASES, ids=["dyadic", "arcs"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_searches_match_reference(self, seed, basis, epsilon):
+        eps = Scalar(epsilon)
+        sets = _probe_sets(seed)
+        for S in sets:
+            assert density_search(S, eps, basis) == _reference_search(
+                S, eps, basis)
+        for A1, A2 in zip(sets, sets[1:]):
+            assert density_pair(A1, A2, eps, basis) == _reference_pair(
+                A1, A2, eps, basis)
+
+    def test_no_probe_intersects(self, monkeypatch):
+        S = _probe_sets(1)[0]
+        monkeypatch.setattr(IntervalSet, "intersect", None)
+        for basis in BASES:
+            assert density_search(S, Scalar(F(1, 100)), basis) is not None
+            density_pair(S, S.complement(), Scalar(F(1, 100)), basis)
+
+    @pytest.mark.parametrize("basis, level, count", [
+        (dyadic_basis(17), 17, 1 << 17), (dyadic_basis(30), 30, 1 << 30),
+        (arcs_basis(362), 362, 362 * 363 // 2)], ids=["dyadic-17",
+                                                     "dyadic-30", "arcs-362"])
+    def test_level_over_the_ceiling_is_rejected(self, basis, level, count):
+        with pytest.raises(InvalidInputError, match=(
+                f"^a basis level may hold at most {MAX_LEVEL_WINDOWS} "
+                f"windows; {basis.kind} level {level} holds {count}$")):
+            basis.measures_at(FULL, level)
+
+    def test_level_at_the_ceiling_is_read(self):
+        assert MAX_LEVEL_WINDOWS == 1 << 16
+        S = make_set([(F(0), F(1, 3))])
+        parts = dyadic_basis(16).measures_at(S, 16)
+        assert len(parts) == MAX_LEVEL_WINDOWS
+        assert sum((part for part, _ in parts), Scalar(0)) == S.measure()
+        assert len(arcs_basis(361).measures_at(S, 361)) == 361 * 362 // 2
+
+    def test_search_past_the_ceiling_is_rejected(self):
+        # [0, 2**-20) is dense first at level 20; level 17 stops the search
+        S = make_set([(F(0), F(1, 1 << 20))])
+        with pytest.raises(InvalidInputError, match="dyadic level 17"):
+            density_search(S, Scalar(F(1, 2)), dyadic_basis(30))
+        with pytest.raises(InvalidInputError, match="dyadic level 17"):
+            density_pair(S, S, Scalar(F(1, 2)), dyadic_basis(30))
+        # a search that ends before the ceiling is not affected
+        assert density_search(make_set([(F(0), F(1, 2))]), Scalar(F(1, 2)),
+                              dyadic_basis(30)).to_text() == "0..1/2"
+
+    def test_reduction_walks_a_deep_basis(self):
+        # reduction takes its pairs lazily and reads no level whole
+        rep = reduction_check(make_system("rotation:golden"), FULL,
+                              dyadic_basis(30), sample=1,
+                              epsilon=Scalar(F(1, 100)), n_max=400)
+        assert rep.passed and len(rep.rows) == 2
 
 
 class TestGapTheta:
@@ -167,6 +280,28 @@ class TestReduction:
             reduction_check(Rotation(Scalar(F(1, 3))), FULL, dyadic_basis(2),
                             sample=sample, epsilon=Scalar(F(1, 100)),
                             n_max=40)
+
+    @pytest.mark.parametrize("basis, sample, kwargs, name", [
+        (dyadic_basis(2), 0, {"n_max": 2.5, "component_budget": F(1, 2)},
+         "n_max"),
+        (dyadic_basis(0), 5, {"n_max": -7}, "n_max"),
+        (dyadic_basis(2), 3, {"n_max": 40, "stall_window": 0},
+         "stall_window"),
+        (dyadic_basis(2), 3, {"n_max": 40, "stall_window": 2.0},
+         "stall_window"),
+        (dyadic_basis(2), 0, {"n_max": 40, "component_budget": 0.5},
+         "component_budget"),
+        (dyadic_basis(2), 3, {"n_max": 40, "component_budget": 0},
+         "component_budget"),
+    ], ids=["n_max-float-no-sample", "n_max-negative-no-pair",
+            "stall_window-0", "stall_window-float", "budget-float",
+            "budget-0"])
+    def test_rejects_bad_walk_arguments(self, basis, sample, kwargs, name):
+        # checked on entry, also when no pair reaches a splinter run
+        with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+            reduction_check(Rotation(Scalar(F(1, 3))), FULL, basis,
+                            sample=sample, epsilon=Scalar(F(1, 100)),
+                            **kwargs)
 
     def test_diagnostic_mode_for_non_invariant(self):
         T = Doubling()

@@ -114,6 +114,32 @@ set.C = 0..1/1{"0" * 2500}
 set.D = 0..1/1{"0" * 2500}
 """
 
+# arcs windows [a/3, b/3) on a set with an at-zero tail
+ARCS_GAP_CFG = """\
+command = gap
+system = odometer
+basis = arcs
+depth = 3
+set.B = 1/5..1/2, tail(zero, 2, even)
+"""
+
+# the first dense dyadic window of a set with an at-one tail
+TAIL_DENSITY_CFG = """\
+command = density
+system = odometer
+epsilon = 1/10
+depth = 6
+set.S = 3/1024..77/1024, 801/1024..900/1024, tail(one, 3, odd)
+"""
+
+# 2**30 dyadic windows in the level read, past the ceiling of 2**16
+DEEP_GAP_CFG = """\
+command = gap
+system = odometer
+depth = 30
+set.B = 0..1/3
+"""
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -460,6 +486,28 @@ class TestExitCodes:
             "tag 'golden' given for the rational angle '1/3'; write "
             "rotation:1/3"]
 
+    @pytest.mark.parametrize("text, message", [
+        (DEEP_GAP_CFG, "dyadic level 30 holds 1073741824"),
+        (ARCS_GAP_CFG.replace("depth = 3", "depth = 362"),
+         "arcs level 362 holds 65703"),
+        # [0, 2**-20) is dense first at level 20, past the ceiling
+        ("command = density\nsystem = doubling\nepsilon = 1/2\n"
+         "depth = 30\nset.S = 0..1/1048576\n",
+         "dyadic level 17 holds 131072"),
+    ], ids=["gap-dyadic", "gap-arcs", "density-dyadic"])
+    def test_level_over_the_window_ceiling_exits_three(self, tmp_path,
+                                                       capsys, text,
+                                                       message):
+        message = f"a basis level may hold at most 65536 windows; {message}"
+        trace, code = run(parse_config(text))
+        assert (code, trace.summary) == (3, {"status": "invalid-input",
+                                             "error": message})
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid input: {message}"]
+
     @pytest.mark.parametrize("template, over, message", [
         ("command = mixing\nsystem = doubling\nn_max = 2\ndigits = {}\n"
          "set.C = 0..1/3\nset.D = 0..1/2\n", 5000,
@@ -551,6 +599,42 @@ STRUCTURED_CFGS = {
     "demo": "command = demo\nsystem = kakutani\n",
     "overflow": OVERFLOW_CFG,
 }
+
+
+class TestBasisProbes:
+    """``gap`` and ``density`` read each basis level from one sweep of a
+    set, and call the harness's ``gap_theta`` once per window."""
+
+    @pytest.mark.parametrize("text, windows", [
+        (GAP_CFG, 8), (ARCS_GAP_CFG, 6),
+        ("command = gap\nsystem = rotation:golden\nbasis = arcs\n"
+         "depth = 5\nset.B = 1/7..alpha, tail(one, 2, odd)\n", 15),
+    ], ids=["dyadic", "arcs", "arcs-golden"])
+    def test_gap_theta_once_per_window(self, monkeypatch, text, windows):
+        from ergolab import harness
+        from ergolab.intervals import IntervalSet
+        calls = []
+        real = harness.gap_theta
+        monkeypatch.setattr(harness, "gap_theta",
+                            lambda *args: calls.append(args) or real(*args))
+        monkeypatch.setattr(IntervalSet, "intersect", None)
+        trace, code = run(parse_config(text))
+        assert code == 0, trace.summary
+        assert len(calls) == windows == trace.summary["windows"]
+
+    def test_arcs_gap_values(self):
+        trace, code = run(parse_config(ARCS_GAP_CFG))
+        assert code == 0
+        rows = [(r["window"], r["mu_B_J"], r["mu_Bc_J"])
+                for r in trace.records]
+        assert rows == [("0..1/3", "1/4", "1/12"), ("0..2/3", "5/12", "1/4"),
+                        ("0..1", "5/12", "7/12"), ("1/3..2/3", "1/6", "1/6"),
+                        ("1/3..1", "1/6", "1/2"), ("2/3..1", "0", "1/3")]
+
+    def test_tail_density_window(self):
+        trace, code = run(parse_config(TAIL_DENSITY_CFG))
+        assert code == 0
+        assert trace.records[0]["window"] == "0..1/16"
 
 
 class TestPlotData:

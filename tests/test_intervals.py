@@ -696,6 +696,51 @@ class TestMirror:
             self._check(y, x)
 
 
+def _cell_sets(seed):
+    """Seeded sets for the cell sweep: tails at one, at zero and at both
+    anchors, golden and sqrt2 endpoints (one with a tail), and a finite
+    piece in block 7 between the blocks of an even tail, with the mirror
+    image of each."""
+    sets = [_with_tail(2 * seed + 1, AT_ONE), _with_tail(2 * seed + 1, AT_ZERO),
+            _with_two_tails(seed),
+            random_offset_set(seed, Scalar(0, 1, GOLDEN)),
+            random_offset_set(seed, Scalar(0, 1, SQRT2M1)).union(make_set(
+                [], [ParityTail(AT_ONE, seed % 9, "odd")])),
+            from_text("5/8..11/16, 4065/4096..4075/4096, tail(one, 0, even)")]
+    return sets + [_mirror(S) for S in sets]
+
+
+class TestCellMeasures:
+    """``cell_measures(L)`` against one intersection and one measure per
+    cell [i/L, (i+1)/L), on each set and on its complement."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 8, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_intersection_per_cell(self, seed, L):
+        for S in _cell_sets(seed):
+            for X in (S, S.complement()):
+                want = [X.intersect(arc(i, i + 1, L)).measure()
+                        for i in range(L)]
+                assert X.cell_measures(L) == want, (X.to_text(), L)
+
+    @pytest.mark.parametrize("start", [0, 1, 5, 9])
+    @pytest.mark.parametrize("anchor", [AT_ONE, AT_ZERO])
+    def test_tail_residual_lies_in_the_anchor_cell(self, anchor, start):
+        # blocks from the depth on add 2/(3 * 2**r) to the anchor's cell
+        S = make_set([], [ParityTail(anchor, start, "odd")])
+        cells = S.cell_measures(8)
+        assert sum(cells, Scalar(0)) == S.measure()
+        cell = 7 if anchor == AT_ONE else 0
+        assert cells == [S.intersect(arc(i, i + 1, 8)).measure()
+                         for i in range(8)]
+        if start >= 3:
+            assert cells[cell] == S.measure()
+
+    def test_empty_and_full(self):
+        assert EMPTY.cell_measures(3) == [Scalar(0)] * 3
+        assert FULL.cell_measures(4) == [Scalar(F(1, 4))] * 4
+
+
 class TestConstructor:
     """``IntervalSet(pairs, tails)`` is ``IntervalSet.build`` on the same
     input: one normal form, whichever entry point builds it."""
