@@ -397,8 +397,7 @@ def _run_gap(config: ExperimentConfig, T: Transformation,
     parts_in = basis.measures_at(B, level)
     parts_out = basis.measures_at(B.complement(), level)
     records, ok = [], True
-    for J, (part_in, mu_j), (part_out, _) in zip(basis.elements_at(level),
-                                                 parts_in, parts_out):
+    for (J, part_in, mu_j), (_, part_out, _) in zip(parts_in, parts_out):
         rep = gap_theta(part_in, part_out, mu_j)
         ok &= rep.caratheodory_equality
         records.append({"window": J.to_text(), "theta": rep.theta.to_text(),

@@ -141,7 +141,7 @@ class TestLevelSweep:
         for S in _probe_sets(seed):
             for level in basis.levels():
                 assert basis.measures_at(S, level) == [
-                    (S.intersect(J).measure(), J.measure())
+                    (J, S.intersect(J).measure(), J.measure())
                     for J in basis.elements_at(level)]
 
     @pytest.mark.parametrize("epsilon", [F(1, 10), F(1, 3), F(3, 4)])
@@ -165,9 +165,9 @@ class TestLevelSweep:
             density_pair(S, S.complement(), Scalar(F(1, 100)), basis)
 
     @pytest.mark.parametrize("basis, level, count", [
-        (dyadic_basis(17), 17, 1 << 17), (dyadic_basis(30), 30, 1 << 30),
-        (arcs_basis(362), 362, 362 * 363 // 2)], ids=["dyadic-17",
-                                                     "dyadic-30", "arcs-362"])
+        (dyadic_basis(19), 19, 1 << 19), (dyadic_basis(30), 30, 1 << 30),
+        (arcs_basis(724), 724, 724 * 725 // 2)], ids=["dyadic-19",
+                                                     "dyadic-30", "arcs-724"])
     def test_level_over_the_ceiling_is_rejected(self, basis, level, count):
         with pytest.raises(InvalidInputError, match=(
                 f"^a basis level may hold at most {MAX_LEVEL_WINDOWS} "
@@ -175,19 +175,19 @@ class TestLevelSweep:
             basis.measures_at(FULL, level)
 
     def test_level_at_the_ceiling_is_read(self):
-        assert MAX_LEVEL_WINDOWS == 1 << 16
+        assert MAX_LEVEL_WINDOWS == 1 << 18
         S = make_set([(F(0), F(1, 3))])
-        parts = dyadic_basis(16).measures_at(S, 16)
+        parts = dyadic_basis(18).measures_at(S, 18)
         assert len(parts) == MAX_LEVEL_WINDOWS
-        assert sum((part for part, _ in parts), Scalar(0)) == S.measure()
-        assert len(arcs_basis(361).measures_at(S, 361)) == 361 * 362 // 2
+        assert sum((part for _, part, _ in parts), Scalar(0)) == S.measure()
+        assert len(arcs_basis(723).measures_at(S, 723)) == 723 * 724 // 2
 
     def test_search_past_the_ceiling_is_rejected(self):
-        # [0, 2**-20) is dense first at level 20; level 17 stops the search
+        # [0, 2**-20) is dense first at level 20; level 19 stops the search
         S = make_set([(F(0), F(1, 1 << 20))])
-        with pytest.raises(InvalidInputError, match="dyadic level 17"):
+        with pytest.raises(InvalidInputError, match="dyadic level 19"):
             density_search(S, Scalar(F(1, 2)), dyadic_basis(30))
-        with pytest.raises(InvalidInputError, match="dyadic level 17"):
+        with pytest.raises(InvalidInputError, match="dyadic level 19"):
             density_pair(S, S, Scalar(F(1, 2)), dyadic_basis(30))
         # a search that ends before the ceiling is not affected
         assert density_search(make_set([(F(0), F(1, 2))]), Scalar(F(1, 2)),

@@ -132,7 +132,7 @@ depth = 6
 set.S = 3/1024..77/1024, 801/1024..900/1024, tail(one, 3, odd)
 """
 
-# 2**30 dyadic windows in the level read, past the ceiling of 2**16
+# 2**30 dyadic windows in the level read, past the ceiling of 2**18
 DEEP_GAP_CFG = """\
 command = gap
 system = odometer
@@ -488,17 +488,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text, message", [
         (DEEP_GAP_CFG, "dyadic level 30 holds 1073741824"),
-        (ARCS_GAP_CFG.replace("depth = 3", "depth = 362"),
-         "arcs level 362 holds 65703"),
+        (ARCS_GAP_CFG.replace("depth = 3", "depth = 724"),
+         "arcs level 724 holds 262450"),
         # [0, 2**-20) is dense first at level 20, past the ceiling
         ("command = density\nsystem = doubling\nepsilon = 1/2\n"
          "depth = 30\nset.S = 0..1/1048576\n",
-         "dyadic level 17 holds 131072"),
+         "dyadic level 19 holds 524288"),
     ], ids=["gap-dyadic", "gap-arcs", "density-dyadic"])
     def test_level_over_the_window_ceiling_exits_three(self, tmp_path,
                                                        capsys, text,
                                                        message):
-        message = f"a basis level may hold at most 65536 windows; {message}"
+        message = f"a basis level may hold at most 262144 windows; {message}"
         trace, code = run(parse_config(text))
         assert (code, trace.summary) == (3, {"status": "invalid-input",
                                              "error": message})
