@@ -21,14 +21,13 @@ from typing import Optional, Union
 
 from .errors import InvalidTowerSetError
 from .intervals import (AT_ONE, EMPTY, FULL, IntervalSet, ParityTail,
-                        doubling_preimage, odometer_preimage)
+                        doubling_preimage, odometer_preimage,
+                        odometer_preimage_by_parity)
 from .scalars import TAGS, Scalar, parse_scalar
 
 
 #: the Kakutani base set A = union of even-index blocks I_0, I_2, ...
 A_SET = IntervalSet.build([], [ParityTail(AT_ONE, 0, "even")])
-#: its complement, the odd-index blocks
-A_COMPLEMENT = A_SET.complement()
 
 
 # ---------------------------------------------------------------------
@@ -105,9 +104,12 @@ TOWER_EMPTY = TowerSet(EMPTY, EMPTY)
 
 
 def tower_preimage(S: TowerSet) -> TowerSet:
-    pre_base = odometer_preimage(S.base)
-    return TowerSet._of(pre_base.intersect(A_COMPLEMENT).union(S.top),
-                        pre_base.intersect(A_SET))
+    """The tower map's preimage, split by block parity: a base point in A
+    (the even blocks) climbs to the top floor, any other point moves by the
+    odometer into the base.  So T^-1 S has the base's odometer preimage off
+    A, plus S's top, as its base, and that preimage in A as its top."""
+    in_a, off_a = odometer_preimage_by_parity(S.base)
+    return TowerSet._of(off_a.union(S.top), in_a)
 
 
 # ---------------------------------------------------------------------

@@ -75,13 +75,14 @@ blocks below a depth m with 2**-m <= 1/L are pieces too, from
 measure 2/(3 * 2**r), r its first block from m on, is added there.
 
 The exact preimages of the example systems live here too: rotation
-(``IntervalSet.translate_mod1``), doubling and the odometer primitive.
-Each emits sorted runs of points, joined at their seams (``_join``); only
-``IntervalSet.build`` takes unsorted input.  ``ShiftSteps`` runs a
-rotation's preimages of one set against a fixed window without building
-them: each step is one shift in integers, one bisection of integer
-keys and one lookup, and the walk yields each run of steps that share
-their outcome once.
+(``IntervalSet.translate_mod1``), doubling and the odometer primitive,
+whose images can come out split by block parity, as the Kakutani tower
+takes them.  Each emits sorted runs of points, joined at their seams
+(``_join``); only ``build`` and ``from_text`` take unsorted input, through
+``_assemble``.  ``ShiftSteps`` runs a rotation's preimages of one set
+against a fixed window without building them: each step is one shift in
+integers, one bisection of integer keys and one lookup, and the walk
+yields each run of steps that share their outcome once.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
 from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _coerce,
-                      _floor_key, _make, _merge_tags, _sign, _text,
-                      parse_scalar)
+                      _floor_key, _make, _merge_tags, _parts, _sign, _text)
 
 AT_ONE = "one"
 AT_ZERO = "zero"
@@ -378,11 +378,13 @@ def _depth_for_gap(gap, d: int) -> int:
 
 
 def _depths_for(sets: Sequence["IntervalSet"],
-                anchors: Iterable[str]) -> dict[str, int]:
+                anchors: Iterable[str]) -> tuple[dict[str, int], int]:
     """Expansion depth per anchor for normalized sets: an m >= 2 no smaller
     than any tail start there, with 2**-m at most the gap between the
     anchor and every finite point.  The smallest gap, at the point nearest
-    the anchor, is the only one read."""
+    the anchor, is the only one read.  Returned with a common denominator
+    of the sets that every block boundary the kernel reads divides: blocks
+    up to index depth + 1, which ``_settle`` may take in."""
     depths: dict[str, int] = {}
     for anchor in anchors:
         m = 2
@@ -398,7 +400,7 @@ def _depths_for(sets: Sequence["IntervalSet"],
                     gap = pts[1] if pts[0] == 0 else pts[0]
                 m = max(m, _depth_for_gap(gap, d))
         depths[anchor] = m
-    return depths
+    return depths, lcm(*(S.d for S in sets), 1 << (max(depths.values()) + 2))
 
 
 def _with_blocks(S: "IntervalSet", depths: dict[str, int], d: int):
@@ -429,14 +431,6 @@ def _clip(T: "IntervalSet", F: "IntervalSet"):
         depths[t.anchor] = _depth_for_gap(gap, fd)
     d = lcm(T.d, fd, 1 << max(depths.values()))
     return d, _with_blocks(T, depths, d)
-
-
-def _working_denominator(sets: Sequence["IntervalSet"],
-                         depths: dict[str, int]) -> int:
-    """A common denominator of the sets that every block boundary the
-    kernel reads divides: blocks up to index depth + 1, which ``_settle``
-    may take in."""
-    return lcm(*(S.d for S in sets), 1 << (max(depths.values()) + 2))
 
 
 def _expand(S: "IntervalSet", depths: dict[str, int], d: int):
@@ -528,6 +522,35 @@ def _new(d: int, pts: tuple, tag: Optional[IrrationalTag],
     return S
 
 
+def _assemble(ends: list, d: int,
+              tails: Iterable[ParityTail]) -> "IntervalSet":
+    """The normal form of the union of the intervals [a/d, b/d) over the
+    numerator pairs `ends`, each checked in turn, and the tails."""
+    tag = None
+    for a, b in ends:
+        for p in (a, b):
+            if type(p) is not int:
+                tag = _merge_tags(tag, p[2])
+        if a < 0 or b > d:
+            raise ValueError(f"interval {_point_text(a, d)}.."
+                             f"{_point_text(b, d)} outside [0,1)")
+        if not a < b:
+            raise ValueError(f"empty or inverted interval "
+                             f"{_point_text(a, d)}..{_point_text(b, d)}")
+    pts: list = []
+    for lo, hi in sorted(ends, key=itemgetter(0)):
+        if pts and lo <= pts[-1]:
+            if hi > pts[-1]:
+                pts[-1] = hi
+        else:
+            pts += (lo, hi)
+    S = _canonical(d, pts, tag)
+    for t in tails:
+        # a lone tail is in normal form
+        S = S._combine(_new(1, (), None, frozenset((t,))), _UNION)
+    return S
+
+
 def _canonical(d: int, pts: Sequence, tag: Optional[IrrationalTag],
                tails: frozenset = frozenset()) -> "IntervalSet":
     """The set of normalized toggle points `pts` over d with `tails`, put
@@ -572,32 +595,8 @@ class IntervalSet:
         ``Scalar`` pairs (an ``Interval`` is one) and the tails."""
         pairs = list(pairs)
         d = lcm(*(x.d for pair in pairs for x in pair))
-        tag = None
-        ends = []
-        for lo, hi in pairs:
-            tag = _merge_tags(_merge_tags(tag, lo.tag), hi.tag)
-            a, b = _numerator(lo, d), _numerator(hi, d)
-            if a < 0 or b > d:
-                raise ValueError(
-                    f"interval {Interval(lo, hi).to_text()} outside [0,1)")
-            if not a < b:
-                raise ValueError(
-                    f"empty or inverted interval {Interval(lo, hi).to_text()}")
-            ends.append((a, b))
-        # the one entry point for unsorted input: sort, then coalesce
-        ends.sort(key=itemgetter(0))
-        pts = []
-        for lo, hi in ends:
-            if pts and lo <= pts[-1]:
-                if hi > pts[-1]:
-                    pts[-1] = hi
-            else:
-                pts += (lo, hi)
-        S = _canonical(d, pts, tag)
-        for t in tails:
-            # a lone tail is in normal form
-            S = S._combine(_new(1, (), None, frozenset((t,))), _UNION)
-        return S
+        return _assemble([(_numerator(lo, d), _numerator(hi, d))
+                          for lo, hi in pairs], d, tails)
 
     def _anchors(self) -> set[str]:
         return {t.anchor for t in self.tails}
@@ -711,9 +710,8 @@ class IntervalSet:
                     keep = keep[::2] + keep[1::2]  # the table with F first
                 return _canonical(d, _merge(F.pts, d // F.d, pts, 1, keep),
                                   tag)
-        depths = _depths_for((self, other),
-                             self._anchors() | other._anchors())
-        d = _working_denominator((self, other), depths)
+        depths, d = _depths_for((self, other),
+                                self._anchors() | other._anchors())
         ia, fa = _expand(self, depths, d)
         ib, fb = _expand(other, depths, d)
         flags = {a: [keep[2 * x + y] for x, y in zip(fa[a], fb[a])]
@@ -813,20 +811,19 @@ def doubling_preimage(S: IntervalSet) -> IntervalSet:
     return _new(2 * d, pts + tuple(right), S.tag, frozenset())
 
 
-def odometer_preimage(S: IntervalSet) -> IntervalSet:
-    """Exact preimage under the adding-machine primitive (mod null): each
-    block D_n moves back onto I_n, and the residual zone beyond the depth
-    moves along as flags."""
+def _odometer_parts(S: IntervalSet, split: int) -> list[IntervalSet]:
+    """The odometer preimage of S, whole (`split` 0) or as its parts in
+    the even and the odd blocks (`split` 1): each block D_n moves back onto
+    I_n, and the residual zone beyond the depth moves along as flags."""
     if any(t.anchor == AT_ONE for t in S.tails):
         raise RepresentationOverflowError(
             "preimage of an at-one tail accumulates at 1/2")
-    depths = _depths_for((S,), (AT_ZERO,))
+    depths, d = _depths_for((S,), (AT_ZERO,))
     m = depths[AT_ZERO]
-    d = _working_denominator((S,), depths)
     pts, flags = _expand(S, depths, d)
     # D_0, D_1, ... run down from the top of [0, 1); their preimages I_0,
     # I_1, ... come out in increasing order, each block's pieces in order
-    out: list = []
+    runs: tuple[list, list] = ([], [])
     for n in range(m):
         lo, hi = _block_points(AT_ZERO, n, d)
         i = bisect_right(pts, lo)
@@ -838,8 +835,21 @@ def odometer_preimage(S: IntervalSet) -> IntervalSet:
         # y -> y + 1 - 3 * 2**-(n+1) takes D_n onto I_n
         t = d - 3 * (d >> (n + 1))
         piece = [lo] * (i & 1) + pts[i:j] + [hi] * (j & 1)
-        _join(out, [p + t for p in piece])
-    return _collapse(out, {AT_ONE: flags[AT_ZERO]}, {AT_ONE: m}, d, S.tag)
+        _join(runs[n & split], [p + t for p in piece])
+    even, odd = flags[AT_ZERO]
+    zones = ([even, False], [False, odd]) if split else ([even, odd],)
+    return [_collapse(run, {AT_ONE: z}, {AT_ONE: m}, d, S.tag)
+            for run, z in zip(runs, zones)]
+
+
+def odometer_preimage(S: IntervalSet) -> IntervalSet:
+    """Exact preimage under the adding-machine primitive (mod null)."""
+    return _odometer_parts(S, 0)[0]
+
+
+def odometer_preimage_by_parity(S: IntervalSet) -> list[IntervalSet]:
+    """[odometer_preimage(S) in the blocks I_n of even n, of odd n]."""
+    return _odometer_parts(S, 1)
 
 
 # ---------------------------------------------------------------------
@@ -1028,18 +1038,20 @@ def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> Interv
 
 _TAIL_RE = re.compile(
     r"^tail\(\s*(one|zero)\s*,\s*(\d+)\s*,\s*(even|odd)\s*\)$")
+#: a comma at parenthesis depth zero: tail(...) has commas of its own
+_COMMA_RE = re.compile(r",(?![^()]*\))")
 
 
 def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
-    """Parse the serialization produced by ``IntervalSet.to_text``."""
+    """Parse the serialization produced by ``IntervalSet.to_text``: each
+    endpoint as integers by the grammar of ``parse_scalar``, the pieces over
+    their common denominator by the normalizing core of ``build``."""
     s = text.strip()
     if s in ("", "empty"):
         return EMPTY
-    pairs: list[tuple[Scalar, Scalar]] = []
+    ends: list[tuple[int, int, int]] = []
     tails: list[ParityTail] = []
-    # split on commas at parenthesis depth zero only: tail(...) has commas
-    parts = re.split(r",(?![^()]*\))", s)
-    for part in parts:
+    for part in _COMMA_RE.split(s):
         part = part.strip()
         m = _TAIL_RE.match(part)
         if m:
@@ -1048,5 +1060,7 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
         if ".." not in part:
             raise ValueError(f"malformed set component {part!r}")
         lo_t, hi_t = part.split("..", 1)
-        pairs.append((parse_scalar(lo_t, tag), parse_scalar(hi_t, tag)))
-    return IntervalSet.build(pairs, tails)
+        ends += (_parts(lo_t, tag), _parts(hi_t, tag))
+    d = lcm(*(e // gcd(n, m, e) for n, m, e in ends))
+    points = [_point(n * d // e, m * d // e, tag) for n, m, e in ends]
+    return _assemble(list(zip(points[::2], points[1::2])), d, tails)

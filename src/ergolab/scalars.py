@@ -375,15 +375,13 @@ def _ratio(text: str) -> tuple[int, int]:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:
-    """Parse a rational, or a linear form in alpha such as ``1/2-alpha``.
-
-    The canonical text form produced by ``Scalar.to_text`` round-trips.
-    """
+def _parts(text: str, tag: Optional[IrrationalTag]) -> tuple[int, int, int]:
+    """(n, m, d) with d > 0 for the value (n + m*alpha) / d that `text`
+    writes, not necessarily in lowest terms: the grammar of scalar text."""
     s = text.strip()
     if "alpha" not in s:
         n, d = _ratio(s)
-        return _make(n, 0, d, None)
+        return n, 0, d
     if tag is None:
         raise ValueError(f"scalar {text!r} uses alpha but no tag was given")
     m = _LINEAR.fullmatch(s)
@@ -393,7 +391,13 @@ def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:
     qn, qd = _ratio(m["q"] or "1")
     if m["sign"] == "-":
         qn = -qn
-    return _make(pn * qd, qn * pd, pd * qd, tag)
+    return pn * qd, qn * pd, pd * qd
+
+
+def parse_scalar(text: str, tag: Optional[IrrationalTag] = None) -> Scalar:
+    """Parse a rational, or a linear form in alpha such as ``1/2-alpha``;
+    the text of ``Scalar.to_text`` round-trips."""
+    return _make(*_parts(text, tag), tag)
 
 
 def render(a: Scalar, digits: int = 12) -> str:

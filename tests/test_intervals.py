@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 from ergolab import intervals
 from ergolab.dynamics import A_SET, KakutaniTower, TowerSet, odometer_preimage
 from ergolab.errors import (IncompatibleBasisError,
+                            RepresentationOverflowError,
                             UnsupportedRepresentationError)
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval,
                                IntervalSet, ParityTail, ShiftSteps,
                                _depth_for_gap, arc, doubling_preimage,
                                from_text, make_set)
-from ergolab.randomsets import random_interval_set, random_offset_set
-from ergolab.scalars import GOLDEN, SQRT2M1, IrrationalTag, Scalar, _make
+from ergolab.randomsets import (random_interval_set, random_offset_set,
+                                random_tower_set)
+from ergolab.scalars import (GOLDEN, SQRT2M1, IrrationalTag, Scalar, _make,
+                             parse_scalar)
 
 F = Fraction
 
@@ -359,6 +362,29 @@ def _with_two_tails(seed):
         _with_tail(2 * seed + 3, AT_ONE))
 
 
+#: bases that route the residual zone of the odometer preimage: one that
+#: reaches 0, so its residual zone is full, and lone tails at zero of
+#: either parity, which route the zone to the top (even) or the base (odd)
+KAKUTANI_BASES = {
+    "reaches-zero": "0..3/8, 1/2..5/8",
+    "reaches-zero-and-one": "0..1/1024, 3/4..1",
+    "full": "0..1",
+    **{f"tail-zero-{s}-{p}": f"tail(zero, {s}, {p})"
+       for s in range(8) for p in ("even", "odd")},
+}
+
+
+def _kakutani_input(seed):
+    """A seeded tower set, or one of ``KAKUTANI_BASES`` under a top of
+    pieces of A and an even tail at one."""
+    if seed in KAKUTANI_BASES:
+        top = from_text("1/8..3/8, 3/4..13/16, tail(one, 4, even)")
+        return TowerSet(from_text(KAKUTANI_BASES[seed]), top)
+    return TowerSet(_with_tail(seed, AT_ZERO),
+                    random_interval_set(seed + 50, allow_tails=False,
+                                        allow_empty=True).intersect(A_SET))
+
+
 class TestPointwise:
     @pytest.mark.parametrize("seed", range(30))
     def test_operations_match_membership_oracle(self, seed):
@@ -547,13 +573,11 @@ class TestPointwise:
             assert _contains(pre, x) == _contains(S, _odometer(x)), (
                 f"T^-1 of {S.to_text()} at {x.to_text()}")
 
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", [*range(20), *KAKUTANI_BASES])
     def test_kakutani_preimage_matches_the_pointwise_map(self, seed):
         # the tower map: a base point in A climbs to its copy on the top
         # floor, any other point goes to the odometer image in the base
-        S = TowerSet(_with_tail(seed, AT_ZERO),
-                     random_interval_set(seed + 50, allow_tails=False,
-                                         allow_empty=True).intersect(A_SET))
+        S = _kakutani_input(seed)
         pre = KakutaniTower().preimage(S)
         assert _is_normal(pre.base) and _is_normal(pre.top), pre.to_text()
         cuts = [_odometer_inverse(e) for part in (S.base, S.top)
@@ -570,6 +594,24 @@ class TestPointwise:
             on_top = in_a and _contains(S.base, _odometer(x))
             assert _contains(pre.top, x) == on_top, (
                 f"top of T^-1 of {S.to_text()} at {x.to_text()}")
+
+    @pytest.mark.parametrize("seed", [*range(40), *KAKUTANI_BASES])
+    def test_kakutani_preimage_is_the_intersection_form(self, seed):
+        # the parity split against the composition it replaces: the
+        # odometer preimage cut by A and by its complement.  Seeds from 20
+        # on draw random tower sets, whose bases may have a tail at one.
+        S = (random_tower_set(seed) if isinstance(seed, int) and seed >= 20
+             else _kakutani_input(seed))
+        if any(t.anchor == AT_ONE for t in S.base.tails):
+            with pytest.raises(RepresentationOverflowError):
+                KakutaniTower().preimage(S)
+            return
+        pre = odometer_preimage(S.base)
+        want = TowerSet(pre.intersect(A_SET.complement()).union(S.top),
+                        pre.intersect(A_SET))
+        got = KakutaniTower().preimage(S)
+        assert _fields(got.base) == _fields(want.base), S.to_text()
+        assert _fields(got.top) == _fields(want.top), S.to_text()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_translate_mod1_matches_the_pointwise_map(self, seed):
@@ -953,6 +995,155 @@ class TestTranslation:
     @settings(max_examples=80)
     def test_translation_preserves_measure(self, s, t):
         assert s.translate_mod1(Scalar(t)).measure() == s.measure()
+
+
+def _rational_text(rng, x, linear=False):
+    """A text of the rational x >= 0 that ``parse_scalar`` reads, in a
+    seeded form: canonical, over a multiple of its denominator, decimal,
+    with a plus sign or, outside a linear form in alpha, an exponent."""
+    n, d = x.numerator, x.denominator
+    forms = [str(x), f"{2 * n}/{2 * d}", f"{3 * n}/{3 * d}"]
+    j = next((j for j in range(1, 7) if 10 ** j % d == 0), None)
+    if j is not None:
+        v = n * 10 ** j // d
+        forms.append(f"{v // 10 ** j}.{v % 10 ** j:0{j}d}")
+        if not linear:
+            forms.append(f"{v}e-{j}")
+    return rng.choice(forms + [f"+{x}"])
+
+
+def _endpoint_text(rng, x):
+    """A seeded text of the Scalar x = p + q*alpha: its rational forms and
+    the linear forms in alpha, with or without spaces, a coefficient of 1
+    or a rational part of 0."""
+    p, q = x.p, x.q
+    if not q:
+        return _rational_text(rng, p)
+    coef = _rational_text(rng, abs(q), linear=True).lstrip("+")
+    if abs(q) == 1 and rng.random() < 0.5:
+        term = "alpha"
+    else:
+        term = rng.choice([f"{coef}*alpha", f"{coef} * alpha"])
+    sign = "-" if q < 0 else "+"
+    if not p and rng.random() < 0.5:
+        return term if q > 0 else f"-{term}"
+    p = _rational_text(rng, p, linear=True)
+    return rng.choice([f"{p}{sign}{term}", f"{p} {sign} {term}"])
+
+
+def _text_pieces(rng, tag):
+    """Seeded (lo, hi) Scalar pieces in [0, 1], unsorted, some touching and
+    some overlapping, with golden or sqrt2 endpoints when tagged."""
+    pool = {Scalar(F(k, 8)) for k in range(9)}
+    pool |= {Scalar(F(k, 3)) for k in range(4)} | {Scalar(F(1, 10))}
+    if tag is not None:
+        alpha = Scalar(0, 1, tag)
+        pool |= {alpha, 1 - alpha, alpha / Scalar(2),
+                 (1 + alpha) / Scalar(2), Scalar(F(3, 4)) - alpha / Scalar(2)}
+    pool = sorted(pool)
+    pieces = []
+    for _ in range(rng.randint(1, 5)):
+        lo, hi = sorted(rng.sample(pool, 2))
+        pieces.append((lo, hi))
+        after = [x for x in pool if x > hi]
+        if after and rng.random() < 0.3:
+            pieces.append((hi, rng.choice(after)))  # touching
+        if rng.random() < 0.3:
+            pieces.append((lo, rng.choice([x for x in pool if x > lo])))
+    rng.shuffle(pieces)
+    return pieces
+
+
+def _text_tails(rng):
+    """Seeded tails at either anchor or both, sometimes two at one anchor,
+    as text and as ``ParityTail``s."""
+    texts = []
+    for anchor in rng.sample([AT_ONE, AT_ZERO], rng.randint(0, 2)):
+        for parity in rng.sample(["even", "odd"], rng.randint(1, 2)):
+            texts.append(f"tail({anchor}, {rng.randint(0, 6)}, {parity})")
+    return texts
+
+
+#: two tails at one anchor, and tails at both anchors
+TAILED_TEXTS = ["tail(one, 0, even), tail(one, 1, odd)",
+                "tail(one, 1, odd), 0..1/4, tail(one, 0, even)",
+                "tail(zero, 3, even), tail(zero, 0, odd), 3/4..1",
+                "1/2..3/4, 1/4..1/2, 0..1/4, tail(one, 2, odd), "
+                "tail(zero, 2, odd)",
+                "0..1/2, 1/4..3/4, tail(one, 0, even), tail(zero, 5, odd)"]
+
+
+class TestParser:
+    """``from_text`` reads endpoints as integers and normalizes them in the
+    core of ``IntervalSet.build``: the same set, tag and errors as reading
+    each endpoint with ``parse_scalar`` and building from the Scalars."""
+
+    @staticmethod
+    def _reference(text, tag):
+        pairs, tails = [], []
+        for part in intervals._COMMA_RE.split(text):
+            m = intervals._TAIL_RE.match(part.strip())
+            if m:
+                tails.append(ParityTail(m[1], int(m[2]), m[3]))
+            else:
+                lo, hi = part.split("..")
+                pairs.append((parse_scalar(lo, tag), parse_scalar(hi, tag)))
+        return IntervalSet.build(pairs, tails)
+
+    @pytest.mark.parametrize("seed", [*range(60), *TAILED_TEXTS])
+    def test_from_text_is_parse_scalar_and_build(self, seed):
+        if seed in TAILED_TEXTS:
+            text, tag = seed, None
+        else:
+            rng = random.Random(seed)
+            tag = (None, GOLDEN, SQRT2M1)[seed % 3]
+            parts = [_endpoint_text(rng, lo) + rng.choice(["..", " .. "])
+                     + _endpoint_text(rng, hi)
+                     for lo, hi in _text_pieces(rng, tag)]
+            parts += _text_tails(rng)
+            rng.shuffle(parts)
+            text = rng.choice([", ", ",", " , "]).join(parts)
+        S, want = from_text(text, tag), self._reference(text, tag)
+        assert _fields(S) == _fields(want), text
+        assert S.tag is want.tag, text
+        assert _is_normal(S), text
+
+    @pytest.mark.parametrize("text, tag, message", [
+        ("-1/4..1/2", None, "interval -1/4..1/2 outside [0,1)"),
+        ("1/2..3/2", None, "interval 1/2..3/2 outside [0,1)"),
+        ("0..1/2, 1/2..1/4", None, "empty or inverted interval 1/2..1/4"),
+        ("1/2..1/2", None, "empty or inverted interval 1/2..1/2"),
+        ("2/4..0.5", None, "empty or inverted interval 1/2..1/2"),
+        ("alpha..1/2", GOLDEN, "empty or inverted interval 0+1*alpha..1/2"),
+        ("-alpha..1/2", GOLDEN, "interval 0-1*alpha..1/2 outside [0,1)"),
+        ("0..2*alpha", GOLDEN, "interval 0..0+2*alpha outside [0,1)"),
+        ("1-alpha..1/2", SQRT2M1,
+         "empty or inverted interval 1-1*alpha..1/2"),
+        ("0..1/0", None, "zero denominator in '1/0'"),
+        ("0/0..1/2", None, "zero denominator in '0/0'"),
+        ("0..alpha", None, "scalar 'alpha' uses alpha but no tag was given"),
+        ("0..1/2+*alpha", GOLDEN, "malformed scalar '1/2+*alpha'"),
+        ("0..alpha+1", GOLDEN, "malformed scalar 'alpha+1'"),
+        ("0..1/2*alpha*alpha", SQRT2M1,
+         "malformed scalar '1/2*alpha*alpha'"),
+        ("0..abc", None, "Invalid literal for Fraction: 'abc'"),
+        ("0-1/2", None, "malformed set component '0-1/2'"),
+        ("0..1/2,", None, "malformed set component ''"),
+        ("0..1/2, tail(one, x, even)", None,
+         "malformed set component 'tail(one, x, even)'"),
+        ("1/2..1, tail(middle, 0, even)", None,
+         "malformed set component 'tail(middle, 0, even)'"),
+    ], ids=["negative", "above-one", "inverted", "empty", "empty-unreduced",
+            "inverted-alpha", "negative-alpha", "above-one-alpha",
+            "inverted-sqrt2", "zero-denominator", "zero-over-zero",
+            "alpha-without-tag", "malformed-linear", "alpha-first",
+            "alpha-squared", "not-a-number", "no-dots", "empty-component",
+            "bad-tail-start", "bad-tail-anchor"])
+    def test_bad_text_raises_as_before(self, text, tag, message):
+        with pytest.raises(ValueError) as info:
+            from_text(text, tag)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
 
 
 class TestSerialization:
