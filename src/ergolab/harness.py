@@ -349,7 +349,7 @@ def _run_splinter(config: ExperimentConfig, T: Transformation,
                  config.get("epsilon"), config.get("n_max"),
                  stall_window=config.opt("stall_window"),
                  component_budget=config.get("component_budget"))
-    final = d.residuals[-1].measure() if d.residuals else Scalar(0)
+    final = d.trace[-1].measure_B if d.trace else Scalar(0)
     return trace_rows(d.trace, digits), {
         "status": d.status, "depth": d.depth,
         "final_measure_B": final.to_text(),
@@ -512,7 +512,7 @@ def demo_kakutani() -> tuple[RunTrace, int]:
     ok &= d.status == CONVERGED
     records.append({"check": "tower-splinter", "status": d.status,
                     "depth": d.depth,
-                    "final_measure_B": d.residuals[-1].measure().to_text(),
+                    "final_measure_B": d.trace[-1].measure_B.to_text(),
                     "pass": d.status == CONVERGED})
 
     disc = make_system("odometer").discontinuities(4)

@@ -1,17 +1,23 @@
 """Run every config of the output corpus and record its digests.
 
-The corpus (``tests/corpus/*.cfg``) holds the configs whose exact output
-tier-1 pins: every ``STRUCTURED_CFGS`` config of ``tests/test_harness.py``
-(``harness-<name>.cfg``) and every config that ``.github/workflows/tier1.yml``
-writes (``ci-<name>.cfg``).  A digest is the sha256 of what ``ergolab run
---config FILE --format FMT`` writes to stdout and stderr and of its exit
-code, with the lines that carry the version stamp left out, since the
-stamp depends on how ergolab is installed.
+``tests/corpus/*.cfg`` is the one home of each config whose exact output
+tier-1 pins: ``.github/workflows/tier1.yml`` runs each ``ci-<name>.cfg``,
+``harness-<name>.cfg`` is one of the ``STRUCTURED_CFGS`` of
+``tests/test_harness.py``, and ``readme-<name>.cfg`` is an example that
+README.md quotes an outcome of.  The workflow and the tests name a config
+by its path and keep no copy of its text.
+
+A digest is the sha256 of what ``ergolab run --config FILE --format FMT``
+writes to stdout and stderr and of its exit code, with the lines that
+carry the version stamp left out, since the stamp depends on how ergolab
+is installed.
 
     PYTHONPATH=src python tests/record_corpus.py
 
 rewrites ``tests/corpus/digests.json``, one entry per config and format.
-A change that means to keep every answer re-records nothing.
+To pin a new config, drop its file into ``tests/corpus`` and run the
+script: every existing entry comes out unchanged.  A change that means to
+keep every answer re-records nothing.
 """
 
 from __future__ import annotations

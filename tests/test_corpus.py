@@ -1,7 +1,8 @@
 """The exact output of every corpus config, pinned by digest.
 
-``tests/corpus`` holds every ``STRUCTURED_CFGS`` config and every config
-that the tier-1 workflow writes; ``tests/record_corpus.py`` records the
+``tests/corpus`` is the one home of every config that tier-1 or the
+tier-1 workflow pins: the tests and the workflow name a config by its
+path and keep no copy of its text.  ``tests/record_corpus.py`` records the
 digests of their ``ergolab run`` output in both formats.  A change that
 keeps every answer leaves every digest as it is.
 """
@@ -13,62 +14,31 @@ from pathlib import Path
 import pytest
 
 from record_corpus import CORPUS, DIGESTS, FORMATS, configs, run_digest
-from test_harness import STRUCTURED_CFGS
 
 WORKFLOW = (Path(__file__).resolve().parent.parent / ".github" / "workflows"
             / "tier1.yml")
-
-#: printf 'FORMAT' ["$var" ...] [| cat BASE.cfg -] > NAME.cfg
-_PRINTF = re.compile(r"printf '([^']*)'((?: \"\$\w+\")*)"
-                     r"(?: \| cat (\S+)\.cfg -)? > (\S+)\.cfg$")
-#: sed 's/OLD/NEW/' BASE.cfg > NAME.cfg
-_SED = re.compile(r"sed 's/([^/]*)/([^/]*)/' (\S+)\.cfg > (\S+)\.cfg$")
-#: var=$(printf '%0Nd' 0), a run of N zeros
-_ZEROS = re.compile(r"(\w+)=\$\(printf '%0(\d+)d' 0\)$")
-
-
-def workflow_configs() -> dict[str, str]:
-    """Every config the workflow writes, by file stem, as the shell would
-    write it."""
-    found, zeros = {}, {}
-    for line in WORKFLOW.read_text().splitlines():
-        line = line.strip()
-        if m := _ZEROS.match(line):
-            zeros[m[1]] = "0" * int(m[2])
-        elif m := _PRINTF.search(line):
-            text = m[1].replace("\\n", "\n")
-            names = re.findall(r"\$(\w+)", m[2])
-            if names:
-                text %= tuple(zeros[name] for name in names)
-            found[m[4]] = (found[m[3]] if m[3] else "") + text
-        elif m := _SED.search(line):
-            found[m[4]] = found[m[3]].replace(m[1], m[2], 1)
-    return found
 
 
 def _digests() -> dict:
     return json.loads(DIGESTS.read_text())
 
 
-def test_corpus_holds_every_structured_config():
-    for name, text in STRUCTURED_CFGS.items():
-        assert (CORPUS / f"harness-{name}.cfg").read_text() == text, name
+def test_workflow_reads_every_ci_config():
+    text = WORKFLOW.read_text()
+    named = set(re.findall(r"tests/corpus/(\S+?\.cfg)", text))
+    assert all((CORPUS / name).is_file() for name in named)
+    assert {path.name for path in CORPUS.glob("ci-*.cfg")} <= named
+    # a config is read from the corpus, never written by a step
+    assert not re.search(r">\s*\S+\.cfg", text)
 
 
-def test_corpus_holds_every_workflow_config():
-    written = workflow_configs()
-    # the configs made with printf, with cat and with sed
-    assert {"golden", "golden-budget", "golden-100", "value-over",
-            "kakutani-verify"} <= set(written)
-    for name, text in written.items():
-        assert (CORPUS / f"ci-{name}.cfg").read_text() == text, name
+def test_no_two_corpus_configs_are_equal():
+    texts = [path.read_text() for path in configs()]
+    assert len(set(texts)) == len(texts)
 
 
 def test_every_corpus_config_has_its_digests():
-    names = {f"harness-{name}" for name in STRUCTURED_CFGS}
-    names |= {f"ci-{name}" for name in workflow_configs()}
-    assert {path.stem for path in configs()} == names
-    assert set(_digests()) == names
+    assert set(_digests()) == {path.stem for path in configs()}
     assert all(set(entry) == set(FORMATS) for entry in _digests().values())
 
 

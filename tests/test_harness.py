@@ -18,24 +18,32 @@ from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
 from ergolab.intervals import from_text
 from ergolab.scalars import GOLDEN, SQRT2M1, parse_scalar
 from ergolab.splinter import Rows, splinter
+from record_corpus import CORPUS
 
 F = Fraction
 
-SPLINTER_CFG = """\
-command = splinter
-system = doubling
-epsilon = 1/1048576
-n_max = 64
-set.J1 = 0..1/2
-set.J2 = 0..1/2
-"""
 
-GAP_CFG = """\
-command = gap
-system = doubling
-depth = 3
-set.B = 0..1/2
-"""
+def corpus_config(stem: str) -> str:
+    return (CORPUS / f"{stem}.cfg").read_text()
+
+
+# configs that tier-1 pins by digest, read from their one copy
+SPLINTER_CFG = corpus_config("harness-splinter")
+GAP_CFG = corpus_config("harness-gap")
+# the Kakutani preimage of an at-one tail accumulates at 1/2
+OVERFLOW_CFG = corpus_config("harness-overflow")
+# converges at depth 224: an ergodic rotation has no default stall window
+GOLDEN_CFG = corpus_config("ci-golden")
+TAGGED_RATIONAL_CFG = corpus_config("ci-tagged-rational")
+# mu(C) * mu(D) = 10^-5000: its denominator has more digits than Python
+# 3.11 and later write for an int
+OVER_DIGITS_CFG = corpus_config("ci-value-over")
+# arcs windows [a/3, b/3) on a set with an at-zero tail
+ARCS_GAP_CFG = corpus_config("ci-arcs-gap")
+# the first dense dyadic window of a set with an at-one tail
+TAIL_DENSITY_CFG = corpus_config("ci-tail-density")
+# 2**30 dyadic windows in the level read, past the ceiling of 2**18
+DEEP_GAP_CFG = corpus_config("ci-deep-gap")
 
 STALL_CFG = """\
 command = splinter
@@ -47,16 +55,6 @@ set.J1 = 0..1/6
 set.J2 = 1/2..2/3
 """
 
-# the Kakutani preimage of an at-one tail accumulates at 1/2
-OVERFLOW_CFG = """\
-command = splinter
-system = kakutani
-epsilon = 1/1000
-n_max = 50
-set.J1 = 0..1/3 | empty
-set.J2 = 1/3..2/3 | empty
-"""
-
 # mu(J1) = 1/4 + 1/6 differs from mu(J2) = 1/4
 UNEQUAL_WINDOWS_CFG = """\
 command = splinter
@@ -65,25 +63,6 @@ epsilon = 1/1000
 n_max = 50
 set.J1 = 0..1/4, tail(one, 2, even)
 set.J2 = 1/2..3/4
-"""
-
-# converges at depth 224: an ergodic rotation has no default stall window
-GOLDEN_CFG = """\
-command = splinter
-system = rotation:golden
-epsilon = 1/1000
-n_max = 300
-set.J1 = 0..1/4
-set.J2 = 1/2..3/4
-"""
-
-TAGGED_RATIONAL_CFG = """\
-command = splinter
-system = rotation:golden:1/3
-epsilon = 1/1000
-n_max = 30
-set.J1 = 0..-1/2+alpha
-set.J2 = 1/2..alpha
 """
 
 # density needs 0 < epsilon < 1
@@ -104,50 +83,21 @@ set.C = 0..1/3
 set.D = 0..1/2
 """
 
-# mu(C) * mu(D) = 10^-5000: its denominator has more digits than Python
-# 3.11 and later write for an int
-OVER_DIGITS_CFG = f"""\
-command = mixing
-system = doubling
-n_max = 1
-set.C = 0..1/1{"0" * 2500}
-set.D = 0..1/1{"0" * 2500}
-"""
-
-# arcs windows [a/3, b/3) on a set with an at-zero tail
-ARCS_GAP_CFG = """\
-command = gap
-system = odometer
-basis = arcs
-depth = 3
-set.B = 1/5..1/2, tail(zero, 2, even)
-"""
-
-# the first dense dyadic window of a set with an at-one tail
-TAIL_DENSITY_CFG = """\
-command = density
-system = odometer
-epsilon = 1/10
-depth = 6
-set.S = 3/1024..77/1024, 801/1024..900/1024, tail(one, 3, odd)
-"""
-
-# 2**30 dyadic windows in the level read, past the ceiling of 2**18
-DEEP_GAP_CFG = """\
-command = gap
-system = odometer
-depth = 30
-set.B = 0..1/3
-"""
-
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def readme_config() -> str:
+    block, = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    return block
+
+
 class TestReadme:
+    def test_config_example_is_the_golden_config(self):
+        assert readme_config() == GOLDEN_CFG
+
     def test_config_example_converges(self):
-        block, = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
-        trace, code = run(parse_config(block))
+        trace, code = run(parse_config(readme_config()))
         assert code == 0
         assert trace.summary["status"] == "converged"
         assert trace.summary["depth"] == 224
@@ -308,9 +258,7 @@ class TestRunDispatch:
 
     def test_mixing_on_irrational_arcs(self):
         # mu(C) mu(D) = alpha**2 = 1 - alpha
-        text = ("command = mixing\nsystem = rotation:golden\nn_max = 5\n"
-                "set.C = 0..alpha\nset.D = 0..alpha\n")
-        trace, code = run(parse_config(text))
+        trace, code = run(parse_config(corpus_config("readme-mixing-alpha")))
         assert code == 0
         assert trace.summary["product"] == "1-1*alpha"
         assert trace.records[0]["trace"] == "-2+3*alpha"
@@ -331,16 +279,13 @@ STATUS_CASES = [
      "doubling"),
     ("command = verify\nsystem = odometer\nset.S = 0..1/2\n", "pass",
      "odometer"),
-    ("command = density\nsystem = doubling\nepsilon = 1/2\n"
-     "set.S = 1/3..2/3\n", "pass", "doubling"),
+    (corpus_config("harness-density"), "pass", "doubling"),
     # mu(S n [0, 1)) = 1/2 is not above (1 - epsilon) mu([0, 1))
     ("command = density\nsystem = doubling\ndepth = 0\nepsilon = 1/2\n"
      "set.S = 0..1/2\n", "fail", "doubling"),
     (GAP_CFG, "pass", "doubling"),
-    ("command = mixing\nsystem = doubling\nn_max = 6\n"
-     "set.C = 0..1/3\nset.D = 1/5..7/10\n", "pass", "doubling"),
-    ("command = reduction\nsystem = rotation:golden\nepsilon = 1/100\n"
-     "n_max = 60\nsample = 3\nset.B = 0..1/2\n", "pass", "rotation:golden"),
+    (corpus_config("harness-mixing"), "pass", "doubling"),
+    (corpus_config("harness-reduction"), "pass", "rotation:golden"),
     (OVERFLOW_CFG, "left-representation-class", "kakutani"),
     (UNEQUAL_WINDOWS_CFG, "invalid-input", "odometer"),
     (MIXING_BUDGET_CFG, "budget-exhausted", "doubling"),
@@ -454,13 +399,13 @@ class TestExitCodes:
         (GAP_CFG + "digits = 0\n", "config error: digits must be positive"),
         (DENSITY_EPSILON_CFG,
          "invalid input: epsilon must lie strictly between 0 and 1"),
-        (GOLDEN_CFG + "stall_window = 0\n",
+        (corpus_config("readme-stall-window-zero"),
          "config error: stall_window must be positive"),
         (GOLDEN_CFG + "stall_window = -3\n",
          "config error: stall_window must be positive"),
-        (GOLDEN_CFG.replace("1/1000", "1/0"),
+        (corpus_config("readme-epsilon-zero-denominator"),
          "config error: bad value for 'epsilon': zero denominator in '1/0'"),
-        ("command = demo\nsystem = doubling\n",
+        (corpus_config("ci-demo"),
          "config error: demo runs on kakutani, not 'doubling'"),
         ("command = demo\nsystem = rotation:1/3\n",
          "config error: demo runs on kakutani, not 'rotation:1/3'"),
@@ -577,28 +522,13 @@ class TestDemo:
         assert all(r["pass"] for r in trace.records)
 
 
-# one config per command; "splinter" on the golden rotation writes tagged
-# irrational values, and the Kakutani "verify" leaves the representation
-# class, so its trace has no records
-STRUCTURED_CFGS = {
-    "splinter": SPLINTER_CFG,
-    "splinter-golden": GOLDEN_CFG,
-    "verify": ("command = verify\nsystem = kakutani\n"
-               "set.S = 0..1/2 | 1/8..1/4\nset.T = 1/4..5/8 | empty\n"),
-    "verify-error": ("command = verify\nsystem = kakutani\n"
-                     "set.S = 0..1/2, tail(one, 2, even) | empty\n"),
-    "density": ("command = density\nsystem = doubling\nepsilon = 1/2\n"
-                "set.S = 1/3..2/3\n"),
-    "gap": GAP_CFG,
-    "gap-tail": ("command = gap\nsystem = odometer\ndepth = 3\n"
-                 "set.B = 0..1/2, tail(zero, 3, odd)\n"),
-    "mixing": ("command = mixing\nsystem = doubling\nn_max = 6\n"
-               "set.C = 0..1/3\nset.D = 1/5..7/10\n"),
-    "reduction": ("command = reduction\nsystem = rotation:golden\n"
-                  "epsilon = 1/100\nn_max = 60\nsample = 3\nset.B = 0..1/2\n"),
-    "demo": "command = demo\nsystem = kakutani\n",
-    "overflow": OVERFLOW_CFG,
-}
+# one config per command, each harness-<name>.cfg of the corpus;
+# "splinter-golden" writes tagged irrational values, and the Kakutani
+# "verify-error" leaves the representation class, so its trace has no
+# records
+STRUCTURED_CFGS = {path.stem.removeprefix("harness-"): path.read_text()
+                   for path in CORPUS.glob("harness-*.cfg")}
+STRUCTURED_CFGS["splinter-golden"] = GOLDEN_CFG
 
 
 class TestBasisProbes:
