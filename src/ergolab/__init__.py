@@ -17,18 +17,19 @@ from .dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                        TOWER_FULL, TowerSet, Transformation, make_system,
                        tower_preimage, verify_measure_preserving)
 from .splinter import (BUDGET_EXHAUSTED, CONVERGED, CheckReport,
-                       DEFAULT_COMPONENT_BUDGET, Residuals, Rows, STALLED,
+                       DEFAULT_COMPONENT_BUDGET, Residuals, STALLED,
                        SplinterDecomposition, StepRecord, additivity_check,
-                       splinter, trace_rows, transport_check,
-                       verify_decomposition, verify_orbit_decomposition)
+                       splinter, transport_check, verify_decomposition,
+                       verify_orbit_decomposition)
 from .caratheodory import (GapReport, MeasureBasis, RESTRICTION_NOTICE,
                            arcs_basis, correlation_average, density_pair,
                            density_search, dyadic_basis, gap_theta,
                            invariance_check, mixing_trace, reduction_check)
 from .randomsets import (random_interval_set, random_offset_set,
                          random_tower_set)
-from .harness import (ARTIFACT_VERSION, ExperimentConfig, RunTrace,
-                      demo_kakutani, emit_plot_data, parse_config, run)
+from .harness import (ARTIFACT_VERSION, ExperimentConfig, Rows, RunTrace,
+                      demo_kakutani, emit_plot_data, parse_config, run,
+                      trace_rows)
 from . import fixtures
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,9 +15,9 @@ import pathlib
 import re
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from . import fixtures
 from .caratheodory import (RESTRICTION_NOTICE, dyadic_basis, arcs_basis,
@@ -30,10 +30,11 @@ from .dynamics import (SetLike, TowerSet, Transformation, make_system,
                        verify_measure_preserving)
 from .errors import (ConfigError, ErgolabError, EXIT_CODES, STATUS_CODES,
                      exit_status)
-from .intervals import EMPTY, from_text as set_from_text
+from .intervals import (AT_ZERO, EMPTY, ParityTail, make_set,
+                        from_text as set_from_text)
 from .scalars import Scalar, parse_scalar, render
-from .splinter import (CONVERGED, DEFAULT_COMPONENT_BUDGET, _once, splinter,
-                       trace_rows)
+from .splinter import (CONVERGED, DEFAULT_COMPONENT_BUDGET, StepRecord,
+                       splinter)
 
 try:  # single source of truth for the version stamp in file headers
     from importlib.metadata import version as _pkg_version
@@ -327,6 +328,67 @@ def _record_texts(records: list) -> str:
     return _NEXT_RECORD.join(pieces)
 
 
+def _once(f: Callable[[Scalar], str]) -> Callable[[Scalar], str]:
+    """``f`` computed once per distinct scalar value."""
+    seen: dict = {}
+
+    def g(s: Scalar) -> str:
+        key = (s.n, s.m, s.d, s.tag)
+        out = seen.get(key)
+        if out is None:
+            out = seen[key] = f(s)
+        return out
+    return g
+
+
+def trace_rows(trace: Sequence[StepRecord],
+               digits: int = DEFAULT_DIGITS) -> "Rows":
+    """One row per step of a splinter trace, as ``Rows``: its number, the
+    exact text and the decimal rendering of mu(A_n) and mu(B_n), the
+    component count of B_n and the exact covered measure.  Each distinct
+    measure is rendered once.
+
+    ``splinter`` appends the same record again for a step that repeats the
+    values of the step before, as most unproductive steps of a
+    measure-preserving T do.  Each run of one record object is one run of
+    the rows: its first row is rendered, and the rest are copies of it
+    with their own ``step``.
+    """
+    text, dec = _once(Scalar.to_text), _once(lambda s: render(s, digits))
+    rows = Rows()
+    for _, run in groupby(trace, id):
+        rec, *more = run
+        step = len(rows) + 1
+        row = {"step": step,
+               "measure_A_n": text(rec.measure_A),
+               "measure_A_n_dec": dec(rec.measure_A),
+               "measure_B_n": text(rec.measure_B),
+               "measure_B_n_dec": dec(rec.measure_B),
+               "components_B_n": rec.components_B,
+               "cumulative_covered": text(rec.covered_measure)}
+        rows.append(row)
+        rows += [dict(row, step=k)
+                 for k in range(step + 1, step + 1 + len(more))]
+        rows.runs.append(1 + len(more))
+    return rows
+
+
+class Rows(list):
+    """Trace rows, and ``runs``: the number of rows in each run of them.
+
+    A run is a row and the rows after it that repeat it but for their first
+    value, an ``int``: the same keys in the same order and the same other
+    values.  ``trace_rows`` makes a run of the steps that share one
+    record.  ``RunTrace.to_structured`` writes a run from the text of its
+    first row, so ``runs`` must hold for the rows as they are; a plain list
+    is written row by row.
+    """
+
+    def __init__(self, rows=(), runs=()):
+        super().__init__(rows)
+        self.runs = list(runs)
+
+
 def _header(config: Optional[ExperimentConfig], fixture: str) -> dict:
     head = {"artifact_version": ARTIFACT_VERSION, "fixture": fixture,
             "restriction": RESTRICTION_NOTICE}
@@ -486,30 +548,24 @@ def demo_kakutani() -> tuple[RunTrace, int]:
     """Canonical two-storey suite: total mass, preservation, splinter,
     and the discontinuity listing of the odometer."""
     T = make_system("kakutani")
-    records, ok = [], True
+    records = []
 
     full = T.full_set()
     total = full.measure()
-    ok &= total == Scalar(Fraction(5, 3))
     records.append({"check": "total-measure", "value": total.to_text(),
                     "pass": total == Scalar(Fraction(5, 3))})
 
-    from .intervals import AT_ZERO, ParityTail, make_set
     zero_tail = TowerSet(make_set([], [ParityTail(AT_ZERO, 0, "even")]), EMPTY)
-    battery = [full, T.empty_set(),
-               fixtures.tower_splinter_inputs()["J1"],
-               fixtures.tower_splinter_inputs()["J2"],
-               fixtures.tower_column_splinter_inputs()["J1"],
-               zero_tail]
+    inputs = fixtures.tower_splinter_inputs()
+    battery = [full, T.empty_set(), inputs["J1"], inputs["J2"],
+               fixtures.tower_column_splinter_inputs()["J1"], zero_tail]
     for i, S in enumerate(battery):
         rep = verify_measure_preserving(T, S)
-        ok &= rep.passed
         records.append({"check": f"preservation[{i}]", "set": S.to_text(),
                         "value": rep.measure_set.to_text(),
                         "pass": rep.passed})
 
-    d = splinter(**fixtures.tower_splinter_inputs())
-    ok &= d.status == CONVERGED
+    d = splinter(**inputs)
     records.append({"check": "tower-splinter", "status": d.status,
                     "depth": d.depth,
                     "final_measure_B": d.trace[-1].measure_B.to_text(),
@@ -519,11 +575,10 @@ def demo_kakutani() -> tuple[RunTrace, int]:
     listing = ", ".join(x.to_text() for x in disc)
     expected = ", ".join(str(Fraction(1) - Fraction(1, 1 << n))
                          for n in range(5))
-    ok &= listing == expected
     records.append({"check": "odometer-discontinuities", "value": listing,
                     "pass": listing == expected})
 
-    status = "pass" if ok else "fail"
+    status = "pass" if all(rec["pass"] for rec in records) else "fail"
     trace = RunTrace(_header(None, "demo-kakutani"), records,
                      {"status": status})
     return trace, STATUS_CODES[status]

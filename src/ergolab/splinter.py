@@ -14,14 +14,14 @@ at a positive constant, which the engine detects and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Optional, Sequence
 
 from .dynamics import SetLike, Transformation
 from .errors import (ErgolabError, InvalidInputError, InvariantViolation,
                      check_count)
 from .intervals import EMPTY, ShiftSteps
-from .scalars import ZERO, Scalar, render
+from .scalars import ZERO, Scalar
 
 DEFAULT_COMPONENT_BUDGET = 1 << 16
 
@@ -37,73 +37,6 @@ class StepRecord:
     measure_B: Scalar
     components_B: int
     covered_measure: Scalar
-
-    def row(self, step: int, digits: int = 12) -> dict:
-        return self._row(step, Scalar.to_text, lambda s: render(s, digits))
-
-    def _row(self, step: int, text: Callable[[Scalar], str],
-             dec: Callable[[Scalar], str]) -> dict:
-        return {
-            "step": step,
-            "measure_A_n": text(self.measure_A),
-            "measure_A_n_dec": dec(self.measure_A),
-            "measure_B_n": text(self.measure_B),
-            "measure_B_n_dec": dec(self.measure_B),
-            "components_B_n": self.components_B,
-            "cumulative_covered": text(self.covered_measure),
-        }
-
-
-def _once(f: Callable[[Scalar], str]) -> Callable[[Scalar], str]:
-    """``f`` computed once per distinct scalar value."""
-    seen: dict = {}
-
-    def g(s: Scalar) -> str:
-        key = (s.n, s.m, s.d, s.tag)
-        out = seen.get(key)
-        if out is None:
-            out = seen[key] = f(s)
-        return out
-    return g
-
-
-def trace_rows(trace: Sequence[StepRecord], digits: int = 12) -> "Rows":
-    """``[rec.row(n, digits) for n, rec in enumerate(trace, 1)]``,
-    rendering each distinct measure once, as ``Rows``.
-
-    ``splinter`` appends the same record again for a step that repeats the
-    values of the step before, as most unproductive steps of a
-    measure-preserving T do.  Each run of one record object is one run of
-    the rows: its first row is rendered, and the rest are copies of it
-    with their own ``step``.
-    """
-    text, dec = _once(Scalar.to_text), _once(lambda s: render(s, digits))
-    rows = Rows()
-    for _, run in groupby(trace, id):
-        rec, *more = run
-        step = len(rows) + 1
-        row = rec._row(step, text, dec)
-        rows.append(row)
-        rows += [dict(row, step=k)
-                 for k in range(step + 1, step + 1 + len(more))]
-        rows.runs.append(1 + len(more))
-    return rows
-
-
-class Rows(list):
-    """Trace rows, and ``runs``: the number of rows in each run of them.
-
-    A run is a row and the rows after it that repeat it but for their first
-    value, an ``int``: the same keys in the same order and the same other
-    values.  ``trace_rows`` makes a run of the steps that share one
-    record.  ``RunTrace.to_structured`` writes a run from the text of its
-    first row, so ``runs`` must hold for the rows as they are; a plain list
-    is written row by row.
-    """
-
-    def __init__(self, rows=(), runs=()):
-        super().__init__(rows)
-        self.runs = list(runs)
 
 
 class Residuals(Sequence):

@@ -19,21 +19,9 @@ from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, IntervalSet,
                                ParityTail, from_text, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, ONE, SQRT2M1, Scalar
+from test_intervals import dyadic_sets
 
 F = Fraction
-
-
-def dyadic_sets(depth=5, max_parts=3):
-    den = 1 << depth
-    endpoints = st.integers(min_value=0, max_value=den)
-
-    def build(points):
-        points = sorted(set(points))
-        pairs = [(F(points[i], den), F(points[i + 1], den))
-                 for i in range(0, len(points) - 1, 2)]
-        return make_set(pairs)
-
-    return st.lists(endpoints, min_size=2, max_size=2 * max_parts).map(build)
 
 
 class TestBases:
@@ -214,7 +202,8 @@ class TestGapTheta:
         rep = gap_theta(B, J)
         assert rep.part_in + rep.part_out == J.measure()
 
-    @given(dyadic_sets(), st.integers(min_value=0, max_value=7))
+    @given(dyadic_sets(depth=5, max_parts=3, min_points=2),
+           st.integers(min_value=0, max_value=7))
     @settings(max_examples=60)
     def test_theta_random(self, B, k):
         J = make_set([(F(k, 8), F(k + 1, 8))])

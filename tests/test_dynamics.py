@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ergolab import fixtures
 from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
@@ -20,26 +19,9 @@ from ergolab.errors import (InvalidTowerSetError,
 from ergolab.intervals import AT_ZERO, EMPTY, ParityTail, arc, make_set
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
+from test_intervals import _contains, dyadic_sets
 
 F = Fraction
-
-
-def dyadic_sets(depth=6, max_parts=4):
-    den = 1 << depth
-    endpoints = st.integers(min_value=0, max_value=den)
-
-    def build(points):
-        points = sorted(set(points))
-        pairs = [(F(points[i], den), F(points[i + 1], den))
-                 for i in range(0, len(points) - 1, 2)]
-        return make_set(pairs)
-
-    return st.lists(endpoints, min_size=0, max_size=2 * max_parts).map(build)
-
-
-def _member(S, x):
-    """Pointwise membership in a tail-free set."""
-    return any(iv.lo <= x < iv.hi for iv in S.intervals)
 
 
 class TestRotation:
@@ -117,7 +99,7 @@ class TestDoubling:
             points += [Scalar(F(k, 97)) for k in range(97)]
             points += [(Scalar(F(k, 13)) + alpha).mod1() for k in range(13)]
             for x in points:
-                assert _member(pre, x) == _member(S, (x + x).mod1()), (
+                assert _contains(pre, x) == _contains(S, (x + x).mod1()), (
                     f"{S.to_text()} at {x.to_text()}")
 
 

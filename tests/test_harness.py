@@ -13,12 +13,13 @@ from ergolab.cli import main
 from ergolab.dynamics import make_system
 from ergolab.errors import (EXIT_CODES, STATUS_CODES, ConfigError,
                             RepresentationOverflowError)
-from ergolab.harness import (ExperimentConfig, demo_kakutani, emit_plot_data,
-                             parse_config, run)
+from ergolab.harness import (ExperimentConfig, Rows, demo_kakutani,
+                             emit_plot_data, parse_config, run)
 from ergolab.intervals import from_text
 from ergolab.scalars import GOLDEN, SQRT2M1, parse_scalar
-from ergolab.splinter import Rows, splinter
+from ergolab.splinter import splinter
 from record_corpus import CORPUS
+from test_splinter import step_rows
 
 F = Fraction
 
@@ -372,7 +373,7 @@ class TestExitCodes:
                      config.get("n_max"))
         kept = info.value.decomposition.trace
         assert code == 4 and len(kept) == 1
-        assert trace.records == [kept[0].row(1, digits)]
+        assert trace.records == step_rows(kept, digits)
 
     @pytest.mark.parametrize("text, code, message", [
         (OVERFLOW_CFG, 4, "left representation class: preimage of an "

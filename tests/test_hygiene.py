@@ -1,8 +1,9 @@
 """Source hygiene: every name a library or test module imports is used in
-it, no library module reaches into the private kernel of ``intervals``, the
-harness builds splinter rows and run traces in one place each, one
-function refines a bracket of alpha, a check of a splinter run reads its
-map from the run, and one function gives the steps of a splinter run."""
+it, no library module reaches into the private names of ``intervals`` or
+``splinter``, the harness alone renders decimals and splinter rows, and
+builds splinter rows and run traces in one place each, one function
+refines a bracket of alpha, a check of a splinter run reads its map from
+the run, and one function gives the steps of a splinter run."""
 
 import ast
 from pathlib import Path
@@ -37,12 +38,14 @@ def test_no_unused_imports(path):
     assert unused_imports(tree) == []
 
 
-def private_interval_imports(tree: ast.Module) -> list[str]:
+def private_imports(tree: ast.Module, module: str) -> list[str]:
+    """The ``_``-prefixed names that ``tree`` imports from the ergolab
+    module ``module``."""
     return sorted(f"{alias.name} (line {node.lineno})"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom)
-                  and (node.module == "ergolab.intervals"
-                       or (node.level == 1 and node.module == "intervals"))
+                  and (node.module == f"ergolab.{module}"
+                       or (node.level == 1 and node.module == module))
                   for alias in node.names if alias.name.startswith("_"))
 
 
@@ -50,7 +53,34 @@ def private_interval_imports(tree: ast.Module) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_private_interval_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert private_interval_imports(tree) == []
+    assert private_imports(tree, "intervals") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_splinter_imports(path):
+    # the recursion hands the harness its records, not its helpers
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert private_imports(tree, "splinter") == []
+
+
+def importers(name: str) -> set[str]:
+    """The library modules but ``__init__.py`` that import ``name``."""
+    return {path.name for path in MODULES if path.parent == SRC
+            and any(alias.name == name
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names)}
+
+
+def test_harness_alone_renders_splinter_rows():
+    # ``splinter`` computes the recursion; the harness writes every trace
+    assert importers("render") == {"harness.py"}
+    assert "splinter.py" not in importers("groupby") | importers("Callable")
+    tree = ast.parse((SRC / "harness.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"_once", "trace_rows", "Rows"} <= defined
 
 
 def harness_callers(name: str) -> set[str]:

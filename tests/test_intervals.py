@@ -26,7 +26,9 @@ from ergolab.scalars import (GOLDEN, SQRT2M1, IrrationalTag, Scalar, _make,
 F = Fraction
 
 
-def dyadic_sets(depth=6, max_parts=4):
+def dyadic_sets(depth=6, max_parts=4, min_points=0):
+    """Tail-free sets of at most ``max_parts`` intervals with endpoints
+    on the grid of 2**-depth, drawn as at least ``min_points`` of them."""
     den = 1 << depth
     endpoints = st.integers(min_value=0, max_value=den)
 
@@ -36,7 +38,8 @@ def dyadic_sets(depth=6, max_parts=4):
                  for i in range(0, len(points) - 1, 2)]
         return make_set(pairs)
 
-    return st.lists(endpoints, min_size=0, max_size=2 * max_parts).map(build)
+    return st.lists(endpoints, min_size=min_points,
+                    max_size=2 * max_parts).map(build)
 
 
 def tailed_sets():

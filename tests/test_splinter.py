@@ -1,7 +1,6 @@
 """Splinter recursion: invariants, statuses, orbit decomposition."""
 
 import dataclasses
-import importlib
 import json
 import random
 from fractions import Fraction
@@ -9,23 +8,21 @@ from fractions import Fraction
 import pytest
 from test_intervals import walk_matches_translations
 
-from ergolab import fixtures
+from ergolab import fixtures, harness
 from ergolab.dynamics import (Doubling, KakutaniTower, Odometer, Rotation,
                               TowerSet, Transformation)
 from ergolab.errors import (EXIT_CODES, InvalidInputError, InvariantViolation,
                             RepresentationOverflowError, exit_status)
 from ergolab.intervals import FULL, ShiftSteps, from_text, make_set
-from ergolab.harness import RunTrace
-from ergolab.scalars import GOLDEN, SQRT2M1, ZERO, Scalar
+from ergolab.harness import RunTrace, trace_rows
+from ergolab.scalars import GOLDEN, SQRT2M1, ZERO, Scalar, render
 from ergolab.splinter import (BUDGET_EXHAUSTED, CONVERGED, STALLED,
                               Residuals, StepRecord, additivity_check,
-                              splinter, trace_rows, transport_check,
+                              splinter, transport_check,
                               verify_decomposition,
                               verify_orbit_decomposition)
 
 F = Fraction
-# ``ergolab.splinter`` the attribute is the function; this is the module
-splinter_module = importlib.import_module("ergolab.splinter")
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +323,19 @@ TRACE_SHAPES = {
 }
 
 
+def step_rows(trace, digits=12):
+    """The row of each record of ``trace``, built field by field, as
+    ``trace_rows`` should write it."""
+    return [{"step": n,
+             "measure_A_n": rec.measure_A.to_text(),
+             "measure_A_n_dec": render(rec.measure_A, digits),
+             "measure_B_n": rec.measure_B.to_text(),
+             "measure_B_n_dec": render(rec.measure_B, digits),
+             "components_B_n": rec.components_B,
+             "cumulative_covered": rec.covered_measure.to_text()}
+            for n, rec in enumerate(trace, 1)]
+
+
 class TestTraceRows:
     @pytest.fixture(scope="class", params=sorted(TRACE_INPUTS))
     def named_run(self, request):
@@ -339,13 +349,12 @@ class TestTraceRows:
     @pytest.mark.parametrize("digits", [4, 12])
     def test_matches_step_rows(self, named_run, digits):
         _, d = named_run
-        assert trace_rows(d.trace, digits) == [
-            rec.row(n, digits) for n, rec in enumerate(d.trace, 1)]
+        assert trace_rows(d.trace, digits) == step_rows(d.trace, digits)
 
     def test_repeated_rows_are_separate_dicts(self, named_run):
         _, d = named_run
         rows = trace_rows(d.trace)
-        expected = [rec.row(n) for n, rec in enumerate(d.trace, 1)]
+        expected = step_rows(d.trace)
         assert rows == expected
         assert [list(row) for row in rows] == [list(row) for row in expected]
         for row in rows[::2]:
@@ -364,7 +373,7 @@ class TestTraceRows:
                  StepRecord(third, half, 3, half)]
         # equal but distinct records are runs of one
         rows = trace_rows(trace)
-        assert rows == [rec.row(n) for n, rec in enumerate(trace, 1)]
+        assert rows == step_rows(trace)
         assert rows.runs == [1, 1, 1, 1]
         run_trace = RunTrace({}, rows, {})
         assert run_trace.to_structured() == json.dumps(
@@ -373,7 +382,7 @@ class TestTraceRows:
         # rows copy the run's first row with their own step
         shared = [trace[0], trace[1], trace[1], trace[1], trace[0]]
         rows = trace_rows(shared)
-        assert rows == [rec.row(n) for n, rec in enumerate(shared, 1)]
+        assert rows == step_rows(shared)
         assert rows.runs == [1, 3, 1]
 
     def test_values_that_share_parts_stay_apart(self):
@@ -384,8 +393,7 @@ class TestTraceRows:
                   quarter - Scalar(0, 1, GOLDEN), quarter]
         trace = [StepRecord(v, w, 1, v) for v, w in zip(values, values[::-1])]
         for digits in (4, 12):
-            assert trace_rows(trace, digits) == [
-                rec.row(n, digits) for n, rec in enumerate(trace, 1)]
+            assert trace_rows(trace, digits) == step_rows(trace, digits)
 
     def test_flat_steps_share_one_record(self):
         # on narrow windows the odometer splinters nothing until step 125,
@@ -400,9 +408,9 @@ class TestTraceRows:
                                                 monkeypatch):
         _, d = named_run
         calls = []
-        real = splinter_module.render
+        real = harness.render
         monkeypatch.setattr(
-            splinter_module, "render",
+            harness, "render",
             lambda s, digits: calls.append(s) or real(s, digits))
         trace_rows(d.trace, 12)
         distinct = {v for rec in d.trace
