@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .errors import InvalidTowerSetError
 from .intervals import (AT_ONE, EMPTY, FULL, IntervalSet, ParityTail,
-                        doubling_preimage, odometer_preimage,
+                        doubling_preimage, in_even_blocks, odometer_preimage,
                         odometer_preimage_by_parity)
 from .scalars import TAGS, Scalar, parse_scalar
 
@@ -38,13 +38,17 @@ class TowerSet:
     """Measurable subset of the tower space X~ = X u A'.
 
     The top floor is stored through the identification with A, i.e. as the
-    subset tau^{-1}(S n A') of A."""
+    subset tau^{-1}(S n A') of A.  A given top is checked against A by the
+    block rule (``in_even_blocks``), with no set operation: each piece lies
+    in one even block I_n, n the block of its left end, and ends by
+    1 - 2**-(n+1); every at-one tail is even; every at-zero tail starts at
+    1 or later."""
 
     __slots__ = ("base", "top")
 
     def __init__(self, base: IntervalSet, top: IntervalSet = None):
         top = top if top is not None else EMPTY
-        if not top.is_subset_of(A_SET):
+        if not in_even_blocks(top):
             raise InvalidTowerSetError("top part must be a subset of A")
         self.base = base
         self.top = top

@@ -79,10 +79,14 @@ The exact preimages of the example systems live here too: rotation
 whose images can come out split by block parity, as the Kakutani tower
 takes them.  Each emits sorted runs of points, joined at their seams
 (``_join``); only ``build`` and ``from_text`` take unsorted input, through
-``_assemble``.  ``ShiftSteps`` runs a rotation's preimages of one set
-against a fixed window without building them: each step is one shift in
-integers, one bisection of integer keys and one lookup, and the walk
-yields each run of steps that share their outcome once.
+``_assemble``.  Tails are assembled with the pieces: their blocks below
+one depth per anchor are sorted and coalesced with the intervals in one
+pass, and the residual zones beyond it settle as in a tailed operation,
+so no set operation runs while a set is read.  ``ShiftSteps`` runs a
+rotation's preimages of one set against a fixed window without building
+them: each step is one shift in integers, one bisection of integer keys
+and one lookup, and the walk yields each run of steps that share their
+outcome once.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
-from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _coerce,
+from .scalars import (_RATIO, ONE, ZERO, IrrationalTag, Scalar, _coerce,
                       _floor_key, _make, _merge_tags, _parts, _sign, _text)
 
 AT_ONE = "one"
@@ -353,7 +357,7 @@ def _merge_skewed(short: Sequence, long: Sequence, f: int,
             kept = now
         else:
             run = long[k:j]
-            out.extend(run if key is None else map(key, run))
+            out.extend(run if key is None else [p * f for p in run])
             kept = now != bool((j - k) & 1)
         x, i = y, j
     return out
@@ -375,6 +379,18 @@ def _depth_for_gap(gap, d: int) -> int:
     while gap * (1 << m) < d:
         m += 1
     return m
+
+
+def _block_index(p, d: int) -> int:
+    """The n with p/d in block I_n, for a numerator 0 <= p < d over d; an
+    alpha point by ``_Surd`` order, as in ``_depth_for_gap``."""
+    gap = d - p
+    if type(gap) is int:
+        return (d // gap).bit_length() - 1
+    n = 0
+    while gap * (2 << n) < d:
+        n += 1
+    return n
 
 
 def _depths_for(sets: Sequence["IntervalSet"],
@@ -433,24 +449,33 @@ def _clip(T: "IntervalSet", F: "IntervalSet"):
     return d, _with_blocks(T, depths, d)
 
 
-def _expand(S: "IntervalSet", depths: dict[str, int], d: int):
-    """A normalized set as sorted points over d inside the core region plus
-    residual flags: ``flags[anchor][parity]`` says that every block n >=
-    depth of that parity lies in the set.  Tail blocks are listed only
-    below the depth; in normal form none touches a component."""
+def _residual(pts: list, tails: Iterable[ParityTail],
+              depths: dict[str, int], d: int) -> dict[str, list[bool]]:
+    """The residual flags of sorted, normalized points over d (edited in
+    place) whose tails' blocks below the depths are among them:
+    ``flags[anchor][parity]`` says that every block n >= depth of that
+    parity lies in the set.  A piece reaching an anchor covers that
+    anchor's whole residual zone, so it sets both flags and ends where the
+    zone begins; block I_0 / D_0 of the other anchor's tail reaches it
+    too."""
     flags = {anchor: [False, False] for anchor in depths}
-    for t in S.tails:
+    for t in tails:
         flags[t.anchor][t.parity] = True
-    pts = list(_with_blocks(S, depths, d))
-    # a piece reaching an anchor covers that anchor's whole residual zone;
-    # block I_0 / D_0 of the other anchor's tail does too
     if pts and AT_ONE in depths and pts[-1] == d:
         flags[AT_ONE] = [True, True]
         pts[-1] = _block_points(AT_ONE, depths[AT_ONE], d)[0]
     if pts and AT_ZERO in depths and pts[0] == 0:
         flags[AT_ZERO] = [True, True]
         pts[0] = _block_points(AT_ZERO, depths[AT_ZERO], d)[1]
-    return pts, flags
+    return flags
+
+
+def _expand(S: "IntervalSet", depths: dict[str, int], d: int):
+    """A normalized set as sorted points over d inside the core region plus
+    its residual flags (``_residual``).  Tail blocks are listed only below
+    the depth; in normal form none touches a component."""
+    pts = list(_with_blocks(S, depths, d))
+    return pts, _residual(pts, S.tails, depths, d)
 
 
 def _settle(pts: list, anchor: str, start: int, d: int) -> int:
@@ -525,7 +550,13 @@ def _new(d: int, pts: tuple, tag: Optional[IrrationalTag],
 def _assemble(ends: list, d: int,
               tails: Iterable[ParityTail]) -> "IntervalSet":
     """The normal form of the union of the intervals [a/d, b/d) over the
-    numerator pairs `ends`, each checked in turn, and the tails."""
+    numerator pairs `ends`, each checked in turn, and the tails.
+
+    One sort-and-coalesce pass takes every piece: the intervals and, per
+    tail, its blocks below one depth per anchor, read as in
+    ``_depths_for`` from the end nearest the anchor.  Beyond the depth each
+    tail sets its residual flag (``_residual``), and ``_collapse`` settles
+    the result."""
     tag = None
     for a, b in ends:
         for p in (a, b):
@@ -537,6 +568,27 @@ def _assemble(ends: list, d: int,
         if not a < b:
             raise ValueError(f"empty or inverted interval "
                              f"{_point_text(a, d)}..{_point_text(b, d)}")
+    tails = tuple(tails)
+    depths: dict[str, int] = {}
+    for t in tails:
+        depths[t.anchor] = max(depths.get(t.anchor, 2), t.start)
+    if depths:
+        points = [p for pair in ends for p in pair]
+        for anchor, m in depths.items():
+            # the gaps to every end short of the anchor: the normal form's
+            # points are among them, so the depth is at least theirs
+            gaps = ([d - p for p in points if p != d] if anchor == AT_ONE
+                    else [p for p in points if p])
+            if gaps:
+                depths[anchor] = max(m, _depth_for_gap(min(gaps), d))
+        # over d, every block boundary up to index depth + 1, which
+        # ``_settle`` may take in
+        f = lcm(d, 1 << (max(depths.values()) + 2)) // d
+        d *= f
+        ends = [(a * f, b * f) for a, b in ends]
+        for t in tails:
+            for n in range(t.start, depths[t.anchor], 2):
+                ends.append(_block_points(t.anchor, n, d))
     pts: list = []
     for lo, hi in sorted(ends, key=itemgetter(0)):
         if pts and lo <= pts[-1]:
@@ -544,11 +596,9 @@ def _assemble(ends: list, d: int,
                 pts[-1] = hi
         else:
             pts += (lo, hi)
-    S = _canonical(d, pts, tag)
-    for t in tails:
-        # a lone tail is in normal form
-        S = S._combine(_new(1, (), None, frozenset((t,))), _UNION)
-    return S
+    if not depths:
+        return _canonical(d, pts, tag)
+    return _collapse(pts, _residual(pts, tails, depths, d), depths, d, tag)
 
 
 def _canonical(d: int, pts: Sequence, tag: Optional[IrrationalTag],
@@ -786,6 +836,20 @@ def arc(lo: int, hi: int, d: int) -> IntervalSet:
     if not 0 <= lo < hi <= d:
         raise ValueError(f"no interval [{lo}/{d}, {hi}/{d}) in [0, 1)")
     return _canonical(d, (lo, hi), None)
+
+
+def in_even_blocks(S: IntervalSet) -> bool:
+    """Whether S lies in the union of the even blocks I_0, I_2, ..., read
+    off its normal form: each piece lies in the block I_n of its left end,
+    n even, and ends by 1 - 2**-(n+1); every at-one tail is even; every
+    at-zero tail starts at 1 or later, inside I_0 = [0, 1/2)."""
+    d, pts = S.d, S.pts
+    for lo, hi in zip(pts[::2], pts[1::2]):
+        n = _block_index(lo, d)
+        if n & 1 or (d - hi) * (2 << n) < d:
+            return False
+    return all(t.parity == EVEN if t.anchor == AT_ONE else t.start >= 1
+               for t in S.tails)
 
 
 # ---------------------------------------------------------------------
@@ -1038,6 +1102,9 @@ def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> Interv
 
 _TAIL_RE = re.compile(
     r"^tail\(\s*(one|zero)\s*,\s*(\d+)\s*,\s*(even|odd)\s*\)$")
+#: a component whose two ends are plain rationals, "n..n" or "n/d..n/d",
+#: by the scalar grammar's own pattern
+_RATIO_PAIR_RE = re.compile(rf"{_RATIO.pattern}\s*\.\.\s*{_RATIO.pattern}")
 #: a comma at parenthesis depth zero: tail(...) has commas of its own
 _COMMA_RE = re.compile(r",(?![^()]*\))")
 
@@ -1045,7 +1112,10 @@ _COMMA_RE = re.compile(r",(?![^()]*\))")
 def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
     """Parse the serialization produced by ``IntervalSet.to_text``: each
     endpoint as integers by the grammar of ``parse_scalar``, the pieces over
-    their common denominator by the normalizing core of ``build``."""
+    their common denominator by the normalizing core of ``build``.  A
+    component of two plain rationals with nonzero denominators is read by
+    one match; any other goes through ``_parts``, which raises on a bad
+    one."""
     s = text.strip()
     if s in ("", "empty"):
         return EMPTY
@@ -1053,6 +1123,12 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
     tails: list[ParityTail] = []
     for part in _COMMA_RE.split(s):
         part = part.strip()
+        m = _RATIO_PAIR_RE.fullmatch(part)
+        if m:
+            lo_d, hi_d = int(m[2] or 1), int(m[4] or 1)
+            if lo_d and hi_d:
+                ends += ((int(m[1]), 0, lo_d), (int(m[3]), 0, hi_d))
+                continue
         m = _TAIL_RE.match(part)
         if m:
             tails.append(ParityTail(m.group(1), int(m.group(2)), m.group(3)))

@@ -16,10 +16,11 @@ from ergolab.dynamics import (A_SET, Doubling, KakutaniTower, Odometer,
                               verify_measure_preserving)
 from ergolab.errors import (InvalidTowerSetError,
                             RepresentationOverflowError)
-from ergolab.intervals import AT_ZERO, EMPTY, ParityTail, arc, make_set
+from ergolab.intervals import (AT_ZERO, EMPTY, ParityTail, arc, from_text,
+                               in_even_blocks, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, Scalar
-from test_intervals import _contains, dyadic_sets
+from test_intervals import _contains, _sample_points, dyadic_sets
 
 F = Fraction
 
@@ -141,6 +142,40 @@ class TestTowerSets:
         # [1/2, 3/4) is the odd-index block I_1, not part of the column A
         with pytest.raises(InvalidTowerSetError):
             TowerSet(EMPTY, make_set([(F(1, 2), F(3, 4))]))
+
+    @pytest.mark.parametrize("text, inside", [
+        ("0..1/2", True), ("3/4..7/8", True), ("tail(zero, 1, odd)", True),
+        ("tail(one, 2, even)", True), ("3/4..29/32", False),
+        ("7/16..9/16", False), ("1/2..3/4", False),
+        ("tail(zero, 0, even)", False), ("tail(one, 1, odd)", False)])
+    def test_top_block_rule_at_its_edges(self, text, inside):
+        # 3/4..29/32 runs past I_2 = [3/4, 7/8) into I_3, 7/16..9/16 from
+        # I_0 into I_1, and tail(zero, 0, even) holds D_0 = [1/2, 1)
+        top = from_text(text)
+        assert in_even_blocks(top) is inside
+        assert top.is_subset_of(A_SET) is inside
+        if inside:
+            assert TowerSet(EMPTY, top).top is top
+        else:
+            with pytest.raises(InvalidTowerSetError):
+                TowerSet(EMPTY, top)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_top_block_rule_matches_subset_and_pointwise(self, seed):
+        # tops inside A, tops that are not, and golden tops
+        rng = random.Random(seed)
+        for k in range(12):
+            S = random_interval_set(rng, allow_tails=k % 3 == 0,
+                                    allow_empty=True)
+            if k % 4 in (1, 2) and not S.tails:
+                S = S.translate_mod1(Scalar(0, 1, GOLDEN))
+            if k % 2:
+                S = S.intersect(A_SET)
+            inside = in_even_blocks(S)
+            assert inside is S.is_subset_of(A_SET), S.to_text()
+            assert inside is all(_contains(A_SET, x)
+                                 for x in _sample_points(S, A_SET)
+                                 if _contains(S, x)), S.to_text()
 
     def test_total_measure(self):
         assert TOWER_FULL.measure() == Scalar(F(5, 3))

@@ -15,7 +15,7 @@ from ergolab.errors import (EXIT_CODES, STATUS_CODES, ConfigError,
                             RepresentationOverflowError)
 from ergolab.harness import (ExperimentConfig, Rows, demo_kakutani,
                              emit_plot_data, parse_config, run)
-from ergolab.intervals import from_text
+from ergolab.intervals import IntervalSet, from_text
 from ergolab.scalars import GOLDEN, SQRT2M1, parse_scalar
 from ergolab.splinter import splinter
 from record_corpus import CORPUS
@@ -183,6 +183,17 @@ class TestConfigFormat:
                 "set.S = 1-1*alpha..5/4-1*alpha\n")
         config = parse_config(text)
         assert config.sets["S"].measure() == F(1, 4)
+
+    @pytest.mark.parametrize("stem", ["ci-kakutani-verify", "harness-verify",
+                                      "harness-gap-tail"])
+    def test_sets_parse_without_a_set_operation(self, stem, monkeypatch):
+        # tailed texts and tower tops come straight into normal form
+        def refuse(self, other, keep):
+            raise AssertionError("set operation while parsing")
+        text = corpus_config(stem)
+        want = parse_config(text).to_text()
+        monkeypatch.setattr(IntervalSet, "_combine", refuse)
+        assert parse_config(text).to_text() == want
 
     def test_readme_alpha_endpoint_parses(self):
         text = "command = verify\nsystem = rotation:golden\nset.S = alpha..1\n"
