@@ -256,17 +256,23 @@ class RunTrace:
         newline-and-indent item separators, and, when the records are
         ``Rows``, each further record of a run as the text of the run's
         first record with its own first value put in.  The brackets are
-        indented around that.
+        indented around that.  Only the first record of a run is checked
+        for flatness: by the ``Rows`` contract the others repeat it but
+        for an ``int`` first value.
         """
-        parts = (self.header, self.summary, *self.records)
-        if not (all(self.records) and set(map(type, parts)) <= {dict}
+        starts = _run_starts(self.records)
+        heads = (self.records if starts is None
+                 else [self.records[i] for i in starts])
+        parts = (self.header, self.summary, *heads)
+        if not (all(heads) and set(map(type, parts)) <= {dict}
                 and _JSON_SCALARS.issuperset(
                     map(type, chain.from_iterable(map(dict.values, parts))))):
             return json.dumps({"header": self.header, "records": self.records,
                                "summary": self.summary}, indent=2) + "\n"
         records = "[]"
         if self.records:
-            records = ("[\n    {\n      " + _record_texts(self.records)
+            records = ("[\n    {\n      "
+                       + _record_texts(self.records, starts, heads)
                        + "\n    }\n  ]")
         return (f'{{\n  "header": {_flat_dict(self.header)},\n'
                 f'  "records": {records},\n'
@@ -299,23 +305,31 @@ def _flat_dict(d: dict) -> str:
     return "{\n    " + _TOP_ITEMS(d)[1:-1] + "\n  }" if d else "{}"
 
 
-def _record_texts(records: list) -> str:
-    """The records as ``json.dumps(indent=2)`` writes them in the list,
-    without the outer braces.
-
-    Records without runs (a plain list, or ``Rows`` whose runs are all
-    one record long) are one C-encoder call.  Otherwise the first records
-    of the runs are one such call, and the rest of a run is the text of
-    its first record cut around the first value, and one join of their own
-    first values.
-    """
+def _run_starts(records: list) -> Optional[list[int]]:
+    """The index of the first record of each run, or None when no run is
+    longer than one record (a plain list, or ``Rows`` of one-row runs)."""
     runs = getattr(records, "runs", ())
     if len(runs) in (0, len(records)):
+        return None
+    return list(accumulate(runs[:-1], initial=0))
+
+
+def _record_texts(records: list, starts: Optional[list[int]],
+                  heads: list) -> str:
+    """The records as ``json.dumps(indent=2)`` writes them in the list,
+    without the outer braces; `starts` is ``_run_starts`` of them and
+    `heads` the records at those indices (all of them when it is None).
+
+    Records without runs are one C-encoder call.  Otherwise the first
+    records of the runs are one such call, and the rest of a run is the
+    text of its first record cut around the first value, and one join of
+    their own first values.
+    """
+    if starts is None:
         return _RECORD_ITEMS(records)[2:-2].replace(_BETWEEN, _NEXT_RECORD)
-    starts = list(accumulate(runs[:-1], initial=0))
-    text = _RECORD_ITEMS([records[i] for i in starts])[2:-2]
+    text = _RECORD_ITEMS(heads)[2:-2]
     pieces = []
-    for text, i, length in zip(text.split(_BETWEEN), starts, runs):
+    for text, i, length in zip(text.split(_BETWEEN), starts, records.runs):
         pieces.append(text)
         if length > 1:
             key, first = next(iter(records[i].items()))
@@ -379,9 +393,9 @@ class Rows(list):
     A run is a row and the rows after it that repeat it but for their first
     value, an ``int``: the same keys in the same order and the same other
     values.  ``trace_rows`` makes a run of the steps that share one
-    record.  ``RunTrace.to_structured`` writes a run from the text of its
-    first row, so ``runs`` must hold for the rows as they are; a plain list
-    is written row by row.
+    record.  ``RunTrace.to_structured`` checks and writes a run from its
+    first row alone, so ``runs`` must hold for the rows as they are; a
+    plain list is checked and written row by row.
     """
 
     def __init__(self, rows=(), runs=()):

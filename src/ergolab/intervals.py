@@ -79,10 +79,11 @@ The exact preimages of the example systems live here too: rotation
 whose images can come out split by block parity, as the Kakutani tower
 takes them.  Each emits sorted runs of points, joined at their seams
 (``_join``); only ``build`` and ``from_text`` take unsorted input, through
-``_assemble``.  Tails are assembled with the pieces: their blocks below
-one depth per anchor are sorted and coalesced with the intervals in one
-pass, and the residual zones beyond it settle as in a tailed operation,
-so no set operation runs while a set is read.  ``ShiftSteps`` runs a
+``_assemble``.  Tails are assembled with the pieces: the intervals are
+sorted and coalesced, one depth per anchor is read off the result, the
+tails' blocks below it are coalesced with those points in a second pass,
+and the residual zones beyond it settle as in a tailed operation, so no
+set operation runs while a set is read.  ``ShiftSteps`` runs a
 rotation's preimages of one set against a fixed window without building
 them: each step is one shift in integers, one bisection of integer keys
 and one lookup, and the walk yields each run of steps that share their
@@ -552,11 +553,12 @@ def _assemble(ends: list, d: int,
     """The normal form of the union of the intervals [a/d, b/d) over the
     numerator pairs `ends`, each checked in turn, and the tails.
 
-    One sort-and-coalesce pass takes every piece: the intervals and, per
-    tail, its blocks below one depth per anchor, read as in
-    ``_depths_for`` from the end nearest the anchor.  Beyond the depth each
-    tail sets its residual flag (``_residual``), and ``_collapse`` settles
-    the result."""
+    One sort-and-coalesce pass takes the intervals.  With tails, the
+    depth per anchor is read as in ``_depths_for`` off the coalesced
+    points, so an end that the union swallows sets no depth, and a second
+    pass takes those points and, per tail, its blocks below the depth.
+    Beyond the depth each tail sets its residual flag (``_residual``), and
+    ``_collapse`` settles the result."""
     tag = None
     for a, b in ends:
         for p in (a, b):
@@ -568,27 +570,35 @@ def _assemble(ends: list, d: int,
         if not a < b:
             raise ValueError(f"empty or inverted interval "
                              f"{_point_text(a, d)}..{_point_text(b, d)}")
+    pts = _coalesce(ends)
     tails = tuple(tails)
+    if not tails:
+        return _canonical(d, pts, tag)
     depths: dict[str, int] = {}
     for t in tails:
         depths[t.anchor] = max(depths.get(t.anchor, 2), t.start)
-    if depths:
-        points = [p for pair in ends for p in pair]
+    if pts:
         for anchor, m in depths.items():
-            # the gaps to every end short of the anchor: the normal form's
-            # points are among them, so the depth is at least theirs
-            gaps = ([d - p for p in points if p != d] if anchor == AT_ONE
-                    else [p for p in points if p])
-            if gaps:
-                depths[anchor] = max(m, _depth_for_gap(min(gaps), d))
-        # over d, every block boundary up to index depth + 1, which
-        # ``_settle`` may take in
-        f = lcm(d, 1 << (max(depths.values()) + 2)) // d
-        d *= f
-        ends = [(a * f, b * f) for a, b in ends]
-        for t in tails:
-            for n in range(t.start, depths[t.anchor], 2):
-                ends.append(_block_points(t.anchor, n, d))
+            if anchor == AT_ONE:
+                gap = d - (pts[-2] if pts[-1] == d else pts[-1])
+            else:
+                gap = pts[1] if pts[0] == 0 else pts[0]
+            depths[anchor] = max(m, _depth_for_gap(gap, d))
+    # over d, every block boundary up to index depth + 1, which
+    # ``_settle`` may take in
+    f = lcm(d, 1 << (max(depths.values()) + 2)) // d
+    d *= f
+    blocks = [_block_points(t.anchor, n, d)
+              for t in tails for n in range(t.start, depths[t.anchor], 2)]
+    pts = _scale(pts, f)
+    if blocks:
+        pts = _coalesce([*zip(pts[::2], pts[1::2]), *blocks])
+    return _collapse(pts, _residual(pts, tails, depths, d), depths, d, tag)
+
+
+def _coalesce(ends: list) -> list:
+    """The sorted toggle points of the union of the intervals [a, b) over
+    the pairs `ends`, each with a < b."""
     pts: list = []
     for lo, hi in sorted(ends, key=itemgetter(0)):
         if pts and lo <= pts[-1]:
@@ -596,9 +606,7 @@ def _assemble(ends: list, d: int,
                 pts[-1] = hi
         else:
             pts += (lo, hi)
-    if not depths:
-        return _canonical(d, pts, tag)
-    return _collapse(pts, _residual(pts, tails, depths, d), depths, d, tag)
+    return pts
 
 
 def _canonical(d: int, pts: Sequence, tag: Optional[IrrationalTag],

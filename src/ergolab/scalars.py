@@ -5,9 +5,11 @@ quadratic irrational, the root in (0, 1) of x**2 + a*x - 1 = 0.  It is
 stored as three integers over one denominator, (n + m*alpha) / d, in a
 canonical form, so every operation runs on plain ``int``s.  Signs and
 comparisons are decided in closed form by comparing two integers (see
-``_sign``).  Rounding is the one place that needs digits of alpha:
-``floor`` refines a rational bracket of alpha until the floor is pinned
-down, and ``mod1`` and ``to_decimal`` go through ``floor``.
+``_sign``), and so is the floor of (u + v*alpha) / z, from one ``isqrt``
+(``_floor_of``), which ``to_decimal`` and the integer keys of
+``_floor_key`` read.  ``floor`` alone, and ``mod1`` through it, still
+refines a rational bracket of alpha (``IrrationalTag.bounds``) until the
+floor is pinned down.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ class IrrationalTag:
 
     alpha is the positive root of x**2 + a*x - 1 = 0, with continued
     fraction [0; a, a, a, ...], and ``Scalar.cmp`` decides order from ``_a``
-    alone.  ``bounds(k)`` serves only ``Scalar.floor``, which ``mod1`` and
-    ``to_decimal`` use: it yields a rational interval [l, u] holding alpha
-    strictly, with u - l = 2**-(j+1) for j = max(k, 0).  It is read off
-    s = isqrt((a*a + 4) * 4**j), since s < sqrt(a*a + 4) * 2**j < s + 1
-    (a*a + 4 is never a square), and the brackets are nested in k because
-    the next s is 2*s or 2*s + 1.  Each bracket is kept once computed, per k.
+    alone.  ``bounds(k)`` serves only ``Scalar.floor``, and so ``mod1``;
+    ``to_decimal`` rounds in closed form (``_floor_of``).  It yields a
+    rational interval [l, u] holding alpha strictly, with u - l =
+    2**-(j+1) for j = max(k, 0).  It is read off s = isqrt((a*a + 4) *
+    4**j), since s < sqrt(a*a + 4) * 2**j < s + 1 (a*a + 4 is never a
+    square), and the brackets are nested in k because the next s is 2*s or
+    2*s + 1.  Each bracket is kept once computed, per k.
     """
 
     def __init__(self, name: str, a: int):
@@ -103,15 +106,22 @@ def _sign(u: int, v: int, a: int) -> int:
     return (w > 0) - (w < 0)
 
 
-def _floor_key(u: int, v: int, a: int) -> int:
-    """floor(2**62 * (u + v*alpha)), alpha as in ``_sign``.
+def _floor_of(u: int, v: int, a: int, z: int) -> int:
+    """floor((u + v*alpha) / z) for z > 0, alpha as in ``_sign``.
 
-    2**62 * (u + v*alpha) = 2**61 * (2*u - a*v) + 2**61 * v * sqrt(a*a + 4),
-    and the isqrt of 4**61 * v*v * (a*a + 4) is the floor of the last term's
-    size, which is irrational when v != 0.
+    (u + v*alpha) / z = (w + v*sqrt(a*a + 4)) / (2*z) with w = 2*u - a*v.
+    r = isqrt(v*v * (a*a + 4)) is the floor of |v| * sqrt(a*a + 4), which
+    is irrational when v != 0, so the floor F of v * sqrt(a*a + 4) is r for
+    v >= 0 (r = 0 for v == 0) and -r - 1 for v < 0.  The fraction that F
+    drops is less than 1, so (w + F) // (2*z) is the floor of the whole.
     """
-    r = isqrt(v * v * (a * a + 4) << 122)
-    return ((2 * u - a * v) << 61) + (r if v >= 0 else -r - 1)
+    r = isqrt(v * v * (a * a + 4))
+    return (2 * u - a * v + (r if v >= 0 else -r - 1)) // (2 * z)
+
+
+def _floor_key(u: int, v: int, a: int) -> int:
+    """floor(2**62 * (u + v*alpha)), alpha as in ``_sign``."""
+    return _floor_of(u << 62, v << 62, a, 1)
 
 
 class Scalar:
@@ -287,11 +297,12 @@ class Scalar:
             raise ValueError("digits must be positive")
         scale = 10 ** digits
         negative = self.sign() < 0
-        if self.m == 0:
-            t = abs(self.n) * scale // self.d
+        n, m = (-self.n, -self.m) if negative else (self.n, self.m)
+        if m == 0:
+            t = n * scale // self.d
         else:
             # value*scale is irrational, so its floor is its truncation
-            t = ((-self if negative else self) * scale).floor()
+            t = _floor_of(n * scale, m * scale, self.tag._a, self.d)
         whole, frac = divmod(t, scale)
         return f"{'-' if negative else ''}{whole}.{frac:0{digits}d}"
 

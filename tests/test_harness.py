@@ -1,6 +1,7 @@
 """Config parsing/serialization, run dispatch, exit codes, plot output."""
 
 import json
+import random
 import re
 import subprocess
 import sys
@@ -13,10 +14,11 @@ from ergolab.cli import main
 from ergolab.dynamics import make_system
 from ergolab.errors import (EXIT_CODES, STATUS_CODES, ConfigError,
                             RepresentationOverflowError)
-from ergolab.harness import (ExperimentConfig, Rows, demo_kakutani,
-                             emit_plot_data, parse_config, run)
+from ergolab.harness import (ExperimentConfig, Rows, RunTrace, demo_kakutani,
+                             emit_plot_data, parse_config, run, trace_rows)
 from ergolab.intervals import IntervalSet, from_text
-from ergolab.scalars import GOLDEN, SQRT2M1, parse_scalar
+from ergolab.randomsets import random_interval_set, random_offset_set
+from ergolab.scalars import GOLDEN, SQRT2M1, Scalar, parse_scalar, render
 from ergolab.splinter import splinter
 from record_corpus import CORPUS
 from test_splinter import step_rows
@@ -682,6 +684,11 @@ class TestStructuredTrace:
         ({"k": [1, 2]}, [{"a": "b"}], {}),
         ({}, [{"a": {"b": None}}, {"c": 1.5}], {"s": "\u00e9\n"}),
         ({}, [{}, {"a": True}], {"x": {}}),
+        # a nested value or an empty record after flat ones, in a record
+        # that starts a run
+        ({}, [{"a": 1}, {"b": [1, 2]}], {}),
+        ({}, [{"step": 1, "a": "x"}, {"step": 2, "a": "x"},
+              {"step": 3, "a": [1]}, {"step": 4, "a": "y"}, {}], {}),
         # other values that == holds equal but JSON writes apart
         ({}, [{"step": 1, "a": 1}, {"step": 2, "a": 1.0},
               {"step": 3, "a": True}, {"step": 4, "a": 1}], {}),
@@ -707,10 +714,46 @@ class TestStructuredTrace:
     ])
     def test_edge_traces_match_indented_dumps(self, header, records,
                                               summary):
-        from ergolab.harness import RunTrace
         for rows in (records, Rows(records, _runs(records))):
             trace = RunTrace(header, rows, summary)
             assert trace.to_structured() == self._reference(trace)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("system", ["rotation:golden", "rotation:sqrt2",
+                                        "rotation:1/3", "odometer"])
+    def test_seeded_splinter_traces_match_indented_dumps(self, system, seed):
+        # J2 is J1 moved by a measure-preserving map, so the windows have
+        # equal measure; irrational angles give alpha endpoints and values
+        T = make_system(system)
+        rng = random.Random(seed)
+        if T.kind == "odometer":
+            J1 = J2 = random_interval_set(rng, depth=6, allow_tails=False)
+            for _ in range(rng.randint(1, 5)):
+                J2 = T.preimage(J2)
+        else:
+            J1 = (random_offset_set(rng, T.angle, depth=6) if T.angle.m
+                  else random_interval_set(rng, depth=6, allow_tails=False))
+            J2 = J1.translate_mod1(Scalar(F(rng.randrange(64), 64)))
+        d = splinter(T, J1, J2, Scalar(F(1, 1000)), 300)
+        rows = trace_rows(d.trace)
+        assert sum(rows.runs) == len(rows) == d.depth
+        trace = RunTrace({"system": system}, rows, {"depth": d.depth})
+        assert trace.to_structured() == self._reference(trace)
+
+    def test_long_runs_match_indented_dumps(self):
+        # 100,000 steps in three runs, each checked and written from its
+        # first row
+        values = [render(parse_scalar(text, GOLDEN), 40)
+                  for text in ("1/2-alpha", "89/4-36*alpha", "1/7")]
+        runs = [1, 33_333, 66_666]
+        rows = Rows(runs=runs)
+        for value, length in zip(values, runs):
+            rows += [{"step": len(rows) + k, "measure": value,
+                      "components": 2, "done": False}
+                     for k in range(1, length + 1)]
+        assert len(rows) == 100_000
+        trace = RunTrace({"k": "v"}, rows, {"status": "pass"})
+        assert trace.to_structured() == self._reference(trace)
 
 
 class TestCliProcess:

@@ -2,8 +2,9 @@
 it, no library module reaches into the private names of ``intervals`` or
 ``splinter``, the harness alone renders decimals and splinter rows, and
 builds splinter rows and run traces in one place each, one function
-refines a bracket of alpha, a check of a splinter run reads its map from
-the run, and one function gives the steps of a splinter run."""
+refines a bracket of alpha and one takes a closed-form floor in it, a
+check of a splinter run reads its map from the run, and one function gives
+the steps of a splinter run."""
 
 import ast
 from pathlib import Path
@@ -104,9 +105,9 @@ def test_harness_builds_traces_in_run_and_demo_only():
     assert harness_callers("RunTrace") == {"run", "demo_kakutani"}
 
 
-def bounds_callers() -> set[str]:
+def callers(name: str) -> set[str]:
     """``module.py:Class.method`` (or ``:function``) for each piece of
-    library code that calls ``.bounds(...)``."""
+    library code that calls ``name(...)`` or ``x.name(...)``."""
     found = set()
 
     def visit(node, scope):
@@ -115,9 +116,9 @@ def bounds_callers() -> set[str]:
                 sep = "" if scope.endswith(":") else "."
                 visit(child, f"{scope}{sep}{child.name}")
                 continue
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "bounds"):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "attr", None),
+                    getattr(child.func, "id", None)):
                 found.add(scope)
             visit(child, scope)
 
@@ -127,8 +128,16 @@ def bounds_callers() -> set[str]:
 
 
 def test_one_rounding_path():
-    # README: Scalar.floor is the one place that approximates alpha
-    assert bounds_callers() == {"scalars.py:Scalar.floor"}
+    # README: Scalar.floor, and mod1 through it, is the one place that
+    # still approximates alpha; the decimal rendering is in closed form
+    assert callers("bounds") == {"scalars.py:Scalar.floor"}
+
+
+def test_one_closed_form():
+    # every closed-form floor in alpha is ``_floor_of``; ``bounds`` reads
+    # its brackets off an isqrt of its own
+    assert callers("isqrt") == {"scalars.py:_floor_of",
+                                "scalars.py:IrrationalTag.bounds"}
 
 
 def parameter_types(path: Path) -> dict[str, list[set[str]]]:

@@ -1170,6 +1170,24 @@ class TestParser:
         assert type(info.value) is ValueError
         assert str(info.value) == message
 
+    def test_swallowed_end_sets_no_depth(self, monkeypatch):
+        # the end near 1 lies inside 0..1, so it is not in the normal form
+        # and sets no depth: the blocks listed stop at the depth 2 of 0..1
+        # and the block after it, where a depth read off that end would
+        # list over a thousand
+        listed = []
+        block_points = intervals._block_points
+
+        def counting(anchor, n, d):
+            listed.append(n)
+            return block_points(anchor, n, d)
+
+        monkeypatch.setattr(intervals, "_block_points", counting)
+        near_one = f"{10**400 - 1}/{10**400}"
+        S = from_text(f"0..1, 1/2..{near_one}, tail(one, 0, even)")
+        assert _fields(S) == _fields(FULL)
+        assert listed and max(listed) <= 3
+
 
 class TestSerialization:
     def test_round_trip_with_tails(self):

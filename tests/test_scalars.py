@@ -4,6 +4,7 @@ import pickle
 from collections import namedtuple
 from copy import deepcopy
 from fractions import Fraction
+from itertools import islice, pairwise
 from math import gcd
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.errors import IncompatibleBasisError
+from ergolab.harness import MAX_DIGITS
 from ergolab.scalars import (GOLDEN, ONE, SQRT2M1, ZERO, IrrationalTag, Scalar,
-                             get_tag, parse_scalar, render)
+                             _floor_key, get_tag, parse_scalar, render)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 rationals = st.builds(Scalar, fractions)
@@ -37,18 +39,25 @@ def bracket_sign(x):
         k *= 2
 
 
+def truncation(f, digits):
+    """The sign and the truncated digits of a rational, which its
+    ``truncated`` text is written from."""
+    return f < 0, abs(f.numerator) * 10**digits // f.denominator
+
+
 def truncated(f, digits):
     """A rational's decimal digits, truncated toward zero."""
-    whole, frac = divmod(abs(f.numerator) * 10**digits // f.denominator,
-                         10**digits)
-    return f"{'-' if f < 0 else ''}{whole}.{frac:0{digits}d}"
+    negative, t = truncation(f, digits)
+    whole, frac = divmod(t, 10**digits)
+    return f"{'-' if negative else ''}{whole}.{frac:0{digits}d}"
 
 
 def bracket_rounding(x, digits):
     """(floor, to_decimal text) of x from IrrationalTag.bounds alone.
 
     Each result is constant on an interval, so once both ends of a bracket
-    agree the whole bracket, x included, does too.
+    agree the whole bracket, x included, does too.  The ends are compared
+    by ``truncation``, and only the agreed one is written as text.
     """
     if x.q == 0:
         return x.p.numerator // x.p.denominator, truncated(x.p, digits)
@@ -56,9 +65,9 @@ def bracket_rounding(x, digits):
     while True:
         ends = [x.p + x.q * b for b in x.tag.bounds(k)]
         floors = {e.numerator // e.denominator for e in ends}
-        texts = {truncated(e, digits) for e in ends}
-        if len(floors) == len(texts) == 1:
-            return floors.pop(), texts.pop()
+        keys = {truncation(e, digits) for e in ends}
+        if len(floors) == len(keys) == 1:
+            return floors.pop(), truncated(ends[0], digits)
         k *= 2
 
 
@@ -197,14 +206,21 @@ class TestOrdering:
             assert a + c < b + c
 
 
+def convergents(a):
+    """The convergents p/q of [0; a, a, ...] as (p, q) pairs, without end:
+    consecutive Fibonacci numbers for a = 1, Pell numbers for a = 2."""
+    p0, q0, p1, q1 = 0, 1, 1, a
+    while True:
+        yield p0, q0
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+
+
 def convergent_brackets(a):
     """Consecutive convergents p_i/q_i, p_{i+1}/q_{i+1} of [0; a, a, ...],
     as (lo, hi) pairs: each pair holds alpha strictly, and the pairs
     shrink to it."""
-    p0, q0, p1, q1 = 0, 1, 1, a
-    while True:
+    for (p0, q0), (p1, q1) in pairwise(convergents(a)):
         yield tuple(sorted((Fraction(p0, q0), Fraction(p1, q1))))
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
 
 
 @pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
@@ -270,6 +286,30 @@ class TestClosedFormAgainstBracket:
                 for r in (Fraction(0), Fraction(1), Fraction(-2),
                           Fraction(1, 10), Fraction(-37, 100)):
                     check_rounding(Scalar(r + q * c, -q, tag))
+
+
+@pytest.mark.parametrize("tag", [GOLDEN, SQRT2M1])
+class TestClosedFormAtConvergents:
+    """The closed-form rounding of ``to_decimal`` and ``_floor_key``
+    against the bracket oracle where it is hardest: for the convergents p/q
+    up to index 150, q*alpha lies within 1/q of the integer p, and
+    q*alpha - p within 1/q of zero, on alternating sides."""
+
+    @pytest.mark.parametrize("digits", [1, 12, 40, MAX_DIGITS])
+    def test_to_decimal(self, tag, digits):
+        for p, q in islice(convergents(tag._a), 151):
+            for x in (Scalar(0, q, tag), Scalar(-p, q, tag)):
+                for y in (x, -x):
+                    assert y.to_decimal(digits) == bracket_rounding(
+                        y, digits)[1], (p, q)
+
+    def test_floor_key(self, tag):
+        # v = 0 is the key of a rational edge
+        for p, q in islice(convergents(tag._a), 151):
+            for u, v in ((p, 0), (-p, 0), (-p, q), (p, -q), (0, q), (0, -q)):
+                floor, _ = bracket_rounding(
+                    Scalar(u << 62, v << 62, tag), 1)
+                assert _floor_key(u, v, tag._a) == floor, (u, v)
 
 
 def bracket(x, k):
