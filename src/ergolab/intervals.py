@@ -80,14 +80,14 @@ whose images can come out split by block parity, as the Kakutani tower
 takes them.  Each emits sorted runs of points, joined at their seams
 (``_join``); only ``build`` and ``from_text`` take unsorted input, through
 ``_assemble``.  Tails are assembled with the pieces: the intervals are
-sorted and coalesced, one depth per anchor is read off the result, the
-tails' blocks below it are coalesced with those points in a second pass,
-and the residual zones beyond it settle as in a tailed operation, so no
-set operation runs while a set is read.  ``ShiftSteps`` runs a
-rotation's preimages of one set against a fixed window without building
-them: each step is one shift in integers, one bisection of integer keys
-and one lookup, and the walk yields each run of steps that share their
-outcome once.
+sorted and coalesced, ``_depths_for`` reads one depth per anchor off the
+result, the tails' blocks below it are coalesced with those points in a
+second pass, and the residual zones beyond it settle as in a tailed
+operation, so no set operation runs while a set is read.  ``ShiftSteps``
+runs a rotation's preimages of one set against a fixed window without
+building them: each step is one shift in integers, one bisection of
+integer keys at the key scale of ``_floor_key`` and one lookup, and the
+walk yields each run of steps that share their outcome once.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
 from .scalars import (_RATIO, ONE, ZERO, IrrationalTag, Scalar, _coerce,
-                      _floor_key, _make, _merge_tags, _parts, _sign, _text)
+                      _floor_key, _floor_of, _make, _merge_tags, _parts,
+                      _sign, _text)
 
 AT_ONE = "one"
 AT_ZERO = "zero"
@@ -396,12 +397,13 @@ def _block_index(p, d: int) -> int:
 
 def _depths_for(sets: Sequence["IntervalSet"],
                 anchors: Iterable[str]) -> tuple[dict[str, int], int]:
-    """Expansion depth per anchor for normalized sets: an m >= 2 no smaller
-    than any tail start there, with 2**-m at most the gap between the
-    anchor and every finite point.  The smallest gap, at the point nearest
-    the anchor, is the only one read.  Returned with a common denominator
-    of the sets that every block boundary the kernel reads divides: blocks
-    up to index depth + 1, which ``_settle`` may take in."""
+    """Expansion depth per anchor for sets of coalesced points, in lowest
+    terms or not: an m >= 2 no smaller than any tail start there, with
+    2**-m at most the gap between the anchor and every finite point.  The
+    smallest gap, at the point nearest the anchor, is the only one read.
+    Returned with a common denominator of the sets that every block
+    boundary the kernel reads divides: blocks up to index depth + 1, which
+    ``_settle`` may take in."""
     depths: dict[str, int] = {}
     for anchor in anchors:
         m = 2
@@ -553,10 +555,10 @@ def _assemble(ends: list, d: int,
     """The normal form of the union of the intervals [a/d, b/d) over the
     numerator pairs `ends`, each checked in turn, and the tails.
 
-    One sort-and-coalesce pass takes the intervals.  With tails, the
-    depth per anchor is read as in ``_depths_for`` off the coalesced
-    points, so an end that the union swallows sets no depth, and a second
-    pass takes those points and, per tail, its blocks below the depth.
+    One sort-and-coalesce pass takes the intervals.  With tails,
+    ``_depths_for`` reads the depth per anchor off the coalesced points,
+    so an end that the union swallows sets no depth, and a second pass
+    takes those points and, per tail, its blocks below the depth.
     Beyond the depth each tail sets its residual flag (``_residual``), and
     ``_collapse`` settles the result."""
     tag = None
@@ -574,23 +576,11 @@ def _assemble(ends: list, d: int,
     tails = tuple(tails)
     if not tails:
         return _canonical(d, pts, tag)
-    depths: dict[str, int] = {}
-    for t in tails:
-        depths[t.anchor] = max(depths.get(t.anchor, 2), t.start)
-    if pts:
-        for anchor, m in depths.items():
-            if anchor == AT_ONE:
-                gap = d - (pts[-2] if pts[-1] == d else pts[-1])
-            else:
-                gap = pts[1] if pts[0] == 0 else pts[0]
-            depths[anchor] = max(m, _depth_for_gap(gap, d))
-    # over d, every block boundary up to index depth + 1, which
-    # ``_settle`` may take in
-    f = lcm(d, 1 << (max(depths.values()) + 2)) // d
-    d *= f
+    depths, D = _depths_for((_new(d, pts, tag, tails),),
+                            {t.anchor for t in tails})
+    pts, d = _scale(pts, D // d), D
     blocks = [_block_points(t.anchor, n, d)
               for t in tails for n in range(t.start, depths[t.anchor], 2)]
-    pts = _scale(pts, f)
     if blocks:
         pts = _coalesce([*zip(pts[::2], pts[1::2]), *blocks])
     return _collapse(pts, _residual(pts, tails, depths, d), depths, d, tag)
@@ -655,9 +645,6 @@ class IntervalSet:
         d = lcm(*(x.d for pair in pairs for x in pair))
         return _assemble([(_numerator(lo, d), _numerator(hi, d))
                           for lo, hi in pairs], d, tails)
-
-    def _anchors(self) -> set[str]:
-        return {t.anchor for t in self.tails}
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
@@ -769,7 +756,7 @@ class IntervalSet:
                 return _canonical(d, _merge(F.pts, d // F.d, pts, 1, keep),
                                   tag)
         depths, d = _depths_for((self, other),
-                                self._anchors() | other._anchors())
+                                {t.anchor for t in self.tails | other.tails})
         ia, fa = _expand(self, depths, d)
         ib, fb = _expand(other, depths, d)
         flags = {a: [keep[2 * x + y] for x, y in zip(fa[a], fb[a])]
@@ -976,14 +963,15 @@ class ShiftSteps:
     point where two arcs touch flips twice and lies in neither.
 
     A step finds the shift's cell by a filtered compare.  A point x/D,
-    x = n + m*alpha, has the exact integer key floor(2**62 * x)
-    (``_floor_key``), and the shift's key is estimated by adding the
-    step's key: after k steps the shift's x times 2**62 lies in
-    [est, est + k).  An edge whose key is below est lies below the shift,
-    and one whose key is est + k or more lies above it, so ``bisect`` over
-    the edge keys places the shift, and ``_sign`` decides only the edges
-    whose keys fall in the window, and the wrap at D when 2**62 * D does.
-    The label is then one lookup.
+    x = n + m*alpha, has the exact integer key floor(S * x), S the key
+    scale of ``_floor_key``, and the shift's key is estimated by adding
+    the step's key: after k steps S * x lies in [est, est + k).  An edge
+    whose key is below est lies below the shift, and one whose key is
+    est + k or more lies above it, so ``bisect`` over the edge keys places
+    the shift, and ``_sign`` decides only the edges whose keys fall in the
+    window, and the wrap at D when the key of D does.  The walk is exact at
+    any key scale; a finer one leaves fewer edges in the window.  The label
+    is then one lookup.
 
     ``runs(limit)`` walks steps 1 .. limit in runs: maximal stretches of
     consecutive steps with one label, yielded once each as (B + s_k meets
@@ -1046,10 +1034,11 @@ class ShiftSteps:
         edges, keys, labels, d, a = (self._edges, self._keys, self._labels,
                                      self.d, self._a)
         (tn, tm), n, m = self._step, 0, 0
-        step, top = _floor_key(tn, tm, a), d << 62
+        step, top = _floor_key(tn, tm, a), _floor_key(d, 0, a)
         size = len(keys)
-        # est <= 2**62 * (n + m*alpha) < est + k after k steps: each adds
-        # the floor of 2**62 * t, and each wrap takes 2**62 * D off exactly
+        # est <= S * (n + m*alpha) < est + k after k steps, S the key scale
+        # of ``_floor_key``: each adds the key of t, and each wrap takes the
+        # key of D, S * D, off exactly
         est = k = 0
         # the open run of steps that miss W: its label and first step
         run, start = None, 0
@@ -1089,7 +1078,7 @@ class ShiftSteps:
         """s_k = {k*t} as the pair (n, m) of the point n + m*alpha over D."""
         (tn, tm), d = self._step, self.d
         n, m = k * tn, k * tm
-        return n - _floor_key(n, m, self._a) // (d << 62) * d, m
+        return n - _floor_of(n, m, self._a, d) * d, m
 
     def moved(self, k: int) -> IntervalSet:
         """B moved by the shift of step k."""

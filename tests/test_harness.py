@@ -151,6 +151,15 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             parse_config("system = doubling\n")
 
+    def test_blank_lines_are_skipped(self):
+        lines = SPLINTER_CFG.splitlines(True)
+        padded = "\n" + "".join(line + " \t \n" for line in lines) + "\n\n"
+        assert parse_config(padded) == parse_config(SPLINTER_CFG)
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown parameter 'seeds'$"):
+            ExperimentConfig("gap", "doubling", {}, {"seeds": 3})
+
     def test_seed_key_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(SPLINTER_CFG + "seed = 1\n")
@@ -397,7 +406,10 @@ class TestExitCodes:
                                "budget 100"),
         (OVER_DIGITS_CFG, 3, "invalid input: an exact value has too many "
                              "digits to write as text"),
-    ], ids=["overflow", "unequal-windows", "mixing-budget", "over-digits"])
+        (corpus_config("ci-doubling-tail"), 4,
+         "left representation class: doubling does not act on tails"),
+    ], ids=["overflow", "unequal-windows", "mixing-budget", "over-digits",
+            "doubling-tail"])
     def test_cli_prints_one_line(self, tmp_path, capsys, text, code,
                                  message):
         cfg = tmp_path / "exp.cfg"
@@ -423,9 +435,16 @@ class TestExitCodes:
          "config error: demo runs on kakutani, not 'doubling'"),
         ("command = demo\nsystem = rotation:1/3\n",
          "config error: demo runs on kakutani, not 'rotation:1/3'"),
+        (SPLINTER_CFG.replace("epsilon = 1/1048576\n", ""),
+         "config error: missing required parameter 'epsilon'"),
+        (SPLINTER_CFG.replace("set.J2 = 0..1/2\n", ""),
+         "config error: missing required set 'J2'"),
+        ("command = verify\nsystem = doubling\nset.S = 0..1/2\n"
+         "set.S = 1/4..5/8\n", "config error: line 4: duplicate key 'set.S'"),
     ], ids=["basis", "depth", "digits", "density-epsilon", "stall-window-0",
             "stall-window-negative", "epsilon-zero-denominator",
-            "demo-doubling", "demo-rotation"])
+            "demo-doubling", "demo-rotation", "missing-epsilon",
+            "missing-set", "duplicate-set"])
     def test_cli_rejects_unusable_value(self, tmp_path, capsys, text,
                                         message):
         cfg = tmp_path / "exp.cfg"

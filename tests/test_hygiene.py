@@ -2,9 +2,10 @@
 it, no library module reaches into the private names of ``intervals`` or
 ``splinter``, the harness alone renders decimals and splinter rows, and
 builds splinter rows and run traces in one place each, one function
-refines a bracket of alpha and one takes a closed-form floor in it, a
-check of a splinter run reads its map from the run, and one function gives
-the steps of a splinter run."""
+refines a bracket of alpha and one takes a closed-form floor in it, one
+module holds the scale of alpha's integer keys, one function reads the
+depth of a tailed set, a check of a splinter run reads its map from the
+run, and one function gives the steps of a splinter run."""
 
 import ast
 from pathlib import Path
@@ -138,6 +139,22 @@ def test_one_closed_form():
     # its brackets off an isqrt of its own
     assert callers("isqrt") == {"scalars.py:_floor_of",
                                 "scalars.py:IrrationalTag.bounds"}
+
+
+def test_one_key_scale():
+    # the scale of the integer keys of alpha points is ``_floor_key``'s;
+    # a walk over the keys reads it from there
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if any(type(node.value) is int and node.value == 62
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant))] == ["scalars.py"]
+
+
+def test_one_tail_depth_rule():
+    # a tailed operation and ``_assemble`` read their depths from
+    # ``_depths_for``; ``_clip`` reads one gap of the tail-free operand
+    assert callers("_depth_for_gap") == {"intervals.py:_depths_for",
+                                         "intervals.py:_clip"}
 
 
 def parameter_types(path: Path) -> dict[str, list[set[str]]]:

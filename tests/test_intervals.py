@@ -20,8 +20,8 @@ from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, Interval,
                                from_text, make_set)
 from ergolab.randomsets import (random_interval_set, random_offset_set,
                                 random_tower_set)
-from ergolab.scalars import (GOLDEN, SQRT2M1, IrrationalTag, Scalar, _make,
-                             parse_scalar)
+from ergolab.scalars import (GOLDEN, SQRT2M1, IrrationalTag, Scalar,
+                             _floor_of, _make, parse_scalar)
 
 F = Fraction
 
@@ -660,6 +660,15 @@ class TestPointwise:
                 assert _contains(pre, x) == _contains(S, (x + x).mod1()), (
                     f"T^-1 of {S.to_text()} at {x.to_text()}")
 
+    @pytest.mark.parametrize("text", ["tail(zero, 2, odd)",
+                                      "0..1/8, tail(one, 3, even)"])
+    def test_doubling_rejects_tails(self, text):
+        # a tail pulls back to a ladder at its anchor and one at 1/2, and
+        # no tail is anchored at 1/2
+        with pytest.raises(UnsupportedRepresentationError,
+                           match="^doubling does not act on tails$"):
+            doubling_preimage(from_text(text))
+
 
 def _mirror(S):
     """The image of S under x -> 1 - x, built apart from the set kernel:
@@ -976,7 +985,10 @@ class TestTranslation:
         Scalar(0, 1, GOLDEN), Scalar(0, 1, SQRT2M1),
         (-Scalar(0, 1, GOLDEN)).mod1(),
         (Scalar(F(1, 4)) + Scalar(0, 3, SQRT2M1)).mod1(),
-        Scalar(F(3, 7))], ids=str)
+        Scalar(F(3, 7)),
+        # shifts outside [0, 1), which ``ShiftSteps`` reduces once
+        Scalar(2, 1, GOLDEN), Scalar(-1, 1, GOLDEN), -Scalar(0, 1, GOLDEN),
+        Scalar(F(10, 7))], ids=str)
     def test_shift_after_k_steps(self, t):
         # k*t just below and just above an integer: at the denominators
         # of alpha's convergents, [0; a, a, ...], and at multiples of q
@@ -990,6 +1002,34 @@ class TestTranslation:
                            make_set([(F(1, 2), F(5, 8))]), t)
         ks = {k + e for k in near for e in (-1, 0, 1)} | {10 ** 6}
         for k in sorted(ks - {0} | set(range(1, 30))):
+            n, m = steps.shift(k)
+            assert _make(n, m, steps.d, steps.tag) == (t * k).mod1(), k
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["golden", "sqrt2", "rational"])
+    @pytest.mark.parametrize("scale", [0, 3, 8])
+    def test_walk_is_exact_at_any_key_scale(self, monkeypatch, scale, kind,
+                                            seed):
+        # keys floor(2**scale * x) of points over a small denominator leave
+        # many edges in the estimate window, so ``_sign`` places them; the
+        # wrap and ``shift`` read the key scale only through ``scalars``
+        def coarse_key(u, v, a):
+            return _floor_of(u << scale, v << scale, a, 1)
+
+        monkeypatch.setattr(intervals, "_floor_key", coarse_key)
+        rng = random.Random(seed)
+        if kind == "rational":
+            B = random_interval_set(rng, depth=5, allow_tails=False)
+            t = Scalar(F(rng.randrange(1, 13), 13))
+        else:
+            alpha = Scalar(0, 1, GOLDEN if kind == "golden" else SQRT2M1)
+            B = random_offset_set(rng, alpha, depth=5)
+            t = (alpha * Scalar(rng.randint(1, 9))
+                 + Scalar(F(rng.randrange(8), 8))).mod1()
+        W = random_interval_set(rng, depth=5, allow_tails=False)
+        walk_matches_translations(B, W, t, 60)
+        steps = ShiftSteps(B, W, t)
+        for k in range(1, 60):
             n, m = steps.shift(k)
             assert _make(n, m, steps.d, steps.tag) == (t * k).mod1(), k
 
