@@ -106,10 +106,12 @@ def main(argv=None) -> int:
         trace, code = run(config)
         if "error" in trace.summary:
             _complain(trace.summary["status"], trace.summary["error"])
+        # the header hashed the config's text already (a demo's has none)
+        digest = trace.header.get("config_hash") or config.digest()
         if args.verb == "run":
-            _write_trace(trace, args, f"run-{config.digest()}")
+            _write_trace(trace, args, f"run-{digest}")
             return code
-        out = (args.out or pathlib.Path(".")) / f"plot-{config.digest()}.csv"
+        out = (args.out or pathlib.Path(".")) / f"plot-{digest}.csv"
         for path in emit_plot_data(trace, out):
             print(f"wrote {path}")
         return code

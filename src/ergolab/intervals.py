@@ -33,14 +33,18 @@ maximally extended toward small indices (block start-2 is not a
 component); two same-anchor tails of opposite parity are collapsed into a
 plain interval.
 
-Tail-free operands go through ``_merge`` alone, over the least common
-multiple of their denominators.  It walks both point lists, one
+Tail-free operands go through ``_merge`` alone.  It walks both point
+lists over the least common multiple of their denominators, one
 comparison per point, unless the shorter list, of m intervals, is so short
 against the longer one, of n, that (2m + 1) * bit_length(n) < n: then it
 bisects the long list once per point of the short one and copies the runs
 in between (``_merge_skewed``), which is what intersecting a set of
-2**(j-1) components with a window of one to three takes.  Which path a
-workload takes is counted per workload in CHANGES.md.
+2**(j-1) components with a window of one to three takes.  The runs are
+scaled only by the part of the long list's factor that the kept cuts
+need, so the result comes over the least denominator those need, and
+``_canonical`` puts it in lowest terms, past its first points only when
+they share a factor with it.  Which path a workload takes is counted per
+workload in CHANGES.md.
 
 With tails, an operation is clipped (``_clip``) when one operand T has
 tails, the table keeps nothing where T holds alone (an intersection in
@@ -274,19 +278,22 @@ _SUBTRACT = (False, False, True, False)
 
 
 def _merge(a: Sequence, fa: int, b: Sequence, fb: int,
-           keep: tuple[bool, ...]) -> list:
+           keep: tuple[bool, ...]) -> tuple[list, int]:
     """Combine two normalized toggle lists point by point.
 
-    `a` and `b` are over denominators fa and fb times smaller than the
-    result's.  Walks the points of both lists in order, one comparison per
-    point, and emits a point where ``keep[2 * in_a + in_b]`` changes.  A
-    point both lists share is one event, so touching pieces merge and no
-    empty piece is emitted: the result is normalized.  No table keeps a
-    point outside both lists (``keep[0]`` is false).
+    `a` and `b` are over denominators fa and fb times smaller than their
+    least common multiple D.  Walks the points of both lists in order, one
+    comparison per point, and emits a point where ``keep[2 * in_a + in_b]``
+    changes.  A point both lists share is one event, so touching pieces
+    merge and no empty piece is emitted: the result is normalized.  No
+    table keeps a point outside both lists (``keep[0]`` is false).
 
     When one list is much shorter than the other, so that bisecting the
     long list once per point of the short one costs fewer comparisons than
-    walking it, ``_merge_skewed`` does the work instead.
+    walking it, ``_merge_skewed`` does the work instead.  Returns the
+    result's points and a divisor `div` of D: the points are over D // div,
+    which is D itself unless ``_merge_skewed`` kept no point that needs all
+    of D.
     """
     na, nb = len(a) >> 1, len(b) >> 1
     if (2 * na + 1) * nb.bit_length() < nb:
@@ -320,27 +327,33 @@ def _merge(a: Sequence, fa: int, b: Sequence, fb: int,
         out.extend(a[i:])
     elif j < nb and keep[1]:
         out.extend(b[j:])
-    return out
+    return out, 1
 
 
 def _merge_skewed(short: Sequence, long: Sequence, f: int,
                   keep_in: tuple[bool, ...],
-                  keep_out: tuple[bool, ...]) -> list:
+                  keep_out: tuple[bool, ...]) -> tuple[list, int]:
     """``_merge`` in O(len(short) * log(len(long))) comparisons.
 
-    `long` is over a denominator f times smaller than `short` and the
-    result.  The short list cuts the line into regions: the gaps before,
-    between and after its intervals, and the intervals themselves.  Inside
-    a region the short list's membership is fixed, so ``keep_in`` (on its
+    `long` is over a denominator f times smaller than `short`'s, D.  The
+    short list cuts the line into regions: the gaps before, between and
+    after its intervals, and the intervals themselves.  Inside a region
+    the short list's membership is fixed, so ``keep_in`` (on its
     intervals) or ``keep_out`` (on its gaps), indexed by membership in the
     long list, says what the region holds: nothing, all of it, the long
     list or its complement.  Each cut is located in the long list by one
     bisection; the long list's points inside a region are copied as one
-    run (scaled by f), and a cut is emitted where the result's membership
-    changes across it.
+    run, and a cut is emitted where the result's membership changes
+    across it.
+
+    The result is over D // div, where div is the gcd of f and every
+    emitted cut (1 if one is an alpha point): the runs are scaled by
+    f // div, so not at all when div = f, and the cuts divided by div.
     """
     key = None if f == 1 else partial(mul, f)
     out = []
+    cuts = []     # (index in out, cut) of each emitted cut when f > 1
+    div = f
     kept = False  # the result's membership just below the cut x
     x = None      # start of the current region (None: below everything)
     i = 0         # long[:i] lie below x
@@ -354,15 +367,22 @@ def _merge_skewed(short: Sequence, long: Sequence, f: int,
         keep_gap, keep_piece = keep_in if r & 1 else keep_out
         now = keep_piece if k & 1 else keep_gap
         if now != kept:
+            if key is not None:
+                cuts.append((len(out), x))
+                div = gcd(div, x) if type(x) is int else 1
             out.append(x)
         if keep_gap == keep_piece:
             kept = now
         else:
-            run = long[k:j]
-            out.extend(run if key is None else [p * f for p in run])
+            out.extend(long[k:j])
             kept = now != bool((j - k) & 1)
         x, i = y, j
-    return out
+    if key is None:
+        return out, 1
+    out = _scale(out, f // div)
+    for n, x in cuts:
+        out[n] = x // div
+    return out, div
 
 
 # ---------------------------------------------------------------------
@@ -602,11 +622,14 @@ def _coalesce(ends: list) -> list:
 def _canonical(d: int, pts: Sequence, tag: Optional[IrrationalTag],
                tails: frozenset = frozenset()) -> "IntervalSet":
     """The set of normalized toggle points `pts` over d with `tails`, put
-    in lowest terms; `tag` is None only when every point is rational."""
+    in lowest terms; `tag` is None only when every point is rational.  A
+    rational list whose first points are coprime to d is read no further."""
     if not pts:
         return _new(1, (), None, tails)
     if tag is None:
-        g = gcd(d, *pts)
+        g = gcd(d, *pts[:8])
+        if g != 1:
+            g = gcd(g, *pts)
     else:
         # read both parts of each point, and whether alpha is left at all
         g, tag = d, None
@@ -742,8 +765,9 @@ class IntervalSet:
         tag = _merge_tags(self.tag, other.tag)
         if not (self.tails or other.tails):
             d = lcm(self.d, other.d)
-            return _canonical(d, _merge(self.pts, d // self.d, other.pts,
-                                        d // other.d, keep), tag)
+            pts, div = _merge(self.pts, d // self.d, other.pts, d // other.d,
+                              keep)
+            return _canonical(d // div, pts, tag)
         if not (self.tails and other.tails or keep[2 if self.tails else 1]):
             # one operand T has tails, and the table keeps nothing where T
             # holds alone: the result lies in the other, F
@@ -753,15 +777,16 @@ class IntervalSet:
                 d, pts = clip
                 if T is self:
                     keep = keep[::2] + keep[1::2]  # the table with F first
-                return _canonical(d, _merge(F.pts, d // F.d, pts, 1, keep),
-                                  tag)
+                pts, div = _merge(F.pts, d // F.d, pts, 1, keep)
+                return _canonical(d // div, pts, tag)
         depths, d = _depths_for((self, other),
                                 {t.anchor for t in self.tails | other.tails})
         ia, fa = _expand(self, depths, d)
         ib, fb = _expand(other, depths, d)
         flags = {a: [keep[2 * x + y] for x, y in zip(fa[a], fb[a])]
                  for a in depths}
-        return _collapse(_merge(ia, 1, ib, 1, keep), flags, depths, d, tag)
+        return _collapse(_merge(ia, 1, ib, 1, keep)[0], flags, depths, d,
+                         tag)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return self._combine(other, _UNION)

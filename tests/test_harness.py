@@ -690,6 +690,30 @@ class TestStructuredTrace:
         path = out / f"run-{config.digest()}{suffix}"
         assert path.read_text() == f"# {trace.stamp()}\n{body}"
 
+    @pytest.mark.parametrize("verb, name, path", [
+        ("run", "harness-gap", "run-{}.json"),
+        ("emit-plot", "ci-verify", "plot-{}.csv"),
+        # a demo's header has no config hash: the name takes its own
+        ("run", "harness-demo", "run-{}.json")])
+    def test_cli_renders_the_config_once(self, tmp_path, monkeypatch, verb,
+                                         name, path):
+        # the output is named by the hash that the trace header took
+        cfg = CORPUS / f"{name}.cfg"
+        digest = parse_config(cfg.read_text()).digest()
+        renders = 0
+        to_text = ExperimentConfig.to_text
+
+        def counting(self):
+            nonlocal renders
+            renders += 1
+            return to_text(self)
+
+        monkeypatch.setattr(ExperimentConfig, "to_text", counting)
+        argv = [verb, "--config", str(cfg), "--out", str(tmp_path)]
+        assert main(argv + ["--format", "structured"] * (verb == "run")) == 0
+        assert renders == 1
+        assert (tmp_path / path.format(digest)).is_file()
+
     def test_demo_kakutani_matches_indented_dumps(self):
         trace, _ = demo_kakutani()
         assert trace.to_structured() == self._reference(trace)

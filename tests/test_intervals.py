@@ -4,6 +4,7 @@ import pickle
 import random
 from copy import deepcopy
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,28 @@ class TestCanonicalForm:
                 S = doubling_preimage(S)
                 self.assert_same(S, intervals._canonical(S.d, S.pts, S.tag))
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_canonical_takes_the_gcd_of_every_point(self, seed):
+        # the first points of a list share a factor g with d: odd seeds
+        # keep it to the end, even ones lose it at a later point
+        rng = random.Random(seed)
+        g, m = rng.choice([2, 3, 6, 35, 1024]), rng.randint(40, 400)
+        d = g * m
+        head = [g * k for k in rng.sample(range(m // 2), rng.randint(1, 16))]
+        size = rng.randint(1, 8) * 2 - len(head) % 2
+        if seed % 2:
+            tail = [g * k for k in rng.sample(range(m // 2, m + 1), size)]
+        else:
+            lost = g * rng.randrange(m // 2, m) + 1
+            tail = [lost] + rng.sample(
+                [p for p in range(g * (m // 2), d + 1) if p != lost],
+                size - 1)
+        pts = sorted(head) + sorted(tail)
+        want = gcd(d, *pts)
+        S = intervals._canonical(d, pts, None)
+        assert (S.d, S.pts) == (d // want, tuple(p // want for p in pts))
+        assert (want % g == 0) == bool(seed % 2)
+
 
 class TestBooleanLaws:
     @given(tailed_sets(), tailed_sets())
@@ -275,11 +298,15 @@ def _sample_points(*sets, anchors=(), extra=(), tail_blocks=30):
 
 
 def _is_normal(S, blocks=64):
-    """Normal-form checker, independent of the set kernel: components
+    """Normal-form checker, independent of the set kernel: d the least
+    denominator (coprime to every integer part of every point); components
     sorted, disjoint and non-adjacent; at most one tail per anchor; each
     tail maximally extended (block start-2 is not a component); no
     component overlaps or touches a tail block (so none touches the first
     one); checked over the first `blocks` blocks of each tail."""
+    parts = [q for p in S.pts for q in ((p,) if type(p) is int else p[:2])]
+    if gcd(S.d, *parts) != 1:
+        return False
     ivs = S.intervals
     if not all(iv.lo < iv.hi for iv in ivs):
         return False
@@ -321,17 +348,23 @@ def _odometer_inverse(y):
 def _long_set(seed):
     """A seeded tail-free set of at least 64 components: dyadic, dyadic
     moved by a multiple of the golden angle, or a doubling preimage iterate
-    of a small set with golden or dyadic endpoints."""
+    of a small set with golden, dyadic or 55th endpoints."""
     rng = random.Random(seed)
     alpha = Scalar(0, 1, GOLDEN)
-    kind = seed % 4
+    kind = seed % 5
     if kind < 2:
         points = sorted(rng.sample(range(1025), 2 * rng.randint(64, 96)))
         S = make_set([(F(a, 1024), F(b, 1024))
                       for a, b in zip(points[::2], points[1::2])])
         return S.translate_mod1(alpha * Scalar(seed)) if kind else S
-    S = (random_offset_set(seed, alpha) if kind == 2
-         else random_interval_set(seed, allow_tails=False))
+    if kind == 4:
+        # over 55, as a doubling_mixing C with points over 5 and 11
+        points = sorted(rng.sample(range(1, 55), 2 * rng.randint(1, 3)))
+        S = make_set([(F(a, 55), F(b, 55))
+                      for a, b in zip(points[::2], points[1::2])])
+    else:
+        S = (random_offset_set(seed, alpha) if kind == 2
+             else random_interval_set(seed, allow_tails=False))
     while S.component_count() < 64:
         S = doubling_preimage(S)
     return S
@@ -339,14 +372,31 @@ def _long_set(seed):
 
 def _short_set(rng, long):
     """One to three components, with endpoints drawn from those of `long`,
-    0, 1 and fresh dyadic and golden points."""
+    0, 1 and fresh dyadic and golden points, and two each over 3, 7, 12
+    and 42, whose primes 3 and 7 the long operand's denominator lacks."""
     ends = [e for iv in long.intervals for e in (iv.lo, iv.hi)]
     pool = ([Scalar(0), Scalar(1)] + rng.sample(ends, 4)
             + [Scalar(F(rng.randrange(1025), 1024)) for _ in range(2)]
-            + [Scalar(0, rng.randint(1, 9), GOLDEN).mod1()])
+            + [Scalar(0, rng.randint(1, 9), GOLDEN).mod1()]
+            + [Scalar(F(rng.randrange(1, q), q)) for q in (3, 7, 12, 42) * 2])
     points = sorted(set(rng.sample(pool, 2 * rng.randint(1, 3))))
     pairs = list(zip(points[::2], points[1::2]))
     return make_set(pairs or [(F(0), F(1, 2))])
+
+
+#: seeds of the skewed operands, which cover every kind of `_long_set`
+SKEWED_SEEDS = range(20)
+
+
+def _skewed_operands(seed):
+    """A long set, with a seeded tail on odd seeds, and a short one."""
+    rng = random.Random(seed)
+    long = _long_set(seed)
+    if seed % 2:
+        long = long.union(make_set([], [ParityTail(
+            rng.choice([AT_ONE, AT_ZERO]), rng.randint(3, 8),
+            rng.choice(["even", "odd"]))]))
+    return long, _short_set(rng, long)
 
 
 def _with_tail(seed, anchor):
@@ -416,7 +466,7 @@ class TestPointwise:
                         f"{name} of {a.to_text()} and {b.to_text()} at "
                         f"{x.to_text()}")
 
-    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("seed", SKEWED_SEEDS)
     def test_skewed_operations_match_membership_oracle(self, seed,
                                                        monkeypatch):
         # a long operand against a short one, in both orders; the short
@@ -432,13 +482,7 @@ class TestPointwise:
             return merge_skewed(*args)
 
         monkeypatch.setattr(intervals, "_merge_skewed", counting)
-        rng = random.Random(seed)
-        long = _long_set(seed)
-        if seed % 2:
-            long = long.union(make_set([], [ParityTail(
-                rng.choice([AT_ONE, AT_ZERO]), rng.randint(3, 8),
-                rng.choice(["even", "odd"]))]))
-        short = _short_set(rng, long)
+        long, short = _skewed_operands(seed)
         for a, b in ((long, short), (short, long)):
             ops = {"union": (a.union(b), lambda x, y: x or y),
                    "intersect": (a.intersect(b), lambda x, y: x and y),
@@ -454,6 +498,28 @@ class TestPointwise:
                         f"{x.to_text()}")
         # every binary operation and the long operand's complement
         assert skewed >= 7
+
+    def test_skewed_merge_scales_runs_by_what_the_cuts_need(self,
+                                                            monkeypatch):
+        # over the oracle's operands, a long list over a denominator f > 1
+        # times smaller than the short one's keeps its runs as they are
+        # (div = f), scales them by part of f (1 < div < f) or by all of it
+        seen = set()
+        merge_skewed = intervals._merge_skewed
+
+        def recording(short, long, f, *keep):
+            out, div = merge_skewed(short, long, f, *keep)
+            if f > 1:
+                seen.add("none" if div == f else "all" if div == 1
+                         else "part")
+            return out, div
+
+        monkeypatch.setattr(intervals, "_merge_skewed", recording)
+        for seed in SKEWED_SEEDS:
+            long, short = _skewed_operands(seed)
+            for a, b in ((long, short), (short, long)):
+                a.union(b), a.intersect(b), a.subtract(b)
+        assert seen == {"none", "part", "all"}
 
     @pytest.mark.parametrize("seed", range(12))
     def test_clipped_operations_match_membership_oracle(self, seed,
