@@ -82,12 +82,15 @@ The exact preimages of the example systems live here too: rotation
 (``IntervalSet.translate_mod1``), doubling and the odometer primitive,
 whose images can come out split by block parity, as the Kakutani tower
 takes them.  Each emits sorted runs of points, joined at their seams
-(``_join``); only ``build`` and ``from_text`` take unsorted input, through
-``_assemble``.  Tails are assembled with the pieces: the intervals are
-sorted and coalesced, ``_depths_for`` reads one depth per anchor off the
-result, the tails' blocks below it are coalesced with those points in a
-second pass, and the residual zones beyond it settle as in a tailed
-operation, so no set operation runs while a set is read.  ``ShiftSteps``
+(``_join``); only the constructors take unsorted input, through
+``from_numerators``, the integer door: ``build``, ``from_text`` and
+``make_set`` put their endpoints over one denominator, and the random
+batteries hand it their drawn integers.  Tails are assembled with the
+pieces: the intervals are sorted and coalesced, ``_depths_for`` reads
+one depth per anchor off the result, the tails' blocks below it are
+coalesced with those points in a second pass, and the residual zones
+beyond it settle as in a tailed operation, so no set operation runs
+while a set is read.  ``ShiftSteps``
 runs a rotation's preimages of one set against a fixed window without
 building them: each step is one shift in integers, one bisection of
 integer keys at the key scale of ``_floor_key`` and one lookup, and the
@@ -98,6 +101,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -570,10 +574,12 @@ def _new(d: int, pts: tuple, tag: Optional[IrrationalTag],
     return S
 
 
-def _assemble(ends: list, d: int,
-              tails: Iterable[ParityTail]) -> "IntervalSet":
+def from_numerators(ends: list, d: int,
+                    tails: Iterable[ParityTail]) -> "IntervalSet":
     """The normal form of the union of the intervals [a/d, b/d) over the
-    numerator pairs `ends`, each checked in turn, and the tails.
+    numerator pairs `ends`, each checked in turn, and the tails: the
+    integer door of every constructor.  A numerator is an ``int``; the
+    constructors of this module also pass alpha points.
 
     One sort-and-coalesce pass takes the intervals.  With tails,
     ``_depths_for`` reads the depth per anchor off the coalesced points,
@@ -666,8 +672,8 @@ class IntervalSet:
         ``Scalar`` pairs (an ``Interval`` is one) and the tails."""
         pairs = list(pairs)
         d = lcm(*(x.d for pair in pairs for x in pair))
-        return _assemble([(_numerator(lo, d), _numerator(hi, d))
-                          for lo, hi in pairs], d, tails)
+        return from_numerators([(_numerator(lo, d), _numerator(hi, d))
+                                for lo, hi in pairs], d, tails)
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
@@ -1114,10 +1120,20 @@ class ShiftSteps:
 def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> IntervalSet:
     """Build a set from (lo, hi) pairs of Scalars/Fractions/ints.
 
-    Any other endpoint, a ``float`` above all, raises ``TypeError``, as
-    ``Scalar`` does: a float would be taken at its binary value, so 0.1
-    would not mean 1/10.
+    When every endpoint is an ``int`` or a ``Fraction`` (not a subclass),
+    the pairs go to ``from_numerators`` as numerators over the lcm of the
+    denominators, and no ``Scalar`` is built.  Otherwise every endpoint
+    becomes a ``Scalar`` and the pairs go through ``IntervalSet.build``,
+    so an endpoint of any other type, a ``float`` above all, raises
+    ``TypeError``, as ``Scalar`` does: a float would be taken at its
+    binary value, so 0.1 would not mean 1/10.
     """
+    pairs = [tuple(pair) for pair in pairs]
+    if {type(x) for pair in pairs for x in pair} <= {int, Fraction}:
+        d = lcm(*[x.denominator for pair in pairs for x in pair])
+        return from_numerators([(lo.numerator * (d // lo.denominator),
+                                 hi.numerator * (d // hi.denominator))
+                                for lo, hi in pairs], d, tails)
     return IntervalSet.build([[_coerce(x) for x in pair] for pair in pairs],
                              tails)
 
@@ -1161,4 +1177,4 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
         ends += (_parts(lo_t, tag), _parts(hi_t, tag))
     d = lcm(*(e // gcd(n, m, e) for n, m, e in ends))
     points = [_point(n * d // e, m * d // e, tag) for n, m, e in ends]
-    return _assemble(list(zip(points[::2], points[1::2])), d, tails)
+    return from_numerators(list(zip(points[::2], points[1::2])), d, tails)

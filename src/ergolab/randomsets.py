@@ -7,12 +7,12 @@ All randomness flows through a caller-supplied ``random.Random`` instance
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Union
 
 from .dynamics import A_SET, TowerSet
+from .errors import check_count
 from .intervals import (AT_ONE, AT_ZERO, EVEN, ODD, EMPTY, IntervalSet,
-                        ParityTail, make_set)
+                        ParityTail, from_numerators)
 from .scalars import Scalar
 
 DEFAULT_DEPTH = 20
@@ -31,30 +31,33 @@ def random_interval_set(seed_or_rng: Union[int, random.Random],
                         allow_empty: bool = False) -> IntervalSet:
     """Random finite union of dyadic-endpoint intervals, plus optional tails.
 
-    Endpoints are dyadic rationals k / 2^depth; tails are drawn with small
-    start depth so their mass stays visible at the working precision.
+    Draws 1 to `max_components` pieces (0 to it with `allow_empty`) with
+    endpoints k / 2^depth, 0 <= k < 2^depth, so no drawn piece reaches 1:
+    only a tail reaches the at-one anchor.  The drawn integers go to
+    ``from_numerators`` over 2^depth as they are.  Tails are drawn with
+    small start depth so their mass stays visible at the working
+    precision.  `depth` below 1, or `max_components` below 1 (below 0
+    with `allow_empty`), raises ``InvalidInputError`` before any draw.
     """
+    check_count("depth", depth)
+    check_count("max_components", max_components, 0 if allow_empty else 1)
     rng = _rng(seed_or_rng)
     den = 1 << depth
     n = rng.randint(0 if allow_empty else 1, max_components)
-    pairs = []
+    ends = []
     for _ in range(n):
         a = rng.randrange(den)
         b = rng.randrange(den)
         if a == b:
             b = (a + 1) % den
-        lo, hi = (a, b) if a < b else (b, a)
-        pairs.append((Fraction(lo, den), Fraction(hi, den)))
+        ends.append((a, b) if a < b else (b, a))
     tails = []
     if allow_tails and rng.random() < 0.3:
         anchor = rng.choice([AT_ONE, AT_ZERO])
         parity = rng.choice([EVEN, ODD])
         start = rng.randint(0, 6)
         tails.append(ParityTail(anchor, start, parity))
-    s = make_set(pairs, tails)
-    if s.is_empty() and not allow_empty:
-        return make_set([(Fraction(0), Fraction(1, 2))])
-    return s
+    return from_numerators(ends, den, tails)
 
 
 def random_offset_set(seed_or_rng: Union[int, random.Random],

@@ -5,7 +5,8 @@ builds splinter rows and run traces in one place each, one function
 refines a bracket of alpha and one takes a closed-form floor in it, one
 module holds the scale of alpha's integer keys, one function reads the
 depth of a tailed set, a check of a splinter run reads its map from the
-run, and one function gives the steps of a splinter run."""
+run, one function gives the steps of a splinter run, and the random
+batteries build their sets from the integers they draw."""
 
 import ast
 from pathlib import Path
@@ -151,7 +152,7 @@ def test_one_key_scale():
 
 
 def test_one_tail_depth_rule():
-    # a tailed operation and ``_assemble`` read their depths from
+    # a tailed operation and ``from_numerators`` read their depths from
     # ``_depths_for``; ``_clip`` reads one gap of the tail-free operand
     assert callers("_depth_for_gap") == {"intervals.py:_depths_for",
                                          "intervals.py:_clip"}
@@ -189,6 +190,14 @@ def called_names(path: Path) -> dict[str, set[str]]:
                       for node in ast.walk(fn) if isinstance(node, ast.Call)
                       and isinstance(node.func, (ast.Name, ast.Attribute))}
             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_random_sets_are_built_from_their_integers():
+    # the drawn k / 2**depth go to ``from_numerators`` as integers: no
+    # endpoint becomes a Fraction or a Scalar to be taken apart again
+    calls = called_names(SRC / "randomsets.py")["random_interval_set"]
+    assert "from_numerators" in calls
+    assert not {"Fraction", "Scalar", "make_set"} & calls
 
 
 def test_splinter_steps_come_from_runs():

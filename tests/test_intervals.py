@@ -943,6 +943,117 @@ class TestConstructor:
         assert make_set([(F(1, 10), 1)]).to_text() == "1/10..1"
 
 
+def _rational_point(rng):
+    """A seeded point of [0, 1] over a small or a large denominator: an
+    ``int`` for half of the whole ones, a ``Fraction`` otherwise."""
+    q = rng.choice((1, 2, 3, 4, 6, 7, 8, 12, 42, 1 << 20))
+    x = F(rng.randint(0, q), q)
+    return int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+
+
+def _rational_pairs(rng):
+    """Seeded ``int``/``Fraction`` pairs, shuffled: each drawn piece, a
+    duplicate, a piece touching one, one overlapping one, and pieces
+    reaching 0 and 1."""
+    pairs = []
+    for _ in range(rng.randint(1, 5)):
+        a, b = _rational_point(rng), _rational_point(rng)
+        if a != b:
+            pairs.append((min(a, b), max(a, b)))
+    if pairs:
+        lo, hi = rng.choice(pairs)
+        pairs.append((lo, hi))
+        if hi < 1:
+            pairs.append((hi, rng.choice([1, F(hi + 1) / 2])))
+        pairs.append((F(lo + hi) / 2, rng.choice([hi, F(1)])))
+    pairs += [(0, F(1, rng.randint(2, 9))),
+              (F(rng.randint(1, 8), 9), 1)][:rng.randint(0, 2)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+class TestMakeSet:
+    """``make_set`` reads ``int`` and ``Fraction`` endpoints as integers
+    over their lcm; the set and every error are those of ``build`` on the
+    same values as ``Scalar``s, and any other endpoint takes that path."""
+
+    @staticmethod
+    def _reference(pairs, tails=()):
+        return IntervalSet.build([(Scalar(lo), Scalar(hi))
+                                  for lo, hi in pairs], tails)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_rational_endpoints_are_read_as_integers(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        pairs = _rational_pairs(rng)
+        tails = [ParityTail(anchor, rng.randint(0, 5),
+                            rng.choice(["even", "odd"]))
+                 for anchor in (AT_ONE, AT_ZERO) if rng.random() < 0.6]
+        want = self._reference(pairs, tails)
+
+        def no_scalars(x):
+            raise AssertionError(f"{x!r} made a Scalar")
+
+        monkeypatch.setattr(intervals, "_coerce", no_scalars)
+        S = make_set(pairs, tails)
+        assert _fields(S) == _fields(want), pairs
+        assert _is_normal(S)
+
+    @pytest.mark.parametrize("pairs", [
+        [(F(1, 2), F(1, 4))], [(F(1, 3), F(1, 3))], [(0, 0)], [(1, 0)],
+        [(F(2, 4), F(1, 2))], [(F(-1, 4), F(1, 2))], [(F(1, 2), 2)],
+        [(-1, 1)], [(F(1, 2), F(3, 2))],
+        [(F(1, 3), F(1, 2)), (F(3, 4), F(1, 4))],
+        [(0, F(1, 6)), (F(5, 7), F(8, 7))]],
+        ids=["inverted", "empty", "empty-int", "inverted-int",
+             "empty-unreduced", "below-zero", "above-one-int", "int-below",
+             "above-one", "second-inverted", "second-above-one"])
+    def test_bad_rational_pairs_raise_as_build(self, pairs):
+        with pytest.raises(ValueError) as want:
+            self._reference(pairs)
+        with pytest.raises(ValueError) as got:
+            make_set(pairs)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_pairs_are_read_once(self):
+        # a pair may be any iterable, an iterator too, on either path
+        for pairs in ([iter((0, F(1, 2))), [F(1, 4), 1]],
+                      [iter((0, Scalar(F(1, 2)))), [F(1, 4), 1]]):
+            assert make_set(pairs).to_text() == "0..1"
+
+    class Third(Fraction):
+        """A ``Fraction`` subclass, read as a ``Scalar``."""
+
+    @pytest.mark.parametrize("pair, text", [
+        ((False, True), "0..1"), ((0, True), "0..1"),
+        ((Third(1, 3), F(1, 2)), "1/3..1/2"),
+        ((F(1, 3), Scalar(F(1, 2))), "1/3..1/2")],
+        ids=["bool", "bool-and-int", "fraction-subclass", "scalar"])
+    def test_other_endpoints_take_the_scalar_path(self, pair, text,
+                                                  monkeypatch):
+        made = []
+        coerce = intervals._coerce
+
+        def counting(x):
+            made.append(x)
+            return coerce(x)
+
+        monkeypatch.setattr(intervals, "_coerce", counting)
+        assert make_set([pair]).to_text() == text
+        assert made == list(pair)
+
+    @pytest.mark.parametrize("pair, message", [
+        ((0.1, F(1, 2)), "scalar parts 0.1, 0 must be int or Fraction"),
+        ((F(0), 0.5), "scalar parts 0.5, 0 must be int or Fraction"),
+        ((0, "1/2"), "scalar parts '1/2', 0 must be int or Fraction")],
+        ids=["float-lo", "float-hi", "str"])
+    def test_other_endpoints_raise_as_scalar(self, pair, message):
+        with pytest.raises(TypeError) as info:
+            make_set([pair])
+        assert str(info.value) == message
+
+
 class TestMeasure:
     def test_tail_measure_closed_form(self):
         # union of blocks I_0, I_2, I_4, ... has mass 2/3
