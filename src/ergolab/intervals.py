@@ -90,7 +90,12 @@ pieces: the intervals are sorted and coalesced, ``_depths_for`` reads
 one depth per anchor off the result, the tails' blocks below it are
 coalesced with those points in a second pass, and the residual zones
 beyond it settle as in a tailed operation, so no set operation runs
-while a set is read.  ``ShiftSteps``
+while a set is read.  A tail-free text that ``to_text`` could have
+written, each end in lowest terms and the ends strictly increasing, is
+its own normal form: ``from_text`` checks that as it reads the ends,
+builds the set from them as they are, and keeps the text on that one set,
+which ``to_text`` then returns without rendering.  The kept text is not a
+normal-form field; equality and hashing ignore it.  ``ShiftSteps``
 runs a rotation's preimages of one set against a fixed window without
 building them: each step is one shift in integers, one bisection of
 integer keys at the key scale of ``_floor_key`` and one lookup, and the
@@ -104,12 +109,12 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import itemgetter, lt, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (RepresentationOverflowError,
                      UnsupportedRepresentationError)
-from .scalars import (_RATIO, ONE, ZERO, IrrationalTag, Scalar, _coerce,
+from .scalars import (ONE, ZERO, IrrationalTag, Scalar, _coerce,
                       _floor_key, _floor_of, _make, _merge_tags, _parts,
                       _sign, _text)
 
@@ -565,12 +570,14 @@ def _collapse(pts: list, flags, depths: dict[str, int], d: int,
 
 def _new(d: int, pts: tuple, tag: Optional[IrrationalTag],
          tails: frozenset) -> "IntervalSet":
-    """The set with these normal-form fields, taken as they are."""
+    """The set with these normal-form fields, taken as they are, and no
+    kept text."""
     S = object.__new__(IntervalSet)
     S.d = d
     S.pts = pts
     S.tag = tag
     S.tails = tails
+    S._source = None
     return S
 
 
@@ -655,9 +662,12 @@ class IntervalSet:
     """Normalized measurable subset of [0, 1).
 
     ``IntervalSet(pairs, tails)`` is ``build`` on the same input.
+    ``_source`` is the text the set was read from when ``from_text`` found
+    it written as ``to_text`` writes it, else None: not a normal-form
+    field, so equality and hashing ignore it.
     """
 
-    __slots__ = ("d", "pts", "tag", "tails")
+    __slots__ = ("d", "pts", "tag", "tails", "_source")
 
     def __new__(cls, pairs: Iterable[tuple[Scalar, Scalar]] = (),
                 tails: Iterable[ParityTail] = ()) -> "IntervalSet":
@@ -840,6 +850,8 @@ class IntervalSet:
     # -- text form ------------------------------------------------------------
 
     def to_text(self) -> str:
+        if self._source is not None:
+            return self._source
         if self.is_empty():
             return "empty"
         d, pts = self.d, self.pts
@@ -1140,9 +1152,12 @@ def make_set(pairs: Iterable[tuple], tails: Iterable[ParityTail] = ()) -> Interv
 
 _TAIL_RE = re.compile(
     r"^tail\(\s*(one|zero)\s*,\s*(\d+)\s*,\s*(even|odd)\s*\)$")
-#: a component whose two ends are plain rationals, "n..n" or "n/d..n/d",
-#: by the scalar grammar's own pattern
-_RATIO_PAIR_RE = re.compile(rf"{_RATIO.pattern}\s*\.\.\s*{_RATIO.pattern}")
+#: a component in the spelling of ``to_text``, two ends with no space
+#: around "..": each end unsigned, with no leading zero, and a denominator
+#: of at least 2 when it has one.  ``from_text`` checks the rest (lowest
+#: terms, order, range); every other spelling goes through ``_parts``
+_RATIO_PAIR_RE = re.compile(r"(0|[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?\.\."
+                            r"(0|[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
 #: a comma at parenthesis depth zero: tail(...) has commas of its own
 _COMMA_RE = re.compile(r",(?![^()]*\))")
 
@@ -1151,22 +1166,33 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
     """Parse the serialization produced by ``IntervalSet.to_text``: each
     endpoint as integers by the grammar of ``parse_scalar``, the pieces over
     their common denominator by the normalizing core of ``build``.  A
-    component of two plain rationals with nonzero denominators is read by
-    one match; any other goes through ``_parts``, which raises on a bad
-    one."""
+    component spelled as ``to_text`` writes it is read by one match; any
+    other goes through ``_parts``, which raises on a bad one.
+
+    A text that ``to_text`` could have written is its own normal form: no
+    tail, every component in that spelling with both ends in lowest terms,
+    the components joined by exactly ", ", and the ends strictly increasing
+    up to 1.  Then the lcm of the ends' denominators is the least
+    denominator and the pieces are sorted, disjoint and non-adjacent, so
+    the set is built from the ends as they are, and it keeps the text as
+    the ``to_text`` it equals byte for byte.  The kept text is not a
+    normal-form field, and only this reader sets it: a set built any other
+    way has none and renders its text."""
     s = text.strip()
     if s in ("", "empty"):
         return EMPTY
+    parts = [part.strip() for part in _COMMA_RE.split(s)]
     ends: list[tuple[int, int, int]] = []
     tails: list[ParityTail] = []
-    for part in _COMMA_RE.split(s):
-        part = part.strip()
+    written = 0  # components in the spelling of ``to_text``, lowest terms
+    for part in parts:
         m = _RATIO_PAIR_RE.fullmatch(part)
         if m:
             lo_d, hi_d = int(m[2] or 1), int(m[4] or 1)
-            if lo_d and hi_d:
-                ends += ((int(m[1]), 0, lo_d), (int(m[3]), 0, hi_d))
-                continue
+            lo, hi = int(m[1]), int(m[3])
+            ends += ((lo, 0, lo_d), (hi, 0, hi_d))
+            written += gcd(lo, lo_d) == gcd(hi, hi_d) == 1
+            continue
         m = _TAIL_RE.match(part)
         if m:
             tails.append(ParityTail(m.group(1), int(m.group(2)), m.group(3)))
@@ -1175,6 +1201,13 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
             raise ValueError(f"malformed set component {part!r}")
         lo_t, hi_t = part.split("..", 1)
         ends += (_parts(lo_t, tag), _parts(hi_t, tag))
+    if written == len(parts) and ", ".join(parts) == s:
+        d = lcm(*(e for _, _, e in ends))
+        pts = [n * (d // e) for n, _, e in ends]
+        if pts[-1] <= d and all(map(lt, pts, pts[1:])):
+            S = _new(d, tuple(pts), None, frozenset())
+            S._source = s
+            return S
     d = lcm(*(e // gcd(n, m, e) for n, m, e in ends))
     points = [_point(n * d // e, m * d // e, tag) for n, m, e in ends]
     return from_numerators(list(zip(points[::2], points[1::2])), d, tails)

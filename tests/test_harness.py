@@ -714,6 +714,35 @@ class TestStructuredTrace:
         assert renders == 1
         assert (tmp_path / path.format(digest)).is_file()
 
+    @pytest.mark.parametrize("name, rendered", [
+        ("harness-verify", 0), ("ci-verify", 0),
+        # the sets with tails take the render, and of those only the bases
+        # of S1, S3 and S4 have a component: one each
+        ("ci-kakutani-verify", 6),
+        # S = 0..1/2 and T = 1/4..5/8, written otherwise
+        ("ci-verify-respelled", 4)])
+    def test_header_renders_no_set_written_as_to_text_writes_it(
+            self, monkeypatch, name, rendered):
+        # a tail-free set written as ``to_text`` writes it keeps that text,
+        # so the header takes it as it is and renders no end of it; the
+        # output is the same byte for byte
+        from ergolab import intervals
+        text = corpus_config(name)
+        want = run(parse_config(text))[0].to_structured()
+        ends = []
+        point_text = intervals._point_text
+        monkeypatch.setattr(intervals, "_point_text",
+                            lambda p, d: ends.append(p) or point_text(p, d))
+        trace, code = run(parse_config(text))
+        assert code == 0
+        assert trace.to_structured() == want
+        assert len(ends) == rendered
+
+    def test_two_spellings_of_one_config_give_one_output(self):
+        traces = [run(parse_config(corpus_config(name)))[0]
+                  for name in ("ci-verify", "ci-verify-respelled")]
+        assert traces[0].to_structured() == traces[1].to_structured()
+
     def test_demo_kakutani_matches_indented_dumps(self):
         trace, _ = demo_kakutani()
         assert trace.to_structured() == self._reference(trace)

@@ -5,8 +5,9 @@ builds splinter rows and run traces in one place each, one function
 refines a bracket of alpha and one takes a closed-form floor in it, one
 module holds the scale of alpha's integer keys, one function reads the
 depth of a tailed set, a check of a splinter run reads its map from the
-run, one function gives the steps of a splinter run, and the random
-batteries build their sets from the integers they draw."""
+run, one function gives the steps of a splinter run, the random
+batteries build their sets from the integers they draw, and only the
+reader keeps the text a set was read from."""
 
 import ast
 from pathlib import Path
@@ -208,3 +209,28 @@ def test_splinter_steps_come_from_runs():
             if "ShiftSteps" in names} == {"_runs"}
     assert "_runs" in calls["splinter"]
     assert not {"ShiftSteps", "preimage"} & calls["splinter"]
+
+
+def test_kept_text_is_written_by_the_reader_alone():
+    # ``_new`` clears the text a set was read from, and the canonical
+    # branch of ``from_text`` keeps it: no other path can turn it into a
+    # cache of rendered text
+    writers, values = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assign):
+                    values += [ast.unparse(node.value) for t in node.targets
+                               if ast.unparse(t).endswith("._source")]
+                stored = (isinstance(node, ast.Attribute)
+                          and node.attr == "_source"
+                          and not isinstance(node.ctx, ast.Load))
+                set_by_name = (isinstance(node, ast.Call)
+                               and "setattr" in ast.unparse(node.func)
+                               and any(isinstance(a, ast.Constant)
+                                       and a.value == "_source"
+                                       for a in node.args))
+                if stored or set_by_name:
+                    writers.add(f"{path.name}:{getattr(top, 'name', '')}")
+    assert writers == {"intervals.py:_new", "intervals.py:from_text"}
+    assert sorted(values) == ["None", "s"]

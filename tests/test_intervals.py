@@ -1309,11 +1309,50 @@ TAILED_TEXTS = ["tail(one, 0, even), tail(one, 1, odd)",
                 "tail(zero, 3, odd)"]
 
 
+def _canonical_texts():
+    """Texts that ``to_text`` writes: seeded draws of the random
+    batteries, with and without tails, and the bases and tops of seeded
+    tower sets."""
+    texts = ["empty", "0..1"]
+    for seed in range(40):
+        rng = random.Random(seed)
+        texts.append(random_interval_set(rng).to_text())
+        T = random_tower_set(rng)
+        texts += [T.base.to_text(), T.top.to_text()]
+    return texts
+
+
+CANONICAL_TEXTS = _canonical_texts()
+
+#: texts of valid sets that ``to_text`` does not write, each refused by
+#: one condition of the canonical reader
+RESPELLED_TEXTS = {
+    "split-at-inner-point": "0..1/4, 1/4..1/2",
+    "overlapping": "1/8..1/2, 3/8..3/4",
+    "reversed-order": "1/2..3/4, 0..1/4",
+    "unreduced": "2/8..1/2",
+    "unreduced-zero": "0/2..1/2",
+    "over-one": "1/4..1/1",
+    "plus-sign": "+1/4..1/2",
+    "leading-zero": "01/4..1/2",
+    "space-before-dots": "1/4 ..1/2",
+    "space-after-dots": "1/4.. 1/2",
+    "no-space-after-comma": "0..1/4,1/2..1",
+    "two-spaces-after-comma": "0..1/4,  1/2..1",
+    "space-before-comma": "0..1/4 , 1/2..1",
+    "unicode-digits": "\u0660..\u0661/\u0662",
+    "unicode-inner-digit": "1\u0661/32..1/2",
+    "unicode-denominator": "1/3\u0662..1/2",
+}
+
+
 class TestParser:
     """``from_text`` reads endpoints as integers and normalizes them in the
     core of ``IntervalSet.build``, tails and all: the same set, tag and
     errors as reading each endpoint with ``parse_scalar``, building the
-    tail-free pieces from the Scalars and uniting each tail in."""
+    tail-free pieces from the Scalars and uniting each tail in.  A
+    tail-free text that ``to_text`` writes is its own normal form and its
+    own text; every other spelling renders the normal form."""
 
     @staticmethod
     def _reference(text, tag):
@@ -1353,6 +1392,8 @@ class TestParser:
     @pytest.mark.parametrize("text, tag, message", [
         ("-1/4..1/2", None, "interval -1/4..1/2 outside [0,1)"),
         ("1/2..3/2", None, "interval 1/2..3/2 outside [0,1)"),
+        ("0..2", None, "interval 0..2 outside [0,1)"),
+        ("3/4..1/4", None, "empty or inverted interval 3/4..1/4"),
         ("0..1/2, 1/2..1/4", None, "empty or inverted interval 1/2..1/4"),
         ("1/2..1/2", None, "empty or inverted interval 1/2..1/2"),
         ("2/4..0.5", None, "empty or inverted interval 1/2..1/2"),
@@ -1375,7 +1416,8 @@ class TestParser:
          "malformed set component 'tail(one, x, even)'"),
         ("1/2..1, tail(middle, 0, even)", None,
          "malformed set component 'tail(middle, 0, even)'"),
-    ], ids=["negative", "above-one", "inverted", "empty", "empty-unreduced",
+    ], ids=["negative", "above-one", "integer-above-one", "inverted-first",
+            "inverted", "empty", "empty-unreduced",
             "inverted-alpha", "negative-alpha", "above-one-alpha",
             "inverted-sqrt2", "zero-denominator", "zero-over-zero",
             "alpha-without-tag", "malformed-linear", "alpha-first",
@@ -1386,6 +1428,25 @@ class TestParser:
             from_text(text, tag)
         assert type(info.value) is ValueError
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", CANONICAL_TEXTS)
+    def test_canonical_text_is_its_own_normal_form(self, text):
+        S = from_text(text)
+        want = EMPTY if text == "empty" else self._reference(text, None)
+        assert S.to_text() == text
+        assert _fields(S) == _fields(want)
+        assert S == want and hash(S) == hash(want)
+        # a tail-free set keeps the text it was read from
+        kept = bool(S.pts) and not S.tails
+        assert S._source == (text if kept else None)
+
+    @pytest.mark.parametrize("text", list(RESPELLED_TEXTS.values()),
+                             ids=list(RESPELLED_TEXTS))
+    def test_respelled_text_renders_its_normal_form(self, text):
+        S, want = from_text(text), self._reference(text, None)
+        assert _fields(S) == _fields(want)
+        assert S._source is None
+        assert S.to_text() == want.to_text() != text
 
     def test_swallowed_end_sets_no_depth(self, monkeypatch):
         # the end near 1 lies inside 0..1, so it is not in the normal form
