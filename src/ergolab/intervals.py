@@ -46,24 +46,17 @@ need, so the result comes over the least denominator those need, and
 they share a factor with it.  Which path a workload takes is counted per
 workload in CHANGES.md.
 
-With tails, an operation is clipped (``_clip``) when one operand T has
-tails, the table keeps nothing where T holds alone (an intersection in
-either order, or F - T) and the tail-free operand F stays clear of the
-anchors of T's tails.  Then no tail block from the depth read off F's gap
-to the anchor on meets F, so T's points and its blocks below that depth
-go through ``_merge`` with F's, and the result has no tail.  Every other
-tailed operation works in three steps, each linear in the points and
-blocks it touches, over a denominator that every block boundary it reads
-divides:
+With tails, an operation works in three steps, each linear in the points
+and blocks it touches, over a denominator that every block boundary it
+reads divides:
 
 * one depth m per anchor, read from the operand point nearest the anchor
   and the tail starts, with every finite point at least 2**-m from the
   anchor;
 * each operand as one sorted point list: its own points and the
   boundaries of its tail blocks below the depth, merged by
-  ``_with_blocks``, which lists the blocks for the clip too; beyond the
-  depth each anchor carries one flag per parity, combined by the same
-  truth table as the points;
+  ``_with_blocks``; beyond the depth each anchor carries one flag per
+  parity, combined by the same truth table as the points;
 * the canonical tail, settled at the anchor end of the result list, where
   "this point is a block boundary" is one integer compare: components
   that are exactly the blocks below join the tail.  The rule is written
@@ -395,10 +388,8 @@ def _merge_skewed(short: Sequence, long: Sequence, f: int,
 
 
 # ---------------------------------------------------------------------
-# the tailed kernel: a one-tailed operation whose result lies in a
-# tail-free operand clear of the tails' anchors clips the tails where that
-# operand ends; any other takes one depth per anchor, blocks listed below
-# it, tails canonicalised from block indices
+# the tailed kernel: one depth per anchor, blocks listed below it, tails
+# canonicalised from block indices
 # ---------------------------------------------------------------------
 
 def _depth_for_gap(gap, d: int) -> int:
@@ -461,24 +452,6 @@ def _with_blocks(S: "IntervalSet", depths: dict[str, int], d: int):
         for n in range(t.start, depths[t.anchor], 2):
             blocks += _block_points(t.anchor, n, d)
     return sorted([*pts, *blocks]) if blocks else pts
-
-
-def _clip(T: "IntervalSet", F: "IntervalSet"):
-    """(d, points over d) of T, its tails cut off where the tail-free F
-    ends, or None when F reaches an anchor of T's tails.
-
-    Per tail, the depth m is read from F's gap to the anchor alone, so no
-    block from m on meets F; the blocks below m are listed with T's own
-    points, which may lie deeper than F reaches and stay as they are."""
-    fp, fd = F.pts, F.d
-    depths = {}
-    for t in T.tails:
-        gap = fd - fp[-1] if t.anchor == AT_ONE else fp[0]
-        if not gap:
-            return None
-        depths[t.anchor] = _depth_for_gap(gap, fd)
-    d = lcm(T.d, fd, 1 << max(depths.values()))
-    return d, _with_blocks(T, depths, d)
 
 
 def _residual(pts: list, tails: Iterable[ParityTail],
@@ -784,17 +757,6 @@ class IntervalSet:
             pts, div = _merge(self.pts, d // self.d, other.pts, d // other.d,
                               keep)
             return _canonical(d // div, pts, tag)
-        if not (self.tails and other.tails or keep[2 if self.tails else 1]):
-            # one operand T has tails, and the table keeps nothing where T
-            # holds alone: the result lies in the other, F
-            F, T = (other, self) if self.tails else (self, other)
-            clip = _clip(T, F)
-            if clip is not None:
-                d, pts = clip
-                if T is self:
-                    keep = keep[::2] + keep[1::2]  # the table with F first
-                pts, div = _merge(F.pts, d // F.d, pts, 1, keep)
-                return _canonical(d // div, pts, tag)
         depths, d = _depths_for((self, other),
                                 {t.anchor for t in self.tails | other.tails})
         ia, fa = _expand(self, depths, d)
@@ -1158,8 +1120,31 @@ _TAIL_RE = re.compile(
 #: terms, order, range); every other spelling goes through ``_parts``
 _RATIO_PAIR_RE = re.compile(r"(0|[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?\.\."
                             r"(0|[1-9][0-9]*)(?:/([2-9]|[1-9][0-9]+))?")
-#: a comma at parenthesis depth zero: tail(...) has commas of its own
-_COMMA_RE = re.compile(r",(?![^()]*\))")
+
+
+def _split_components(s: str) -> list[str]:
+    """``s`` cut at each comma whose next parenthesis is not ``)``, so at
+    each comma outside a tail(...), which has commas of its own.  Linear in
+    the length of ``s``: of the stretches that end at a ``)``, the commas
+    after a stretch's last ``(`` stay in their part, and every other comma
+    cuts."""
+    if ")" not in s:
+        return s.split(",")
+    parts, part = [], []
+    *stretches, rest = s.split(")")
+    for stretch in stretches:
+        k = stretch.rfind("(") + 1
+        cut = stretch[:k].split(",")
+        part.append(cut[0])
+        if len(cut) > 1:
+            parts.append("".join(part))
+            parts += cut[1:-1]
+            part = [cut[-1]]
+        part += (stretch[k:], ")")
+    cut = rest.split(",")
+    part.append(cut[0])
+    parts.append("".join(part))
+    return parts + cut[1:]
 
 
 def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
@@ -1181,7 +1166,7 @@ def from_text(text: str, tag: Optional[IrrationalTag] = None) -> IntervalSet:
     s = text.strip()
     if s in ("", "empty"):
         return EMPTY
-    parts = [part.strip() for part in _COMMA_RE.split(s)]
+    parts = [part.strip() for part in _split_components(s)]
     ends: list[tuple[int, int, int]] = []
     tails: list[ParityTail] = []
     written = 0  # components in the spelling of ``to_text``, lowest terms

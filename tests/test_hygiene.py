@@ -154,9 +154,8 @@ def test_one_key_scale():
 
 def test_one_tail_depth_rule():
     # a tailed operation and ``from_numerators`` read their depths from
-    # ``_depths_for``; ``_clip`` reads one gap of the tail-free operand
-    assert callers("_depth_for_gap") == {"intervals.py:_depths_for",
-                                         "intervals.py:_clip"}
+    # ``_depths_for``, and nothing else reads a depth off a gap
+    assert callers("_depth_for_gap") == {"intervals.py:_depths_for"}
 
 
 def parameter_types(path: Path) -> dict[str, list[set[str]]]:

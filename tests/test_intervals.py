@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 from copy import deepcopy
 from fractions import Fraction
 from math import gcd
@@ -438,6 +439,41 @@ def _kakutani_input(seed):
                                         allow_empty=True).intersect(A_SET))
 
 
+def _tailed_against_windows(seed):
+    """A seeded set with a tail at one anchor or both, rational or golden
+    ends, and a deep component in a block of each tail's other parity; and
+    tail-free windows, rational and golden, some clear of the anchors and
+    some reaching one."""
+    rng = random.Random(seed)
+    alpha = Scalar(0, 1, GOLDEN)
+    T = (random_offset_set(seed, alpha) if seed % 2
+         else random_interval_set(seed, allow_tails=False))
+    anchors = ([AT_ONE], [AT_ZERO], [AT_ONE, AT_ZERO])[seed % 3]
+    # the finite part keeps clear of the tails, so they stay apart; it may
+    # reach the other anchor
+    T = T.intersect(arc(AT_ZERO in anchors, 8 - (AT_ONE in anchors), 8))
+    for anchor in anchors:
+        parity = rng.randrange(2)
+        T = T.union(make_set([], [ParityTail(anchor, rng.randint(0, 8),
+                                             parity)]))
+        # a component inside a block of the other parity, far deeper than
+        # most windows reach
+        blk = _block(anchor, 21 - parity)
+        quarter = (blk.hi - blk.lo) * Scalar(F(1, 4))
+        T = T.union(make_set([(blk.lo + quarter, blk.hi - quarter)]))
+    assert len(T.tails) == len(anchors)
+    lo, hi = sorted(rng.sample(range(1, 64), 2))
+    g = (alpha * Scalar(rng.randint(1, 9))).mod1()
+    windows = [
+        make_set([(F(lo, 64), F(hi, 64))]),
+        make_set([(F(0), F(lo, 64)), (F(hi, 64), F(1))]),
+        make_set([(F(lo, 64), F(1))]),
+        make_set([(g * Scalar(F(1, 2)), g)]),
+        make_set([(F(1, 64), F(1, 2)), (F(3, 4), 1 - F(1, 1 << 30))]),
+    ]
+    return T, windows
+
+
 class TestPointwise:
     @pytest.mark.parametrize("seed", range(30))
     def test_operations_match_membership_oracle(self, seed):
@@ -522,53 +558,11 @@ class TestPointwise:
         assert seen == {"none", "part", "all"}
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_clipped_operations_match_membership_oracle(self, seed,
-                                                        monkeypatch):
+    def test_clipped_operations_match_membership_oracle(self, seed):
         # a tailed set against tail-free windows, in both orders: windows
-        # clear of the tails' anchors take the clip, and windows that touch
-        # an anchor take the generic tailed path, as T - W' does for any
-        # window W' (the table keeps T alone there)
-        paths = {"clip": 0, "generic": 0}
-        clip, depths_for = intervals._clip, intervals._depths_for
-
-        def counting_clip(T, F):
-            out = clip(T, F)
-            paths["clip"] += out is not None
-            return out
-
-        def counting_depths(sets, anchors):
-            paths["generic"] += len(sets) == 2
-            return depths_for(sets, anchors)
-
-        monkeypatch.setattr(intervals, "_clip", counting_clip)
-        monkeypatch.setattr(intervals, "_depths_for", counting_depths)
-        rng = random.Random(seed)
-        alpha = Scalar(0, 1, GOLDEN)
-        T = (random_offset_set(seed, alpha) if seed % 2
-             else random_interval_set(seed, allow_tails=False))
-        anchors = ([AT_ONE], [AT_ZERO], [AT_ONE, AT_ZERO])[seed % 3]
-        # the finite part keeps clear of the tails, so they stay apart;
-        # it may reach the other anchor
-        T = T.intersect(arc(AT_ZERO in anchors, 8 - (AT_ONE in anchors), 8))
-        for anchor in anchors:
-            parity = rng.randrange(2)
-            T = T.union(make_set([], [ParityTail(anchor, rng.randint(0, 8),
-                                                 parity)]))
-            # a component inside a block of the other parity, far deeper
-            # than most windows reach
-            blk = _block(anchor, 21 - parity)
-            quarter = (blk.hi - blk.lo) * Scalar(F(1, 4))
-            T = T.union(make_set([(blk.lo + quarter, blk.hi - quarter)]))
-        assert len(T.tails) == len(anchors)
-        lo, hi = sorted(rng.sample(range(1, 64), 2))
-        g = (alpha * Scalar(rng.randint(1, 9))).mod1()
-        windows = [
-            make_set([(F(lo, 64), F(hi, 64))]),
-            make_set([(F(0), F(lo, 64)), (F(hi, 64), F(1))]),
-            make_set([(F(lo, 64), F(1))]),
-            make_set([(g * Scalar(F(1, 2)), g)]),
-            make_set([(F(1, 64), F(1, 2)), (F(3, 4), 1 - F(1, 1 << 30))]),
-        ]
+        # clear of the tails' anchors, where an intersection clips the
+        # tails off, and windows that touch an anchor
+        T, windows = _tailed_against_windows(seed)
         for W in windows:
             for a, b in ((T, W), (W, T)):
                 ops = {"intersect": (a.intersect(b), lambda x, y: x and y),
@@ -582,7 +576,28 @@ class TestPointwise:
                         assert _contains(result, x) == want, (
                             f"{name} of {a.to_text()} and {b.to_text()} at "
                             f"{x.to_text()}")
-        assert paths["clip"] and paths["generic"], paths
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_tailed_operation_reads_its_depths(self, seed,
+                                                     monkeypatch):
+        # one path for every tailed operation: each reads one depth per
+        # anchor off both operands, windows clear of the anchors included
+        T, windows = _tailed_against_windows(seed)
+        calls = []
+        depths_for = intervals._depths_for
+
+        def counting(sets, anchors):
+            calls.append(len(sets))
+            return depths_for(sets, anchors)
+
+        monkeypatch.setattr(intervals, "_depths_for", counting)
+        for W in windows:
+            for a, b in ((T, W), (W, T)):
+                for op in (a.intersect, a.subtract, a.union):
+                    calls.clear()
+                    op(b)
+                    assert calls == [2], (op.__name__, a.to_text(),
+                                          b.to_text())
 
     def test_skewed_merge_bisects(self, monkeypatch):
         # a set of 4,096 components against one of a single component:
@@ -1324,6 +1339,17 @@ def _canonical_texts():
 
 CANONICAL_TEXTS = _canonical_texts()
 
+#: the comma split of set text as one regex, a reference for
+#: ``intervals._split_components``: a comma cuts unless the next parenthesis
+#: after it is ")".  Its lookahead scans on at every comma, so it is
+#: quadratic in the number of components
+_COMMA_RE = re.compile(r",(?![^()]*\))")
+
+#: set-text tokens for the split: pieces, tails, commas with and without a
+#: space, and stray parentheses
+_SPLIT_TOKENS = ["0..1/4", "1/2..alpha", " 3/8 .. 1/2", "tail(one, 2, even)",
+                 "tail(zero,0,odd)", ",", ", ", "(", ")", " "]
+
 #: texts of valid sets that ``to_text`` does not write, each refused by
 #: one condition of the canonical reader
 RESPELLED_TEXTS = {
@@ -1357,7 +1383,7 @@ class TestParser:
     @staticmethod
     def _reference(text, tag):
         pairs, tails = [], []
-        for part in intervals._COMMA_RE.split(text):
+        for part in _COMMA_RE.split(text):
             m = intervals._TAIL_RE.match(part.strip())
             if m:
                 tails.append(ParityTail(m[1], int(m[2]), m[3]))
@@ -1447,6 +1473,26 @@ class TestParser:
         assert _fields(S) == _fields(want)
         assert S._source is None
         assert S.to_text() == want.to_text() != text
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_split_is_the_comma_regex(self, seed):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            text = "".join(rng.choices(_SPLIT_TOKENS, k=rng.randint(0, 14)))
+            assert intervals._split_components(text) == _COMMA_RE.split(
+                text), text
+
+    def test_round_trip_of_4000_components(self):
+        # 4,000 pieces over a prime and a tail at each anchor, clear of them
+        p = 8009
+        S = intervals.from_numerators(
+            [(2 * i + 1, 2 * i + 2) for i in range(4000)], p,
+            [ParityTail(AT_ONE, 14, "even"), ParityTail(AT_ZERO, 20, "odd")])
+        text = S.to_text()
+        assert len(intervals._split_components(text)) == 4002
+        R = from_text(text)
+        assert _fields(R) == _fields(S)
+        assert R.to_text() == text
 
     def test_swallowed_end_sets_no_depth(self, monkeypatch):
         # the end near 1 lies inside 0..1, so it is not in the normal form
