@@ -22,9 +22,9 @@ from .splinter import (BUDGET_EXHAUSTED, CONVERGED, CheckReport,
                        splinter, transport_check, verify_decomposition,
                        verify_orbit_decomposition)
 from .caratheodory import (GapReport, MeasureBasis, RESTRICTION_NOTICE,
-                           arcs_basis, correlation_average, density_pair,
-                           density_search, dyadic_basis, gap_theta,
-                           invariance_check, mixing_trace, reduction_check)
+                           arcs_basis, correlation_average, density_search,
+                           dyadic_basis, gap_theta, invariance_check,
+                           mixing_trace, reduction_check)
 from .randomsets import (random_interval_set, random_offset_set,
                          random_tower_set)
 from .harness import (ARTIFACT_VERSION, ExperimentConfig, Rows, RunTrace,

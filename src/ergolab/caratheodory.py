@@ -42,7 +42,8 @@ class MeasureBasis:
     def __init__(self, kind: str, bound: int):
         if kind not in ("dyadic", "arcs"):
             raise InvalidInputError(f"unknown basis kind {kind!r}")
-        if bound < 0 or (kind == "arcs" and bound < 1):
+        if (type(bound) is not int or bound < 0
+                or (kind == "arcs" and bound < 1)):
             raise InvalidInputError("basis bound out of range")
         self.kind = kind
         self.bound = bound  # depth_max for dyadic, denominator_max for arcs
@@ -52,22 +53,31 @@ class MeasureBasis:
             return iter(range(self.bound + 1))
         return iter(range(1, self.bound + 1))
 
-    def _ends(self, level: int) -> tuple[int, Iterator[tuple[int, int]]]:
-        """The cell count L of `level` and its windows [a/L, b/L) as the
-        pairs (a, b), in order."""
+    def elements_at(self, level: int) -> Iterator[IntervalSet]:
+        """The windows [a/L, b/L) of `level`, in order."""
         if self.kind == "dyadic":
             L = 1 << level
-            return L, ((k, k + 1) for k in range(L))
-        return level, ((a, b) for a in range(level)
-                       for b in range(a + 1, level + 1))
-
-    def elements_at(self, level: int) -> Iterator[IntervalSet]:
-        L, ends = self._ends(level)
-        return (arc(a, b, L) for a, b in ends)
+            return (arc(k, k + 1, L) for k in range(L))
+        return (arc(a, b, level) for a in range(level)
+                for b in range(a + 1, level + 1))
 
     def elements(self) -> Iterator[IntervalSet]:
         for level in self.levels():
             yield from self.elements_at(level)
+
+    def cells_at(self, level: int) -> int:
+        """The cell count L of `level`: each of its windows is a union of
+        cells [i/L, (i+1)/L).  A level of more than ``MAX_LEVEL_WINDOWS``
+        windows cannot be read whole and is an ``InvalidInputError``."""
+        if self.kind == "dyadic":
+            L = count = 1 << level
+        else:
+            L, count = level, level * (level + 1) // 2
+        if count > MAX_LEVEL_WINDOWS:
+            raise InvalidInputError(
+                f"a basis level may hold at most {MAX_LEVEL_WINDOWS} "
+                f"windows; {self.kind} level {level} holds {count}")
+        return L
 
     def measures_at(self, S: IntervalSet, level: int
                     ) -> list[tuple[IntervalSet, Scalar, Scalar]]:
@@ -75,14 +85,9 @@ class MeasureBasis:
 
         One ``S.cell_measures`` sweep reads the level: a dyadic window is
         a cell, and an arc [a/L, b/L) the difference of two prefix sums of
-        the cells.  A level of more than ``MAX_LEVEL_WINDOWS`` windows is
-        an ``InvalidInputError``."""
-        L, ends = self._ends(level)
-        count = L if self.kind == "dyadic" else L * (L + 1) // 2
-        if count > MAX_LEVEL_WINDOWS:
-            raise InvalidInputError(
-                f"a basis level may hold at most {MAX_LEVEL_WINDOWS} "
-                f"windows; {self.kind} level {level} holds {count}")
+        the cells.  A level past ``cells_at``'s ceiling is an
+        ``InvalidInputError``."""
+        L = self.cells_at(level)
         cells = S.cell_measures(L)
         if self.kind == "dyadic":
             width = _make(1, 0, L, None)
@@ -91,7 +96,7 @@ class MeasureBasis:
         sums = list(accumulate(cells, initial=ZERO))
         widths = [_make(k, 0, L, None) for k in range(L + 1)]
         return [(arc(a, b, L), sums[b] - sums[a], widths[b - a])
-                for a, b in ends]
+                for a in range(L) for b in range(a + 1, L + 1)]
 
 
 def dyadic_basis(depth_max: int) -> MeasureBasis:
@@ -106,57 +111,29 @@ def arcs_basis(denominator_max: int) -> MeasureBasis:
 # density
 # ---------------------------------------------------------------------
 
-def _density_bar(epsilon: Scalar, *sets: IntervalSet) -> Scalar:
-    """The input check of both density searches, then 1 - eps: a window J
-    is dense for S when mu(S n J) > (1 - eps) mu(J), exactly."""
-    if not (Scalar(0) < epsilon < ONE):
-        raise InvalidInputError("epsilon must lie strictly between 0 and 1")
-    if any(S.measure().sign() <= 0 for S in sets):
-        raise InvalidInputError("every set must have positive measure")
-    return ONE - epsilon
-
-
-def _dense_at(S: IntervalSet, bar: Scalar, basis: MeasureBasis,
-              level: int) -> Iterator[tuple[IntervalSet, Scalar]]:
-    """(J, mu(J)) for each element J at `level` dense for S, in order."""
-    for J, part, width in basis.measures_at(S, level):
-        if part > bar * width:
-            yield J, width
-
-
 def density_search(S: IntervalSet, epsilon: Scalar,
                    basis: MeasureBasis) -> Optional[IntervalSet]:
     """First basis element J with mu(S n J) > (1 - eps) mu(J), exactly.
 
     The inequality is strict; returns None when the basis is exhausted.
+    A level of L cells is not swept when (1 - eps)/L >= mu(S): each of its
+    windows is at least 1/L wide, so mu(S n J) <= mu(S) <= (1 - eps) mu(J)
+    and none is dense.  Its ceiling is checked all the same, so a search
+    stops at the same level whether or not that level would be swept.
     """
-    bar = _density_bar(epsilon, S)
+    if not (ZERO < epsilon < ONE):
+        raise InvalidInputError("epsilon must lie strictly between 0 and 1")
+    mu = S.measure()
+    if mu.sign() <= 0:
+        raise InvalidInputError("every set must have positive measure")
+    bar = ONE - epsilon
     for level in basis.levels():
-        for J, _ in _dense_at(S, bar, basis, level):
-            return J
+        if bar >= mu * basis.cells_at(level):
+            continue
+        for J, part, width in basis.measures_at(S, level):
+            if part > bar * width:
+                return J
     return None
-
-
-def density_pair(A1: IntervalSet, A2: IntervalSet, epsilon: Scalar,
-                 basis: MeasureBasis):
-    """Equal-measure basis elements that are dense windows for A1 and A2.
-
-    Searches level by level so the two returned elements always have
-    exactly equal measure.  Returns (J1, J2), or (partial1, partial2) with
-    one or both None when the depth bound is exhausted.
-    """
-    bar = _density_bar(epsilon, A1, A2)
-    best1 = best2 = None
-    for level in basis.levels():
-        found1 = list(_dense_at(A1, bar, basis, level))
-        found2 = list(_dense_at(A2, bar, basis, level))
-        for J1, width1 in found1:
-            for J2, width2 in found2:
-                if width1 == width2:
-                    return J1, J2
-        best1 = best1 or (found1[0][0] if found1 else None)
-        best2 = best2 or (found2[0][0] if found2 else None)
-    return best1, best2
 
 
 # ---------------------------------------------------------------------

@@ -392,20 +392,9 @@ def _merge_skewed(short: Sequence, long: Sequence, f: int,
 # canonicalised from block indices
 # ---------------------------------------------------------------------
 
-def _depth_for_gap(gap, d: int) -> int:
-    """An m >= 2 with 2**-m <= gap/d (gap > 0 a numerator over d); the
-    smallest one when the gap is irrational."""
-    if type(gap) is int:
-        return max(2, (d // gap).bit_length() + 1)
-    m = 2
-    while gap * (1 << m) < d:
-        m += 1
-    return m
-
-
 def _block_index(p, d: int) -> int:
     """The n with p/d in block I_n, for a numerator 0 <= p < d over d; an
-    alpha point by ``_Surd`` order, as in ``_depth_for_gap``."""
+    alpha point by ``_Surd`` order."""
     gap = d - p
     if type(gap) is int:
         return (d // gap).bit_length() - 1
@@ -413,6 +402,15 @@ def _block_index(p, d: int) -> int:
     while gap * (2 << n) < d:
         n += 1
     return n
+
+
+def _depth_for_gap(gap, d: int) -> int:
+    """An m >= 2 with 2**-m <= gap/d, for a gap 0 < gap <= d over d, read
+    off the block I_n of the point 1 - gap/d, whose gap exceeds
+    2**-(n+1): n + 2 for an integer gap, and n + 1, the smallest such m,
+    for an alpha gap."""
+    n = _block_index(d - gap, d)
+    return max(2, n + 2 if type(gap) is int else n + 1)
 
 
 def _depths_for(sets: Sequence["IntervalSet"],

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab.caratheodory import (MAX_LEVEL_WINDOWS, MeasureBasis,
-                                  arcs_basis,
-                                  correlation_average, density_pair,
+                                  arcs_basis, correlation_average,
                                   density_search, dyadic_basis, gap_theta,
                                   invariance_check, mixing_trace,
                                   reduction_check)
@@ -16,7 +15,7 @@ from ergolab.dynamics import Doubling, Odometer, Rotation, make_system
 from ergolab.errors import ComponentBudgetError, InvalidInputError
 from ergolab.fixtures import RATIONAL_THIRD_INVARIANT
 from ergolab.intervals import (AT_ONE, AT_ZERO, EMPTY, FULL, IntervalSet,
-                               ParityTail, from_text, make_set)
+                               ParityTail, arc, from_text, make_set)
 from ergolab.randomsets import random_interval_set, random_offset_set
 from ergolab.scalars import GOLDEN, ONE, SQRT2M1, Scalar
 from test_intervals import dyadic_sets
@@ -42,6 +41,16 @@ class TestBases:
         with pytest.raises(InvalidInputError):
             MeasureBasis("dyadc", 3)
 
+    @pytest.mark.parametrize("basis, bound", [
+        (dyadic_basis, 2.5), (arcs_basis, 2.0), (dyadic_basis, F(3)),
+        (arcs_basis, "3"), (dyadic_basis, True)])
+    def test_bound_must_be_an_int(self, basis, bound):
+        # a bound that is not an int used to build a basis whose first
+        # levels() call raised a bare TypeError
+        with pytest.raises(InvalidInputError,
+                           match="^basis bound out of range$"):
+            basis(bound)
+
 
 class TestDensity:
     def test_finds_full_density_window(self):
@@ -54,29 +63,14 @@ class TestDensity:
         S = make_set([(F(k, 8), F(2 * k + 1, 16)) for k in range(8)])
         assert density_search(S, Scalar(F(1, 2)), dyadic_basis(2)) is None
 
-    def test_pair_has_equal_measures(self):
-        A1 = make_set([(F(0), F(1, 4))])
-        A2 = make_set([(F(5, 8), F(1))])
-        J1, J2 = density_pair(A1, A2, Scalar(F(1, 8)), dyadic_basis(6))
-        assert J1 is not None and J2 is not None
-        assert J1.measure() == J2.measure()
-
     def test_positive_measure_required(self):
         with pytest.raises(InvalidInputError):
             density_search(make_set([]), Scalar(F(1, 10)), dyadic_basis(3))
-        with pytest.raises(InvalidInputError):
-            density_pair(make_set([(F(0), F(1, 2))]), make_set([]),
-                         Scalar(F(1, 10)), dyadic_basis(3))
 
     def test_epsilon_below_one_required(self):
         with pytest.raises(InvalidInputError):
             density_search(make_set([(F(0), F(1, 2))]), Scalar(2),
                            dyadic_basis(3))
-        # with epsilon = 2 every window would pass as dense
-        with pytest.raises(InvalidInputError):
-            density_pair(make_set([(F(0), F(1, 8))]),
-                         make_set([(F(7, 8), F(1))]), Scalar(2),
-                         dyadic_basis(3))
 
 
 def _probe_sets(seed):
@@ -91,29 +85,23 @@ def _probe_sets(seed):
     return [S for S in sets if S.measure() > 0]
 
 
-def _reference_dense(S, bar, J):
-    """The density test by one intersection per window."""
-    return S.intersect(J).measure() > bar * J.measure()
+def _small_sets(seed):
+    """Seeded sets so small that a search passes over its coarse levels
+    without sweeping them: an interval of width 2**-k, a tail and an
+    interval ending at alpha."""
+    k = 3 + seed % 4
+    a = (seed * 37) % ((1 << (k + 2)) - 3)
+    tail = ParityTail(AT_ONE if seed % 2 else AT_ZERO, 3 + seed % 3,
+                      "odd" if seed % 3 else "even")
+    return [arc(a, a + 4, 1 << (k + 2)), make_set([], [tail]),
+            from_text(f"-{seed + 1}/{1 << (k + 3)}+alpha..alpha", GOLDEN)]
 
 
 def _reference_search(S, epsilon, basis):
+    """The first dense window, by one intersection per window."""
+    bar = ONE - epsilon
     return next((J for J in basis.elements()
-                 if _reference_dense(S, ONE - epsilon, J)), None)
-
-
-def _reference_pair(A1, A2, epsilon, basis):
-    best1 = best2 = None
-    for level in basis.levels():
-        cells = list(basis.elements_at(level))
-        found1 = [J for J in cells if _reference_dense(A1, ONE - epsilon, J)]
-        found2 = [J for J in cells if _reference_dense(A2, ONE - epsilon, J)]
-        for J1 in found1:
-            for J2 in found2:
-                if J1.measure() == J2.measure():
-                    return J1, J2
-        best1 = best1 or (found1[0] if found1 else None)
-        best2 = best2 or (found2[0] if found2 else None)
-    return best1, best2
+                 if S.intersect(J).measure() > bar * J.measure()), None)
 
 
 BASES = [dyadic_basis(5), arcs_basis(9)]
@@ -137,20 +125,15 @@ class TestLevelSweep:
     @pytest.mark.parametrize("seed", range(6))
     def test_searches_match_reference(self, seed, basis, epsilon):
         eps = Scalar(epsilon)
-        sets = _probe_sets(seed)
-        for S in sets:
+        for S in _probe_sets(seed) + _small_sets(seed):
             assert density_search(S, eps, basis) == _reference_search(
                 S, eps, basis)
-        for A1, A2 in zip(sets, sets[1:]):
-            assert density_pair(A1, A2, eps, basis) == _reference_pair(
-                A1, A2, eps, basis)
 
     def test_no_probe_intersects(self, monkeypatch):
         S = _probe_sets(1)[0]
         monkeypatch.setattr(IntervalSet, "intersect", None)
         for basis in BASES:
             assert density_search(S, Scalar(F(1, 100)), basis) is not None
-            density_pair(S, S.complement(), Scalar(F(1, 100)), basis)
 
     @pytest.mark.parametrize("basis, level, count", [
         (dyadic_basis(19), 19, 1 << 19), (dyadic_basis(30), 30, 1 << 30),
@@ -175,11 +158,23 @@ class TestLevelSweep:
         S = make_set([(F(0), F(1, 1 << 20))])
         with pytest.raises(InvalidInputError, match="dyadic level 19"):
             density_search(S, Scalar(F(1, 2)), dyadic_basis(30))
-        with pytest.raises(InvalidInputError, match="dyadic level 19"):
-            density_pair(S, S, Scalar(F(1, 2)), dyadic_basis(30))
         # a search that ends before the ceiling is not affected
         assert density_search(make_set([(F(0), F(1, 2))]), Scalar(F(1, 2)),
                               dyadic_basis(30)).to_text() == "0..1/2"
+
+    def test_coarse_levels_are_not_swept(self, monkeypatch):
+        def refuse(self, L):
+            raise AssertionError(f"a level of {L} cells swept")
+        monkeypatch.setattr(IntervalSet, "cell_measures", refuse)
+        # every arc up to denominator 361 is at least 1/361 wide, and
+        # (1 - 1/2)/361 > 1/1000, so no window can be dense
+        assert density_search(make_set([(F(0), F(1, 1000))]),
+                              Scalar(F(1, 2)), arcs_basis(361)) is None
+        # levels 0 to 18 are too coarse for [0, 2**-20); level 19 is past
+        # the ceiling, which is checked before a level is passed over
+        with pytest.raises(InvalidInputError, match="dyadic level 19"):
+            density_search(make_set([(F(0), F(1, 1 << 20))]),
+                           Scalar(F(1, 2)), dyadic_basis(30))
 
     def test_reduction_walks_a_deep_basis(self):
         # reduction takes its pairs lazily and reads no level whole
